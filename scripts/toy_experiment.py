@@ -11,7 +11,6 @@ compare`.
 import argparse
 
 import numpy as np
-from scipy import stats
 
 from se3diffuse import toy
 
@@ -40,10 +39,10 @@ def main():
     quarters = [times[i] for i in (len(times) // 4, len(times) // 2, 3 * len(times) // 4, -1)]
     print(f"{'time':>8}  {'KS(fwd, rev)':>12}")
     for t in quarters:
-        ks = stats.ks_2samp(
+        ks = toy.ks_2samp_statistic(
             toy.angle_to_nearest_atom(target, fwd[float(t)]),
             toy.angle_to_nearest_atom(target, rev[float(t)]),
-        ).statistic
+        )
         print(f"{t:8.3f}  {ks:12.4f}")
     frac = (toy.angle_to_nearest_atom(target, rev[0.0]) < 0.3).mean()
     print(f"reverse terminal: {frac:.1%} of paths within 0.3 rad of an atom")

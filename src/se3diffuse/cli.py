@@ -1,15 +1,13 @@
-"""Command-line driver: experiments, table caching, CSV/JSON/PDB artifacts.
+"""Command-line interface: experiments and their CSV/JSON/PDB artifacts.
 
 Subcommands:
-  igso3 {eval,sample,score,table}  series evaluation, sampling, scores, cache
+  igso3 {eval,sample,score}        series evaluation, sampling, scores
   schedule                         noise-schedule curves as CSV
   toy {forward,reverse,compare}    the discrete-target SO(3) experiment
   sample-backbones                 reverse walk on SE(3)^N, PDB output
 
 Every command writes a run-manifest JSON alongside its outputs. Exit
 codes: 0 success, 1 usage error, 2 numerical-domain error, 3 I/O error.
-The environment variable SE3DIFFUSE_CACHE names a directory of reusable
-IGSO3 tables.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import backbone, igso3, process, schedules, so3, toy
-
-CACHE_ENV = "SE3DIFFUSE_CACHE"
 
 IGSO3_DEFAULTS = {"t": None, "terms": 2000, "grid": 1000, "n": 10000, "seed": 0,
                   "out": None}
@@ -51,6 +47,18 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(x) -> str:
     """Shortest round-trip decimal form; keeps CSV output byte-stable."""
     return repr(float(x))
+
+
+def _csv_rows(values, lead=None) -> str:
+    """CSV lines of a 2-d float array in :func:`_fmt` form.
+
+    Each line starts with the matching ``lead`` string when one is given.
+    ``tolist`` yields Python floats, whose ``repr`` is ``_fmt``'s text.
+    """
+    rows = (",".join(map(repr, row)) for row in np.asarray(values, float).tolist())
+    if lead is None:
+        return "".join(row + "\n" for row in rows)
+    return "".join(f"{first},{row}\n" for first, row in zip(lead, rows))
 
 
 @dataclass
@@ -101,59 +109,8 @@ def _trunc_config(cfg: dict) -> igso3.TruncationConfig:
     )
 
 
-def _table_cache_path(t: float, cfg: igso3.TruncationConfig) -> str | None:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    name = f"igso3_t{_fmt(t)}_L{cfg.series_terms}_M{cfg.angle_grid}.csv"
-    return os.path.join(root, name)
-
-
-def dump_table(table: igso3.IGSO3Table, path: str, series_terms: int) -> None:
-    """Table cache record: a header line (t, M, L, mass) plus grid rows."""
-    with open(path, "w") as fh:
-        fh.write(
-            f"# igso3-table t={_fmt(table.t)} M={len(table.omega_grid)}"
-            f" L={series_terms} mass={_fmt(table.raw_mass)}\n"
-        )
-        fh.write("omega,f,df,cdf\n")
-        for row in zip(table.omega_grid, table.f_vals, table.df_vals, table.cdf_vals):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def load_table(path: str) -> igso3.IGSO3Table:
-    try:
-        with open(path) as fh:
-            header = fh.readline()
-            if not header.startswith("# igso3-table"):
-                raise OSError(f"{path} is not an IGSO3 table dump")
-            meta = dict(kv.split("=") for kv in header.split()[2:])
-            fh.readline()  # column names
-            data = np.loadtxt(fh, delimiter=",")
-        return igso3.IGSO3Table(
-            t=float(meta["t"]),
-            omega_grid=data[:, 0],
-            f_vals=data[:, 1],
-            df_vals=data[:, 2],
-            cdf_vals=data[:, 3],
-            raw_mass=float(meta["mass"]),
-        )
-    except (ValueError, KeyError, IndexError) as exc:
-        raise OSError(f"corrupt IGSO3 table file {path}: {exc}") from exc
-
-
-def _get_table(t: float, cfg: igso3.TruncationConfig) -> igso3.IGSO3Table:
-    cache = _table_cache_path(t, cfg)
-    if cache and os.path.exists(cache):
-        return load_table(cache)
-    return igso3.build_table(t, cfg)
-
-
 def cmd_igso3(args: argparse.Namespace) -> RunManifest:
-    defaults = dict(IGSO3_DEFAULTS)
-    if args.igso3_cmd == "table":
-        defaults["out"] = ""  # optional; empty means cache directory
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args, IGSO3_DEFAULTS)
     trunc = _trunc_config(cfg)
     t = float(cfg["t"])
     manifest = RunManifest(command=f"igso3 {args.igso3_cmd}", config=cfg,
@@ -165,24 +122,22 @@ def cmd_igso3(args: argparse.Namespace) -> RunManifest:
         df = igso3.df_igso3_domega(grid, t, trunc)
         with open(cfg["out"], "w") as fh:
             fh.write("omega,f,df\n")
-            for row in zip(grid, f, df):
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(_csv_rows(np.column_stack([grid, f, df])))
         manifest.outputs.append(cfg["out"])
 
     elif args.igso3_cmd == "sample":
         rng = np.random.default_rng(int(cfg["seed"]))
-        table = _get_table(t, trunc)
+        table = igso3.build_table(t, trunc)
         base = np.broadcast_to(np.eye(3), (int(cfg["n"]), 3, 3))
         quats = so3.quat_from_rotation(igso3.sample_igso3(base, table, rng))
         with open(cfg["out"], "w") as fh:
             fh.write("a,b,c,d\n")
-            for q in quats:
-                fh.write(",".join(_fmt(v) for v in q) + "\n")
+            fh.write(_csv_rows(quats))
         manifest.outputs.append(cfg["out"])
 
     elif args.igso3_cmd == "score":
         rng = np.random.default_rng(int(cfg["seed"]))
-        table = _get_table(t, trunc)
+        table = igso3.build_table(t, trunc)
         base = np.broadcast_to(np.eye(3), (int(cfg["n"]), 3, 3))
         samples = igso3.sample_igso3(base, table, rng)
         scores = igso3.conditional_score(base, samples, t, trunc)
@@ -191,22 +146,8 @@ def cmd_igso3(args: argparse.Namespace) -> RunManifest:
         omega = so3.rotation_angle(samples)
         with open(cfg["out"], "w") as fh:
             fh.write("omega,s1,s2,s3\n")
-            for om, c in zip(omega, coeffs):
-                fh.write(",".join(_fmt(v) for v in (om, *c)) + "\n")
+            fh.write(_csv_rows(np.column_stack([omega, coeffs])))
         manifest.outputs.append(cfg["out"])
-
-    else:  # table
-        out = cfg["out"] or _table_cache_path(t, trunc)
-        if not out:
-            raise UsageError(
-                f"igso3 table needs --out or the {CACHE_ENV} environment variable"
-            )
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        if os.path.exists(out):
-            load_table(out)  # cache hit: validate and keep
-        else:
-            dump_table(igso3.build_table(t, trunc), out, trunc.series_terms)
-        manifest.outputs.append(out)
 
     return manifest
 
@@ -220,7 +161,7 @@ def cmd_schedule(args: argparse.Namespace) -> RunManifest:
         float(cfg["sigma_min"]), float(cfg["sigma_max"]), str(cfg["kind"])
     )
     s = np.linspace(0.0, 1.0, int(cfg["points"]))
-    rows = zip(
+    columns = [
         s,
         schedules.beta(s, ts),
         schedules.G_x(s, ts),
@@ -228,11 +169,10 @@ def cmd_schedule(args: argparse.Namespace) -> RunManifest:
         schedules.sigma_r(s, rs),
         schedules.rot_variance(s, rs),
         schedules.g_r(s, rs),
-    )
+    ]
     with open(cfg["out"], "w") as fh:
         fh.write("s,beta,G_x,trans_var,sigma_r,rot_var,g_r\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(_csv_rows(np.column_stack(columns)))
     return RunManifest(command="schedule", config=cfg, seed=None,
                        outputs=[cfg["out"]])
 
@@ -244,22 +184,19 @@ def _toy_run_dir_write(
 ) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
-    times = sorted(marginals)
-    for idx, t in enumerate(times):
-        samples = marginals[t]
-        quats = so3.quat_from_rotation(samples)
+    states = np.stack([marginals[t] for t in sorted(marginals)])
+    all_quats = so3.quat_from_rotation(states)
+    header = "path_id,a,b,c,d," + ",".join(
+        f"angle_to_atom_{k}" for k in range(len(target.weights))
+    )
+    path_ids = [str(pid) for pid in range(states.shape[1])]
+    for idx, (samples, quats) in enumerate(zip(states, all_quats)):
         rel = so3.transpose(target.atoms)[:, None] @ samples[None]
         angles = so3.rotation_angle(rel)  # (K, n)
         path = os.path.join(out_dir, f"t_{idx:04d}.csv")
-        header = "path_id,a,b,c,d," + ",".join(
-            f"angle_to_atom_{k}" for k in range(len(target.weights))
-        )
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            for pid in range(samples.shape[0]):
-                vals = [str(pid)] + [_fmt(v) for v in quats[pid]]
-                vals += [_fmt(angles[k, pid]) for k in range(angles.shape[0])]
-                fh.write(",".join(vals) + "\n")
+            fh.write(_csv_rows(np.column_stack([quats, angles.T]), path_ids))
         outputs.append(path)
     return outputs
 
@@ -306,8 +243,6 @@ def cmd_toy(args: argparse.Namespace) -> RunManifest:
 
 
 def _toy_compare(run_a: str, run_b: str) -> dict:
-    from scipy import stats
-
     def load_run(d):
         with open(os.path.join(d, "manifest.json")) as fh:
             manifest = json.load(fh)
@@ -329,7 +264,7 @@ def _toy_compare(run_a: str, run_b: str) -> dict:
                 os.path.join(d, f"t_{idx:04d}.csv"), delimiter=",", skiprows=1
             )
             angs.append(data[:, 5:].min(axis=1))
-        ks_list.append(float(stats.ks_2samp(angs[0], angs[1]).statistic))
+        ks_list.append(toy.ks_2samp_statistic(angs[0], angs[1]))
     return {
         "times": times_a,
         "ks": ks_list,
@@ -346,6 +281,18 @@ def _extended_chain(n_residues: int) -> process.FrameSet:
     translations[:, 0] = spacing * np.arange(n_residues)
     rotations = np.broadcast_to(np.eye(3), (n_residues, 3, 3)).copy()
     return process.center(process.FrameSet(rotations, translations))
+
+
+def _write_trajectory(path: str, traj: list[tuple[float, process.FrameSet]]) -> None:
+    """One CSV row per recorded (time, residue): quaternion, then translation."""
+    quats = so3.quat_from_rotation(np.stack([state.rotations for _, state in traj]))
+    translations = np.stack([state.translations for _, state in traj])
+    residues = [f",0,{i}" for i in range(translations.shape[1])]
+    with open(path, "w") as fh:
+        fh.write("t,chain_id,residue_index,a,b,c,d,x,y,z\n")
+        for (t, _), q, x in zip(traj, quats, translations):
+            lead = [_fmt(t) + residue for residue in residues]
+            fh.write(_csv_rows(np.column_stack([q, x]), lead))
 
 
 def cmd_sample_backbones(args: argparse.Namespace) -> RunManifest:
@@ -381,15 +328,7 @@ def cmd_sample_backbones(args: argparse.Namespace) -> RunManifest:
 
     if cfg["trajectory"]:
         traj_path = cfg["out"] + "_trajectory.csv"
-        with open(traj_path, "w") as fh:
-            fh.write("t,chain_id,residue_index,a,b,c,d,x,y,z\n")
-            for t, state in traj:
-                quats = so3.quat_from_rotation(state.rotations)
-                for i in range(len(state)):
-                    row = [_fmt(t), "0", str(i)]
-                    row += [_fmt(v) for v in quats[i]]
-                    row += [_fmt(v) for v in state.translations[i]]
-                    fh.write(",".join(row) + "\n")
+        _write_trajectory(traj_path, traj)
         outputs.append(traj_path)
 
     return RunManifest(command="sample-backbones", config=cfg,
@@ -403,7 +342,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_igso3 = sub.add_parser("igso3", help="heat-kernel series utilities")
-    p_igso3.add_argument("igso3_cmd", choices=["eval", "sample", "score", "table"])
+    p_igso3.add_argument("igso3_cmd", choices=["eval", "sample", "score"])
     for flag, typ in [("--t", float), ("--terms", int), ("--grid", int),
                       ("--n", int), ("--seed", int)]:
         p_igso3.add_argument(flag, type=typ)

@@ -9,6 +9,13 @@ relative rotation and is given by the character series
 Everything here works with the truncated series; the angle marginal under
 Haar is f(w, t) (1 - cos w) / pi. Scores are tangent matrices at the
 evaluation point under the tr(u v^T)/2 metric.
+
+Truncation rule: a configuration sums the first L terms, where L is the
+smallest count such that every weight (2l+1) exp(-l(l+1) t_min / 2) with
+l >= L is below machine epsilon times the largest weight at t_min. The
+weights decay faster at larger t, so later terms cannot change a double
+at any t >= t_min (L = 88 at the default t_min = 0.01). ``series_terms``
+(the CLI's ``--terms``) is an upper cap on L, not the count summed.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ class NumericalDomainError(ValueError):
 class TruncationConfig:
     """Truncation and discretization knobs for the series and its tables.
 
-    series_terms: number of series terms kept.
+    series_terms: upper cap on the number of series terms summed.
     angle_grid: points of the uniform angle grid for tables and CDFs.
     omega_eps: below this angle the analytic w -> 0 limits are used.
     t_min: smallest diffusion time at which the truncated series is
@@ -69,41 +76,75 @@ def _check_time(t: float, cfg: TruncationConfig) -> float:
     return t
 
 
-def _series_weights(t: float, cfg: TruncationConfig) -> np.ndarray:
-    ls = np.arange(cfg.series_terms)
-    return (2 * ls + 1) * np.exp(-ls * (ls + 1) * t / 2.0)
+def _series_weights(ts, n_terms: int) -> np.ndarray:
+    """(n_terms, len(ts)) weights (2l+1) exp(-l(l+1) t / 2), one column per time."""
+    ls = np.arange(n_terms)
+    return (2 * ls + 1)[:, None] * np.exp(
+        -(ls * (ls + 1))[:, None] * np.atleast_1d(ts)[None, :] / 2.0
+    )
+
+
+@lru_cache(maxsize=16)
+def _term_count(cfg: TruncationConfig) -> int:
+    """Terms summed under ``cfg``: see the truncation rule in the module docstring."""
+    weights = _series_weights(cfg.t_min, cfg.series_terms)[:, 0]
+    above = np.flatnonzero(weights >= np.finfo(float).eps * weights.max())
+    return int(above[-1]) + 1
+
+
+def _series_basis(omega: np.ndarray, n_terms: int, omega_eps: float):
+    """Per-term f and df/dw columns, (len(omega), n_terms) each.
+
+    Rows with w < omega_eps hold the w -> 0 limits: 2l+1 for f and 0 for
+    its odd derivative.
+    """
+    small = omega < omega_eps
+    w = np.where(small, np.pi, omega)[:, None]  # small rows are overwritten
+    a = np.arange(n_terms) + 0.5
+    half = w / 2.0
+    sin_half = np.sin(half)
+    aw = a * w
+    sin_aw = np.sin(aw)
+    f_basis = sin_aw / sin_half
+    df_basis = np.cos(aw, out=aw)
+    df_basis *= a
+    df_basis *= sin_half
+    sin_aw *= 0.5 * np.cos(half)
+    df_basis -= sin_aw
+    df_basis /= sin_half**2
+    f_basis[small] = 2.0 * a
+    df_basis[small] = 0.0
+    return f_basis, df_basis
+
+
+def _series(omega, t: float, cfg: TruncationConfig):
+    """Truncated f(w, t) and df/dw at the angles ``omega``, as 1-d arrays."""
+    t = _check_time(t, cfg)
+    n_terms = _term_count(cfg)
+    f_basis, df_basis = _series_basis(
+        np.atleast_1d(np.asarray(omega, dtype=float)).ravel(), n_terms, cfg.omega_eps
+    )
+    weights = _series_weights(t, n_terms)[:, 0]
+    return f_basis @ weights, df_basis @ weights
+
+
+def _shaped(values: np.ndarray, omega):
+    return values.reshape(np.shape(omega)) if np.ndim(omega) else float(values[0])
+
+
+def _log_coeff(omega, ratio, omega_eps: float):
+    """(df/dw)/f over w: the score is rt log(rel) times this; 0 for w < omega_eps."""
+    return np.where(omega >= omega_eps, ratio / np.where(omega > 0, omega, 1.0), 0.0)
 
 
 def f_igso3(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
     """Truncated heat-kernel series f(w, t), vectorized over ``omega``."""
-    t = _check_time(t, cfg)
-    omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    weights = _series_weights(t, cfg)
-    out = np.empty(omega_arr.shape)
-    small = omega_arr < cfg.omega_eps
-    ls = np.arange(cfg.series_terms)
-    if np.any(small):
-        out[small] = (2 * ls + 1) @ weights
-    if np.any(~small):
-        w = omega_arr[~small][:, None]
-        out[~small] = (np.sin((ls + 0.5) * w) / np.sin(w / 2.0)) @ weights
-    return out if np.ndim(omega) else float(out[0])
+    return _shaped(_series(omega, t, cfg)[0], omega)
 
 
 def df_igso3_domega(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
     """Termwise analytic d/dw of the truncated series; odd, so 0 at w -> 0."""
-    t = _check_time(t, cfg)
-    omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    weights = _series_weights(t, cfg)
-    out = np.zeros(omega_arr.shape)
-    big = omega_arr >= cfg.omega_eps
-    if np.any(big):
-        w = omega_arr[big][:, None]
-        a = np.arange(cfg.series_terms) + 0.5
-        half = w / 2.0
-        num = a * np.cos(a * w) * np.sin(half) - 0.5 * np.cos(half) * np.sin(a * w)
-        out[big] = (num / np.sin(half) ** 2) @ weights
-    return out if np.ndim(omega) else float(out[0])
+    return _shaped(_series(omega, t, cfg)[1], omega)
 
 
 def igso3_density(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
@@ -122,19 +163,13 @@ def conditional_score(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
     rt = np.asarray(rt, dtype=float)
     rel = so3.transpose(r0) @ rt
     omega = so3.rotation_angle(rel)
-    f = np.atleast_1d(f_igso3(omega, t, cfg))
+    f, df = _series(omega, t, cfg)
     if np.any(f <= 0.0):
         raise NumericalDomainError(
             "nonpositive density encountered; increase series_terms or t"
         )
-    df = np.atleast_1d(df_igso3_domega(omega, t, cfg))
-    omega_arr = np.atleast_1d(omega)
-    coef = np.where(
-        omega_arr >= cfg.omega_eps,
-        df / f / np.where(omega_arr > 0, omega_arr, 1.0),
-        0.0,
-    ).reshape(np.shape(omega) + (1, 1))
-    return rt @ (so3.log_so3(rel) * coef)
+    coef = _log_coeff(omega, (df / f).reshape(np.shape(omega)), cfg.omega_eps)
+    return rt @ (so3.log_so3(rel) * coef[..., None, None])
 
 
 @dataclass(frozen=True)
@@ -175,21 +210,10 @@ def build_table(t: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> IGSO3Table:
 
 
 @lru_cache(maxsize=4)
-def _table_bases(angle_grid: int, series_terms: int):
+def _table_bases(cfg: TruncationConfig):
     """Series basis matrices on the uniform angle grid, shared across times."""
-    ls = np.arange(series_terms)
-    grid = np.linspace(0.0, np.pi, angle_grid)
-    f_basis = np.empty((angle_grid, series_terms))
-    df_basis = np.zeros((angle_grid, series_terms))
-    f_basis[0] = 2 * ls + 1
-    w = grid[1:, None]
-    half = w / 2.0
-    a = ls + 0.5
-    f_basis[1:] = np.sin(a * w) / np.sin(half)
-    df_basis[1:] = (
-        a * np.cos(a * w) * np.sin(half) - 0.5 * np.cos(half) * np.sin(a * w)
-    ) / np.sin(half) ** 2
-    return grid, f_basis, df_basis
+    grid = np.linspace(0.0, np.pi, cfg.angle_grid)
+    return (grid, *_series_basis(grid, _term_count(cfg), cfg.omega_eps))
 
 
 def build_tables(ts, cfg: TruncationConfig = DEFAULT_CONFIG) -> list[IGSO3Table]:
@@ -197,11 +221,8 @@ def build_tables(ts, cfg: TruncationConfig = DEFAULT_CONFIG) -> list[IGSO3Table]
     ts = np.asarray(ts, dtype=float)
     for t in ts:
         _check_time(t, cfg)
-    ls = np.arange(cfg.series_terms)
-    grid, f_basis, df_basis = _table_bases(cfg.angle_grid, cfg.series_terms)
-    weights = (2 * ls + 1)[:, None] * np.exp(
-        -(ls * (ls + 1))[:, None] * ts[None, :] / 2.0
-    )
+    grid, f_basis, df_basis = _table_bases(cfg)
+    weights = _series_weights(ts, f_basis.shape[1])
     f_all = f_basis @ weights
     df_all = df_basis @ weights
 
@@ -259,15 +280,18 @@ def sample_igso3(
     return r0 @ so3.exp_so3(so3.hat(angles[..., None] * axes))
 
 
-def score_from_table(r0, rt, table: IGSO3Table):
-    """Table-backed :func:`conditional_score` for hot simulation loops."""
+def score_from_table(
+    r0, rt, table: IGSO3Table, cfg: TruncationConfig = DEFAULT_CONFIG
+):
+    """Table-backed :func:`conditional_score` for hot simulation loops.
+
+    Uses the same w < ``cfg.omega_eps`` zero gate as the series path.
+    """
     r0 = np.asarray(r0, dtype=float)
     rt = np.asarray(rt, dtype=float)
     rel = so3.transpose(r0) @ rt
     omega = so3.rotation_angle(rel)
-    coef = np.where(
-        omega > 1e-8, table.score_coeff(omega) / np.where(omega > 0, omega, 1.0), 0.0
-    )
+    coef = _log_coeff(omega, table.score_coeff(omega), cfg.omega_eps)
     return rt @ (so3.log_so3(rel) * coef[..., None, None])
 
 

@@ -234,7 +234,7 @@ def score_from_denoised(
         raise ValueError("frame counts differ")
     var = float(schedules.rot_variance(t, rot_sched))
     table = igso3.cached_table(var, cfg)
-    rot_scores = igso3.score_from_table(pred0.rotations, fs_t.rotations, table)
+    rot_scores = igso3.score_from_table(pred0.rotations, fs_t.rotations, table, cfg)
     trans_scores = schedules.trans_conditional_score(
         pred0.translations, fs_t.translations, t, trans_sched
     )
@@ -256,7 +256,9 @@ class _FixedTargetScore:
     def batch(self, t: float, fs: FrameSet):
         var = float(schedules.rot_variance(t, self.rot_sched))
         table = igso3.cached_table(var, self.cfg)
-        rot = igso3.score_from_table(self.pred0.rotations, fs.rotations, table)
+        rot = igso3.score_from_table(
+            self.pred0.rotations, fs.rotations, table, self.cfg
+        )
         trans = schedules.trans_conditional_score(
             self.pred0.translations, fs.translations, t, self.trans_sched
         )

@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from se3diffuse import backbone, cli, so3
+from se3diffuse import backbone, cli, process, so3, toy
 
 
 def run(args):
@@ -53,26 +56,6 @@ class TestIGSO3Commands:
     def test_below_t_min_is_domain_error(self, tmp_path):
         out = tmp_path / "bad.csv"
         assert run(["igso3", "eval", "--t", "0.001", "--out", str(out)]) == 2
-
-    def test_table_cache_roundtrip(self, tmp_path, monkeypatch):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv(cli.CACHE_ENV, str(cache))
-        assert run(["igso3", "table", "--t", "0.5"]) == 0
-        files = list(cache.glob("igso3_*.csv"))
-        assert len(files) == 1
-        table = cli.load_table(str(files[0]))
-        assert table.t == 0.5
-        assert abs(table.raw_mass - 1.0) < 1e-6
-        # Second invocation reuses the cache file untouched.
-        mtime = files[0].stat().st_mtime_ns
-        assert run(["igso3", "table", "--t", "0.5"]) == 0
-        assert files[0].stat().st_mtime_ns == mtime
-
-    def test_corrupt_table_is_io_error(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("not a table\n")
-        with pytest.raises(OSError):
-            cli.load_table(str(bad))
 
 
 class TestScheduleCommand:
@@ -258,3 +241,87 @@ class TestSchemas:
             assert {"command", "config", "seed", "outputs", "duration_s"} <= set(parsed)
         parsed = backbone.read_pdb(str(tmp_path / "bb.pdb"))
         assert len(parsed) == 3
+
+
+def _edge_rotations(rng, n):
+    """Random rotations plus two whose quaternions hold subnormals and -0.0."""
+    rots = so3.sample_uniform_so3(rng, n)
+    rots[0] = so3.exp_so3(so3.hat(np.array([1e-310, -3e-320, 0.0])))
+    rots[1] = np.eye(3)
+    rots[1, 1, 0] = -0.0
+    return rots
+
+
+def _per_value_trajectory(path, traj):
+    """The trajectory writer formatted one value and one state at a time."""
+    with open(path, "w") as fh:
+        fh.write("t,chain_id,residue_index,a,b,c,d,x,y,z\n")
+        for t, state in traj:
+            quats = so3.quat_from_rotation(state.rotations)
+            for i in range(len(state)):
+                row = [cli._fmt(t), "0", str(i)]
+                row += [cli._fmt(v) for v in quats[i]]
+                row += [cli._fmt(v) for v in state.translations[i]]
+                fh.write(",".join(row) + "\n")
+
+
+def _per_value_run_dir(out_dir, marginals, target):
+    """The toy run-directory writer formatted one value and one time at a time."""
+    os.makedirs(out_dir)
+    header = "path_id,a,b,c,d," + ",".join(
+        f"angle_to_atom_{k}" for k in range(len(target.weights))
+    )
+    for idx, t in enumerate(sorted(marginals)):
+        samples = marginals[t]
+        quats = so3.quat_from_rotation(samples)
+        angles = so3.rotation_angle(so3.transpose(target.atoms)[:, None] @ samples[None])
+        with open(os.path.join(out_dir, f"t_{idx:04d}.csv"), "w") as fh:
+            fh.write(header + "\n")
+            for pid in range(samples.shape[0]):
+                vals = [str(pid)] + [cli._fmt(v) for v in quats[pid]]
+                vals += [cli._fmt(angles[k, pid]) for k in range(angles.shape[0])]
+                fh.write(",".join(vals) + "\n")
+
+
+class TestArtifactWriters:
+    def test_rows_match_per_value_format(self):
+        values = np.array([[-0.0, 0.0, 5e-324, -2.2250738585072014e-308],
+                           [1e-310, 1 / 3, -1e300, 0.1 + 0.2]])
+        expected = "".join(
+            f"id{i}," + ",".join(cli._fmt(v) for v in row) + "\n"
+            for i, row in enumerate(values)
+        )
+        assert cli._csv_rows(values, ["id0", "id1"]) == expected
+        assert "-0.0," in expected and "5e-324" in expected
+
+    def test_trajectory_bytes_unchanged(self, tmp_path, rng):
+        traj = []
+        for t in (1.0, 0.5, 0.01):
+            translations = rng.standard_normal((5, 3))
+            translations[0] = [-0.0, 5e-324, -1e-310]
+            traj.append((t, process.FrameSet(_edge_rotations(rng, 5), translations)))
+        cli._write_trajectory(str(tmp_path / "new.csv"), traj)
+        _per_value_trajectory(str(tmp_path / "old.csv"), traj)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert b",-0.0," in new and b"e-311" in new and b"5e-324" in new
+
+    def test_toy_run_dir_bytes_unchanged(self, tmp_path, rng):
+        target = toy.random_target(3, seed=0)
+        marginals = {t: _edge_rotations(rng, 6) for t in (0.0, 0.25, 0.5)}
+        marginals[0.0][2] = target.atoms[1]  # angle 0 to one atom
+        cli._toy_run_dir_write(str(tmp_path / "new"), marginals, target)
+        _per_value_run_dir(str(tmp_path / "old"), marginals, target)
+        for idx in range(3):
+            name = f"t_{idx:04d}.csv"
+            new = (tmp_path / "new" / name).read_bytes()
+            assert new == (tmp_path / "old" / name).read_bytes()
+            assert b",-0.0," in new and b"e-311" in new
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import sys, se3diffuse.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -10,15 +10,48 @@ CFG = igso3.DEFAULT_CONFIG
 
 
 def brute_force_f(omega, t, n_terms):
-    """Independent termwise partial sum, scalar arithmetic only."""
-    total = 0.0
+    """Independent termwise partial sum, scalar arithmetic only, exactly summed."""
+    terms = []
     for ell in range(n_terms):
         weight = (2 * ell + 1) * math.exp(-ell * (ell + 1) * t / 2.0)
         if omega == 0.0:
-            total += weight * (2 * ell + 1)
+            terms.append(weight * (2 * ell + 1))
         else:
-            total += weight * math.sin((ell + 0.5) * omega) / math.sin(omega / 2.0)
-    return total
+            terms.append(weight * math.sin((ell + 0.5) * omega) / math.sin(omega / 2.0))
+    return math.fsum(terms)
+
+
+def brute_force_series(omega, t, n_terms):
+    """Termwise partial sums of f and df/dw on an angle array.
+
+    Each term is formed on its own and each angle's terms are summed with
+    ``math.fsum``, so the oracle adds no rounding of its own to the sum.
+    """
+    omega = np.asarray(omega, dtype=float)
+    zero = omega == 0.0
+    w = np.where(zero, 1.0, omega)
+    half = w / 2.0
+    f_terms = np.empty((n_terms, omega.size))
+    df_terms = np.empty((n_terms, omega.size))
+    for ell in range(n_terms):
+        weight = (2 * ell + 1) * math.exp(-ell * (ell + 1) * t / 2.0)
+        a = ell + 0.5
+        f_term = np.sin(a * w) / np.sin(half)
+        df_term = (
+            a * np.cos(a * w) * np.sin(half) - 0.5 * np.cos(half) * np.sin(a * w)
+        ) / np.sin(half) ** 2
+        f_terms[ell] = weight * np.where(zero, 2 * ell + 1, f_term)
+        df_terms[ell] = weight * np.where(zero, 0.0, df_term)
+    f = np.array([math.fsum(col) for col in f_terms.T])
+    df = np.array([math.fsum(col) for col in df_terms.T])
+    return f, df
+
+
+def trapezoid_cdf(f, grid):
+    """Normalized trapezoidal angle CDF of a clamped density, as tables build it."""
+    pdf = np.clip(f, 0.0, None) * (1.0 - np.cos(grid)) / np.pi
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
+    return cdf / cdf[-1]
 
 
 def angle_marginal_integral(t, n_points=10_000, cfg=CFG):
@@ -53,6 +86,42 @@ class TestSeries:
             igso3.TruncationConfig(omega_eps=0.1)
         with pytest.raises(ValueError):
             igso3.TruncationConfig(series_terms=0)
+
+
+class TestTruncation:
+    def test_default_term_count(self):
+        assert igso3._term_count(CFG) == 88
+
+    @pytest.mark.parametrize("t", [CFG.t_min, 0.1, 1.0, 2.25])
+    def test_matches_full_sum(self, t):
+        table = igso3.build_table(t)
+        grid = table.omega_grid
+        f_ref, df_ref = brute_force_series(grid, t, 2000)
+        f_tol = 1e-15 * np.abs(f_ref).max()
+        df_tol = 1e-15 * np.abs(df_ref).max()
+        assert np.abs(igso3.f_igso3(grid, t) - f_ref).max() <= f_tol
+        assert np.abs(igso3.df_igso3_domega(grid, t) - df_ref).max() <= df_tol
+        assert np.abs(table.f_vals - np.clip(f_ref, 0.0, None)).max() <= f_tol
+        assert np.abs(table.df_vals - df_ref).max() <= df_tol
+        assert np.abs(table.cdf_vals - trapezoid_cdf(f_ref, grid)).max() <= 1e-15
+
+    def test_scalar_oracle_agrees(self):
+        tol = 1e-15 * brute_force_f(0.0, CFG.t_min, 2000)  # f peaks at w = 0
+        for omega in (0.0, 0.9, np.pi):
+            expected = brute_force_f(omega, CFG.t_min, 2000)
+            assert abs(igso3.f_igso3(omega, CFG.t_min) - expected) <= tol
+
+    def test_cap_sums_exactly_that_many_terms(self):
+        # At t_min ten terms are far from converged, so the cap is visible.
+        cfg = igso3.TruncationConfig(series_terms=10)
+        assert igso3._term_count(cfg) == 10
+        grid = np.linspace(0.0, np.pi, 50)
+        f10, df10 = brute_force_series(grid, CFG.t_min, 10)
+        f = igso3.f_igso3(grid, CFG.t_min, cfg)
+        assert np.abs(f - f10).max() <= 1e-15 * np.abs(f10).max()
+        df = igso3.df_igso3_domega(grid, CFG.t_min, cfg)
+        assert np.abs(df - df10).max() <= 1e-15 * np.abs(df10).max()
+        assert np.abs(f - igso3.f_igso3(grid, CFG.t_min)).max() > 1.0
 
 
 class TestDerivative:
@@ -131,6 +200,42 @@ class TestConditionalScore:
         s = igso3.conditional_score(r0, rt, 0.5)
         local = rt.T @ s
         assert np.abs(local + local.T).max() < 1e-12
+
+
+class TestScoreFromTable:
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    def test_small_angle_gate_matches_series(self, rng, t):
+        table = igso3.build_table(t)
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        r0 = so3.sample_uniform_so3(rng)
+        for omega in (2e-8, 1e-6, 5e-5, 0.99e-4):
+            rt = r0 @ so3.exp_so3(so3.hat(omega * axis))
+            series = igso3.conditional_score(r0, rt, t)
+            tabled = igso3.score_from_table(r0, rt, table)
+            assert np.abs(series).max() == 0.0
+            assert np.abs(tabled).max() == 0.0
+
+    def test_gate_follows_config(self):
+        cfg = igso3.TruncationConfig(omega_eps=1e-7)
+        table = igso3.build_table(0.5, cfg)
+        rt = so3.exp_so3(so3.hat(np.array([1e-6, 0.0, 0.0])))
+        series = igso3.conditional_score(np.eye(3), rt, 0.5, cfg)
+        tabled = igso3.score_from_table(np.eye(3), rt, table, cfg)
+        assert np.abs(series).max() > 0.0
+        assert np.abs(tabled - series).max() <= 1e-4 * np.abs(series).max()
+
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    def test_agrees_with_series_near_pi(self, rng, t):
+        table = igso3.build_table(t)
+        r0 = so3.sample_uniform_so3(rng)
+        for gap in (1e-2, 1e-4, 1e-6):
+            axis = rng.standard_normal(3)
+            axis /= np.linalg.norm(axis)
+            rt = r0 @ so3.exp_so3(so3.hat((np.pi - gap) * axis))
+            series = igso3.conditional_score(r0, rt, t)
+            tabled = igso3.score_from_table(r0, rt, table)
+            assert np.abs(tabled - series).max() <= 1e-4 * np.abs(series).max()
 
 
 class TestTable:

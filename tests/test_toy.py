@@ -211,3 +211,27 @@ class TestMarginalStats:
     def test_rejects_empty(self, target):
         with pytest.raises(ValueError):
             toy.marginal_stats(np.zeros((0, 3, 3)), target)
+
+
+class TestKSStatistic:
+    @pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 7), (50, 50), (137, 9999),
+                                         (2000, 2000), (3000, 4500), (10000, 10000)])
+    def test_random_samples_match_scipy_exactly(self, rng, n_a, n_b):
+        a = rng.standard_normal(n_a)
+        b = 0.1 + rng.standard_normal(n_b)
+        assert toy.ks_2samp_statistic(a, b) == stats.ks_2samp(a, b).statistic
+
+    @pytest.mark.parametrize("n_a,n_b", [(30, 30), (40, 71), (997, 10000)])
+    def test_tied_samples_match_scipy_exactly(self, rng, n_a, n_b):
+        a = rng.integers(0, 6, n_a).astype(float)
+        b = rng.integers(1, 5, n_b).astype(float)
+        assert toy.ks_2samp_statistic(a, b) == stats.ks_2samp(a, b).statistic
+
+    def test_identical_and_disjoint(self, rng):
+        a = rng.random(300)
+        assert toy.ks_2samp_statistic(a, a) == 0.0
+        assert toy.ks_2samp_statistic(a, a + 2.0) == 1.0
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            toy.ks_2samp_statistic(np.zeros(0), np.ones(3))
