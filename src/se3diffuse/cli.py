@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -39,6 +40,14 @@ class UsageError(Exception):
     pass
 
 
+def _from_flags(build, **values):
+    """``build(**values)``; a value the constructor rejects is a usage error."""
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems must exit 1, not argparse's 2
         raise UsageError(message)
@@ -47,6 +56,47 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(x) -> str:
     """Shortest round-trip decimal form; keeps CSV output byte-stable."""
     return repr(float(x))
+
+
+_task = None  # the function a forked worker computes; set only in workers
+
+
+def _set_task(fn) -> None:
+    global _task
+    _task = fn
+
+
+def _run_task(i: int):
+    return _task(i)
+
+
+def _fan_out(fn, n: int) -> list:
+    """``[fn(i) for i in range(n)]``, spread over one process per CPU.
+
+    Workers are forked, so they inherit ``fn`` and every array it reads;
+    only indices and results are pickled. Results come back in index
+    order, so the output does not depend on the worker count. A worker's
+    exception is raised here. The loop runs in this process when there is
+    one CPU, when ``fork`` is unavailable, or when other threads are
+    running (forking a threaded process can deadlock the child).
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, n)
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing  # not at module level: keeps CLI start-up lean
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # Unlike multiprocessing.Pool, the executor raises, instead of
+            # waiting forever, when a worker is killed.
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     initializer=_set_task, initargs=(fn,)) as pool:
+                return list(pool.map(_run_task, range(n)))
+    return [fn(i) for i in range(n)]
 
 
 def _csv_rows(values, lead=None) -> str:
@@ -104,8 +154,9 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 # ---------------------------------------------------------------- igso3
 
 def _trunc_config(cfg: dict) -> igso3.TruncationConfig:
-    return igso3.TruncationConfig(
-        series_terms=int(cfg["terms"]), angle_grid=int(cfg["grid"])
+    return _from_flags(
+        igso3.TruncationConfig,
+        series_terms=int(cfg["terms"]), angle_grid=int(cfg["grid"]),
     )
 
 
@@ -156,10 +207,10 @@ def cmd_igso3(args: argparse.Namespace) -> RunManifest:
 
 def cmd_schedule(args: argparse.Namespace) -> RunManifest:
     cfg = _resolve(args, SCHEDULE_DEFAULTS)
-    ts = schedules.TranslationSchedule(float(cfg["beta_min"]), float(cfg["beta_max"]))
-    rs = schedules.RotationSchedule(
-        float(cfg["sigma_min"]), float(cfg["sigma_max"]), str(cfg["kind"])
-    )
+    ts = _from_flags(schedules.TranslationSchedule,
+                     beta_min=float(cfg["beta_min"]), beta_max=float(cfg["beta_max"]))
+    rs = _from_flags(schedules.RotationSchedule, sigma_min=float(cfg["sigma_min"]),
+                     sigma_max=float(cfg["sigma_max"]), kind=str(cfg["kind"]))
     s = np.linspace(0.0, 1.0, int(cfg["points"]))
     columns = [
         s,
@@ -182,28 +233,33 @@ def cmd_schedule(args: argparse.Namespace) -> RunManifest:
 def _toy_run_dir_write(
     out_dir: str, marginals: dict[float, np.ndarray], target: toy.DiscreteTarget
 ) -> list[str]:
+    """One ``t_XXXX.csv`` per recorded time, written in parallel."""
     os.makedirs(out_dir, exist_ok=True)
-    outputs = []
-    states = np.stack([marginals[t] for t in sorted(marginals)])
-    all_quats = so3.quat_from_rotation(states)
+    states = [marginals[t] for t in sorted(marginals)]
     header = "path_id,a,b,c,d," + ",".join(
         f"angle_to_atom_{k}" for k in range(len(target.weights))
     )
-    path_ids = [str(pid) for pid in range(states.shape[1])]
-    for idx, (samples, quats) in enumerate(zip(states, all_quats)):
-        rel = so3.transpose(target.atoms)[:, None] @ samples[None]
-        angles = so3.rotation_angle(rel)  # (K, n)
+    path_ids = [str(pid) for pid in range(states[0].shape[0])]
+    atoms_t = so3.transpose(target.atoms)[:, None]
+
+    def write(idx: int) -> str:
+        samples = states[idx]
+        quats = so3.quat_from_rotation(samples)
+        angles = so3.rotation_angle(atoms_t @ samples[None])  # (K, n)
         path = os.path.join(out_dir, f"t_{idx:04d}.csv")
         with open(path, "w") as fh:
             fh.write(header + "\n")
             fh.write(_csv_rows(np.column_stack([quats, angles.T]), path_ids))
-        outputs.append(path)
-    return outputs
+        return path
+
+    return _fan_out(write, len(states))
 
 
 def _toy_target_and_config(cfg: dict) -> tuple[toy.DiscreteTarget, toy.ToyRunConfig]:
-    target = toy.random_target(int(cfg["atoms"]), seed=int(cfg["atom_seed"]))
-    run_cfg = toy.ToyRunConfig(
+    target = _from_flags(toy.random_target, k=int(cfg["atoms"]),
+                         seed=int(cfg["atom_seed"]))
+    run_cfg = _from_flags(
+        toy.ToyRunConfig,
         n_paths=int(cfg["paths"]),
         final_time=float(cfg["T"]),
         n_steps=int(cfg["steps"]),
@@ -243,32 +299,39 @@ def cmd_toy(args: argparse.Namespace) -> RunManifest:
 
 
 def _toy_compare(run_a: str, run_b: str) -> dict:
+    """KS statistic of angle-to-nearest-atom between two runs, per time.
+
+    ``max_ks`` leaves out t = 0, where a forward run is exact point masses.
+    """
     def load_run(d):
         with open(os.path.join(d, "manifest.json")) as fh:
             manifest = json.load(fh)
-        times = [float(t) for t in manifest["config"]["grid_times"]]
-        return manifest, times
+        with open(os.path.join(d, "t_0000.csv")) as fh:
+            n_cols = len(fh.readline().split(","))
+        return [float(t) for t in manifest["config"]["grid_times"]], n_cols
 
-    manifest_a, times_a = load_run(run_a)
-    manifest_b, times_b = load_run(run_b)
+    times_a, cols_a = load_run(run_a)
+    times_b, cols_b = load_run(run_b)
     if len(times_a) != len(times_b) or np.max(
         np.abs(np.array(times_a) - np.array(times_b))
     ) > 1e-12:
         raise UsageError("runs were recorded on different time grids")
+    if len(times_a) < 2:
+        raise UsageError("runs need at least two recorded times")
 
-    ks_list = []
-    for idx in range(len(times_a)):
-        angs = []
-        for d in (run_a, run_b):
-            data = np.loadtxt(
-                os.path.join(d, f"t_{idx:04d}.csv"), delimiter=",", skiprows=1
-            )
-            angs.append(data[:, 5:].min(axis=1))
-        ks_list.append(toy.ks_2samp_statistic(angs[0], angs[1]))
+    def ks_at(idx: int) -> float:
+        angs = [
+            np.loadtxt(os.path.join(d, f"t_{idx:04d}.csv"), delimiter=",",
+                       skiprows=1, usecols=range(5, n_cols), ndmin=2).min(axis=1)
+            for d, n_cols in ((run_a, cols_a), (run_b, cols_b))
+        ]
+        return toy.ks_2samp_statistic(angs[0], angs[1])
+
+    ks_list = _fan_out(ks_at, len(times_a))
     return {
         "times": times_a,
         "ks": ks_list,
-        "max_ks": max(ks_list),
+        "max_ks": max(ks_list[1:]),
     }
 
 
@@ -302,7 +365,8 @@ def cmd_sample_backbones(args: argparse.Namespace) -> RunManifest:
 
     trans_sched = schedules.TranslationSchedule()
     rot_sched = schedules.RotationSchedule()
-    sim = process.SimConfig(
+    sim = _from_flags(
+        process.SimConfig,
         n_steps=int(cfg["n_steps"]),
         eps=float(cfg["eps"]),
         noise_scale=float(cfg["zeta"]),
@@ -398,7 +462,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except igso3.NumericalDomainError as exc:
+    except (igso3.NumericalDomainError, FloatingPointError) as exc:
         print(f"numerical-domain error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

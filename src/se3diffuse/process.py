@@ -51,8 +51,13 @@ class FrameSet:
             raise ValueError("rotations must have shape (N, 3, 3)")
         if self.translations.shape != (self.rotations.shape[0], 3):
             raise ValueError("translations must have shape (N, 3)")
-        if self.centered and np.abs(self.translations.mean(axis=0)).max() > 1e-12:
-            raise ValueError("centered frame sets must have zero mean translation")
+        if self.centered:
+            # Rounding leaves a mean of up to about N * eps * max|x| after
+            # centering; 1e-12 is about 4500 eps.
+            x = self.translations
+            tol = 1e-12 * len(x) * max(1.0, np.abs(x).max(initial=0.0))
+            if np.abs(x.mean(axis=0)).max() > tol:
+                raise ValueError("centered frame sets must have zero mean translation")
 
     def __len__(self) -> int:
         return self.rotations.shape[0]

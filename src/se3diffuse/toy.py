@@ -37,6 +37,8 @@ class DiscreteTarget:
 
 def random_target(k: int = 3, seed: int = 0) -> DiscreteTarget:
     """Uniform-weight target with k Haar-random atoms from a fixed seed."""
+    if k < 1:
+        raise ValueError("need at least one atom")
     rng = np.random.default_rng(seed)
     return DiscreteTarget(so3.sample_uniform_so3(rng, k), np.full(k, 1.0 / k))
 

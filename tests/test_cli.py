@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +118,7 @@ class TestToyCommands:
                     "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert len(report["ks"]) == 8
-        assert report["max_ks"] == max(report["ks"])
+        assert report["max_ks"] == max(report["ks"][1:])  # t = 0 left out
 
     def test_compare_with_itself_is_zero(self, tmp_path):
         fwd = tmp_path / "fwd"
@@ -137,6 +138,36 @@ class TestToyCommands:
              "--seed", "1", "--out-dir", str(b)])
         assert run(["toy", "compare", "--run-a", str(a), "--run-b", str(b),
                     "--out", str(tmp_path / "no.json")]) == 1
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize("args", [
+        ["toy", "forward", "--steps", "1", "--paths", "5", "--out-dir", "OUT/toy"],
+        ["toy", "reverse", "--paths", "0", "--steps", "3", "--out-dir", "OUT/toy"],
+        ["toy", "forward", "--atoms", "0", "--paths", "5", "--steps", "3",
+         "--out-dir", "OUT/toy"],
+        ["sample-backbones", "--n-steps", "1", "--out", "OUT/bb"],
+        ["sample-backbones", "--zeta", "2", "--out", "OUT/bb"],
+        ["igso3", "eval", "--t", "0.5", "--grid", "1", "--out", "OUT/e.csv"],
+        ["igso3", "sample", "--t", "0.5", "--terms", "0", "--out", "OUT/q.csv"],
+        ["schedule", "--beta-min", "5", "--beta-max", "1", "--out", "OUT/s.csv"],
+    ])
+    def test_value_rejected_by_config_is_usage_error(self, tmp_path, capsys, args):
+        assert run([a.replace("OUT", str(tmp_path)) for a in args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    def test_non_finite_walk_is_domain_error(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise FloatingPointError("non-finite state at step 3")
+
+        monkeypatch.setattr(process, "reverse_walk", diverge)
+        assert run(["sample-backbones", "--n-residues", "3", "--n-steps", "5",
+                    "--out", str(tmp_path / "bb")]) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical-domain error: non-finite state at step 3\n"
 
 
 class TestSampleBackbones:
@@ -319,9 +350,100 @@ class TestArtifactWriters:
             assert b",-0.0," in new and b"e-311" in new
 
 
-def test_cli_import_does_not_load_scipy():
+def _python(code):
+    """Exit code of ``code`` run by a fresh interpreter that finds this package."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    code = "import sys, se3diffuse.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode
+
+
+def test_cli_import_does_not_load_scipy():
+    assert _python("import sys, se3diffuse.cli; sys.exit('scipy' in sys.modules)") == 0
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    code = "import sys, se3diffuse.cli; sys.exit('multiprocessing' in sys.modules)"
+    assert _python(code) == 0
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+class TestFanOut:
+    def test_results_in_index_order_from_workers(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+
+        def square(i):  # the first result is the last to be ready
+            if i == 0:
+                time.sleep(0.2)
+            return i * i
+
+        assert cli._fan_out(square, 50) == [i * i for i in range(50)]
+        pids = set(cli._fan_out(lambda i: os.getpid(), 8))
+        assert os.getpid() not in pids and len(pids) <= 2
+
+    @pytest.mark.parametrize("cpus,methods", [(1, None), (2, ["spawn"])])
+    def test_serial_without_cpus_or_fork(self, monkeypatch, cpus, methods):
+        import multiprocessing
+
+        _cpus(monkeypatch, cpus)
+        if methods is not None:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                                lambda: methods)
+        assert cli._fan_out(lambda i: os.getpid(), 4) == [os.getpid()] * 4
+
+    def test_killed_worker_raises(self):
+        code = (
+            "import os, signal, sys\n"
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "from se3diffuse import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "def fn(i):\n"
+            "    if i == 3:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return i\n"
+            "try:\n"
+            "    cli._fan_out(fn, 20)\n"
+            "except BrokenProcessPool:\n"
+            "    sys.exit(7)\n"
+        )
+        assert _python(code) == 7
+
+    def test_toy_output_independent_of_worker_count(self, tmp_path, monkeypatch):
+        base = ["--paths", "30", "--T", "1.0", "--steps", "6", "--seed", "3"]
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            root = tmp_path / str(cpus)
+            assert run(["toy", "forward", *base, "--out-dir", str(root / "fwd")]) == 0
+            assert run(["toy", "reverse", *base, "--out-dir", str(root / "rev")]) == 0
+            assert run(["toy", "compare", "--run-a", str(root / "fwd"), "--run-b",
+                        str(root / "rev"), "--out", str(root / "ks.json")]) == 0
+        one, two = tmp_path / "1", tmp_path / "2"
+        for d in ("fwd", "rev"):
+            names = sorted(p.name for p in (one / d).glob("t_*.csv"))
+            assert len(names) == 6
+            for name in names:
+                assert (one / d / name).read_bytes() == (two / d / name).read_bytes()
+            manifests = [json.loads((r / d / "manifest.json").read_text())
+                         for r in (one, two)]
+            for m in manifests:
+                m.pop("duration_s")
+                m["outputs"] = [Path(o).name for o in m["outputs"]]
+                m["config"].pop("out_dir")
+            assert manifests[0] == manifests[1]
+        assert (one / "ks.json").read_bytes() == (two / "ks.json").read_bytes()
+
+    def test_worker_io_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        errors = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            (out / "t_0003.csv").mkdir(parents=True)
+            assert run(["toy", "forward", "--paths", "10", "--T", "1.0", "--steps", "6",
+                        "--out-dir", str(out)]) == 3
+            errors.append(capsys.readouterr().err.replace(str(out), "OUT"))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("i/o error: ") and errors[0].count("\n") == 1

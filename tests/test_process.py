@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from se3diffuse import igso3, process, schedules, so3
@@ -40,6 +42,26 @@ class TestCenter:
     def test_mean_is_zero(self, rng):
         fs = make_frameset(rng, 7)
         assert np.abs(fs.translations.mean(axis=0)).max() < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 2000),
+        scale=st.floats(1e-3, 1e4),
+        offset=st.floats(-1e4, 1e4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_large_translations_stay_valid(self, n, scale, offset, seed):
+        rng = np.random.default_rng(seed)
+        translations = offset + scale * rng.uniform(-1.0, 1.0, (n, 3))
+        rotations = np.broadcast_to(np.eye(3), (n, 3, 3))
+        out = process.center(process.FrameSet(rotations, translations))
+        again = process.FrameSet(out.rotations, out.translations, centered=True)
+        assert np.array_equal(again.translations, out.translations)
+
+    def test_offset_frames_are_not_centered(self):
+        with pytest.raises(ValueError, match="zero mean"):
+            process.FrameSet(np.broadcast_to(np.eye(3), (2, 3, 3)),
+                             np.full((2, 3), 1e-6), centered=True)
 
 
 class TestSE3Expmap:
