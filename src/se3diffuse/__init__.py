@@ -2,7 +2,7 @@
 
 from . import backbone, cli, igso3, process, schedules, so3, toy
 from .igso3 import IGSO3Table, NumericalDomainError, TruncationConfig
-from .process import Frame, FrameSet, SimConfig, TangentSE3
+from .process import Frame, FrameSet, SimConfig
 from .schedules import RotationSchedule, TranslationSchedule
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "NumericalDomainError",
     "RotationSchedule",
     "SimConfig",
-    "TangentSE3",
     "TranslationSchedule",
     "TruncationConfig",
 ]

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import igso3, schedules, so3
-from .process import Frame, FrameSet, TangentSE3
+from .process import Frame, FrameSet
 
 ATOM_NAMES = ("N", "CA", "C", "O")
 
@@ -127,7 +127,10 @@ def frameset_to_atoms(
     geom = geom or load_ideal_geometry()
     if psis is None:
         psis = [Psi(1.0, 0.0)] * len(fs)
-    return [frame_to_atoms(f, p, geom) for f, p in zip(fs.frames(), psis)]
+    return [
+        frame_to_atoms(Frame(r, x), p, geom)
+        for r, x, p in zip(fs.rotations, fs.translations, psis)
+    ]
 
 
 def _stack_atoms(residues: Sequence[ResidueAtoms]) -> np.ndarray:
@@ -174,7 +177,7 @@ class LossTerms:
 
 
 def dsm_loss(
-    score_pred: Sequence[TangentSE3],
+    score_pred: tuple[np.ndarray, np.ndarray],
     fs0: FrameSet,
     fs_t: FrameSet,
     t: float,
@@ -184,26 +187,25 @@ def dsm_loss(
 ) -> tuple[float, float]:
     """Denoising score-matching losses (rotation, translation).
 
-    The rotation term is the lambda_r-weighted mean squared deviation
-    from the true conditional score in the tr(u v^T)/2 metric. The
+    ``score_pred`` is (rot (N, 3, 3), trans (N, 3)), the form that
+    :func:`process.score_from_denoised` returns; each rotation part must
+    lie in the tangent space at its frame. The rotation term is the
+    lambda_r-weighted mean squared deviation from the true conditional
+    score in the tr(u v^T)/2 metric. The
     translation term is evaluated in the denoised parameterization: the
     predicted score is inverted for the implied time-zero coordinates and
     compared to the truth by plain MSE.
     """
-    if not (len(score_pred) == len(fs0) == len(fs_t)):
+    pred_rot, pred_trans = score_pred
+    if not (len(pred_rot) == len(pred_trans) == len(fs0) == len(fs_t)):
         raise ValueError("frame counts differ")
     var = float(schedules.rot_variance(t, rot_sched))
     lambda_r = 1.0 / igso3.expected_score_norm_sq(var, cfg)
     table = igso3.cached_table(var, cfg)
-    true_rot = igso3.score_from_table(fs0.rotations, fs_t.rotations, table)
-    pred_rot = np.stack([np.asarray(s.rot_part, float) for s in score_pred])
-    diff_local = so3.transpose(fs_t.rotations) @ (pred_rot - true_rot)
-    coeffs = np.stack(
-        [diff_local[..., 2, 1], diff_local[..., 0, 2], diff_local[..., 1, 0]], axis=-1
-    )
+    true_rot = igso3.score_from_table(fs0.rotations, fs_t.rotations, table, cfg)
+    coeffs = so3.vee(so3.transpose(fs_t.rotations) @ (pred_rot - true_rot))
     loss_r = lambda_r * float((coeffs**2).sum(axis=-1).mean())
 
-    pred_trans = np.stack([np.asarray(s.trans_part, float) for s in score_pred])
     x0_hat = schedules.denoised_from_trans_score(
         pred_trans, fs_t.translations, t, trans_sched
     )

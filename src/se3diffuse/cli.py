@@ -18,6 +18,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -38,6 +39,21 @@ BACKBONE_DEFAULTS = {"n_residues": 32, "n_steps": 500, "eps": 0.01, "zeta": 0.1,
 
 class UsageError(Exception):
     pass
+
+
+def _value(cfg: dict, key: str, kind: type, low: int | None = None):
+    """``cfg[key]`` as ``kind`` (int, float, str or bool), at least ``low``.
+
+    A ``--config`` value of another JSON type is a usage error, as is a
+    count or seed below ``low``. An int is accepted where a float is.
+    """
+    value = cfg[key]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise UsageError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    if low is not None and value < low:
+        raise UsageError(f"{key} must be >= {low}, got {value}")
+    return kind(value)
 
 
 def _from_flags(build, **values):
@@ -137,6 +153,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise UsageError(f"bad --config file: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise UsageError("bad --config file: not a JSON object")
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -156,49 +174,47 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 def _trunc_config(cfg: dict) -> igso3.TruncationConfig:
     return _from_flags(
         igso3.TruncationConfig,
-        series_terms=int(cfg["terms"]), angle_grid=int(cfg["grid"]),
+        series_terms=_value(cfg, "terms", int), angle_grid=_value(cfg, "grid", int),
     )
 
 
 def cmd_igso3(args: argparse.Namespace) -> RunManifest:
     cfg = _resolve(args, IGSO3_DEFAULTS)
     trunc = _trunc_config(cfg)
-    t = float(cfg["t"])
-    manifest = RunManifest(command=f"igso3 {args.igso3_cmd}", config=cfg,
-                           seed=int(cfg["seed"]))
+    t = _value(cfg, "t", float)
+    seed = _value(cfg, "seed", int, low=0)
+    out = _value(cfg, "out", str)
+    manifest = RunManifest(command=f"igso3 {args.igso3_cmd}", config=cfg, seed=seed,
+                           outputs=[out])
 
     if args.igso3_cmd == "eval":
         grid = np.linspace(0.0, np.pi, trunc.angle_grid)
         f = igso3.f_igso3(grid, t, trunc)
         df = igso3.df_igso3_domega(grid, t, trunc)
-        with open(cfg["out"], "w") as fh:
+        with open(out, "w") as fh:
             fh.write("omega,f,df\n")
             fh.write(_csv_rows(np.column_stack([grid, f, df])))
-        manifest.outputs.append(cfg["out"])
 
     elif args.igso3_cmd == "sample":
-        rng = np.random.default_rng(int(cfg["seed"]))
+        rng = np.random.default_rng(seed)
         table = igso3.build_table(t, trunc)
-        base = np.broadcast_to(np.eye(3), (int(cfg["n"]), 3, 3))
+        base = np.broadcast_to(np.eye(3), (_value(cfg, "n", int, low=0), 3, 3))
         quats = so3.quat_from_rotation(igso3.sample_igso3(base, table, rng))
-        with open(cfg["out"], "w") as fh:
+        with open(out, "w") as fh:
             fh.write("a,b,c,d\n")
             fh.write(_csv_rows(quats))
-        manifest.outputs.append(cfg["out"])
 
     elif args.igso3_cmd == "score":
-        rng = np.random.default_rng(int(cfg["seed"]))
+        rng = np.random.default_rng(seed)
         table = igso3.build_table(t, trunc)
-        base = np.broadcast_to(np.eye(3), (int(cfg["n"]), 3, 3))
+        base = np.broadcast_to(np.eye(3), (_value(cfg, "n", int, low=0), 3, 3))
         samples = igso3.sample_igso3(base, table, rng)
         scores = igso3.conditional_score(base, samples, t, trunc)
-        local = so3.transpose(samples) @ scores
-        coeffs = np.stack([local[..., 2, 1], local[..., 0, 2], local[..., 1, 0]], -1)
+        coeffs = so3.vee(so3.transpose(samples) @ scores)
         omega = so3.rotation_angle(samples)
-        with open(cfg["out"], "w") as fh:
+        with open(out, "w") as fh:
             fh.write("omega,s1,s2,s3\n")
             fh.write(_csv_rows(np.column_stack([omega, coeffs])))
-        manifest.outputs.append(cfg["out"])
 
     return manifest
 
@@ -208,10 +224,14 @@ def cmd_igso3(args: argparse.Namespace) -> RunManifest:
 def cmd_schedule(args: argparse.Namespace) -> RunManifest:
     cfg = _resolve(args, SCHEDULE_DEFAULTS)
     ts = _from_flags(schedules.TranslationSchedule,
-                     beta_min=float(cfg["beta_min"]), beta_max=float(cfg["beta_max"]))
-    rs = _from_flags(schedules.RotationSchedule, sigma_min=float(cfg["sigma_min"]),
-                     sigma_max=float(cfg["sigma_max"]), kind=str(cfg["kind"]))
-    s = np.linspace(0.0, 1.0, int(cfg["points"]))
+                     beta_min=_value(cfg, "beta_min", float),
+                     beta_max=_value(cfg, "beta_max", float))
+    rs = _from_flags(schedules.RotationSchedule,
+                     sigma_min=_value(cfg, "sigma_min", float),
+                     sigma_max=_value(cfg, "sigma_max", float),
+                     kind=_value(cfg, "kind", str))
+    out = _value(cfg, "out", str)
+    s = np.linspace(0.0, 1.0, _value(cfg, "points", int, low=0))
     columns = [
         s,
         schedules.beta(s, ts),
@@ -221,11 +241,10 @@ def cmd_schedule(args: argparse.Namespace) -> RunManifest:
         schedules.rot_variance(s, rs),
         schedules.g_r(s, rs),
     ]
-    with open(cfg["out"], "w") as fh:
+    with open(out, "w") as fh:
         fh.write("s,beta,G_x,trans_var,sigma_r,rot_var,g_r\n")
         fh.write(_csv_rows(np.column_stack(columns)))
-    return RunManifest(command="schedule", config=cfg, seed=None,
-                       outputs=[cfg["out"]])
+    return RunManifest(command="schedule", config=cfg, seed=None, outputs=[out])
 
 
 # ------------------------------------------------------------------ toy
@@ -256,13 +275,13 @@ def _toy_run_dir_write(
 
 
 def _toy_target_and_config(cfg: dict) -> tuple[toy.DiscreteTarget, toy.ToyRunConfig]:
-    target = _from_flags(toy.random_target, k=int(cfg["atoms"]),
-                         seed=int(cfg["atom_seed"]))
+    target = _from_flags(toy.random_target, k=_value(cfg, "atoms", int),
+                         seed=_value(cfg, "atom_seed", int, low=0))
     run_cfg = _from_flags(
         toy.ToyRunConfig,
-        n_paths=int(cfg["paths"]),
-        final_time=float(cfg["T"]),
-        n_steps=int(cfg["steps"]),
+        n_paths=_value(cfg, "paths", int),
+        final_time=_value(cfg, "T", float),
+        n_steps=_value(cfg, "steps", int),
     )
     return target, run_cfg
 
@@ -271,23 +290,26 @@ def cmd_toy(args: argparse.Namespace) -> RunManifest:
     if args.toy_cmd == "compare":
         defaults = {"run_a": None, "run_b": None, "out": None}
         cfg = _resolve(args, defaults)
-        report = _toy_compare(cfg["run_a"], cfg["run_b"])
-        with open(cfg["out"], "w") as fh:
+        out = _value(cfg, "out", str)
+        report = _toy_compare(_value(cfg, "run_a", str), _value(cfg, "run_b", str))
+        with open(out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return RunManifest(command="toy compare", config=cfg, seed=None,
-                           outputs=[cfg["out"]])
+                           outputs=[out])
 
     cfg = _resolve(args, TOY_DEFAULTS)
     target, run_cfg = _toy_target_and_config(cfg)
-    rng = np.random.default_rng(int(cfg["seed"]))
+    seed = _value(cfg, "seed", int, low=0)
+    out_dir = _value(cfg, "out_dir", str)
+    rng = np.random.default_rng(seed)
     if args.toy_cmd == "forward":
         marginals = toy.run_forward(target, run_cfg, rng)
     else:
         marginals = toy.run_reverse(target, run_cfg, rng)
-    outputs = _toy_run_dir_write(cfg["out_dir"], marginals, target)
+    outputs = _toy_run_dir_write(out_dir, marginals, target)
     manifest = RunManifest(command=f"toy {args.toy_cmd}", config=cfg,
-                           seed=int(cfg["seed"]), outputs=outputs)
+                           seed=seed, outputs=outputs)
     manifest.config = dict(
         cfg,
         grid_times=[_fmt(t) for t in sorted(marginals)],
@@ -302,30 +324,42 @@ def _toy_compare(run_a: str, run_b: str) -> dict:
     """KS statistic of angle-to-nearest-atom between two runs, per time.
 
     ``max_ks`` leaves out t = 0, where a forward run is exact point masses.
+    A run file that does not parse is a usage error naming the file.
     """
     def load_run(d):
-        with open(os.path.join(d, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        with open(os.path.join(d, "t_0000.csv")) as fh:
-            n_cols = len(fh.readline().split(","))
-        return [float(t) for t in manifest["config"]["grid_times"]], n_cols
+        path = os.path.join(d, "manifest.json")
+        try:
+            with open(path) as fh:
+                times = [float(t) for t in json.load(fh)["config"]["grid_times"]]
+            path = os.path.join(d, "t_0000.csv")
+            with open(path) as fh:
+                n_cols = len(fh.readline().split(","))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"malformed run file {path}: {exc!r}") from exc
+        return times, n_cols
 
     times_a, cols_a = load_run(run_a)
     times_b, cols_b = load_run(run_b)
     if len(times_a) != len(times_b) or np.max(
-        np.abs(np.array(times_a) - np.array(times_b))
+        np.abs(np.array(times_a) - np.array(times_b)), initial=0.0
     ) > 1e-12:
         raise UsageError("runs were recorded on different time grids")
     if len(times_a) < 2:
         raise UsageError("runs need at least two recorded times")
 
+    def angles(d: str, n_cols: int, idx: int) -> np.ndarray:
+        path = os.path.join(d, f"t_{idx:04d}.csv")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on a file without rows
+                return np.loadtxt(path, delimiter=",", skiprows=1,
+                                  usecols=range(5, n_cols), ndmin=2).min(axis=1)
+        except (ValueError, UserWarning) as exc:
+            raise UsageError(f"malformed run file {path}: {exc!r}") from exc
+
     def ks_at(idx: int) -> float:
-        angs = [
-            np.loadtxt(os.path.join(d, f"t_{idx:04d}.csv"), delimiter=",",
-                       skiprows=1, usecols=range(5, n_cols), ndmin=2).min(axis=1)
-            for d, n_cols in ((run_a, cols_a), (run_b, cols_b))
-        ]
-        return toy.ks_2samp_statistic(angs[0], angs[1])
+        return toy.ks_2samp_statistic(angles(run_a, cols_a, idx),
+                                      angles(run_b, cols_b, idx))
 
     ks_list = _fan_out(ks_at, len(times_a))
     return {
@@ -365,38 +399,41 @@ def cmd_sample_backbones(args: argparse.Namespace) -> RunManifest:
 
     trans_sched = schedules.TranslationSchedule()
     rot_sched = schedules.RotationSchedule()
+    seed = _value(cfg, "seed", int, low=0)
     sim = _from_flags(
         process.SimConfig,
-        n_steps=int(cfg["n_steps"]),
-        eps=float(cfg["eps"]),
-        noise_scale=float(cfg["zeta"]),
-        seed=int(cfg["seed"]),
+        n_steps=_value(cfg, "n_steps", int),
+        eps=_value(cfg, "eps", float),
+        noise_scale=_value(cfg, "zeta", float),
+        seed=seed,
     )
-    n = int(cfg["n_residues"])
-    init = process.reference_sample(n, np.random.default_rng(int(cfg["init_seed"])))
+    n = _value(cfg, "n_residues", int, low=1)
+    init_seed = _value(cfg, "init_seed", int, low=0)
+    out = _value(cfg, "out", str)
+    trajectory = _value(cfg, "trajectory", bool)
+    init = process.reference_sample(n, np.random.default_rng(init_seed))
     if cfg["score"] == "fixed-target":
         score = process.fixed_target_score(_extended_chain(n), trans_sched, rot_sched)
     else:
         score = process.zero_score
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(seed)
     traj = process.reverse_walk(
-        init, score, trans_sched, rot_sched, sim, rng,
-        record=bool(cfg["trajectory"]),
+        init, score, trans_sched, rot_sched, sim, rng, record=trajectory
     )
 
     outputs = []
     final = traj[-1][1]
-    pdb_path = cfg["out"] + ".pdb"
+    pdb_path = out + ".pdb"
     backbone.write_pdb(pdb_path, backbone.frameset_to_atoms(final))
     outputs.append(pdb_path)
 
-    if cfg["trajectory"]:
-        traj_path = cfg["out"] + "_trajectory.csv"
+    if trajectory:
+        traj_path = out + "_trajectory.csv"
         _write_trajectory(traj_path, traj)
         outputs.append(traj_path)
 
-    return RunManifest(command="sample-backbones", config=cfg,
-                       seed=int(cfg["seed"]), outputs=outputs)
+    return RunManifest(command="sample-backbones", config=cfg, seed=seed,
+                       outputs=outputs)
 
 
 # ----------------------------------------------------------------- main

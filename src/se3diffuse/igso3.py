@@ -69,9 +69,9 @@ _CLAMP_TOLERANCE = 1e-6
 
 def _check_time(t: float, cfg: TruncationConfig) -> float:
     t = float(t)
-    if t < cfg.t_min:
+    if not cfg.t_min <= t < np.inf:
         raise NumericalDomainError(
-            f"diffusion time {t} below t_min={cfg.t_min}; series unreliable"
+            f"diffusion time {t} outside [t_min={cfg.t_min}, inf); series unreliable"
         )
     return t
 

@@ -11,7 +11,7 @@ every step and an optional noise scale zeta on the diffusion term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,14 +24,6 @@ class Frame:
 
     rotation: np.ndarray
     translation: np.ndarray
-
-
-@dataclass(frozen=True)
-class TangentSE3:
-    """Tangent at a frame: rot_part (3, 3) at the rotation, trans_part (3,)."""
-
-    rot_part: np.ndarray
-    trans_part: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -62,26 +54,11 @@ class FrameSet:
     def __len__(self) -> int:
         return self.rotations.shape[0]
 
-    def frames(self) -> list[Frame]:
-        return [
-            Frame(r, x) for r, x in zip(self.rotations, self.translations)
-        ]
 
-
-# A score field maps (t, FrameSet) to one tangent per frame. Implementations
-# may additionally expose `batch(t, fs) -> (rot (N,3,3), trans (N,3))`, which
-# the walker prefers to avoid per-frame overhead on wide frame sets.
-ScoreField = Callable[[float, FrameSet], Sequence[TangentSE3]]
-
-
-def _score_arrays(score: ScoreField, t: float, fs: FrameSet):
-    batch = getattr(score, "batch", None)
-    if batch is not None:
-        return batch(t, fs)
-    tangents = score(t, fs)
-    rot = np.stack([np.asarray(tg.rot_part, float) for tg in tangents])
-    trans = np.stack([np.asarray(tg.trans_part, float) for tg in tangents])
-    return rot, trans
+# A score field maps (forward time t, FrameSet) to the score as arrays:
+# rot (N, 3, 3), each in the tangent space at its frame's rotation, and
+# trans (N, 3).
+ScoreField = Callable[[float, FrameSet], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -110,14 +87,6 @@ def center(fs: FrameSet) -> FrameSet:
     return FrameSet(fs.rotations, fs.translations - mean, centered=True)
 
 
-def se3_expmap(f0: Frame, v: TangentSE3) -> Frame:
-    """Product-metric exponential: rotations geodesically, translations add."""
-    return Frame(
-        so3.expmap(f0.rotation, v.rot_part),
-        np.asarray(f0.translation, float) + np.asarray(v.trans_part, float),
-    )
-
-
 def forward_sample(
     t0: FrameSet,
     t: float,
@@ -138,26 +107,28 @@ def forward_sample(
     return center(FrameSet(rotations, translations))
 
 
+def _diffusion(t, trans_sched, rot_sched):
+    """Diffusion coefficients (g_r, g_x = sqrt(beta)) at forward time(s) ``t``."""
+    return schedules.g_r(t, rot_sched), np.sqrt(schedules.beta(t, trans_sched))
+
+
 def reverse_drift(
     fs: FrameSet,
-    s: float,
+    t: float,
     score: ScoreField,
     trans_sched: schedules.TranslationSchedule,
     rot_sched: schedules.RotationSchedule,
-) -> list[TangentSE3]:
-    """Reverse-time drift at reverse time ``s`` (forward time 1 - s).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drift (rot, trans) of the time-reversed process at forward time ``t``.
 
-    Rotations: g_r(1-s)^2 times the score. Translations:
-    g_x(1-s)^2 times the score minus f_x(1-s) x, with f_x = -beta/2.
+    Rotations: g_r(t)^2 times the score. Translations: g_x(t)^2 times the
+    score minus f_x(t) x, with f_x = -beta/2 and g_x^2 = beta.
     """
-    t = 1.0 - s
-    gr2 = float(schedules.g_r(t, rot_sched)) ** 2
-    b = float(schedules.beta(t, trans_sched))
-    rot, trans = _score_arrays(score, t, fs)
-    return [
-        TangentSE3(rot_part=gr2 * r, trans_part=b * x_s + 0.5 * b * x)
-        for r, x_s, x in zip(rot, trans, fs.translations)
-    ]
+    gr, gx = _diffusion(t, trans_sched, rot_sched)
+    rot, trans = score(t, fs)
+    # gx**2 rather than beta: the two can differ in the last bit, and
+    # sampled frames are pinned to this form.
+    return gr**2 * rot, gx**2 * trans + 0.5 * gx**2 * fs.translations
 
 
 def reference_sample(n: int, rng: np.random.Generator) -> FrameSet:
@@ -184,29 +155,26 @@ def reverse_walk(
     normals; the frame set is re-centered after every step and rotations
     are re-orthonormalized every 100 steps. Returns (t, state) pairs, the
     full trajectory when ``record`` else only the initial and final states.
+    Raises ValueError when a score's rotation part leaves the tangent space.
     """
     if not init.centered:
         raise ValueError("reverse_walk needs a centered initial frame set")
     zeta = cfg.noise_scale
     tgrid = np.linspace(1.0, cfg.eps, cfg.n_steps)
+    g_r, g_x = _diffusion(tgrid, trans_sched, rot_sched)
     state = init
     traj = [(1.0, state)]
     n = len(init)
     for i in range(cfg.n_steps - 1):
-        t = tgrid[i]
         dt = tgrid[i] - tgrid[i + 1]
-        gr = float(schedules.g_r(t, rot_sched))
-        gx = np.sqrt(float(schedules.beta(t, trans_sched)))
-        score_rot, score_trans = _score_arrays(score, float(t), state)
-        drift_rot = gr**2 * score_rot
-        drift_trans = gx**2 * score_trans + 0.5 * gx**2 * state.translations
-        noise_rot = gr * (state.rotations @ so3.hat(rng.standard_normal((n, 3))))
-        noise_trans = gx * rng.standard_normal((n, 3))
+        drift_rot, drift_trans = reverse_drift(
+            state, float(tgrid[i]), score, trans_sched, rot_sched
+        )
+        noise_rot = g_r[i] * (state.rotations @ so3.hat(rng.standard_normal((n, 3))))
+        noise_trans = g_x[i] * rng.standard_normal((n, 3))
         rot_tangent = drift_rot * dt + zeta * np.sqrt(dt) * noise_rot
         trans_step = drift_trans * dt + zeta * np.sqrt(dt) * noise_trans
-        local = so3.transpose(state.rotations) @ rot_tangent
-        local = 0.5 * (local - so3.transpose(local))
-        rotations = state.rotations @ so3.exp_so3(local)
+        rotations = so3.expmap(state.rotations, rot_tangent)
         if (i + 1) % 100 == 0:
             rotations = so3.renormalize(rotations)
         state = center(FrameSet(rotations, state.translations + trans_step))
@@ -227,8 +195,8 @@ def score_from_denoised(
     trans_sched: schedules.TranslationSchedule,
     rot_sched: schedules.RotationSchedule,
     cfg: igso3.TruncationConfig = igso3.DEFAULT_CONFIG,
-) -> list[TangentSE3]:
-    """Score implied by a denoised prediction of the time-zero frames.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score (rot, trans) implied by a denoised prediction of the time-zero frames.
 
     Per frame, the rotation score is the conditional IGSO3 score at
     variance sigma_r(t)^2 around the predicted rotation, and the
@@ -243,35 +211,7 @@ def score_from_denoised(
     trans_scores = schedules.trans_conditional_score(
         pred0.translations, fs_t.translations, t, trans_sched
     )
-    return [
-        TangentSE3(rot_part=r, trans_part=x)
-        for r, x in zip(rot_scores, trans_scores)
-    ]
-
-
-class _FixedTargetScore:
-    """ScoreField that always denoises toward one fixed frame set."""
-
-    def __init__(self, pred0, trans_sched, rot_sched, cfg):
-        self.pred0 = pred0
-        self.trans_sched = trans_sched
-        self.rot_sched = rot_sched
-        self.cfg = cfg
-
-    def batch(self, t: float, fs: FrameSet):
-        var = float(schedules.rot_variance(t, self.rot_sched))
-        table = igso3.cached_table(var, self.cfg)
-        rot = igso3.score_from_table(
-            self.pred0.rotations, fs.rotations, table, self.cfg
-        )
-        trans = schedules.trans_conditional_score(
-            self.pred0.translations, fs.translations, t, self.trans_sched
-        )
-        return rot, trans
-
-    def __call__(self, t: float, fs: FrameSet) -> list[TangentSE3]:
-        rot, trans = self.batch(t, fs)
-        return [TangentSE3(rot_part=r, trans_part=x) for r, x in zip(rot, trans)]
+    return rot_scores, trans_scores
 
 
 def fixed_target_score(
@@ -281,12 +221,13 @@ def fixed_target_score(
     cfg: igso3.TruncationConfig = igso3.DEFAULT_CONFIG,
 ) -> ScoreField:
     """ScoreField that always denoises toward the fixed frame set ``pred0``."""
-    return _FixedTargetScore(pred0, trans_sched, rot_sched, cfg)
+
+    def score(t: float, fs: FrameSet) -> tuple[np.ndarray, np.ndarray]:
+        return score_from_denoised(fs, pred0, t, trans_sched, rot_sched, cfg)
+
+    return score
 
 
-def zero_score(t: float, fs: FrameSet) -> list[TangentSE3]:
+def zero_score(t: float, fs: FrameSet) -> tuple[np.ndarray, np.ndarray]:
     """ScoreField of the pure reference walk (no data term)."""
-    return [
-        TangentSE3(rot_part=np.zeros((3, 3)), trans_part=np.zeros(3))
-        for _ in range(len(fs))
-    ]
+    return np.zeros((len(fs), 3, 3)), np.zeros((len(fs), 3))

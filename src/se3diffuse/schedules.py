@@ -24,8 +24,8 @@ class TranslationSchedule:
     beta_max: float = 20.0
 
     def __post_init__(self):
-        if not 0.0 < self.beta_min < self.beta_max:
-            raise ValueError("need 0 < beta_min < beta_max")
+        if not 0.0 < self.beta_min < self.beta_max < np.inf:
+            raise ValueError("need 0 < beta_min < beta_max < inf")
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class RotationSchedule:
     kind: str = "logarithmic"
 
     def __post_init__(self):
-        if not 0.0 < self.sigma_min < self.sigma_max:
-            raise ValueError("need 0 < sigma_min < sigma_max")
+        if not 0.0 < self.sigma_min < self.sigma_max < np.inf:
+            raise ValueError("need 0 < sigma_min < sigma_max < inf")
         if self.kind not in ("logarithmic", "linear"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
 

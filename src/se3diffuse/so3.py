@@ -34,7 +34,7 @@ def hat(v: np.ndarray) -> np.ndarray:
 def vee(a: np.ndarray, tol: float = _SKEW_TOL) -> np.ndarray:
     """Inverse of :func:`hat`; rejects matrices that are not skew."""
     a = np.asarray(a, dtype=float)
-    asym = np.abs(a + transpose(a)).max()
+    asym = np.abs(a + transpose(a)).max(initial=0.0)
     if asym > tol:
         raise ValueError(f"input is not skew-symmetric (asymmetry {asym:.3e})")
     return np.stack([a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]], axis=-1)

@@ -55,8 +55,8 @@ class ToyRunConfig:
     def __post_init__(self):
         if self.n_paths < 1 or self.n_steps < 2:
             raise ValueError("need n_paths >= 1 and n_steps >= 2")
-        if self.final_time <= 0:
-            raise ValueError("final_time must be positive")
+        if not 0.0 < self.final_time < np.inf:
+            raise ValueError("final_time must be positive and finite")
         if not 0.0 < self.fd_step < 1e-2:
             raise ValueError("fd_step must be in (0, 1e-2)")
 
@@ -130,18 +130,9 @@ def score_t(
             "mixture density vanished; series under-truncated or t too small"
         )
     posterior = weighted / total
-    # Per-atom score direction: rt log(atom^T rt) / omega, coefficient df/f.
-    theta = omega[..., None, None]
-    half_scale = np.where(
-        theta > 1e-8, theta / (2.0 * np.sin(np.where(theta > 1e-8, theta, 1.0))), 0.5
-    )
-    logs = (rel - so3.transpose(rel)) * half_scale
-    coef = np.where(
-        omega > cfg.omega_eps,
-        df / np.where(f > 0, f, 1.0) / np.where(omega > 0, omega, 1.0),
-        0.0,
-    )
-    local = (logs * (posterior * coef)[..., None, None]).sum(axis=0)
+    # Per-atom score: rt log(atom^T rt) times (df/dw)/f over w.
+    coef = igso3._log_coeff(omega, df / np.where(f > 0, f, 1.0), cfg.omega_eps)
+    local = (so3.log_so3(rel) * (posterior * coef)[..., None, None]).sum(axis=0)
     out = rts @ local
     return out[0] if single else out
 
@@ -159,9 +150,7 @@ def _walk(
         dt = times[i] - times[i - 1]
         tangent = drift(state, float(times[i - 1])) * dt
         tangent = tangent + np.sqrt(abs(dt)) * so3.sample_tangent_gaussian(state, rng)
-        local = so3.transpose(state) @ tangent
-        local = 0.5 * (local - so3.transpose(local))
-        state = state @ so3.exp_so3(local)
+        state = so3.expmap(state, tangent)
         out[float(times[i])] = state
     return out
 

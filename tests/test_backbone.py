@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from se3diffuse import backbone, igso3, process, schedules, so3
-from se3diffuse.process import Frame, FrameSet, TangentSE3
+from se3diffuse.process import Frame, FrameSet
 
 TS = schedules.TranslationSchedule()
 RS = schedules.RotationSchedule()
@@ -281,20 +281,35 @@ class TestDsmLoss:
         t = 0.5
         for _ in range(10):
             fs0, fs_t = self.make_pair(rng, t=t)
-            pred = process.score_from_denoised(fs_t, fs0, t, TS, RS)
+            rot, trans = process.score_from_denoised(fs_t, fs0, t, TS, RS)
             bump_r = rng.standard_normal(3)
             bump_x = rng.standard_normal(3)
-            worse = [
-                TangentSE3(
-                    p.rot_part + fs_t.rotations[i] @ so3.hat(bump_r),
-                    p.trans_part + bump_x,
-                )
-                for i, p in enumerate(pred)
-            ]
-            base = backbone.dsm_loss(pred, fs0, fs_t, t, TS, RS)
+            worse = (rot + fs_t.rotations @ so3.hat(bump_r), trans + bump_x)
+            base = backbone.dsm_loss((rot, trans), fs0, fs_t, t, TS, RS)
             bumped = backbone.dsm_loss(worse, fs0, fs_t, t, TS, RS)
             assert bumped[0] > base[0]
             assert bumped[1] > base[1]
+
+    def test_exact_score_gives_zero_with_callers_omega_eps(self, rng):
+        # 5e-5 rad from the truth: inside the default omega_eps (1e-4), so
+        # only a loss that gates on the caller's 1e-5 sees the same score.
+        cfg = igso3.TruncationConfig(omega_eps=1e-5)
+        t = 0.5
+        fs0 = process.center(FrameSet(so3.sample_uniform_so3(rng, 4),
+                                      rng.standard_normal((4, 3))))
+        axes = rng.standard_normal((4, 3))
+        axes *= 5e-5 / np.linalg.norm(axes, axis=-1, keepdims=True)
+        fs_t = FrameSet(fs0.rotations @ so3.exp_so3(so3.hat(axes)), fs0.translations)
+        pred = process.score_from_denoised(fs_t, fs0, t, TS, RS, cfg)
+        assert np.abs(pred[0]).max() > 0.0
+        loss_r, _ = backbone.dsm_loss(pred, fs0, fs_t, t, TS, RS, cfg)
+        assert loss_r == 0.0
+
+    def test_rejects_frame_count_mismatch(self, rng):
+        fs0, fs_t = self.make_pair(rng, n=3)
+        rot, trans = process.score_from_denoised(fs_t, fs0, 0.5, TS, RS)
+        with pytest.raises(ValueError, match="frame counts"):
+            backbone.dsm_loss((rot[:2], trans[:2]), fs0, fs_t, 0.5, TS, RS)
 
     def test_trivial_prediction_small_sample(self, rng):
         # Full 1e5-draw calibration lives in the acceptance suite; this is

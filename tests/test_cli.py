@@ -151,6 +151,19 @@ class TestRejectedValues:
         ["igso3", "eval", "--t", "0.5", "--grid", "1", "--out", "OUT/e.csv"],
         ["igso3", "sample", "--t", "0.5", "--terms", "0", "--out", "OUT/q.csv"],
         ["schedule", "--beta-min", "5", "--beta-max", "1", "--out", "OUT/s.csv"],
+        ["schedule", "--beta-max", "inf", "--out", "OUT/s.csv"],
+        ["schedule", "--points", "-1", "--out", "OUT/s.csv"],
+        ["igso3", "sample", "--t", "0.5", "--n", "-1", "--out", "OUT/q.csv"],
+        ["igso3", "eval", "--t", "0.5", "--seed", "-1", "--out", "OUT/e.csv"],
+        ["toy", "forward", "--T", "nan", "--paths", "5", "--steps", "3",
+         "--out-dir", "OUT/toy"],
+        ["toy", "forward", "--T", "inf", "--paths", "5", "--steps", "3",
+         "--out-dir", "OUT/toy"],
+        ["toy", "forward", "--atom-seed", "-1", "--paths", "5", "--steps", "3",
+         "--out-dir", "OUT/toy"],
+        ["sample-backbones", "--n-residues", "0", "--out", "OUT/bb"],
+        ["sample-backbones", "--n-residues", "-3", "--out", "OUT/bb"],
+        ["sample-backbones", "--init-seed", "-1", "--out", "OUT/bb"],
     ])
     def test_value_rejected_by_config_is_usage_error(self, tmp_path, capsys, args):
         assert run([a.replace("OUT", str(tmp_path)) for a in args]) == 1
@@ -158,6 +171,39 @@ class TestRejectedValues:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_time_is_domain_error(self, tmp_path, capsys, t):
+        assert run(["igso3", "eval", "--t", t, "--out", str(tmp_path / "e.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical-domain error: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("config", [
+        {"n_steps": "x"},
+        {"n_residues": 2.5},
+        {"trajectory": "no"},
+        {"seed": True},
+        {"out": 5},
+        [1, 2],
+    ])
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        if isinstance(config, dict):
+            config = {"n_residues": 3, "n_steps": 3, "out": str(tmp_path / "bb"),
+                      **config}
+        path.write_text(json.dumps(config))
+        assert run(["sample-backbones", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_config_int_for_float_is_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"beta_max": 15, "points": 3}))
+        out = tmp_path / "s.csv"
+        assert run(["schedule", "--config", str(path), "--out", str(out)]) == 0
+        assert read_csv(out)[-1, 1] == 15.0
 
     def test_non_finite_walk_is_domain_error(self, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
@@ -168,6 +214,106 @@ class TestRejectedValues:
                     "--out", str(tmp_path / "bb")]) == 2
         err = capsys.readouterr().err
         assert err == "numerical-domain error: non-finite state at step 3\n"
+
+
+_INT = ("-1", "0")
+_FLOAT = ("-1", "0", "nan", "inf")
+_IGSO3_FLAGS = {"--t": _FLOAT, "--terms": _INT, "--grid": _INT, "--n": _INT,
+                "--seed": _INT}
+_TOY_FLAGS = {"--atoms": _INT, "--paths": _INT, "--T": _FLOAT, "--steps": _INT,
+              "--seed": _INT, "--atom-seed": _INT}
+_TOY_BASE = ["--atoms", "2", "--paths", "5", "--T", "1", "--steps", "3",
+             "--out-dir", "OUT/run"]
+# Each command at a tiny size, with the flags it takes and their boundary values.
+_FUZZ = [
+    (["igso3", cmd, "--t", "0.5", "--grid", "20", "--n", "4", "--out", "OUT/o.csv"],
+     _IGSO3_FLAGS)
+    for cmd in ("eval", "sample", "score")
+] + [
+    (["schedule", "--points", "5", "--out", "OUT/s.csv"],
+     {"--beta-min": _FLOAT, "--beta-max": _FLOAT, "--sigma-min": _FLOAT,
+      "--sigma-max": _FLOAT, "--points": _INT}),
+    (["toy", "forward", *_TOY_BASE], _TOY_FLAGS),
+    (["toy", "reverse", *_TOY_BASE], _TOY_FLAGS),
+    (["sample-backbones", "--n-residues", "3", "--n-steps", "3", "--out", "OUT/bb"],
+     {"--n-residues": _INT, "--n-steps": _INT, "--eps": _FLOAT, "--zeta": _FLOAT,
+      "--seed": _INT, "--init-seed": _INT}),
+]
+
+
+def _fuzz_cases():
+    for base, flags in _FUZZ:
+        for flag, values in flags.items():
+            for value in values:
+                yield pytest.param(base, flag, value,
+                                   id=f"{base[0]}-{base[1]}{flag}={value}")
+
+
+class TestBoundaryValues:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("base,flag,value", list(_fuzz_cases()))
+    def test_exit_code_without_traceback(self, tmp_path, capsys, base, flag, value):
+        argv = [a.replace("OUT", str(tmp_path)) for a in base]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        code = run(argv)  # an escaping exception would be a traceback
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        assert err.count("\n") == (code != 0)
+
+
+class TestMalformedRun:
+    @pytest.fixture
+    def runs(self, tmp_path):
+        base = ["--paths", "40", "--T", "1.0", "--steps", "5", "--seed", "1"]
+        for d in ("a", "b"):
+            assert run(["toy", "forward", *base, "--out-dir", str(tmp_path / d)]) == 0
+        return tmp_path
+
+    def compare(self, root):
+        return run(["toy", "compare", "--run-a", str(root / "a"), "--run-b",
+                    str(root / "b"), "--out", str(root / "ks.json")])
+
+    def assert_one_line_naming(self, capsys, path):
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("size", [300, 0])
+    def test_truncated_time_file(self, runs, capsys, monkeypatch, cpus, size):
+        _cpus(monkeypatch, cpus)
+        bad = runs / "b" / "t_0003.csv"
+        bad.write_bytes(bad.read_bytes()[:size])
+        assert self.compare(runs) == 1
+        self.assert_one_line_naming(capsys, bad)
+
+    def test_truncated_manifest(self, runs, capsys):
+        bad = runs / "a" / "manifest.json"
+        bad.write_bytes(bad.read_bytes()[:40])
+        assert self.compare(runs) == 1
+        self.assert_one_line_naming(capsys, bad)
+
+    def test_manifest_without_grid_times(self, runs, capsys):
+        bad = runs / "b" / "manifest.json"
+        manifest = json.loads(bad.read_text())
+        del manifest["config"]["grid_times"]
+        bad.write_text(json.dumps(manifest))
+        assert self.compare(runs) == 1
+        self.assert_one_line_naming(capsys, bad)
+
+    def test_empty_time_grids(self, runs, capsys):
+        for d in ("a", "b"):
+            path = runs / d / "manifest.json"
+            manifest = json.loads(path.read_text())
+            manifest["config"]["grid_times"] = []
+            path.write_text(json.dumps(manifest))
+        assert self.compare(runs) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: runs need at least two recorded times\n"
 
 
 class TestSampleBackbones:

@@ -64,35 +64,6 @@ class TestCenter:
                              np.full((2, 3), 1e-6), centered=True)
 
 
-class TestSE3Expmap:
-    def test_zero_tangent(self, rng):
-        f0 = process.Frame(so3.sample_uniform_so3(rng), rng.standard_normal(3))
-        out = process.se3_expmap(
-            f0, process.TangentSE3(np.zeros((3, 3)), np.zeros(3))
-        )
-        assert np.allclose(out.rotation, f0.rotation)
-        assert np.array_equal(out.translation, f0.translation)
-
-    def test_identity_frame(self, rng):
-        v = rng.standard_normal(3)
-        x = rng.standard_normal(3)
-        out = process.se3_expmap(
-            process.Frame(np.eye(3), np.zeros(3)),
-            process.TangentSE3(so3.hat(v), x),
-        )
-        assert np.allclose(out.rotation, so3.exp_so3(so3.hat(v)))
-        assert np.array_equal(out.translation, x)
-
-    def test_factors_never_mix(self, rng):
-        f0 = process.Frame(so3.sample_uniform_so3(rng), rng.standard_normal(3))
-        x = rng.standard_normal(3)
-        rot_a = f0.rotation @ so3.hat(rng.standard_normal(3))
-        rot_b = f0.rotation @ so3.hat(rng.standard_normal(3))
-        out_a = process.se3_expmap(f0, process.TangentSE3(rot_a, x))
-        out_b = process.se3_expmap(f0, process.TangentSE3(rot_b, x))
-        assert np.array_equal(out_a.translation, out_b.translation)
-
-
 class TestForwardSample:
     def test_requires_centered_input(self, rng):
         fs = process.FrameSet(
@@ -165,26 +136,36 @@ class TestReverseDrift:
         fs = process.FrameSet(
             np.broadcast_to(np.eye(3), (2, 3, 3)), np.zeros((2, 3)), centered=True
         )
-        out = process.reverse_drift(fs, 0.5, process.zero_score, TS, RS)
-        assert np.abs(out[0].rot_part).max() == 0.0
-        assert np.abs(out[0].trans_part).max() == 0.0
+        rot, trans = process.reverse_drift(fs, 0.5, process.zero_score, TS, RS)
+        assert rot.shape == (2, 3, 3) and trans.shape == (2, 3)
+        assert np.abs(rot).max() == 0.0
+        assert np.abs(trans).max() == 0.0
 
     def test_translation_drift_at_terminal_reverse_time(self):
         fs = process.FrameSet(
             np.broadcast_to(np.eye(3), (1, 3, 3)),
             np.array([[1.0, 0.0, 0.0]]),
         )
-        # Reverse time s = 1 evaluates the schedule at forward time 0.
-        out = process.reverse_drift(fs, 1.0, process.zero_score, TS, RS)
-        assert np.allclose(out[0].trans_part, [0.05, 0.0, 0.0])
+        # The end of the reverse walk is forward time t = 0: beta(0) / 2 x.
+        _, trans = process.reverse_drift(fs, 0.0, process.zero_score, TS, RS)
+        assert np.allclose(trans, [[0.05, 0.0, 0.0]])
 
     def test_rotation_drift_in_tangent_space(self, rng):
         fs = make_frameset(rng, 3)
         score = process.fixed_target_score(make_frameset(rng, 3), TS, RS)
-        out = process.reverse_drift(fs, 0.4, score, TS, RS)
-        for tangent, r in zip(out, fs.rotations):
-            local = r.T @ tangent.rot_part
-            assert np.abs(local + local.T).max() < 1e-10
+        rot, _ = process.reverse_drift(fs, 0.6, score, TS, RS)
+        local = so3.transpose(fs.rotations) @ rot
+        assert np.abs(local + so3.transpose(local)).max() < 1e-10
+
+    def test_scales_score_by_squared_diffusion(self, rng):
+        fs = make_frameset(rng, 3)
+        score = process.fixed_target_score(make_frameset(rng, 3), TS, RS)
+        t = 0.3
+        rot, trans = process.reverse_drift(fs, t, score, TS, RS)
+        s_rot, s_trans = score(t, fs)
+        b = float(schedules.beta(t, TS))
+        assert np.allclose(rot, float(schedules.g_r(t, RS)) ** 2 * s_rot, rtol=1e-14)
+        assert np.allclose(trans, b * s_trans + 0.5 * b * fs.translations, rtol=1e-14)
 
 
 class TestReverseWalk:
@@ -240,6 +221,16 @@ class TestReverseWalk:
         )
         assert worst < 1e-8
 
+    def test_rejects_score_outside_tangent_space(self, rng):
+        init = make_frameset(rng, 3)
+
+        def bad_score(t, fs):
+            return np.broadcast_to(np.eye(3), (len(fs), 3, 3)), np.zeros((len(fs), 3))
+
+        sim = process.SimConfig(n_steps=3)
+        with pytest.raises(ValueError, match="tangent"):
+            process.reverse_walk(init, bad_score, TS, RS, sim, rng)
+
     def test_states_stay_centered(self, rng):
         init = make_frameset(rng, 6)
         score = process.fixed_target_score(make_frameset(rng, 6), TS, RS)
@@ -253,31 +244,34 @@ class TestScoreFromDenoised:
     def test_self_prediction_at_small_time(self, rng):
         fs = make_frameset(rng, 4)
         t = 0.05
-        out = process.score_from_denoised(fs, fs, t, TS, RS)
+        rot, trans = process.score_from_denoised(fs, fs, t, TS, RS)
         g = float(schedules.G_x(t, TS))
         expected = (
             -(1.0 - np.exp(-g / 2.0)) / (1.0 - np.exp(-g)) * fs.translations
         )
-        for i, tangent in enumerate(out):
-            assert np.abs(tangent.rot_part).max() < 1e-12
-            assert np.abs(tangent.trans_part - expected[i]).max() < 1e-10
+        assert np.abs(rot).max() < 1e-12
+        assert np.abs(trans - expected).max() < 1e-10
 
     def test_equals_conditional_score_at_truth(self, rng):
         fs0 = make_frameset(rng, 3)
         fs_t = process.forward_sample(fs0, 0.6, TS, RS, CFG, rng)
-        out = process.score_from_denoised(fs_t, fs0, 0.6, TS, RS)
+        rot, trans = process.score_from_denoised(fs_t, fs0, 0.6, TS, RS)
         var = float(schedules.rot_variance(0.6, RS))
-        for i, tangent in enumerate(out):
-            direct = igso3.conditional_score(
-                fs0.rotations[i], fs_t.rotations[i], var
-            )
-            scale = max(1.0, np.abs(direct).max())
-            # Table interpolation bounds the fast path's accuracy.
-            assert np.abs(tangent.rot_part - direct).max() / scale < 1e-3
-            direct_x = schedules.trans_conditional_score(
-                fs0.translations[i], fs_t.translations[i], 0.6, TS
-            )
-            assert np.abs(tangent.trans_part - direct_x).max() < 1e-12
+        direct = igso3.conditional_score(fs0.rotations, fs_t.rotations, var)
+        scale = np.maximum(1.0, np.abs(direct).max(axis=(-2, -1)))
+        # Table interpolation bounds the fast path's accuracy.
+        assert (np.abs(rot - direct).max(axis=(-2, -1)) / scale).max() < 1e-3
+        direct_x = schedules.trans_conditional_score(
+            fs0.translations, fs_t.translations, 0.6, TS
+        )
+        assert np.abs(trans - direct_x).max() < 1e-12
+
+    def test_fixed_target_score_is_score_from_denoised(self, rng):
+        fs, target = make_frameset(rng, 4), make_frameset(rng, 4)
+        score = process.fixed_target_score(target, TS, RS)
+        for got, want in zip(score(0.4, fs),
+                             process.score_from_denoised(fs, target, 0.4, TS, RS)):
+            assert np.array_equal(got, want)
 
     def test_walk_concentrates_on_fixed_target(self, rng):
         n = 500

@@ -76,6 +76,12 @@ class TestExpLog:
         back = so3.vee(so3.log_so3(so3.exp_so3(so3.hat(v))))
         assert np.abs(back - v).max() < 1e-9
 
+    @given(unit_vectors, st.floats(np.pi - 1e-6, np.pi))
+    @settings(max_examples=200, deadline=None)
+    def test_exp_log_near_half_turn(self, direction, norm):
+        r = so3.exp_so3(so3.hat(np.asarray(direction) / np.linalg.norm(direction) * norm))
+        assert np.abs(so3.exp_so3(so3.log_so3(r)) - r).max() <= 1e-12
+
     def test_exp_maps_to_rotations(self, rng):
         v = rng.standard_normal((200, 3)) * 2.0
         assert so3.is_rotation(so3.exp_so3(so3.hat(v)), tol=1e-12)

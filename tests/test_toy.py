@@ -76,6 +76,16 @@ class TestMixtureScore:
         cond = igso3.conditional_score(atom, rt, 0.5)
         assert np.abs(mix - cond).max() < 1e-10
 
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    @pytest.mark.parametrize("gap", [1e-3, 1e-7, 1e-9])
+    def test_single_atom_near_half_turn_equals_conditional(self, rng, t, gap):
+        single = toy.DiscreteTarget(np.eye(3)[None], np.array([1.0]))
+        axis = rng.standard_normal(3)
+        rt = so3.exp_so3(so3.hat((np.pi - gap) * axis / np.linalg.norm(axis)))
+        mix = toy.score_t(single, rt, t)
+        cond = igso3.conditional_score(np.eye(3), rt, t)
+        assert np.abs(mix - cond).max() <= 1e-12 * max(1.0, np.abs(cond).max())
+
     def test_matches_fd_gradient(self, rng, target):
         cfg = toy.ToyRunConfig()
         checked = 0
