@@ -2,7 +2,7 @@
 
 from . import backbone, cli, igso3, process, schedules, so3, toy
 from .igso3 import IGSO3Table, NumericalDomainError, TruncationConfig
-from .process import Frame, FrameSet, SimConfig
+from .process import FrameSet, SimConfig
 from .schedules import RotationSchedule, TranslationSchedule
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "schedules",
     "so3",
     "toy",
-    "Frame",
     "FrameSet",
     "IGSO3Table",
     "NumericalDomainError",

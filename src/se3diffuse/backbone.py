@@ -1,76 +1,44 @@
 """Protein-backbone frame geometry and the structural training losses.
 
-A residue's four heavy atoms (N, CA, C, O) are generated from idealized
-local coordinates by a rigid frame plus a torsion angle psi that swings
-the oxygen about the CA->C bond axis. Frames are recovered from atoms by
-Gram-Schmidt. All coordinates are nanometers.
+A backbone is a float array of shape (N, 4, 3) in nanometers: the heavy
+atoms of each residue in ``ATOM_NAMES`` order (N, CA, C, O). The atoms are
+generated from idealized local coordinates, a (4, 3) array in the same
+order, by a rigid frame per residue plus a torsion psi that swings the
+oxygen about the CA->C bond axis. The torsions are an (N, 2) array of
+(cos psi, sin psi) pairs. Frames are recovered from atoms by Gram-Schmidt.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence
 
 import numpy as np
 
 from . import igso3, schedules, so3
-from .process import Frame, FrameSet
+from .process import FrameSet
 
 ATOM_NAMES = ("N", "CA", "C", "O")
+_ELEMENTS = ("N", "C", "C", "O")
 
 # Pairwise-distance loss cutoff: 0.6 nm (6 Angstroms).
 CONTACT_CUTOFF_NM = 0.6
 
 
-@dataclass(frozen=True)
-class ResidueAtoms:
-    """Backbone heavy-atom positions (nm) for one residue."""
-
-    n: np.ndarray
-    ca: np.ndarray
-    c: np.ndarray
-    o: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        return np.stack([np.asarray(self.n, float), np.asarray(self.ca, float),
-                         np.asarray(self.c, float), np.asarray(self.o, float)])
+def _as_atoms(atoms) -> np.ndarray:
+    atoms = np.asarray(atoms, dtype=float)
+    if atoms.ndim != 3 or atoms.shape[1:] != (4, 3):
+        raise ValueError(f"atoms must have shape (N, 4, 3), got {atoms.shape}")
+    return atoms
 
 
-@dataclass(frozen=True)
-class IdealGeometry:
-    """Idealized local coordinates with CA pinned at the origin."""
+def load_ideal_geometry(path: str | None = None) -> np.ndarray:
+    """Idealized local coordinates (4, 3) from JSON; package default if no path.
 
-    n: np.ndarray
-    ca: np.ndarray
-    c: np.ndarray
-    o: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.ca, float) != 0.0):
-            raise ValueError("ideal CA must sit at the origin")
-
-
-@dataclass(frozen=True)
-class Psi:
-    """Torsion angle stored as the unit pair (cos psi, sin psi)."""
-
-    cos: float
-    sin: float
-
-    def __post_init__(self):
-        if abs(self.cos**2 + self.sin**2 - 1.0) > 1e-12:
-            raise ValueError("(cos, sin) must lie on the unit circle")
-
-    @classmethod
-    def from_angle(cls, angle: float) -> "Psi":
-        return cls(math.cos(angle), math.sin(angle))
-
-
-def load_ideal_geometry(path: str | None = None) -> IdealGeometry:
-    """Read an IdealGeometry JSON (four 3-vectors); package default if no path."""
+    The JSON maps each of ``ATOM_NAMES`` to a 3-vector. CA must sit at the
+    origin.
+    """
     if path is None:
         text = (
             resources.files("se3diffuse").joinpath("data/ideal_geometry.json").read_text()
@@ -79,84 +47,83 @@ def load_ideal_geometry(path: str | None = None) -> IdealGeometry:
         with open(path) as fh:
             text = fh.read()
     raw = json.loads(text)
-    return IdealGeometry(
-        n=np.asarray(raw["N"], float),
-        ca=np.asarray(raw["CA"], float),
-        c=np.asarray(raw["C"], float),
-        o=np.asarray(raw["O"], float),
-    )
+    geom = np.array([raw[name] for name in ATOM_NAMES], dtype=float)
+    if geom.shape != (4, 3):
+        raise ValueError("ideal geometry needs one 3-vector per atom")
+    if np.any(geom[1] != 0.0):
+        raise ValueError("ideal CA must sit at the origin")
+    return geom
 
 
-def atom2frame(res: ResidueAtoms) -> Frame:
-    """Gram-Schmidt frame from N, CA, C; translation is the CA position."""
-    ca = np.asarray(res.ca, float)
-    v1 = np.asarray(res.c, float) - ca
-    v2 = np.asarray(res.n, float) - ca
-    if np.linalg.norm(np.cross(v1, v2)) <= 1e-9:
-        raise ValueError("N, CA, C are collinear; frame undefined")
-    e1 = v1 / np.linalg.norm(v1)
-    u2 = v2 - (e1 @ v2) * e1
-    e2 = u2 / np.linalg.norm(u2)
-    e3 = np.cross(e1, e2)
-    return Frame(rotation=np.stack([e1, e2, e3], axis=-1), translation=ca)
+def atom2frame(atoms) -> FrameSet:
+    """Gram-Schmidt frames from N, CA, C; translations are the CA positions.
 
-
-def frame_to_atoms(f: Frame, psi: Psi, geom: IdealGeometry) -> ResidueAtoms:
-    """Place idealized atoms with the frame; the oxygen swings by psi.
-
-    The oxygen rotates about the unit axis from CA* toward C* (an axis
-    through the origin, so points on it, like C*, keep their distance
-    to O).
+    Returns an uncentered FrameSet. Raises ValueError if N, CA and C are
+    collinear in any residue.
     """
-    r = np.asarray(f.rotation, float)
-    x = np.asarray(f.translation, float)
-    axis = np.asarray(geom.c, float) - np.asarray(geom.ca, float)
-    axis = axis / np.linalg.norm(axis)
-    rot_psi = so3.exp_so3(so3.hat(axis * math.atan2(psi.sin, psi.cos)))
-    return ResidueAtoms(
-        n=r @ geom.n + x,
-        ca=r @ geom.ca + x,
-        c=r @ geom.c + x,
-        o=r @ (rot_psi @ geom.o) + x,
-    )
+    atoms = _as_atoms(atoms)
+    ca = atoms[:, 1]
+    v1 = atoms[:, 2] - ca
+    v2 = atoms[:, 0] - ca
+    collinear = np.flatnonzero(np.linalg.norm(np.cross(v1, v2), axis=-1) <= 1e-9)
+    if collinear.size:
+        raise ValueError(
+            f"N, CA, C are collinear in residue {collinear[0] + 1}; frame undefined"
+        )
+    e1 = v1 / np.linalg.norm(v1, axis=-1, keepdims=True)
+    u2 = v2 - (e1 * v2).sum(axis=-1, keepdims=True) * e1
+    e2 = u2 / np.linalg.norm(u2, axis=-1, keepdims=True)
+    e3 = np.cross(e1, e2)
+    return FrameSet(np.stack([e1, e2, e3], axis=-1), ca)
 
 
-def frameset_to_atoms(
-    fs: FrameSet, psis: Sequence[Psi] | None = None, geom: IdealGeometry | None = None
-) -> list[ResidueAtoms]:
-    geom = geom or load_ideal_geometry()
-    if psis is None:
-        psis = [Psi(1.0, 0.0)] * len(fs)
-    return [
-        frame_to_atoms(Frame(r, x), p, geom)
-        for r, x, p in zip(fs.rotations, fs.translations, psis)
-    ]
+def frameset_to_atoms(fs: FrameSet, psi=None, geom=None) -> np.ndarray:
+    """Place the idealized atoms with each frame; the oxygen swings by psi.
+
+    ``psi`` is an (N, 2) array of (cos, sin) pairs on the unit circle, all
+    (1, 0) if None; ``geom`` is the (4, 3) local geometry, the package
+    default if None. The oxygen rotates about the unit axis from CA* toward
+    C* (an axis through the origin, so points on it, like C*, keep their
+    distance to O). Returns the (N, 4, 3) atoms.
+    """
+    geom = load_ideal_geometry() if geom is None else np.asarray(geom, dtype=float)
+    n = len(fs)
+    psi = np.tile([1.0, 0.0], (n, 1)) if psi is None else np.asarray(psi, dtype=float)
+    if psi.shape != (n, 2):
+        raise ValueError(f"psi must have shape ({n}, 2), got {psi.shape}")
+    if not np.all(np.abs(psi[:, 0] ** 2 + psi[:, 1] ** 2 - 1.0) <= 1e-12):
+        raise ValueError("psi (cos, sin) pairs must lie on the unit circle")
+    axis = (geom[2] - geom[1]) / np.linalg.norm(geom[2] - geom[1])
+    rot_psi = so3.exp_so3(so3.hat(axis * np.arctan2(psi[:, 1], psi[:, 0])[:, None]))
+    local = np.broadcast_to(geom, (n, 4, 3)).copy()
+    local[:, 3] = rot_psi @ geom[3]
+    return (fs.rotations[:, None] @ local[..., None])[..., 0] + fs.translations[:, None]
 
 
-def _stack_atoms(residues: Sequence[ResidueAtoms]) -> np.ndarray:
-    return np.stack([r.stacked() for r in residues])  # (N, 4, 3)
-
-
-def l_bb(pred: Sequence[ResidueAtoms], truth: Sequence[ResidueAtoms]) -> float:
-    """Mean squared error over all backbone atoms, (1/4N) sum |a - a_hat|^2."""
+def _atom_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
+    pred, truth = _as_atoms(pred), _as_atoms(truth)
     if len(pred) != len(truth) or len(pred) == 0:
         raise ValueError("pred and truth must be nonempty and equally long")
-    diff = _stack_atoms(pred) - _stack_atoms(truth)
-    return float((diff**2).sum() / (4 * len(pred)))
+    return pred, truth
 
 
-def l_2d(pred: Sequence[ResidueAtoms], truth: Sequence[ResidueAtoms]) -> float:
+def l_bb(pred, truth) -> float:
+    """Mean squared error over all backbone atoms, (1/4N) sum |a - a_hat|^2."""
+    pred, truth = _atom_pair(pred, truth)
+    return float(((pred - truth) ** 2).sum() / (4 * len(pred)))
+
+
+def l_2d(pred, truth) -> float:
     """Local pairwise-distance loss with the 0.6 nm cutoff.
 
     Sums (d - d_hat)^2 over all ordered (residue, residue, atom, atom)
     quadruples whose TRUE distance is under the cutoff, normalized by
     Z = (number of such quadruples) - N.
     """
-    if len(pred) != len(truth) or len(pred) == 0:
-        raise ValueError("pred and truth must be nonempty and equally long")
+    pred, truth = _atom_pair(pred, truth)
     n = len(pred)
-    p = _stack_atoms(pred).reshape(-1, 3)
-    q = _stack_atoms(truth).reshape(-1, 3)
+    p = pred.reshape(-1, 3)
+    q = truth.reshape(-1, 3)
     d_true = np.linalg.norm(q[:, None] - q[None, :], axis=-1)
     d_pred = np.linalg.norm(p[:, None] - p[None, :], axis=-1)
     mask = d_true < CONTACT_CUTOFF_NM
@@ -223,41 +190,45 @@ def total_loss(components: LossTerms, t: float, w: float = 0.25) -> float:
     return float(out)
 
 
-def write_pdb(path: str, residues: Sequence[ResidueAtoms], chain: str = "A") -> None:
-    """Write fixed-column PDB ATOM records (GLY residues, coordinates in A)."""
-    elements = {"N": "N", "CA": "C", "C": "C", "O": "O"}
+def write_pdb(path: str, atoms) -> None:
+    """Write fixed-column PDB ATOM records (GLY, chain A, coordinates in A)."""
+    # One residue's four records; each takes serial, residue number, x, y, z.
+    # Serials and residue numbers ride in the float array; %d prints them exactly.
+    residue = "".join(
+        f"{'ATOM':<6}%5d {name:^4} {'GLY':>3} A%4d    %8.3f%8.3f%8.3f"
+        f"{1.00:6.2f}{0.00:6.2f}{'':10}{element:>2}\n"
+        for name, element in zip(ATOM_NAMES, _ELEMENTS)
+    )
+    atoms = _as_atoms(atoms)
+    n = len(atoms)
+    fields = np.empty((n, 4, 5))
+    fields[..., 0] = np.arange(1, 4 * n + 1).reshape(n, 4)
+    fields[..., 1] = np.arange(1, n + 1)[:, None]
+    fields[..., 2:] = 10.0 * atoms
     with open(path, "w") as fh:
-        serial = 1
-        for i, res in enumerate(residues, start=1):
-            for name, pos in zip(ATOM_NAMES, res.stacked()):
-                x, y, z = (10.0 * pos).tolist()
-                fh.write(
-                    f"{'ATOM':<6}{serial:>5} {name:^4} {'GLY':>3} {chain}"
-                    f"{i:>4}    {x:8.3f}{y:8.3f}{z:8.3f}{1.00:6.2f}{0.00:6.2f}"
-                    f"{'':10}{elements[name]:>2}\n"
-                )
-                serial += 1
-        fh.write("TER\n")
-        fh.write("END\n")
+        fh.writelines([residue % tuple(row) for row in fields.reshape(n, 20).tolist()])
+        fh.write("TER\nEND\n")
 
 
-def read_pdb(path: str) -> list[ResidueAtoms]:
-    """Parse ATOM records written by :func:`write_pdb` back to nm coordinates."""
-    per_residue: dict[int, dict[str, np.ndarray]] = {}
+def read_pdb(path: str) -> np.ndarray:
+    """Parse ATOM records written by :func:`write_pdb` to (N, 4, 3) atoms in nm.
+
+    Raises ValueError naming the file unless the records hold N, CA, C, O
+    for each residue in turn, numbered 1..N.
+    """
     with open(path) as fh:
-        for line in fh:
-            if not line.startswith("ATOM"):
-                continue
-            name = line[12:16].strip()
-            resnum = int(line[22:26])
-            xyz = np.array(
-                [float(line[30:38]), float(line[38:46]), float(line[46:54])]
-            )
-            per_residue.setdefault(resnum, {})[name] = xyz / 10.0
-    out = []
-    for resnum in sorted(per_residue):
-        atoms = per_residue[resnum]
-        out.append(
-            ResidueAtoms(n=atoms["N"], ca=atoms["CA"], c=atoms["C"], o=atoms["O"])
+        records = [line for line in fh if line.startswith("ATOM")]
+    try:
+        found = [(line[12:16].strip(), int(line[22:26])) for line in records]
+        xyz = [
+            [float(line[30:38]), float(line[38:46]), float(line[46:54])]
+            for line in records
+        ]
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed ATOM record: {exc}") from None
+    n = len(records) // 4
+    if found != [(name, i) for i in range(1, n + 1) for name in ATOM_NAMES]:
+        raise ValueError(
+            f"{path}: ATOM records are not N, CA, C, O per residue numbered 1..N"
         )
-    return out
+    return np.array(xyz, dtype=float).reshape(n, 4, 3) / 10.0

@@ -16,6 +16,7 @@ l >= L is below machine epsilon times the largest weight at t_min. The
 weights decay faster at larger t, so later terms cannot change a double
 at any t >= t_min (L = 88 at the default t_min = 0.01). ``series_terms``
 (the CLI's ``--terms``) is an upper cap on L, not the count summed.
+``igsu2_density`` applies the same rule to its own weights.
 """
 
 from __future__ import annotations
@@ -84,12 +85,16 @@ def _series_weights(ts, n_terms: int) -> np.ndarray:
     )
 
 
+def _kept_terms(weights: np.ndarray) -> int:
+    """Leading terms up to the last weight >= machine epsilon times the largest."""
+    above = np.flatnonzero(weights >= np.finfo(float).eps * weights.max())
+    return int(above[-1]) + 1
+
+
 @lru_cache(maxsize=16)
 def _term_count(cfg: TruncationConfig) -> int:
     """Terms summed under ``cfg``: see the truncation rule in the module docstring."""
-    weights = _series_weights(cfg.t_min, cfg.series_terms)[:, 0]
-    above = np.flatnonzero(weights >= np.finfo(float).eps * weights.max())
-    return int(above[-1]) + 1
+    return _kept_terms(_series_weights(cfg.t_min, cfg.series_terms)[:, 0])
 
 
 def _series_basis(omega: np.ndarray, n_terms: int, omega_eps: float):
@@ -329,6 +334,18 @@ def expected_score_norm_sq(t: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> 
     return float(np.trapezoid(integrand, table.omega_grid))
 
 
+def _su2_weights(t: float, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees l = 1..n_terms and their SU(2) weights l^2 exp(-(l^2-1) t / 8)."""
+    ls = np.arange(1, n_terms + 1)
+    return ls, ls**2 * np.exp(-(ls**2 - 1) * t / 8.0)
+
+
+@lru_cache(maxsize=16)
+def _su2_term_count(cfg: TruncationConfig) -> int:
+    """SU(2) terms summed under ``cfg``, by the module's truncation rule."""
+    return _kept_terms(_su2_weights(cfg.t_min, cfg.series_terms)[1])
+
+
 def igsu2_density(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
     """Heat-kernel density on SU(2): sum of l^2 exp(-(l^2-1)t/8) sin(lw)/sin(w).
 
@@ -338,8 +355,7 @@ def igsu2_density(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
     """
     t = _check_time(t, cfg)
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    ls = np.arange(1, cfg.series_terms + 1)
-    weights = ls**2 * np.exp(-(ls**2 - 1) * t / 8.0)
+    ls, weights = _su2_weights(t, _su2_term_count(cfg))
     out = np.empty(omega_arr.shape)
     near0 = omega_arr < cfg.omega_eps
     nearpi = omega_arr > np.pi - cfg.omega_eps

@@ -19,14 +19,6 @@ from . import igso3, schedules, so3
 
 
 @dataclass(frozen=True)
-class Frame:
-    """One rigid transform: rotation (3, 3) and translation (3,) in nm."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-
-@dataclass(frozen=True)
 class FrameSet:
     """Ordered frames as stacked arrays (N, 3, 3) and (N, 3)."""
 

@@ -15,6 +15,9 @@ import numpy as np
 
 from . import igso3
 
+# The logarithmic schedule evaluates exp(sigma_max); above this it overflows.
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+
 
 @dataclass(frozen=True)
 class TranslationSchedule:
@@ -41,6 +44,11 @@ class RotationSchedule:
             raise ValueError("need 0 < sigma_min < sigma_max < inf")
         if self.kind not in ("logarithmic", "linear"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if self.kind == "logarithmic" and self.sigma_max >= _LOG_FLOAT_MAX:
+            raise ValueError(
+                f"logarithmic sigma_max must be below {_LOG_FLOAT_MAX:.2f}, "
+                "where exp(sigma_max) overflows"
+            )
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ recorded time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,7 +223,6 @@ class MarginalStats:
     bin_edges: np.ndarray
     assignment_freq: np.ndarray  # (K,) nearest-atom frequencies
     ks_statistic: float | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def marginal_stats(

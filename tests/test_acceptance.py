@@ -8,7 +8,7 @@ import numpy as np
 from scipy import stats
 
 from se3diffuse import backbone, cli, igso3, process, schedules, so3, toy
-from se3diffuse.process import Frame, FrameSet
+from se3diffuse.process import FrameSet
 
 TS = schedules.TranslationSchedule()
 RS = schedules.RotationSchedule()
@@ -226,29 +226,22 @@ def test_c10_centered_process_invariance():
 
 def test_c11_backbone_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(500):
-        frame = Frame(so3.sample_uniform_so3(rng), rng.standard_normal(3))
-        psi = backbone.Psi.from_angle(rng.uniform(-np.pi, np.pi))
-        res = backbone.frame_to_atoms(frame, psi, GEOM)
-        back = backbone.atom2frame(res)
-        worst = max(
-            worst,
-            np.abs(back.rotation - frame.rotation).max(),
-            np.abs(back.translation - frame.translation).max(),
-        )
-    frames = [Frame(so3.sample_uniform_so3(rng), rng.standard_normal(3)) for _ in range(6)]
-    residues = [backbone.frame_to_atoms(f, backbone.Psi(1.0, 0.0), GEOM) for f in frames]
-    losses_zero = backbone.l_bb(residues, residues) == 0.0 and backbone.l_2d(
-        residues, residues
-    ) == 0.0
+    frames = FrameSet(so3.sample_uniform_so3(rng, 500), rng.standard_normal((500, 3)))
+    angles = rng.uniform(-np.pi, np.pi, 500)
+    psi = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    back = backbone.atom2frame(backbone.frameset_to_atoms(frames, psi, GEOM))
+    worst = max(
+        np.abs(back.rotations - frames.rotations).max(),
+        np.abs(back.translations - frames.translations).max(),
+    )
+    frames = FrameSet(so3.sample_uniform_so3(rng, 6), rng.standard_normal((6, 3)))
+    atoms = backbone.frameset_to_atoms(frames, geom=GEOM)
+    losses_zero = (backbone.l_bb(atoms, atoms) == 0.0
+                   and backbone.l_2d(atoms, atoms) == 0.0)
     pdb_path = tmp_path / "roundtrip.pdb"
-    backbone.write_pdb(str(pdb_path), residues)
-    pdb_worst = 0.0
-    for frame, res in zip(frames, backbone.read_pdb(str(pdb_path))):
-        pdb_worst = max(
-            pdb_worst, np.abs(backbone.atom2frame(res).rotation - frame.rotation).max()
-        )
+    backbone.write_pdb(str(pdb_path), atoms)
+    parsed = backbone.atom2frame(backbone.read_pdb(str(pdb_path)))
+    pdb_worst = np.abs(parsed.rotations - frames.rotations).max()
     report(
         11,
         "backbone-roundtrip",

@@ -1,264 +1,260 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from se3diffuse import backbone, igso3, process, schedules, so3
-from se3diffuse.process import Frame, FrameSet
+from se3diffuse.process import FrameSet
 
 TS = schedules.TranslationSchedule()
 RS = schedules.RotationSchedule()
 GEOM = backbone.load_ideal_geometry()
+N, CA, C, O = range(4)
 
 
-def random_frame(rng):
-    return Frame(so3.sample_uniform_so3(rng), rng.standard_normal(3))
+def random_frames(rng, n=1):
+    return FrameSet(so3.sample_uniform_so3(rng, n), rng.standard_normal((n, 3)))
 
 
-def apply_rigid(frame: Frame, res: backbone.ResidueAtoms) -> backbone.ResidueAtoms:
-    r, x = frame.rotation, frame.translation
-    return backbone.ResidueAtoms(
-        n=r @ res.n + x, ca=r @ res.ca + x, c=r @ res.c + x, o=r @ res.o + x
-    )
+def unit_pairs(angles):
+    angles = np.atleast_1d(angles)
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
-class TestIdealGeometry:
+def apply_rigid(r, x, atoms):
+    """Move (N, 4, 3) atoms by the rigid transform (r, x)."""
+    return atoms @ r.T + x
+
+
+class TestGeometry:
     def test_ca_at_origin(self):
-        assert np.array_equal(GEOM.ca, np.zeros(3))
+        assert GEOM.shape == (4, 3)
+        assert np.array_equal(GEOM[CA], np.zeros(3))
 
     def test_bond_lengths_positive(self):
-        assert np.linalg.norm(GEOM.c) > 0
-        assert np.linalg.norm(GEOM.n) > 0
-        assert np.linalg.norm(GEOM.o - GEOM.c) > 0
+        assert np.linalg.norm(GEOM[C]) > 0
+        assert np.linalg.norm(GEOM[N]) > 0
+        assert np.linalg.norm(GEOM[O] - GEOM[C]) > 0
 
     def test_json_roundtrip(self, tmp_path):
-        import json
-
         path = tmp_path / "geom.json"
         path.write_text(
-            json.dumps(
-                {k: list(getattr(GEOM, k.lower())) for k in ("N", "CA", "C", "O")}
-            )
+            json.dumps({k: list(v) for k, v in zip(backbone.ATOM_NAMES, GEOM)})
         )
         loaded = backbone.load_ideal_geometry(str(path))
-        assert np.array_equal(loaded.o, GEOM.o)
+        assert np.array_equal(loaded[O], GEOM[O])
 
-    def test_rejects_offset_ca(self):
+    def test_rejects_offset_ca(self, tmp_path):
+        raw = {k: list(v) for k, v in zip(backbone.ATOM_NAMES, GEOM)}
+        raw["CA"] = [0.1, 0, 0]
+        path = tmp_path / "geom.json"
+        path.write_text(json.dumps(raw))
         with pytest.raises(ValueError):
-            backbone.IdealGeometry(
-                n=GEOM.n, ca=np.array([0.1, 0, 0]), c=GEOM.c, o=GEOM.o
-            )
+            backbone.load_ideal_geometry(str(path))
 
 
 class TestAtom2Frame:
     def test_ideal_residue_gives_identity(self):
-        res = backbone.ResidueAtoms(n=GEOM.n, ca=GEOM.ca, c=GEOM.c, o=GEOM.o)
-        frame = backbone.atom2frame(res)
-        assert np.abs(frame.rotation - np.eye(3)).max() < 1e-12
-        assert np.abs(frame.translation).max() == 0.0
+        fs = backbone.atom2frame(GEOM[None])
+        assert np.abs(fs.rotations[0] - np.eye(3)).max() < 1e-12
+        assert np.abs(fs.translations[0]).max() == 0.0
 
     def test_roundtrip_through_atoms(self, rng):
-        for _ in range(500):
-            frame = random_frame(rng)
-            psi = backbone.Psi.from_angle(rng.uniform(-np.pi, np.pi))
-            res = backbone.frame_to_atoms(frame, psi, GEOM)
-            back = backbone.atom2frame(res)
-            assert np.abs(back.rotation - frame.rotation).max() < 1e-10
-            assert np.abs(back.translation - frame.translation).max() < 1e-10
+        frames = random_frames(rng, 500)
+        psi = unit_pairs(rng.uniform(-np.pi, np.pi, 500))
+        back = backbone.atom2frame(backbone.frameset_to_atoms(frames, psi, GEOM))
+        assert not back.centered
+        assert np.abs(back.rotations - frames.rotations).max() < 1e-10
+        assert np.abs(back.translations - frames.translations).max() < 1e-10
 
     def test_translation_shift(self, rng):
-        frame = random_frame(rng)
-        res = backbone.frame_to_atoms(frame, backbone.Psi(1.0, 0.0), GEOM)
+        atoms = backbone.frameset_to_atoms(random_frames(rng), geom=GEOM)
         d = rng.standard_normal(3)
-        shifted = backbone.ResidueAtoms(res.n + d, res.ca + d, res.c + d, res.o + d)
-        a, b = backbone.atom2frame(res), backbone.atom2frame(shifted)
-        assert np.abs(b.rotation - a.rotation).max() < 1e-12
-        assert np.abs(b.translation - (a.translation + d)).max() < 1e-12
+        a, b = backbone.atom2frame(atoms), backbone.atom2frame(atoms + d)
+        assert np.abs(b.rotations - a.rotations).max() < 1e-12
+        assert np.abs(b.translations - (a.translations + d)).max() < 1e-12
 
     def test_equivariance(self, rng):
-        base = backbone.frame_to_atoms(random_frame(rng), backbone.Psi(1.0, 0.0), GEOM)
-        g = random_frame(rng)
-        moved = apply_rigid(g, base)
+        base = backbone.frameset_to_atoms(random_frames(rng), geom=GEOM)
+        g = random_frames(rng)
+        r, x = g.rotations[0], g.translations[0]
         f_base = backbone.atom2frame(base)
-        f_moved = backbone.atom2frame(moved)
-        assert np.abs(f_moved.rotation - g.rotation @ f_base.rotation).max() < 1e-10
-        expected_x = g.rotation @ f_base.translation + g.translation
-        assert np.abs(f_moved.translation - expected_x).max() < 1e-10
+        f_moved = backbone.atom2frame(apply_rigid(r, x, base))
+        assert np.abs(f_moved.rotations - r @ f_base.rotations).max() < 1e-10
+        expected_x = f_base.translations @ r.T + x
+        assert np.abs(f_moved.translations - expected_x).max() < 1e-10
 
     def test_rejects_collinear(self):
-        res = backbone.ResidueAtoms(
-            n=np.array([0.1, 0, 0]),
-            ca=np.zeros(3),
-            c=np.array([0.2, 0, 0]),
-            o=np.array([0.3, 0.1, 0]),
-        )
+        atoms = np.array([[[0.1, 0, 0], [0, 0, 0], [0.2, 0, 0], [0.3, 0.1, 0]]])
         with pytest.raises(ValueError):
-            backbone.atom2frame(res)
+            backbone.atom2frame(atoms)
+
+    def test_rejects_batch_with_one_collinear_residue(self, rng):
+        atoms = backbone.frameset_to_atoms(random_frames(rng, 6), geom=GEOM)
+        atoms[3, N] = atoms[3, CA] + 0.5 * (atoms[3, C] - atoms[3, CA])
+        with pytest.raises(ValueError, match="residue 4"):
+            backbone.atom2frame(atoms)
 
 
-class TestFrameToAtoms:
+class TestFramesetToAtoms:
     def test_identity_frame_zero_psi(self):
-        res = backbone.frame_to_atoms(
-            Frame(np.eye(3), np.zeros(3)), backbone.Psi(1.0, 0.0), GEOM
-        )
-        assert np.array_equal(res.n, GEOM.n)
-        assert np.array_equal(res.ca, GEOM.ca)
-        assert np.array_equal(res.c, GEOM.c)
-        assert np.abs(res.o - GEOM.o).max() < 1e-15
+        fs = FrameSet(np.eye(3)[None], np.zeros((1, 3)))
+        atoms = backbone.frameset_to_atoms(fs, unit_pairs(0.0), GEOM)[0]
+        assert np.array_equal(atoms[N], GEOM[N])
+        assert np.array_equal(atoms[CA], GEOM[CA])
+        assert np.array_equal(atoms[C], GEOM[C])
+        assert np.abs(atoms[O] - GEOM[O]).max() < 1e-15
 
     def test_ca_equals_translation(self, rng):
-        frame = random_frame(rng)
-        res = backbone.frame_to_atoms(frame, backbone.Psi.from_angle(0.7), GEOM)
-        assert np.array_equal(res.ca, frame.translation)
+        frames = random_frames(rng)
+        atoms = backbone.frameset_to_atoms(frames, unit_pairs(0.7), GEOM)
+        assert np.array_equal(atoms[:, CA], frames.translations)
 
     def test_oxygen_distance_to_c_is_psi_invariant(self, rng):
-        frame = random_frame(rng)
-        ref = np.linalg.norm(GEOM.o - GEOM.c)
-        for psi in np.linspace(-np.pi, np.pi, 17):
-            res = backbone.frame_to_atoms(frame, backbone.Psi.from_angle(psi), GEOM)
-            assert abs(np.linalg.norm(res.o - res.c) - ref) < 1e-12
+        frame = random_frames(rng)
+        frames = FrameSet(np.repeat(frame.rotations, 17, axis=0),
+                          np.repeat(frame.translations, 17, axis=0))
+        psi = unit_pairs(np.linspace(-np.pi, np.pi, 17))
+        atoms = backbone.frameset_to_atoms(frames, psi, GEOM)
+        ref = np.linalg.norm(GEOM[O] - GEOM[C])
+        dist = np.linalg.norm(atoms[:, O] - atoms[:, C], axis=-1)
+        assert np.abs(dist - ref).max() < 1e-12
 
     def test_psi_does_not_move_n_ca_c(self, rng):
-        frame = random_frame(rng)
-        a = backbone.frame_to_atoms(frame, backbone.Psi.from_angle(0.3), GEOM)
-        b = backbone.frame_to_atoms(frame, backbone.Psi.from_angle(-2.1), GEOM)
-        assert np.array_equal(a.n, b.n)
-        assert np.array_equal(a.ca, b.ca)
-        assert np.array_equal(a.c, b.c)
+        frames = random_frames(rng)
+        a = backbone.frameset_to_atoms(frames, unit_pairs(0.3), GEOM)
+        b = backbone.frameset_to_atoms(frames, unit_pairs(-2.1), GEOM)
+        assert np.array_equal(a[:, :3], b[:, :3])
+
+    def test_default_psi_and_geometry(self, rng):
+        frames = random_frames(rng, 3)
+        explicit = backbone.frameset_to_atoms(frames, unit_pairs(np.zeros(3)), GEOM)
+        assert np.array_equal(backbone.frameset_to_atoms(frames), explicit)
 
     @given(st.floats(-np.pi, np.pi))
     @settings(max_examples=50, deadline=None)
     def test_psi_unit_pair_valid(self, angle):
-        psi = backbone.Psi.from_angle(angle)
-        assert abs(psi.cos**2 + psi.sin**2 - 1.0) <= 1e-12
+        psi = unit_pairs(angle)
+        assert abs(psi[0, 0] ** 2 + psi[0, 1] ** 2 - 1.0) <= 1e-12
+        frames = FrameSet(np.eye(3)[None], np.zeros((1, 3)))
+        assert backbone.frameset_to_atoms(frames, psi, GEOM).shape == (1, 4, 3)
+
+    @pytest.mark.parametrize("row", [[1.0, 1e-5], [0.0, 0.0], [np.nan, 0.0]])
+    def test_rejects_psi_off_unit_circle(self, rng, row):
+        psi = unit_pairs(np.zeros(3))
+        psi[1] = row
+        with pytest.raises(ValueError, match="unit circle"):
+            backbone.frameset_to_atoms(random_frames(rng, 3), psi, GEOM)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2), (4, 2), (3, 3), (3, 2, 1)])
+    def test_rejects_psi_of_wrong_shape(self, rng, shape):
+        psi = np.zeros(shape)
+        psi[..., 0] = 1.0
+        with pytest.raises(ValueError, match="shape"):
+            backbone.frameset_to_atoms(random_frames(rng, 3), psi, GEOM)
 
 
 class TestLbb:
     def test_zero_at_truth(self, rng):
-        res = [
-            backbone.frame_to_atoms(random_frame(rng), backbone.Psi(1.0, 0.0), GEOM)
-            for _ in range(4)
-        ]
-        assert backbone.l_bb(res, res) == 0.0
+        atoms = backbone.frameset_to_atoms(random_frames(rng, 4), geom=GEOM)
+        assert backbone.l_bb(atoms, atoms) == 0.0
 
     def test_single_displacement(self, rng):
-        truth = [backbone.frame_to_atoms(random_frame(rng), backbone.Psi(1.0, 0.0), GEOM)]
-        pred = [
-            backbone.ResidueAtoms(
-                truth[0].n + np.array([0.1, 0.0, 0.0]), truth[0].ca, truth[0].c, truth[0].o
-            )
-        ]
+        truth = backbone.frameset_to_atoms(random_frames(rng), geom=GEOM)
+        pred = truth.copy()
+        pred[0, N] += np.array([0.1, 0.0, 0.0])
         assert np.isclose(backbone.l_bb(pred, truth), 0.01 / 4)
 
     def test_rigid_motion_invariance(self, rng):
-        truth = [
-            backbone.frame_to_atoms(random_frame(rng), backbone.Psi(1.0, 0.0), GEOM)
-            for _ in range(3)
-        ]
-        pred = [
-            backbone.ResidueAtoms(t.n + 0.01 * rng.standard_normal(3), t.ca, t.c, t.o)
-            for t in truth
-        ]
+        truth = backbone.frameset_to_atoms(random_frames(rng, 3), geom=GEOM)
+        pred = truth.copy()
+        pred[:, N] += 0.01 * rng.standard_normal((3, 3))
         base = backbone.l_bb(pred, truth)
-        g = random_frame(rng)
-        moved = backbone.l_bb(
-            [apply_rigid(g, r) for r in pred], [apply_rigid(g, r) for r in truth]
-        )
+        g = random_frames(rng)
+        r, x = g.rotations[0], g.translations[0]
+        moved = backbone.l_bb(apply_rigid(r, x, pred), apply_rigid(r, x, truth))
         assert abs(base - moved) < 1e-12
 
     def test_length_mismatch(self, rng):
-        res = [backbone.frame_to_atoms(random_frame(rng), backbone.Psi(1.0, 0.0), GEOM)]
+        atoms = backbone.frameset_to_atoms(random_frames(rng), geom=GEOM)
         with pytest.raises(ValueError):
-            backbone.l_bb(res, res * 2)
+            backbone.l_bb(atoms, np.concatenate([atoms, atoms]))
+
+    def test_rejects_empty_and_wrong_layout(self):
+        with pytest.raises(ValueError):
+            backbone.l_bb(np.zeros((0, 4, 3)), np.zeros((0, 4, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            backbone.l_bb(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)))
 
 
-def chain_residues(n, spacing=0.38):
-    frames = [Frame(np.eye(3), np.array([spacing * i, 0.0, 0.0])) for i in range(n)]
-    return [backbone.frame_to_atoms(f, backbone.Psi(1.0, 0.0), GEOM) for f in frames]
+def chain_atoms(n, spacing=0.38):
+    translations = np.zeros((n, 3))
+    translations[:, 0] = spacing * np.arange(n)
+    frames = FrameSet(np.broadcast_to(np.eye(3), (n, 3, 3)), translations)
+    return backbone.frameset_to_atoms(frames, geom=GEOM)
 
 
 def brute_force_l2d(pred, truth, cutoff=0.6):
     """Exhaustive quadruple enumeration, scalar arithmetic."""
-    names = ["n", "ca", "c", "o"]
     n = len(truth)
     total, count = 0.0, 0
     for i in range(n):
         for j in range(n):
-            for a in names:
-                for b in names:
-                    d = np.linalg.norm(
-                        getattr(truth[i], a) - getattr(truth[j], b)
-                    )
+            for a in range(4):
+                for b in range(4):
+                    d = np.linalg.norm(truth[i, a] - truth[j, b])
                     if d < cutoff:
                         count += 1
-                        dp = np.linalg.norm(
-                            getattr(pred[i], a) - getattr(pred[j], b)
-                        )
+                        dp = np.linalg.norm(pred[i, a] - pred[j, b])
                         total += (d - dp) ** 2
     return total / (count - n)
 
 
 class TestL2d:
     def test_zero_at_truth(self):
-        truth = chain_residues(3)
+        truth = chain_atoms(3)
         assert backbone.l_2d(truth, truth) == 0.0
 
     def test_cutoff_constant(self):
         assert backbone.CONTACT_CUTOFF_NM == 0.6
 
     def test_two_residue_toy_against_enumeration(self, rng):
-        truth = chain_residues(2, spacing=0.45)
-        pred = [truth[0], backbone.ResidueAtoms(
-            truth[1].n + np.array([0.0, 0.1, 0.0]), truth[1].ca, truth[1].c, truth[1].o
-        )]
+        truth = chain_atoms(2, spacing=0.45)
+        pred = truth.copy()
+        pred[1, N] += np.array([0.0, 0.1, 0.0])
         assert np.isclose(
             backbone.l_2d(pred, truth), brute_force_l2d(pred, truth), rtol=1e-12
         )
 
     def test_random_perturbation_against_enumeration(self, rng):
-        truth = chain_residues(4)
-        pred = [
-            backbone.ResidueAtoms(
-                r.n + 0.02 * rng.standard_normal(3),
-                r.ca + 0.02 * rng.standard_normal(3),
-                r.c + 0.02 * rng.standard_normal(3),
-                r.o + 0.02 * rng.standard_normal(3),
-            )
-            for r in truth
-        ]
+        truth = chain_atoms(4)
+        pred = truth + 0.02 * rng.standard_normal(truth.shape)
         assert np.isclose(
             backbone.l_2d(pred, truth), brute_force_l2d(pred, truth), rtol=1e-12
         )
 
     def test_rigid_motion_invariance(self, rng):
-        truth = chain_residues(3)
-        pred = [
-            backbone.ResidueAtoms(
-                r.n + 0.01 * rng.standard_normal(3), r.ca, r.c, r.o
-            )
-            for r in truth
-        ]
+        truth = chain_atoms(3)
+        pred = truth.copy()
+        pred[:, N] += 0.01 * rng.standard_normal((3, 3))
         base = backbone.l_2d(pred, truth)
-        g = random_frame(rng)
-        moved = backbone.l_2d(
-            [apply_rigid(g, r) for r in pred], [apply_rigid(g, r) for r in truth]
-        )
+        g = random_frames(rng)
+        r, x = g.rotations[0], g.translations[0]
+        moved = backbone.l_2d(apply_rigid(r, x, pred), apply_rigid(r, x, truth))
         assert abs(base - moved) < 1e-12
 
     def test_far_apart_residues_reduce_to_intra_residue_pairs(self, rng):
         # Intra-residue atom pairs always sit inside the cutoff, so Z stays
         # positive no matter how far residues drift apart.
-        far = chain_residues(2, spacing=50.0)
-        pred = [
-            backbone.ResidueAtoms(
-                r.n + 0.03 * rng.standard_normal(3), r.ca, r.c, r.o
-            )
-            for r in far
-        ]
+        far = chain_atoms(2, spacing=50.0)
+        pred = far.copy()
+        pred[:, N] += 0.03 * rng.standard_normal((2, 3))
         assert np.isclose(
             backbone.l_2d(pred, far), brute_force_l2d(pred, far), rtol=1e-12
         )
-        assert backbone.l_2d(chain_residues(1), chain_residues(1)) == 0.0
+        assert backbone.l_2d(chain_atoms(1), chain_atoms(1)) == 0.0
 
 
 class TestDsmLoss:
@@ -341,24 +337,20 @@ class TestTotalLoss:
 
 class TestPdbIO:
     def test_roundtrip(self, rng, tmp_path):
-        frames = [random_frame(rng) for _ in range(5)]
-        residues = [
-            backbone.frame_to_atoms(f, backbone.Psi.from_angle(rng.uniform(-3, 3)), GEOM)
-            for f in frames
-        ]
+        frames = random_frames(rng, 5)
+        psi = unit_pairs(rng.uniform(-3, 3, 5))
+        atoms = backbone.frameset_to_atoms(frames, psi, GEOM)
         path = tmp_path / "chain.pdb"
-        backbone.write_pdb(str(path), residues)
+        backbone.write_pdb(str(path), atoms)
         parsed = backbone.read_pdb(str(path))
-        assert len(parsed) == 5
-        for orig, back in zip(residues, parsed):
-            assert np.abs(orig.stacked() - back.stacked()).max() < 1e-4 / 2
+        assert parsed.shape == (5, 4, 3)
+        assert np.abs(atoms - parsed).max() < 1e-4 / 2
 
     def test_fixed_columns(self, tmp_path):
-        res = backbone.frame_to_atoms(
-            Frame(np.eye(3), np.array([1.0, -2.0, 0.3])), backbone.Psi(1.0, 0.0), GEOM
-        )
+        frames = FrameSet(np.eye(3)[None], np.array([[1.0, -2.0, 0.3]]))
+        atoms = backbone.frameset_to_atoms(frames, geom=GEOM)
         path = tmp_path / "one.pdb"
-        backbone.write_pdb(str(path), [res])
+        backbone.write_pdb(str(path), atoms)
         line = path.read_text().splitlines()[0]
         assert line[0:6] == "ATOM  "
         assert line[6:11] == "    1"
@@ -367,17 +359,36 @@ class TestPdbIO:
         assert line[21] == "A"
         assert line[22:26] == "   1"
         assert len(line[30:38]) == 8 and float(line[30:38]) == pytest.approx(
-            10.0 * res.n[0], abs=1e-3
+            10.0 * atoms[0, N, 0], abs=1e-3
         )
         assert line[76:78].strip() == "N"
 
     def test_parse_back_frames(self, rng, tmp_path):
-        frames = [random_frame(rng) for _ in range(8)]
-        residues = [
-            backbone.frame_to_atoms(f, backbone.Psi(1.0, 0.0), GEOM) for f in frames
-        ]
+        frames = random_frames(rng, 8)
         path = tmp_path / "frames.pdb"
-        backbone.write_pdb(str(path), residues)
-        for frame, res in zip(frames, backbone.read_pdb(str(path))):
-            rec = backbone.atom2frame(res)
-            assert np.abs(rec.rotation - frame.rotation).max() < 1e-3
+        backbone.write_pdb(str(path), backbone.frameset_to_atoms(frames, geom=GEOM))
+        rec = backbone.atom2frame(backbone.read_pdb(str(path)))
+        assert np.abs(rec.rotations - frames.rotations).max() < 1e-3
+
+    @pytest.fixture
+    def pdb_lines(self, rng, tmp_path):
+        path = tmp_path / "three.pdb"
+        backbone.write_pdb(str(path), backbone.frameset_to_atoms(random_frames(rng, 3)))
+        return path, path.read_text().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("edit",
+                             ["drop O", "swap N and CA", "renumber", "garble x"])
+    def test_read_rejects_malformed_records(self, pdb_lines, edit):
+        path, lines = pdb_lines
+        if edit == "drop O":
+            del lines[7]
+        elif edit == "swap N and CA":
+            lines[4], lines[5] = lines[5], lines[4]
+        elif edit == "renumber":
+            lines = [line[:22] + f"{int(line[22:26]) + 1:>4}" + line[26:]
+                     if line.startswith("ATOM") else line for line in lines]
+        else:
+            lines[2] = lines[2][:30] + "   x.yz " + lines[2][38:]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="three.pdb"):
+            backbone.read_pdb(str(path))

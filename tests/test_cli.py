@@ -153,6 +153,7 @@ class TestRejectedValues:
         ["schedule", "--beta-min", "5", "--beta-max", "1", "--out", "OUT/s.csv"],
         ["schedule", "--beta-max", "inf", "--out", "OUT/s.csv"],
         ["schedule", "--points", "-1", "--out", "OUT/s.csv"],
+        ["schedule", "--sigma-max", "1000", "--out", "OUT/s.csv"],
         ["igso3", "sample", "--t", "0.5", "--n", "-1", "--out", "OUT/q.csv"],
         ["igso3", "eval", "--t", "0.5", "--seed", "-1", "--out", "OUT/e.csv"],
         ["toy", "forward", "--T", "nan", "--paths", "5", "--steps", "3",
@@ -334,12 +335,11 @@ class TestSampleBackbones:
         assert run(["sample-backbones", "--n-residues", "5", "--n-steps", "30",
                     "--zeta", "0.5", "--seed", "4", "--out", str(out),
                     "--trajectory"]) == 0
-        residues = backbone.read_pdb(str(tmp_path / "run.pdb"))
+        frames = backbone.atom2frame(backbone.read_pdb(str(tmp_path / "run.pdb")))
         rows = np.loadtxt(tmp_path / "run_trajectory.csv", delimiter=",", skiprows=1)
         final = rows[rows[:, 0] == rows[:, 0].min()]
-        for res, row in zip(residues, final):
+        for got, row in zip(frames.rotations, final):
             expected = so3.rotation_from_quat(row[3:7])
-            got = backbone.atom2frame(res).rotation
             assert np.abs(got - expected).max() < 1e-3
 
     def test_prior_only_runs(self, tmp_path):

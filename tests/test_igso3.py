@@ -356,6 +356,19 @@ class TestIGSU2:
         integral = np.trapezoid(f * (2.0 / np.pi) * np.sin(grid) ** 2, grid)
         assert abs(integral - 1.0) < 1e-4
 
+    def test_truncation_matches_full_sum(self):
+        # Terms past the truncation count cannot change a double at t >= t_min.
+        omega = np.array([0.0, 0.3, 1.7, np.pi])
+        ls = np.arange(1, CFG.series_terms + 1)
+        for t in (CFG.t_min, 0.5, 3.0):
+            weights = ls**2 * np.exp(-(ls**2 - 1) * t / 8.0)
+            w = omega[1:3, None]
+            full = np.concatenate([[ls @ weights],
+                                   (np.sin(ls * w) / np.sin(w)) @ weights,
+                                   [(ls * (-1.0) ** (ls + 1)) @ weights]])
+            got = igso3.igsu2_density(omega, t)
+            assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+
     def test_even_extension_near_zero(self):
         eps = CFG.omega_eps
         limit = igso3.igsu2_density(eps / 2, 0.5)  # limit branch

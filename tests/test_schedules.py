@@ -124,6 +124,17 @@ class TestSigmaR:
         with pytest.raises(ValueError):
             schedules.RotationSchedule(kind="cosine")
 
+    def test_logarithmic_sigma_max_below_exp_overflow(self):
+        limit = np.log(np.finfo(float).max)
+        for sigma_max in (limit, 1000.0):
+            with pytest.raises(ValueError, match="overflows"):
+                schedules.RotationSchedule(sigma_max=sigma_max)
+        s = np.linspace(0.0, 1.0, 11)
+        for rs in (schedules.RotationSchedule(sigma_max=709.0),
+                   schedules.RotationSchedule(sigma_max=1000.0, kind="linear")):
+            assert np.isfinite(schedules.sigma_r(s, rs)).all()
+            assert np.isfinite(schedules.g_r(s, rs)).all()
+
 
 class TestGr:
     @pytest.mark.parametrize("rs", [RS_LOG, RS_LIN])
