@@ -122,17 +122,6 @@ def _series_basis(omega: np.ndarray, n_terms: int, omega_eps: float):
     return f_basis, df_basis
 
 
-def _series(omega, t: float, cfg: TruncationConfig):
-    """Truncated f(w, t) and df/dw at the angles ``omega``, as 1-d arrays."""
-    t = _check_time(t, cfg)
-    n_terms = _term_count(cfg)
-    f_basis, df_basis = _series_basis(
-        np.atleast_1d(np.asarray(omega, dtype=float)).ravel(), n_terms, cfg.omega_eps
-    )
-    weights = _series_weights(t, n_terms)[:, 0]
-    return f_basis @ weights, df_basis @ weights
-
-
 def _shaped(values: np.ndarray, omega):
     return values.reshape(np.shape(omega)) if np.ndim(omega) else float(values[0])
 
@@ -142,20 +131,69 @@ def _log_coeff(omega, ratio, omega_eps: float):
     return np.where(omega >= omega_eps, ratio / np.where(omega > 0, omega, 1.0), 0.0)
 
 
+def _f_df(omega, t: float, cfg: TruncationConfig, table):
+    """f(w, t) and df/dw shaped like ``omega``: the series, or ``table``'s interpolation."""
+    if table is not None:
+        return table.interp_f(omega), table.interp_df(omega)
+    t = _check_time(t, cfg)
+    n_terms = _term_count(cfg)
+    f_basis, df_basis = _series_basis(
+        np.atleast_1d(np.asarray(omega, dtype=float)).ravel(), n_terms, cfg.omega_eps
+    )
+    weights = _series_weights(t, n_terms)[:, 0]
+    return _shaped(f_basis @ weights, omega), _shaped(df_basis @ weights, omega)
+
+
 def f_igso3(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
     """Truncated heat-kernel series f(w, t), vectorized over ``omega``."""
-    return _shaped(_series(omega, t, cfg)[0], omega)
+    return _f_df(omega, t, cfg, None)[0]
 
 
 def df_igso3_domega(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
     """Termwise analytic d/dw of the truncated series; odd, so 0 at w -> 0."""
-    return _shaped(_series(omega, t, cfg)[1], omega)
+    return _f_df(omega, t, cfg, None)[1]
+
+
+def _mixture(centers, rt, t, cfg, table, weights):
+    """Relative rotations, their angles, f and df/dw per center, posteriors and density."""
+    # rt[None]: a center shared by a batch of rt must not broadcast over the batch.
+    rel = so3.transpose(np.asarray(centers, dtype=float)) @ np.asarray(rt, dtype=float)[None]
+    omega = so3.rotation_angle(rel)
+    f, df = _f_df(omega, t, cfg, table)
+    weighted = f if weights is None else np.reshape(weights, (-1,) + (1,) * (f.ndim - 1)) * f
+    total = weighted.sum(axis=0)
+    if np.any(total <= 0.0):
+        raise NumericalDomainError("density not positive; increase t or series_terms")
+    return rel, omega, f, df, weighted / total, total
+
+
+def mixture_density(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weights=None):
+    """Density at ``rt`` of sum_k w_k IGSO3(.; centers[k], t) w.r.t. normalized Haar measure.
+
+    ``centers`` is (K, ..., 3, 3), each ``centers[k]`` broadcasting against
+    ``rt``; ``weights`` (K,) default to a single center of weight 1. A
+    ``table`` for time ``t`` replaces the series by interpolation. Raises
+    :class:`NumericalDomainError` where the density is not positive.
+    """
+    return _mixture(centers, rt, t, cfg, table, weights)[-1]
+
+
+def mixture_score(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weights=None):
+    """Riemannian gradient at ``rt`` of log :func:`mixture_density` (same arguments).
+
+    ``rt sum_k log(centers[k]^T rt) post_k (df/dw)/f / w`` with posteriors
+    ``post_k = w_k f_k / sum w f``; a center within ``omega_eps`` of ``rt``
+    contributes the zero tangent.
+    """
+    rt = np.asarray(rt, dtype=float)
+    rel, omega, f, df, post, _ = _mixture(centers, rt, t, cfg, table, weights)
+    coef = _log_coeff(omega, df / np.where(f > 0, f, 1.0), cfg.omega_eps)
+    return rt @ (so3.log_so3(rel) * (post * coef)[..., None, None]).sum(axis=0)
 
 
 def igso3_density(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
     """IGSO3 density of ``rt`` around ``r0`` w.r.t. normalized Haar measure."""
-    omega = so3.rotation_angle(so3.transpose(np.asarray(r0, float)) @ np.asarray(rt, float))
-    return f_igso3(omega, t, cfg)
+    return mixture_density(np.asarray(r0, dtype=float)[None], rt, t, cfg)
 
 
 def conditional_score(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
@@ -164,17 +202,7 @@ def conditional_score(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
     Equals ``(rt / w) log(r0^T rt) (df/dw) / f`` with w the relative
     rotation angle; returns the zero tangent when w < omega_eps.
     """
-    r0 = np.asarray(r0, dtype=float)
-    rt = np.asarray(rt, dtype=float)
-    rel = so3.transpose(r0) @ rt
-    omega = so3.rotation_angle(rel)
-    f, df = _series(omega, t, cfg)
-    if np.any(f <= 0.0):
-        raise NumericalDomainError(
-            "nonpositive density encountered; increase series_terms or t"
-        )
-    coef = _log_coeff(omega, (df / f).reshape(np.shape(omega)), cfg.omega_eps)
-    return rt @ (so3.log_so3(rel) * coef[..., None, None])
+    return mixture_score(np.asarray(r0, dtype=float)[None], rt, t, cfg)
 
 
 @dataclass(frozen=True)
@@ -199,11 +227,6 @@ class IGSO3Table:
 
     def interp_df(self, omega):
         return np.interp(omega, self.omega_grid, self.df_vals)
-
-    def score_coeff(self, omega):
-        """(df/dw)/f interpolated from the table; 0 where f vanishes."""
-        f = self.interp_f(omega)
-        return np.where(f > 0.0, self.interp_df(omega) / np.where(f > 0, f, 1.0), 0.0)
 
     def sample_angles(self, rng: np.random.Generator, shape=()):
         return np.interp(rng.random(shape), self.cdf_vals, self.omega_grid)
@@ -292,12 +315,7 @@ def score_from_table(
 
     Uses the same w < ``cfg.omega_eps`` zero gate as the series path.
     """
-    r0 = np.asarray(r0, dtype=float)
-    rt = np.asarray(rt, dtype=float)
-    rel = so3.transpose(r0) @ rt
-    omega = so3.rotation_angle(rel)
-    coef = _log_coeff(omega, table.score_coeff(omega), cfg.omega_eps)
-    return rt @ (so3.log_so3(rel) * coef[..., None, None])
+    return mixture_score(np.asarray(r0, dtype=float)[None], rt, table.t, cfg, table)
 
 
 def riemannian_gradient_fd(

@@ -116,12 +116,6 @@ def sample_tangent_gaussian(r0: np.ndarray, rng: np.random.Generator) -> np.ndar
     return r0 @ hat(rng.standard_normal(r0.shape[:-2] + (3,)))
 
 
-def uniform_angle_cdf(omega: np.ndarray) -> np.ndarray:
-    """CDF of the Haar rotation-angle density (1 - cos w)/pi on [0, pi]."""
-    omega = np.asarray(omega, dtype=float)
-    return (omega - np.sin(omega)) / np.pi
-
-
 def sample_uniform_so3(
     rng: np.random.Generator, n: int | None = None, grid_size: int = 1000
 ) -> np.ndarray:

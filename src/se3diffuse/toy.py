@@ -45,20 +45,17 @@ def random_target(k: int = 3, seed: int = 0) -> DiscreteTarget:
 
 @dataclass(frozen=True)
 class ToyRunConfig:
-    """Path count, final time, grid size, and finite-difference step."""
+    """Path count, final time and grid size."""
 
     n_paths: int = 5000
     final_time: float = 4.0
     n_steps: int = 200
-    fd_step: float = 1e-4
 
     def __post_init__(self):
         if self.n_paths < 1 or self.n_steps < 2:
             raise ValueError("need n_paths >= 1 and n_steps >= 2")
         if not 0.0 < self.final_time < np.inf:
             raise ValueError("final_time must be positive and finite")
-        if not 0.0 < self.fd_step < 1e-2:
-            raise ValueError("fd_step must be in (0, 1e-2)")
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.final_time, self.n_steps)
@@ -70,6 +67,11 @@ def sample_p0(
     """Draw atoms according to their weights."""
     idx = rng.choice(len(target.weights), size=n, p=target.weights)
     return target.atoms[idx]
+
+
+def _centers(target: DiscreteTarget, rt) -> np.ndarray:
+    """Atoms as (K, 1, ..., 3, 3) so that each one broadcasts over ``rt``."""
+    return target.atoms.reshape((-1,) + (1,) * (np.ndim(rt) - 2) + (3, 3))
 
 
 def p_t_density(
@@ -84,17 +86,7 @@ def p_t_density(
     A precomputed ``table`` for time ``t`` switches per-atom evaluation
     from the direct series to grid interpolation.
     """
-    if table is None:
-        dens = [
-            w * np.asarray(igso3.igso3_density(atom, rt, t, cfg))
-            for atom, w in zip(target.atoms, target.weights)
-        ]
-    else:
-        rel = so3.transpose(target.atoms) @ np.asarray(rt, float)[..., None, :, :]
-        omega = so3.rotation_angle(rel)
-        dens = [w * table.interp_f(omega[..., k]) for k, w in enumerate(target.weights)]
-    total = np.sum(dens, axis=0)
-    return total if np.ndim(rt) > 2 else float(total)
+    return igso3.mixture_density(_centers(target, rt), rt, t, cfg, table, target.weights)
 
 
 def score_t(
@@ -104,37 +96,12 @@ def score_t(
     cfg: igso3.TruncationConfig = igso3.DEFAULT_CONFIG,
     table: igso3.IGSO3Table | None = None,
 ) -> np.ndarray:
-    """Stein score of the noised mixture at ``rt``.
+    """Stein score of the noised mixture at ``rt``: :func:`igso3.mixture_score` over the atoms.
 
-    Posterior-weighted sum of per-atom conditional scores; passing a
-    precomputed ``table`` for time ``t`` switches evaluation to the fast
-    interpolated path used by the simulators.
+    Passing a precomputed ``table`` for time ``t`` switches evaluation to
+    the fast interpolated path used by the simulators.
     """
-    rt = np.asarray(rt, dtype=float)
-    single = rt.ndim == 2
-    rts = rt[None] if single else rt
-    rel = so3.transpose(target.atoms)[:, None] @ rts[None]  # (K, n, 3, 3)
-    omega = so3.rotation_angle(rel)
-    if table is None:
-        f = np.stack([np.atleast_1d(igso3.f_igso3(om, t, cfg)) for om in omega])
-        df = np.stack(
-            [np.atleast_1d(igso3.df_igso3_domega(om, t, cfg)) for om in omega]
-        )
-    else:
-        f = table.interp_f(omega)
-        df = table.interp_df(omega)
-    weighted = target.weights[:, None] * f
-    total = weighted.sum(axis=0)
-    if np.any(total <= 0.0):
-        raise igso3.NumericalDomainError(
-            "mixture density vanished; series under-truncated or t too small"
-        )
-    posterior = weighted / total
-    # Per-atom score: rt log(atom^T rt) times (df/dw)/f over w.
-    coef = igso3._log_coeff(omega, df / np.where(f > 0, f, 1.0), cfg.omega_eps)
-    local = (so3.log_so3(rel) * (posterior * coef)[..., None, None]).sum(axis=0)
-    out = rts @ local
-    return out[0] if single else out
+    return igso3.mixture_score(_centers(target, rt), rt, t, cfg, table, target.weights)
 
 
 def _walk(

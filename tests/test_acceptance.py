@@ -174,7 +174,7 @@ def test_c09_dsm_trivial_prediction():
         angles = table.sample_angles(rng, 100_000)
         # Trivial denoiser predicts the noisy rotation itself: its score
         # prediction is zero, so the weighted loss is lambda E|score|^2.
-        loss = lam * np.mean(table.score_coeff(angles) ** 2)
+        loss = lam * np.mean((table.interp_df(angles) / table.interp_f(angles)) ** 2)
         ok = ok and abs(loss - 1.0) < 0.03
         details.append(f"t={t}: {loss:.4f}")
     report(9, "dsm-trivial-prediction", ok, ", ".join(details))

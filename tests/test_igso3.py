@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from se3diffuse import igso3, so3
+from se3diffuse import igso3, schedules, so3
 
 CFG = igso3.DEFAULT_CONFIG
 
@@ -201,6 +201,29 @@ class TestConditionalScore:
         local = rt.T @ s
         assert np.abs(local + local.T).max() < 1e-12
 
+    def test_shared_center_equals_broadcast_center(self, rng):
+        # A (3, 3) center is one center for every rotation of the batch,
+        # not a batch of centers to sum over.
+        rt = so3.sample_uniform_so3(rng, 50)
+        shared = igso3.conditional_score(np.eye(3), rt, 0.5)
+        stacked = igso3.conditional_score(np.broadcast_to(np.eye(3), (50, 3, 3)), rt, 0.5)
+        assert np.array_equal(shared, stacked)
+
+
+class TestVanishingDensity:
+    """At the rotation variance of eps = 0.01, w = 2 is past where f is positive."""
+
+    T = float(schedules.rot_variance(0.01, schedules.RotationSchedule()))
+    RT = so3.exp_so3(so3.hat(np.array([2.0, 0.0, 0.0])))
+
+    def test_table_score_raises(self):
+        with pytest.raises(igso3.NumericalDomainError):
+            igso3.score_from_table(np.eye(3), self.RT, igso3.build_table(self.T))
+
+    def test_series_score_raises(self):
+        with pytest.raises(igso3.NumericalDomainError):
+            igso3.conditional_score(np.eye(3), self.RT, self.T)
+
 
 class TestScoreFromTable:
     @pytest.mark.parametrize("t", [0.5, 1.0])
@@ -332,7 +355,7 @@ class TestExpectedScoreNormSq:
         quad = igso3.expected_score_norm_sq(t)
         table = igso3.build_table(t)
         angles = table.sample_angles(rng, 100_000)
-        mc = np.mean(table.score_coeff(angles) ** 2)
+        mc = np.mean((table.interp_df(angles) / table.interp_f(angles)) ** 2)
         assert abs(mc - quad) / quad < 0.02
 
     def test_vanishes_in_flat_limit(self):

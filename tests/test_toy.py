@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from se3diffuse import igso3, so3, toy
+from se3diffuse import igso3, schedules, so3, toy
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,6 @@ class TestMixtureScore:
         assert np.abs(mix - cond).max() <= 1e-12 * max(1.0, np.abs(cond).max())
 
     def test_matches_fd_gradient(self, rng, target):
-        cfg = toy.ToyRunConfig()
         checked = 0
         for t in (0.3, 0.8, 1.5):
             table = igso3.build_table(t)
@@ -96,7 +95,7 @@ class TestMixtureScore:
                 rt = igso3.sample_igso3(atom, table, rng)
                 analytic = toy.score_t(target, rt, t)
                 fd = igso3.riemannian_gradient_fd(
-                    lambda r: np.log(toy.p_t_density(target, r, t)), rt, h=cfg.fd_step
+                    lambda r: np.log(toy.p_t_density(target, r, t)), rt, h=1e-4
                 )
                 denom = max(np.linalg.norm(so3.vee(rt.T @ fd)), 1.0)
                 assert np.abs(analytic - fd).max() / denom < 1e-4
@@ -131,6 +130,22 @@ class TestMixtureScore:
         fast = toy.score_t(target, rts, 0.8, table=table)
         scale = max(1.0, np.abs(direct).max())
         assert np.abs(direct - fast).max() / scale < 1e-3
+
+    def test_single_rotation_equals_row_of_batch(self, rng, target):
+        rts = so3.sample_uniform_so3(rng, 20)
+        for table in (None, igso3.build_table(0.6)):
+            batched = toy.score_t(target, rts, 0.6, table=table)
+            single = toy.score_t(target, rts[0], 0.6, table=table)
+            assert np.abs(single - batched[0]).max() <= 1e-12 * max(1.0, np.abs(single).max())
+
+    @pytest.mark.parametrize("tabled", [False, True])
+    def test_single_atom_raises_where_density_vanishes(self, tabled):
+        t = float(schedules.rot_variance(0.01, schedules.RotationSchedule()))
+        rt = so3.exp_so3(so3.hat(np.array([2.0, 0.0, 0.0])))
+        single = toy.DiscreteTarget(np.eye(3)[None], np.array([1.0]))
+        table = igso3.build_table(t) if tabled else None
+        with pytest.raises(igso3.NumericalDomainError):
+            toy.score_t(single, rt, t, table=table)
 
     def test_conjugation_covariance(self, rng, target):
         g = so3.sample_uniform_so3(rng)
