@@ -15,6 +15,8 @@ import numpy as np
 # the roundoff floor without hitting 0/0).
 _EXP_SMALL = 1e-8
 _LOG_SMALL = 1e-6
+# Above this angle the log reads the axis from the symmetric part.
+_LOG_WIDE = 3.0
 _SKEW_TOL = 1e-8
 
 
@@ -48,51 +50,87 @@ def transpose(r: np.ndarray) -> np.ndarray:
 def exp_so3(a: np.ndarray) -> np.ndarray:
     """Rodrigues exponential of skew matrices (..., 3, 3).
 
-    For angles below 1e-8 falls back to the second-order expansion
-    ``I + a + a^2/2``.
+    Fills the nine entries of ``cos(w) I + (sin(w)/w) a + c(w) v v^T``
+    elementwise, with ``v = vee(a)``, ``w = |v|`` and
+    ``c = (1 - cos w) / w^2``, both coefficients written through
+    ``sin(w/2) / (w/2)`` so nothing cancels. For angles below 1e-8 they
+    take their limits 1 and 1/2 (the expansion ``I + a + a^2/2``).
     """
     a = np.asarray(a, dtype=float)
-    v = np.stack([a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]], axis=-1)
-    theta = np.linalg.norm(v, axis=-1)[..., None, None]
-    safe = np.where(theta > _EXP_SMALL, theta, 1.0)
-    k = a / safe
-    eye = np.broadcast_to(np.eye(3), a.shape)
-    rodrigues = eye + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
-    taylor = eye + a + 0.5 * (a @ a)
-    return np.where(theta > _EXP_SMALL, rodrigues, taylor)
+    x, y, z = a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]
+    half = 0.5 * np.sqrt(x * x + y * y + z * z)
+    big = half > 0.5 * _EXP_SMALL
+    sin_half = np.sin(half)
+    ratio = np.where(big, sin_half / np.where(big, half, 1.0), 1.0)
+    s = ratio * np.cos(half)
+    c = 0.5 * ratio * ratio
+    cos = 1.0 - 2.0 * sin_half * sin_half
+    cx, cy = c * x, c * y
+    cxy, cxz, cyz = cx * y, cx * z, cy * z
+    sx, sy, sz = s * x, s * y, s * z
+    out = np.empty(a.shape)
+    out[..., 0, 0] = cos + cx * x
+    out[..., 1, 1] = cos + cy * y
+    out[..., 2, 2] = cos + c * z * z
+    out[..., 0, 1] = cxy - sz
+    out[..., 1, 0] = cxy + sz
+    out[..., 0, 2] = cxz + sy
+    out[..., 2, 0] = cxz - sy
+    out[..., 1, 2] = cyz - sx
+    out[..., 2, 1] = cyz + sx
+    return out
 
 
 def log_so3(r: np.ndarray) -> np.ndarray:
-    """Principal matrix logarithm, angle in [0, pi], as a skew matrix.
-
-    Goes through the quaternion representation so the axis stays stable
-    as the angle approaches pi.
-    """
+    """Principal matrix logarithm, angle in [0, pi], as a skew matrix."""
     return hat(log_rotvec(r))
 
 
+def _skew_trace(r: np.ndarray):
+    """Components of ``r - r^T`` (2 sin(w) u), its norm 2 sin(w), 2 cos(w) and w."""
+    x = r[..., 2, 1] - r[..., 1, 2]
+    y = r[..., 0, 2] - r[..., 2, 0]
+    z = r[..., 1, 0] - r[..., 0, 1]
+    sin2 = np.sqrt(x * x + y * y + z * z)
+    cos2 = r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2] - 1.0
+    return (x, y, z), sin2, cos2, np.arctan2(sin2, cos2)
+
+
 def log_rotvec(r: np.ndarray) -> np.ndarray:
-    """Rotation vector (angle times unit axis) of rotations (..., 3, 3)."""
-    q = quat_from_rotation(r)
-    a = q[..., 0]
-    im = q[..., 1:]
-    n = np.linalg.norm(im, axis=-1)
-    angle = 2.0 * np.arctan2(n, a)
-    # angle/n with the n -> 0 limit 2/a (plus the next Taylor term).
-    safe_n = np.where(n > _LOG_SMALL, n, 1.0)
-    scale = np.where(
-        n > _LOG_SMALL,
-        angle / safe_n,
-        2.0 / np.where(a > 0.5, a, 1.0) * (1.0 + n * n / 6.0),
-    )
-    return im * scale[..., None]
+    """Rotation vector (angle times unit axis) of rotations (..., 3, 3).
+
+    The angle is ``w = atan2(|skew part|, (tr - 1) / 2)`` and the vector
+    the skew part ``sin(w) u`` scaled by ``w / sin(w)``. Above w = 3 the
+    skew part is too short to carry the axis, so those rows read it from
+    the column of the largest diagonal entry of ``(1 - cos w) u u^T``, the
+    symmetric part minus ``cos(w) I``, and take its sign from the skew part.
+    """
+    r = np.asarray(r, dtype=float)
+    skew, sin2, cos2, theta = _skew_trace(r)
+    small = sin2 <= 2.0 * _LOG_SMALL
+    # w / (2 sin w), with the limit 1/2 + w^2/12 as w -> 0.
+    scale = np.where(small, 0.5 + sin2 * sin2 / 48.0, theta / np.where(small, 1.0, sin2))
+    out = np.stack(skew, axis=-1) * scale[..., None]
+    wide = theta > _LOG_WIDE
+    if np.any(wide):
+        rw = r[wide]
+        rows = np.arange(len(rw))
+        k = np.argmax(np.einsum("...ii->...i", rw), axis=-1)
+        col = rw[rows, :, k] + rw[rows, k, :]  # 2 (1 - cos w) u_k u + 2 cos(w) e_k
+        col[rows, k] -= cos2[wide]
+        sign = np.where(np.einsum("...i,...i->...", col, out[wide]) < 0.0, -1.0, 1.0)
+        norm = np.sqrt(np.einsum("...i,...i->...", col, col))
+        out[wide] = col * (sign * theta[wide] / norm)[:, None]
+    return out
 
 
 def rotation_angle(r: np.ndarray) -> np.ndarray:
-    """Rotation angle in [0, pi] via the trace formula."""
-    r = np.asarray(r, dtype=float)
-    tr = r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2]
-    return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+    """Rotation angle in [0, pi]: ``atan2(|skew part|, (tr - 1) / 2)``.
+
+    Accurate to roundoff at every angle; ``arccos`` of the trace errs by
+    up to about 5e-8 near 0 and pi, the square root of the trace's roundoff.
+    """
+    return _skew_trace(np.asarray(r, dtype=float))[3]
 
 
 def expmap(r0: np.ndarray, tangent: np.ndarray, tol: float = _SKEW_TOL) -> np.ndarray:

@@ -261,6 +261,39 @@ class TestScoreFromTable:
             assert np.abs(tabled - series).max() <= 1e-4 * np.abs(series).max()
 
 
+TABLE_TIMES = [CFG.t_min, 0.2, 0.5, 1.0, 4.0, 50.0]
+
+
+def per_column_tables(ts, cfg=CFG):
+    """Tables built the straightforward way: one matrix product, then a loop per time.
+
+    The weights are not flushed of subnormals; flushing must not change a bit.
+    """
+    grid = np.linspace(0.0, np.pi, cfg.angle_grid)
+    n_terms = igso3._term_count(cfg)
+    f_basis, df_basis = igso3._series_basis(grid, n_terms, cfg.omega_eps)
+    ls = np.arange(n_terms)[:, None]
+    weights = (2 * ls + 1) * np.exp(-(ls * (ls + 1)) * np.asarray(ts)[None, :] / 2.0)
+    f_all, df_all = f_basis @ weights, df_basis @ weights
+    tables = []
+    for j, t in enumerate(ts):
+        clamped = np.clip(f_all[:, j], 0.0, None)
+        pdf = clamped * (1.0 - np.cos(grid)) / np.pi
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
+        tables.append((t, clamped, df_all[:, j], cdf / cdf[-1], cdf[-1]))
+    return tables
+
+
+def assert_tables_equal(tables, expected):
+    assert len(tables) == len(expected)
+    for table, (t, f, df, cdf, raw_mass) in zip(tables, expected):
+        assert table.t == t
+        assert np.array_equal(table.f_vals, f)
+        assert np.array_equal(table.df_vals, df)
+        assert np.array_equal(table.cdf_vals, cdf)
+        assert table.raw_mass == raw_mass
+
+
 class TestTable:
     def test_raw_mass_is_one(self):
         table = igso3.build_table(0.5)
@@ -292,6 +325,30 @@ class TestTable:
     def test_rejects_below_t_min(self):
         with pytest.raises(igso3.NumericalDomainError):
             igso3.build_table(0.005)
+
+    def test_single_and_batched_builds_are_bit_identical_to_loop(self):
+        for t in TABLE_TIMES:
+            assert_tables_equal([igso3.build_table(t)], per_column_tables([t]))
+        assert_tables_equal(igso3.build_tables(TABLE_TIMES), per_column_tables(TABLE_TIMES))
+
+    def test_series_weights_have_no_subnormals(self):
+        ts = np.geomspace(CFG.t_min, 1e4, 200)
+        weights = igso3._series_weights(ts, CFG.series_terms)
+        tiny = np.finfo(float).tiny
+        assert np.all((weights == 0.0) | (weights >= tiny))
+        # Without the flush some of these would be subnormal.
+        ls = np.arange(CFG.series_terms)[:, None]
+        raw = (2 * ls + 1) * np.exp(-ls * (ls + 1) * ts[None, :] / 2.0)
+        assert np.any((raw > 0.0) & (raw < tiny))
+
+    def test_negative_mass_guard_names_first_bad_time(self):
+        # Four terms leave negative lobes at small t; t = 1 is healthy.
+        cfg = igso3.TruncationConfig(series_terms=4)
+        igso3.build_table(1.0, cfg)
+        with pytest.raises(igso3.NumericalDomainError, match="negative mass.*t=0.05"):
+            igso3.build_table(0.05, cfg)
+        with pytest.raises(igso3.NumericalDomainError, match="negative mass.*t=0.3"):
+            igso3.build_tables([1.0, 0.3, 0.05], cfg)
 
     def test_batch_builder_matches_single(self):
         single = igso3.build_table(0.8)

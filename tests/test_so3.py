@@ -87,6 +87,74 @@ class TestExpLog:
         assert so3.is_rotation(so3.exp_so3(so3.hat(v)), tol=1e-12)
 
 
+def rodrigues_oracle(v):
+    """Rodrigues by matrix products: I + sin(w) K + (1 - cos w) K @ K, K = hat(v) / w."""
+    theta = np.linalg.norm(v, axis=-1)[..., None, None]
+    k = so3.hat(v) / theta
+    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+
+
+# Rotation-vector norms on both sides of the log's switch to the symmetric
+# part at w = 3, down to 1e-12 and up to 1e-12 short of a half turn.
+kernel_norms = st.one_of(
+    st.floats(1e-12, 1e-4),
+    st.floats(1e-4, 3.0),
+    st.floats(3.0, np.pi - 1e-12),
+    st.floats(np.pi - 1e-6, np.pi - 1e-12),
+)
+
+
+class TestClosedFormKernels:
+    @given(unit_vectors, kernel_norms)
+    @settings(max_examples=300, deadline=None)
+    def test_log_and_angle_invert_exp(self, direction, norm):
+        v = np.asarray(direction) / np.linalg.norm(direction) * norm
+        r = so3.exp_so3(so3.hat(v))
+        assert np.abs(so3.log_rotvec(r) - v).max() <= 4e-15
+        assert abs(so3.rotation_angle(r) - np.linalg.norm(v)) <= 4e-15
+
+    def test_log_and_angle_invert_exp_batch(self, rng):
+        n = 20_000
+        axes = rng.standard_normal((n, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        norms = np.concatenate([
+            10.0 ** rng.uniform(-12.0, 0.0, n // 4),
+            rng.uniform(2.9, 3.1, n // 4),
+            np.pi - 10.0 ** rng.uniform(-12.0, 0.0, n // 4),
+            rng.uniform(1e-12, np.pi - 1e-12, n // 4),
+        ])
+        v = axes * norms[:, None]
+        r = so3.exp_so3(so3.hat(v))
+        assert np.abs(so3.log_rotvec(r) - v).max() <= 4e-15
+        assert np.abs(so3.rotation_angle(r) - np.linalg.norm(v, axis=-1)).max() <= 4e-15
+
+    def test_small_angle_is_accurate(self, rng):
+        # arccos of the trace gives 0 or 1.5e-8 here.
+        axis = rng.standard_normal(3)
+        r = so3.exp_so3(so3.hat(1e-8 * axis / np.linalg.norm(axis)))
+        assert abs(so3.rotation_angle(r) - 1e-8) <= 1e-15
+
+    def test_exp_matches_matrix_product_rodrigues(self, rng):
+        axes = rng.standard_normal((5000, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        norms = np.concatenate([
+            10.0 ** rng.uniform(-7.0, 0.0, 2500), rng.uniform(0.0, np.pi, 2500)
+        ])
+        v = axes * norms[:, None]
+        assert np.abs(so3.exp_so3(so3.hat(v)) - rodrigues_oracle(v)).max() <= 4e-15
+
+    def test_exp_below_taylor_switch_matches_oracle(self):
+        v = np.array([3e-9, -4e-9, 1e-9])
+        assert np.abs(so3.exp_so3(so3.hat(v)) - rodrigues_oracle(v)).max() <= 1e-16
+
+    def test_log_exact_half_turns(self):
+        for axis in np.eye(3):
+            r = so3.exp_so3(so3.hat(np.pi * axis))
+            back = so3.log_rotvec(r)
+            assert np.abs(np.abs(back) - np.pi * axis).max() <= 4e-15
+            assert np.abs(so3.exp_so3(so3.hat(back)) - r).max() <= 1e-15
+
+
 class TestRotationAngle:
     def test_identity(self):
         assert so3.rotation_angle(np.eye(3)) == 0.0
