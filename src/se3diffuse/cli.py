@@ -13,12 +13,14 @@ codes: 0 success, 1 usage error, 2 numerical-domain error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import threading
 import time
 import warnings
+from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -380,16 +382,31 @@ def _extended_chain(n_residues: int) -> process.FrameSet:
     return process.center(process.FrameSet(rotations, translations))
 
 
-def _write_trajectory(path: str, traj: list[tuple[float, process.FrameSet]]) -> None:
-    """One CSV row per recorded (time, residue): quaternion, then translation."""
-    quats = so3.quat_from_rotation(np.stack([state.rotations for _, state in traj]))
-    translations = np.stack([state.translations for _, state in traj])
-    residues = [f",0,{i}" for i in range(translations.shape[1])]
-    with open(path, "w") as fh:
-        fh.write("t,chain_id,residue_index,a,b,c,d,x,y,z\n")
-        for (t, _), q, x in zip(traj, quats, translations):
-            lead = [_fmt(t) + residue for residue in residues]
-            fh.write(_csv_rows(np.column_stack([q, x]), lead))
+_TRAJECTORY_BLOCK = 32  # states per quat_from_rotation call; one per state is slower
+
+
+def _write_trajectory(path: str, traj) -> process.FrameSet:
+    """One CSV row per (time, residue): quaternion, then translation.
+
+    Consumes the (t, state) pairs of ``traj`` a block at a time and returns
+    the last state. A walk that raises leaves no file at ``path``.
+    """
+    traj, part = iter(traj), path + ".part"
+    try:
+        with open(part, "w") as fh:
+            fh.write("t,chain_id,residue_index,a,b,c,d,x,y,z\n")
+            while block := list(itertools.islice(traj, _TRAJECTORY_BLOCK)):
+                times, states = zip(*block)
+                quats = so3.quat_from_rotation(np.stack([s.rotations for s in states]))
+                x = np.stack([s.translations for s in states])
+                residues = [f",0,{i}" for i in range(x.shape[1])]
+                lead = [t + residue for t in map(_fmt, times) for residue in residues]
+                fh.write(_csv_rows(np.concatenate([quats, x], -1).reshape(-1, 7), lead))
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):  # the walk or a write failed
+            os.remove(part)
+    return states[-1]
 
 
 def cmd_sample_backbones(args: argparse.Namespace) -> RunManifest:
@@ -417,21 +434,13 @@ def cmd_sample_backbones(args: argparse.Namespace) -> RunManifest:
     else:
         score = process.zero_score
     rng = np.random.default_rng(seed)
-    traj = process.reverse_walk(
-        init, score, trans_sched, rot_sched, sim, rng, record=trajectory
-    )
-
-    outputs = []
-    final = traj[-1][1]
-    pdb_path = out + ".pdb"
-    backbone.write_pdb(pdb_path, backbone.frameset_to_atoms(final))
-    outputs.append(pdb_path)
-
+    walk = process.iter_reverse_walk(init, score, trans_sched, rot_sched, sim, rng)
+    outputs = [out + ".pdb"] + ([out + "_trajectory.csv"] if trajectory else [])
     if trajectory:
-        traj_path = out + "_trajectory.csv"
-        _write_trajectory(traj_path, traj)
-        outputs.append(traj_path)
-
+        final = _write_trajectory(outputs[1], walk)
+    else:
+        final = deque(walk, maxlen=1)[0][1]
+    backbone.write_pdb(outputs[0], backbone.frameset_to_atoms(final))
     return RunManifest(command="sample-backbones", config=cfg, seed=seed,
                        outputs=outputs)
 

@@ -299,7 +299,7 @@ def build_tables(ts, cfg: TruncationConfig = DEFAULT_CONFIG) -> list[IGSO3Table]
 
 @lru_cache(maxsize=512)
 def cached_table(t: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> IGSO3Table:
-    """Memoized :func:`build_table` keyed by (t, cfg)."""
+    """Memoized :func:`build_table` keyed by (t, cfg), for callers revisiting a time."""
     return build_table(t, cfg)
 
 

@@ -10,8 +10,9 @@ every step and an optional noise scale zeta on the diffusion term.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -130,23 +131,18 @@ def reference_sample(n: int, rng: np.random.Generator) -> FrameSet:
     return center(FrameSet(rotations, translations))
 
 
-def reverse_walk(
-    init: FrameSet,
-    score: ScoreField,
-    trans_sched: schedules.TranslationSchedule,
-    rot_sched: schedules.RotationSchedule,
-    cfg: SimConfig,
-    rng: np.random.Generator,
-    record: bool = True,
-) -> list[tuple[float, FrameSet]]:
+def iter_reverse_walk(
+    init: FrameSet, score: ScoreField, trans_sched: schedules.TranslationSchedule,
+    rot_sched: schedules.RotationSchedule, cfg: SimConfig, rng: np.random.Generator,
+) -> Iterator[tuple[float, FrameSet]]:
     """Euler-Maruyama geodesic random walk down the reverse-time grid.
 
     The grid is uniform from t = 1 to t = eps with ``n_steps`` points. Each
     step applies the product exponential to drift*dt plus
     zeta * [g_r Z_r, g_x Z_x] * sqrt(dt) with tangent-space standard
     normals; the frame set is re-centered after every step and rotations
-    are re-orthonormalized every 100 steps. Returns (t, state) pairs, the
-    full trajectory when ``record`` else only the initial and final states.
+    are re-orthonormalized every 100 steps. Yields a (t, state) pair per
+    grid point as the walk goes, starting with (1.0, init).
     Raises ValueError when a score's rotation part leaves the tangent space.
     """
     if not init.centered:
@@ -155,7 +151,7 @@ def reverse_walk(
     tgrid = np.linspace(1.0, cfg.eps, cfg.n_steps)
     g_r, g_x = _diffusion(tgrid, trans_sched, rot_sched)
     state = init
-    traj = [(1.0, state)]
+    yield 1.0, state
     n = len(init)
     for i in range(cfg.n_steps - 1):
         dt = tgrid[i] - tgrid[i + 1]
@@ -175,9 +171,18 @@ def reverse_walk(
             and np.isfinite(state.translations).all()
         ):
             raise FloatingPointError(f"non-finite state at step {i + 1}")
-        if record or i == cfg.n_steps - 2:
-            traj.append((float(tgrid[i + 1]), state))
-    return traj
+        yield float(tgrid[i + 1]), state
+
+
+def reverse_walk(
+    init: FrameSet, score: ScoreField, trans_sched: schedules.TranslationSchedule,
+    rot_sched: schedules.RotationSchedule, cfg: SimConfig, rng: np.random.Generator,
+    record: bool = True,
+) -> list[tuple[float, FrameSet]]:
+    """:func:`iter_reverse_walk` as a list: every (t, state) pair when ``record``,
+    else only the initial and final ones, holding no state in between."""
+    walk = iter_reverse_walk(init, score, trans_sched, rot_sched, cfg, rng)
+    return list(walk) if record else [next(walk), deque(walk, maxlen=1)[0]]
 
 
 def score_from_denoised(
@@ -197,8 +202,8 @@ def score_from_denoised(
     """
     if len(fs_t) != len(pred0):
         raise ValueError("frame counts differ")
-    var = float(schedules.rot_variance(t, rot_sched))
-    table = igso3.cached_table(var, cfg)
+    # A walk visits each time once: a cached table would never be read again.
+    table = igso3.build_table(float(schedules.rot_variance(t, rot_sched)), cfg)
     rot_scores = igso3.score_from_table(pred0.rotations, fs_t.rotations, table, cfg)
     trans_scores = schedules.trans_conditional_score(
         pred0.translations, fs_t.translations, t, trans_sched

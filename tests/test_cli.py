@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from se3diffuse import backbone, cli, process, so3, toy
+from se3diffuse import backbone, cli, process, schedules, so3, toy
 
 
 def run(args):
@@ -206,15 +206,29 @@ class TestRejectedValues:
         assert run(["schedule", "--config", str(path), "--out", str(out)]) == 0
         assert read_csv(out)[-1, 1] == 15.0
 
-    def test_non_finite_walk_is_domain_error(self, tmp_path, capsys, monkeypatch):
-        def diverge(*args, **kwargs):
-            raise FloatingPointError("non-finite state at step 3")
+    @pytest.mark.parametrize("trajectory", [[], ["--trajectory"]],
+                             ids=["pdb-only", "trajectory"])
+    def test_non_finite_walk_is_domain_error(self, tmp_path, capsys, monkeypatch,
+                                             trajectory):
+        # The walk diverges after the trajectory writer's first block.
+        fail_at = cli._TRAJECTORY_BLOCK + 5
+        target_score = process.fixed_target_score
 
-        monkeypatch.setattr(process, "reverse_walk", diverge)
-        assert run(["sample-backbones", "--n-residues", "3", "--n-steps", "5",
-                    "--out", str(tmp_path / "bb")]) == 2
+        def diverging_score(*args):
+            score, calls = target_score(*args), []
+
+            def field(t, fs):
+                calls.append(t)
+                rot, trans = score(t, fs)
+                return rot, trans * (np.nan if len(calls) >= fail_at else 1.0)
+            return field
+
+        monkeypatch.setattr(process, "fixed_target_score", diverging_score)
+        assert run(["sample-backbones", "--n-residues", "3", "--n-steps",
+                    str(2 * fail_at), "--out", str(tmp_path / "bb"), *trajectory]) == 2
         err = capsys.readouterr().err
-        assert err == "numerical-domain error: non-finite state at step 3\n"
+        assert err == f"numerical-domain error: non-finite state at step {fail_at}\n"
+        assert list(tmp_path.iterdir()) == []  # no partial trajectory, no PDB
 
 
 _INT = ("-1", "0")
@@ -341,6 +355,30 @@ class TestSampleBackbones:
         for got, row in zip(frames.rotations, final):
             expected = so3.rotation_from_quat(row[3:7])
             assert np.abs(got - expected).max() < 1e-3
+
+    @pytest.mark.parametrize("n_steps", [
+        2,
+        cli._TRAJECTORY_BLOCK - 1,
+        cli._TRAJECTORY_BLOCK,
+        cli._TRAJECTORY_BLOCK + 1,
+        2 * cli._TRAJECTORY_BLOCK + 3,
+    ])
+    def test_streamed_trajectory_matches_recorded_walk(self, tmp_path, n_steps):
+        n, seed, zeta = 3, 5, 0.3
+        assert run(["sample-backbones", "--n-residues", str(n), "--n-steps",
+                    str(n_steps), "--zeta", str(zeta), "--seed", str(seed),
+                    "--init-seed", str(seed), "--out", str(tmp_path / "bb"),
+                    "--trajectory"]) == 0
+        ts, rs = schedules.TranslationSchedule(), schedules.RotationSchedule()
+        init = process.reference_sample(n, np.random.default_rng(seed))
+        score = process.fixed_target_score(cli._extended_chain(n), ts, rs)
+        sim = process.SimConfig(n_steps=n_steps, noise_scale=zeta)
+        traj = process.reverse_walk(init, score, ts, rs, sim, np.random.default_rng(seed))
+        _per_value_trajectory(str(tmp_path / "oracle.csv"), traj)
+        streamed = (tmp_path / "bb_trajectory.csv").read_bytes()
+        assert streamed == (tmp_path / "oracle.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bb.manifest.json", "bb.pdb", "bb_trajectory.csv", "oracle.csv"]
 
     def test_prior_only_runs(self, tmp_path):
         out = tmp_path / "prior"
@@ -477,11 +515,12 @@ class TestArtifactWriters:
             translations = rng.standard_normal((5, 3))
             translations[0] = [-0.0, 5e-324, -1e-310]
             traj.append((t, process.FrameSet(_edge_rotations(rng, 5), translations)))
-        cli._write_trajectory(str(tmp_path / "new.csv"), traj)
+        last = cli._write_trajectory(str(tmp_path / "new.csv"), iter(traj))
         _per_value_trajectory(str(tmp_path / "old.csv"), traj)
         new = (tmp_path / "new.csv").read_bytes()
         assert new == (tmp_path / "old.csv").read_bytes()
         assert b",-0.0," in new and b"e-311" in new and b"5e-324" in new
+        assert last is traj[-1][1]
 
     def test_toy_run_dir_bytes_unchanged(self, tmp_path, rng):
         target = toy.random_target(3, seed=0)

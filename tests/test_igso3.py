@@ -387,6 +387,29 @@ class TestSampling:
         assert stats.ks_2samp(rel_a, rel_b).statistic < 0.02
 
 
+class TestTimeRangeEnds:
+    """Table scores and sampling at the smallest trusted time and a flat one."""
+
+    @pytest.mark.parametrize("t", [CFG.t_min, 50.0])
+    def test_table_score_is_finite_and_tangent(self, rng, t):
+        table = igso3.build_table(t)
+        r0 = so3.sample_uniform_so3(rng, 200)
+        rt = igso3.sample_igso3(r0, table, rng)
+        score = igso3.score_from_table(r0, rt, table)
+        assert np.isfinite(score).all()
+        coeffs = so3.transpose(rt) @ score
+        skew_error = np.abs(coeffs + so3.transpose(coeffs)).max()
+        assert skew_error <= 1e-12 * max(1.0, np.abs(coeffs).max())
+
+    @pytest.mark.parametrize("t", [CFG.t_min, 50.0])
+    def test_sampled_angles_follow_series_law(self, rng, t):
+        grid = np.linspace(0.0, np.pi, 20_000)
+        cdf = trapezoid_cdf(igso3.f_igso3(grid, t), grid)
+        base = np.broadcast_to(np.eye(3), (2000, 3, 3))
+        angles = so3.rotation_angle(igso3.sample_igso3(base, igso3.build_table(t), rng))
+        assert stats.kstest(angles, lambda w: np.interp(w, grid, cdf)).pvalue > 1e-3
+
+
 class TestRiemannianGradientFD:
     def test_angle_gradient_is_unit(self, rng):
         axis = rng.standard_normal(3)

@@ -207,6 +207,33 @@ class TestReverseWalk:
         ).statistic
         assert ks < 0.05
 
+    def test_generator_equals_recorded_walk(self, rng):
+        init = make_frameset(rng, 5)
+        score = process.fixed_target_score(make_frameset(rng, 5), TS, RS)
+        sim = process.SimConfig(n_steps=40, eps=0.01, noise_scale=0.5)
+        walks = [
+            list(process.iter_reverse_walk(init, score, TS, RS, sim,
+                                           np.random.default_rng(3))),
+            process.reverse_walk(init, score, TS, RS, sim, np.random.default_rng(3)),
+        ]
+        ends = process.reverse_walk(init, score, TS, RS, sim, np.random.default_rng(3),
+                                    record=False)
+
+        def bits(traj):
+            return [(t, s.rotations.tobytes(), s.translations.tobytes())
+                    for t, s in traj]
+
+        assert walks[0][0][1] is init and len(walks[0]) == sim.n_steps
+        assert bits(walks[0]) == bits(walks[1])
+        assert bits(ends) == bits([walks[0][0], walks[0][-1]])
+
+    def test_walk_leaves_table_cache_alone(self, rng):
+        before = igso3.cached_table.cache_info()
+        score = process.fixed_target_score(make_frameset(rng, 3), TS, RS)
+        sim = process.SimConfig(n_steps=20, eps=0.01)
+        process.reverse_walk(make_frameset(rng, 3), score, TS, RS, sim, rng)
+        assert igso3.cached_table.cache_info() == before
+
     def test_default_steps(self):
         assert process.SimConfig().n_steps == 500
 
