@@ -27,35 +27,31 @@ import numpy as np
 
 from . import backbone, igso3, process, schedules, so3, toy
 
-IGSO3_DEFAULTS = {"t": None, "terms": 2000, "grid": 1000, "n": 10000, "seed": 0,
-                  "out": None}
-SCHEDULE_DEFAULTS = {"beta_min": 0.1, "beta_max": 20.0, "sigma_min": 0.1,
-                     "sigma_max": 1.5, "kind": "logarithmic", "points": 101,
-                     "out": None}
-TOY_DEFAULTS = {"atoms": 3, "paths": 5000, "T": 4.0, "steps": 200, "seed": 0,
-                "atom_seed": 0, "out_dir": None}
-BACKBONE_DEFAULTS = {"n_residues": 32, "n_steps": 500, "eps": 0.01, "zeta": 0.1,
-                     "seed": 0, "init_seed": 0, "score": "fixed-target",
-                     "out": None, "trajectory": False}
+# Each command's options: key -> (type, default[, lowest value or choices]).
+# The flag is --key with "_" written as "-", and --config files take the
+# keys themselves. A default of None marks a required option.
+OPTIONS = {
+    "igso3": {"t": (float, None), "terms": (int, 2000), "grid": (int, 1000),
+              "n": (int, 10000, 0), "seed": (int, 0, 0), "out": (str, None)},
+    "schedule": {"beta_min": (float, 0.1), "beta_max": (float, 20.0),
+                 "sigma_min": (float, 0.1), "sigma_max": (float, 1.5),
+                 "points": (int, 101, 0),
+                 "kind": (str, "logarithmic", ("logarithmic", "linear")),
+                 "out": (str, None)},
+    "toy": {"atoms": (int, 3), "paths": (int, 5000), "T": (float, 4.0),
+            "steps": (int, 200), "seed": (int, 0, 0), "atom_seed": (int, 0, 0),
+            "out_dir": (str, None)},
+    "toy compare": {"run_a": (str, None), "run_b": (str, None), "out": (str, None)},
+    "sample-backbones": {"n_residues": (int, 32, 1), "n_steps": (int, 500),
+                         "eps": (float, 0.01), "zeta": (float, 0.1),
+                         "seed": (int, 0, 0), "init_seed": (int, 0, 0),
+                         "score": (str, "fixed-target", ("prior-only", "fixed-target")),
+                         "out": (str, None), "trajectory": (bool, False)},
+}
 
 
 class UsageError(Exception):
     pass
-
-
-def _value(cfg: dict, key: str, kind: type, low: int | None = None):
-    """``cfg[key]`` as ``kind`` (int, float, str or bool), at least ``low``.
-
-    A ``--config`` value of another JSON type is a usage error, as is a
-    count or seed below ``low``. An int is accepted where a float is.
-    """
-    value = cfg[key]
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise UsageError(f"{key} must be of type {kind.__name__}, got {value!r}")
-    if low is not None and value < low:
-        raise UsageError(f"{key} must be >= {low}, got {value}")
-    return kind(value)
 
 
 def _from_flags(build, **values):
@@ -146,9 +142,18 @@ def _write_manifest(manifest: RunManifest, path: str) -> None:
         fh.write("\n")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge precedence: builtin defaults < --config file < explicit flags."""
-    config = dict(defaults)
+def _resolve(args: argparse.Namespace, command: str):
+    """Merged and checked ``OPTIONS[command]`` values.
+
+    Merge precedence: builtin defaults < --config file < explicit flags.
+    Returns the merged values as given, for the manifest, and a namespace
+    of them converted to their declared types, for the command body. A
+    missing required value is a usage error, as is a value of another JSON
+    type (an int is accepted where a float is), one below its lowest value
+    or one outside its choices.
+    """
+    options = OPTIONS[command]
+    config = {key: spec[1] for key, spec in options.items()}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             try:
@@ -157,83 +162,69 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
                 raise UsageError(f"bad --config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError("bad --config file: not a JSON object")
-        unknown = set(loaded) - set(defaults)
+        unknown = set(loaded) - set(options)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         config.update(loaded)
-    for key in defaults:
+    for key in options:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
     missing = [k for k, v in config.items() if v is None]
     if missing:
         raise UsageError(f"missing required options: {sorted(missing)}")
-    return config
+    checked = argparse.Namespace()
+    for key, (kind, _, *bound) in options.items():
+        value = config[key]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise UsageError(f"{key} must be of type {kind.__name__}, got {value!r}")
+        if bound and isinstance(bound[0], tuple) and value not in bound[0]:
+            raise UsageError(f"{key} must be one of {list(bound[0])}, got {value!r}")
+        if bound and not isinstance(bound[0], tuple) and value < bound[0]:
+            raise UsageError(f"{key} must be >= {bound[0]}, got {value}")
+        setattr(checked, key, kind(value))
+    return config, checked
 
 
 # ---------------------------------------------------------------- igso3
 
-def _trunc_config(cfg: dict) -> igso3.TruncationConfig:
-    return _from_flags(
-        igso3.TruncationConfig,
-        series_terms=_value(cfg, "terms", int), angle_grid=_value(cfg, "grid", int),
-    )
-
-
 def cmd_igso3(args: argparse.Namespace) -> RunManifest:
-    cfg = _resolve(args, IGSO3_DEFAULTS)
-    trunc = _trunc_config(cfg)
-    t = _value(cfg, "t", float)
-    seed = _value(cfg, "seed", int, low=0)
-    out = _value(cfg, "out", str)
-    manifest = RunManifest(command=f"igso3 {args.igso3_cmd}", config=cfg, seed=seed,
-                           outputs=[out])
-
+    cfg, v = _resolve(args, "igso3")
+    trunc = _from_flags(igso3.TruncationConfig, series_terms=v.terms, angle_grid=v.grid)
     if args.igso3_cmd == "eval":
         grid = np.linspace(0.0, np.pi, trunc.angle_grid)
-        f = igso3.f_igso3(grid, t, trunc)
-        df = igso3.df_igso3_domega(grid, t, trunc)
-        with open(out, "w") as fh:
-            fh.write("omega,f,df\n")
-            fh.write(_csv_rows(np.column_stack([grid, f, df])))
-
-    elif args.igso3_cmd == "sample":
-        rng = np.random.default_rng(seed)
-        table = igso3.build_table(t, trunc)
-        base = np.broadcast_to(np.eye(3), (_value(cfg, "n", int, low=0), 3, 3))
-        quats = so3.quat_from_rotation(igso3.sample_igso3(base, table, rng))
-        with open(out, "w") as fh:
-            fh.write("a,b,c,d\n")
-            fh.write(_csv_rows(quats))
-
-    elif args.igso3_cmd == "score":
-        rng = np.random.default_rng(seed)
-        table = igso3.build_table(t, trunc)
-        base = np.broadcast_to(np.eye(3), (_value(cfg, "n", int, low=0), 3, 3))
+        header = "omega,f,df"
+        rows = np.column_stack([grid, igso3.f_igso3(grid, v.t, trunc),
+                                igso3.df_igso3_domega(grid, v.t, trunc)])
+    else:
+        rng = np.random.default_rng(v.seed)
+        table = igso3.build_table(v.t, trunc)
+        base = np.broadcast_to(np.eye(3), (v.n, 3, 3))
         samples = igso3.sample_igso3(base, table, rng)
-        scores = igso3.conditional_score(base, samples, t, trunc)
-        coeffs = so3.vee(so3.transpose(samples) @ scores)
-        omega = so3.rotation_angle(samples)
-        with open(out, "w") as fh:
-            fh.write("omega,s1,s2,s3\n")
-            fh.write(_csv_rows(np.column_stack([omega, coeffs])))
-
-    return manifest
+        if args.igso3_cmd == "sample":
+            header, rows = "a,b,c,d", so3.quat_from_rotation(samples)
+        else:
+            scores = igso3.conditional_score(base, samples, v.t, trunc)
+            coeffs = so3.vee(so3.transpose(samples) @ scores)
+            header = "omega,s1,s2,s3"
+            rows = np.column_stack([so3.rotation_angle(samples), coeffs])
+    with open(v.out, "w") as fh:
+        fh.write(header + "\n")
+        fh.write(_csv_rows(rows))
+    return RunManifest(command=f"igso3 {args.igso3_cmd}", config=cfg, seed=v.seed,
+                       outputs=[v.out])
 
 
 # ------------------------------------------------------------- schedule
 
 def cmd_schedule(args: argparse.Namespace) -> RunManifest:
-    cfg = _resolve(args, SCHEDULE_DEFAULTS)
-    ts = _from_flags(schedules.TranslationSchedule,
-                     beta_min=_value(cfg, "beta_min", float),
-                     beta_max=_value(cfg, "beta_max", float))
-    rs = _from_flags(schedules.RotationSchedule,
-                     sigma_min=_value(cfg, "sigma_min", float),
-                     sigma_max=_value(cfg, "sigma_max", float),
-                     kind=_value(cfg, "kind", str))
-    out = _value(cfg, "out", str)
-    s = np.linspace(0.0, 1.0, _value(cfg, "points", int, low=0))
+    cfg, v = _resolve(args, "schedule")
+    ts = _from_flags(schedules.TranslationSchedule, beta_min=v.beta_min,
+                     beta_max=v.beta_max)
+    rs = _from_flags(schedules.RotationSchedule, sigma_min=v.sigma_min,
+                     sigma_max=v.sigma_max, kind=v.kind)
+    s = np.linspace(0.0, 1.0, v.points)
     columns = [
         s,
         schedules.beta(s, ts),
@@ -243,10 +234,10 @@ def cmd_schedule(args: argparse.Namespace) -> RunManifest:
         schedules.rot_variance(s, rs),
         schedules.g_r(s, rs),
     ]
-    with open(out, "w") as fh:
+    with open(v.out, "w") as fh:
         fh.write("s,beta,G_x,trans_var,sigma_r,rot_var,g_r\n")
         fh.write(_csv_rows(np.column_stack(columns)))
-    return RunManifest(command="schedule", config=cfg, seed=None, outputs=[out])
+    return RunManifest(command="schedule", config=cfg, seed=None, outputs=[v.out])
 
 
 # ------------------------------------------------------------------ toy
@@ -261,12 +252,11 @@ def _toy_run_dir_write(
         f"angle_to_atom_{k}" for k in range(len(target.weights))
     )
     path_ids = [str(pid) for pid in range(states[0].shape[0])]
-    atoms_t = so3.transpose(target.atoms)[:, None]
 
     def write(idx: int) -> str:
         samples = states[idx]
         quats = so3.quat_from_rotation(samples)
-        angles = so3.rotation_angle(atoms_t @ samples[None])  # (K, n)
+        angles = toy.atom_angles(target, samples)
         path = os.path.join(out_dir, f"t_{idx:04d}.csv")
         with open(path, "w") as fh:
             fh.write(header + "\n")
@@ -276,50 +266,32 @@ def _toy_run_dir_write(
     return _fan_out(write, len(states))
 
 
-def _toy_target_and_config(cfg: dict) -> tuple[toy.DiscreteTarget, toy.ToyRunConfig]:
-    target = _from_flags(toy.random_target, k=_value(cfg, "atoms", int),
-                         seed=_value(cfg, "atom_seed", int, low=0))
-    run_cfg = _from_flags(
-        toy.ToyRunConfig,
-        n_paths=_value(cfg, "paths", int),
-        final_time=_value(cfg, "T", float),
-        n_steps=_value(cfg, "steps", int),
-    )
-    return target, run_cfg
-
-
 def cmd_toy(args: argparse.Namespace) -> RunManifest:
     if args.toy_cmd == "compare":
-        defaults = {"run_a": None, "run_b": None, "out": None}
-        cfg = _resolve(args, defaults)
-        out = _value(cfg, "out", str)
-        report = _toy_compare(_value(cfg, "run_a", str), _value(cfg, "run_b", str))
-        with open(out, "w") as fh:
+        cfg, v = _resolve(args, "toy compare")
+        report = _toy_compare(v.run_a, v.run_b)
+        with open(v.out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return RunManifest(command="toy compare", config=cfg, seed=None,
-                           outputs=[out])
+                           outputs=[v.out])
 
-    cfg = _resolve(args, TOY_DEFAULTS)
-    target, run_cfg = _toy_target_and_config(cfg)
-    seed = _value(cfg, "seed", int, low=0)
-    out_dir = _value(cfg, "out_dir", str)
-    rng = np.random.default_rng(seed)
-    if args.toy_cmd == "forward":
-        marginals = toy.run_forward(target, run_cfg, rng)
-    else:
-        marginals = toy.run_reverse(target, run_cfg, rng)
-    outputs = _toy_run_dir_write(out_dir, marginals, target)
-    manifest = RunManifest(command=f"toy {args.toy_cmd}", config=cfg,
-                           seed=seed, outputs=outputs)
-    manifest.config = dict(
+    cfg, v = _resolve(args, "toy")
+    target = _from_flags(toy.random_target, k=v.atoms, seed=v.atom_seed)
+    run_cfg = _from_flags(toy.ToyRunConfig, n_paths=v.paths, final_time=v.T,
+                          n_steps=v.steps)
+    run = toy.run_forward if args.toy_cmd == "forward" else toy.run_reverse
+    marginals = run(target, run_cfg, np.random.default_rng(v.seed))
+    outputs = _toy_run_dir_write(v.out_dir, marginals, target)
+    config = dict(
         cfg,
         grid_times=[_fmt(t) for t in sorted(marginals)],
         atom_quaternions=[
-            [_fmt(v) for v in q] for q in so3.quat_from_rotation(target.atoms)
+            [_fmt(x) for x in q] for q in so3.quat_from_rotation(target.atoms)
         ],
     )
-    return manifest
+    return RunManifest(command=f"toy {args.toy_cmd}", config=config, seed=v.seed,
+                       outputs=outputs)
 
 
 def _toy_compare(run_a: str, run_b: str) -> dict:
@@ -410,84 +382,60 @@ def _write_trajectory(path: str, traj) -> process.FrameSet:
 
 
 def cmd_sample_backbones(args: argparse.Namespace) -> RunManifest:
-    cfg = _resolve(args, BACKBONE_DEFAULTS)
-    if cfg["score"] not in ("prior-only", "fixed-target"):
-        raise UsageError("--score must be prior-only or fixed-target")
-
+    cfg, v = _resolve(args, "sample-backbones")
     trans_sched = schedules.TranslationSchedule()
     rot_sched = schedules.RotationSchedule()
-    seed = _value(cfg, "seed", int, low=0)
-    sim = _from_flags(
-        process.SimConfig,
-        n_steps=_value(cfg, "n_steps", int),
-        eps=_value(cfg, "eps", float),
-        noise_scale=_value(cfg, "zeta", float),
-        seed=seed,
-    )
-    n = _value(cfg, "n_residues", int, low=1)
-    init_seed = _value(cfg, "init_seed", int, low=0)
-    out = _value(cfg, "out", str)
-    trajectory = _value(cfg, "trajectory", bool)
-    init = process.reference_sample(n, np.random.default_rng(init_seed))
-    if cfg["score"] == "fixed-target":
-        score = process.fixed_target_score(_extended_chain(n), trans_sched, rot_sched)
+    sim = _from_flags(process.SimConfig, n_steps=v.n_steps, eps=v.eps,
+                      noise_scale=v.zeta, seed=v.seed)
+    init = process.reference_sample(v.n_residues, np.random.default_rng(v.init_seed))
+    if v.score == "fixed-target":
+        score = process.fixed_target_score(_extended_chain(v.n_residues), trans_sched,
+                                           rot_sched)
     else:
         score = process.zero_score
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(v.seed)
     walk = process.iter_reverse_walk(init, score, trans_sched, rot_sched, sim, rng)
-    outputs = [out + ".pdb"] + ([out + "_trajectory.csv"] if trajectory else [])
-    if trajectory:
+    outputs = [v.out + ".pdb"] + ([v.out + "_trajectory.csv"] if v.trajectory else [])
+    if v.trajectory:
         final = _write_trajectory(outputs[1], walk)
     else:
         final = deque(walk, maxlen=1)[0][1]
     backbone.write_pdb(outputs[0], backbone.frameset_to_atoms(final))
-    return RunManifest(command="sample-backbones", config=cfg, seed=seed,
+    return RunManifest(command="sample-backbones", config=cfg, seed=v.seed,
                        outputs=outputs)
 
 
 # ----------------------------------------------------------------- main
 
+# Subcommand -> (its function, help, actions, the OPTIONS tables of its flags).
+COMMANDS = {
+    "igso3": (cmd_igso3, "heat-kernel series utilities", ("eval", "sample", "score"),
+              ("igso3",)),
+    "schedule": (cmd_schedule, "dump schedule curves as CSV", (), ("schedule",)),
+    "toy": (cmd_toy, "discrete-target SO(3) experiment",
+            ("forward", "reverse", "compare"), ("toy", "toy compare")),
+    "sample-backbones": (cmd_sample_backbones, "reverse walk to a PDB file", (),
+                         ("sample-backbones",)),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="se3diffuse")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_igso3 = sub.add_parser("igso3", help="heat-kernel series utilities")
-    p_igso3.add_argument("igso3_cmd", choices=["eval", "sample", "score"])
-    for flag, typ in [("--t", float), ("--terms", int), ("--grid", int),
-                      ("--n", int), ("--seed", int)]:
-        p_igso3.add_argument(flag, type=typ)
-    p_igso3.add_argument("--out")
-    p_igso3.add_argument("--config")
-
-    p_sched = sub.add_parser("schedule", help="dump schedule curves as CSV")
-    for flag, typ in [("--beta-min", float), ("--beta-max", float),
-                      ("--sigma-min", float), ("--sigma-max", float),
-                      ("--points", int)]:
-        p_sched.add_argument(flag, type=typ)
-    p_sched.add_argument("--kind", choices=["logarithmic", "linear"])
-    p_sched.add_argument("--out")
-    p_sched.add_argument("--config")
-
-    p_toy = sub.add_parser("toy", help="discrete-target SO(3) experiment")
-    p_toy.add_argument("toy_cmd", choices=["forward", "reverse", "compare"])
-    for flag, typ in [("--atoms", int), ("--paths", int), ("--T", float),
-                      ("--steps", int), ("--seed", int), ("--atom-seed", int)]:
-        p_toy.add_argument(flag, type=typ)
-    p_toy.add_argument("--out-dir")
-    p_toy.add_argument("--run-a")
-    p_toy.add_argument("--run-b")
-    p_toy.add_argument("--out")
-    p_toy.add_argument("--config")
-
-    p_bb = sub.add_parser("sample-backbones", help="reverse walk to a PDB file")
-    for flag, typ in [("--n-residues", int), ("--n-steps", int), ("--eps", float),
-                      ("--zeta", float), ("--seed", int), ("--init-seed", int)]:
-        p_bb.add_argument(flag, type=typ)
-    p_bb.add_argument("--score", choices=["prior-only", "fixed-target"])
-    p_bb.add_argument("--out")
-    p_bb.add_argument("--trajectory", action="store_true", default=None)
-    p_bb.add_argument("--config")
-
+    for command, (_, help_text, actions, tables) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if actions:
+            p.add_argument(f"{command}_cmd", choices=actions)
+        for table in tables:
+            for key, (kind, _, *bound) in OPTIONS[table].items():
+                flag = "--" + key.replace("_", "-")
+                if kind is bool:
+                    p.add_argument(flag, action="store_true", default=None)
+                elif bound and isinstance(bound[0], tuple):
+                    p.add_argument(flag, choices=bound[0])
+                else:
+                    p.add_argument(flag, type=kind)
+        p.add_argument("--config")
     return parser
 
 
@@ -496,14 +444,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         start = time.monotonic()
-        if args.command == "igso3":
-            manifest = cmd_igso3(args)
-        elif args.command == "schedule":
-            manifest = cmd_schedule(args)
-        elif args.command == "toy":
-            manifest = cmd_toy(args)
-        else:
-            manifest = cmd_sample_backbones(args)
+        # An overflow or invalid operation left in a command is a domain error.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            manifest = COMMANDS[args.command][0](args)
         manifest.duration_s = time.monotonic() - start
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -80,15 +80,21 @@ def _check_time(t: float, cfg: TruncationConfig) -> float:
     return t
 
 
+# From t = 710 on, 3 exp(-t) and every later weight are below the smallest
+# normal double, so all weights but the first are zero.
+_T_FLUSHED = 710.0
+
+
 def _series_weights(ts, n_terms: int) -> np.ndarray:
     """(n_terms, len(ts)) weights (2l+1) exp(-l(l+1) t / 2), one column per time.
 
     Subnormal weights are zero: see the truncation rule in the module docstring.
+    Times are capped at :data:`_T_FLUSHED`, which leaves every weight as it
+    is and keeps l(l+1) t finite.
     """
     ls = np.arange(n_terms)
-    weights = (2 * ls + 1)[:, None] * np.exp(
-        -(ls * (ls + 1))[:, None] * np.atleast_1d(ts)[None, :] / 2.0
-    )
+    ts = np.minimum(np.atleast_1d(ts), _T_FLUSHED)
+    weights = (2 * ls + 1)[:, None] * np.exp(-(ls * (ls + 1))[:, None] * ts[None, :] / 2.0)
     weights[weights < np.finfo(float).tiny] = 0.0
     return weights
 

@@ -49,6 +49,13 @@ class RotationSchedule:
                 f"logarithmic sigma_max must be below {_LOG_FLOAT_MAX:.2f}, "
                 "where exp(sigma_max) overflows"
             )
+        if self.kind == "linear" and not np.isfinite(
+            [self.sigma_max * self.sigma_max,
+             2.0 * self.sigma_max * (self.sigma_max - self.sigma_min)]
+        ).all():
+            raise ValueError(
+                "linear sigma_max is too large: rot_variance or g_r overflows"
+            )
 
 
 @dataclass(frozen=True)

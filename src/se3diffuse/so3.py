@@ -137,11 +137,14 @@ def expmap(r0: np.ndarray, tangent: np.ndarray, tol: float = _SKEW_TOL) -> np.nd
     """Exponential map from the tangent space at ``r0``.
 
     ``tangent`` must lie in Tan_{r0}SO(3), i.e. ``r0^T tangent`` is skew.
+    The asymmetry allowed is ``tol`` times the largest entry of
+    ``r0^T tangent`` when that exceeds 1, since the product's roundoff
+    grows with its size.
     """
     r0 = np.asarray(r0, dtype=float)
     local = transpose(r0) @ np.asarray(tangent, dtype=float)
     asym = np.abs(local + transpose(local)).max()
-    if asym > tol:
+    if asym > tol and asym > tol * np.abs(local).max():  # tol * max(1, |local|)
         raise ValueError(
             f"tangent is not in the tangent space at r0 (asymmetry {asym:.3e})"
         )

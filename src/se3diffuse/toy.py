@@ -176,10 +176,15 @@ def ks_2samp_statistic(a, b) -> float:
     return h / ((n_a // g) * n_b)
 
 
+def atom_angles(target: DiscreteTarget, samples: np.ndarray) -> np.ndarray:
+    """(K, n) geodesic distances from each of the K atoms to each sample."""
+    rel = so3.transpose(target.atoms)[:, None] @ np.asarray(samples, float)[None]
+    return so3.rotation_angle(rel)
+
+
 def angle_to_nearest_atom(target: DiscreteTarget, samples: np.ndarray) -> np.ndarray:
     """Geodesic distance from each sample to its nearest atom."""
-    rel = so3.transpose(target.atoms)[:, None] @ np.asarray(samples, float)[None]
-    return so3.rotation_angle(rel).min(axis=0)
+    return atom_angles(target, samples).min(axis=0)
 
 
 @dataclass(frozen=True)
@@ -206,8 +211,7 @@ def marginal_stats(
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 3 or samples.shape[0] == 0:
         raise ValueError("samples must be a nonempty (n, 3, 3) stack")
-    rel = so3.transpose(target.atoms)[:, None] @ samples[None]
-    angles = so3.rotation_angle(rel)  # (K, n)
+    angles = atom_angles(target, samples)
     edges = np.linspace(0.0, np.pi, n_bins + 1)
     hists = np.stack(
         [np.histogram(a, bins=edges)[0] / angles.shape[1] for a in angles]

@@ -98,10 +98,10 @@ class TestScheduleCommand:
 
 class TestToyCommands:
     def test_reference_defaults(self):
-        assert cli.TOY_DEFAULTS["paths"] == 5000
-        assert cli.TOY_DEFAULTS["T"] == 4.0
-        assert cli.TOY_DEFAULTS["steps"] == 200
-        assert cli.TOY_DEFAULTS["atoms"] == 3
+        assert cli.OPTIONS["toy"]["paths"][1] == 5000
+        assert cli.OPTIONS["toy"]["T"][1] == 4.0
+        assert cli.OPTIONS["toy"]["steps"][1] == 200
+        assert cli.OPTIONS["toy"]["atoms"][1] == 3
 
     def test_forward_reverse_compare(self, tmp_path):
         fwd, rev = tmp_path / "fwd", tmp_path / "rev"
@@ -232,7 +232,7 @@ class TestRejectedValues:
 
 
 _INT = ("-1", "0")
-_FLOAT = ("-1", "0", "nan", "inf")
+_FLOAT = ("-1", "0", "nan", "inf", "1e308")
 _IGSO3_FLAGS = {"--t": _FLOAT, "--terms": _INT, "--grid": _INT, "--n": _INT,
                 "--seed": _INT}
 _TOY_FLAGS = {"--atoms": _INT, "--paths": _INT, "--T": _FLOAT, "--steps": _INT,
@@ -245,9 +245,11 @@ _FUZZ = [
      _IGSO3_FLAGS)
     for cmd in ("eval", "sample", "score")
 ] + [
-    (["schedule", "--points", "5", "--out", "OUT/s.csv"],
+    (["schedule", *kind, "--points", "5", "--out", "OUT/s.csv"],
      {"--beta-min": _FLOAT, "--beta-max": _FLOAT, "--sigma-min": _FLOAT,
-      "--sigma-max": _FLOAT, "--points": _INT}),
+      "--sigma-max": _FLOAT, "--points": _INT})
+    for kind in ([], ["--kind", "linear"])
+] + [
     (["toy", "forward", *_TOY_BASE], _TOY_FLAGS),
     (["toy", "reverse", *_TOY_BASE], _TOY_FLAGS),
     (["sample-backbones", "--n-residues", "3", "--n-steps", "3", "--out", "OUT/bb"],
@@ -333,8 +335,8 @@ class TestMalformedRun:
 
 class TestSampleBackbones:
     def test_reference_defaults(self):
-        assert cli.BACKBONE_DEFAULTS["zeta"] == 0.1
-        assert cli.BACKBONE_DEFAULTS["n_steps"] == 500
+        assert cli.OPTIONS["sample-backbones"]["zeta"][1] == 0.1
+        assert cli.OPTIONS["sample-backbones"]["n_steps"][1] == 500
 
     def test_zero_noise_is_seed_independent(self, tmp_path):
         args = ["sample-backbones", "--n-residues", "6", "--n-steps", "25",

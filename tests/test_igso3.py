@@ -341,6 +341,17 @@ class TestTable:
         raw = (2 * ls + 1) * np.exp(-ls * (ls + 1) * ts[None, :] / 2.0)
         assert np.any((raw > 0.0) & (raw < tiny))
 
+    def test_series_weights_unchanged_by_time_cap(self):
+        ts = np.array([709.0, 710.0, 1e4, 1e308])  # 1e308 would overflow l(l+1) t
+        with np.errstate(over="raise"):
+            weights = igso3._series_weights(ts, CFG.series_terms)
+        ls = np.arange(CFG.series_terms)[:, None]
+        raw = (2 * ls + 1) * np.exp(-ls * (ls + 1) * ts[None, :3] / 2.0)
+        raw[raw < np.finfo(float).tiny] = 0.0
+        assert np.array_equal(weights[:, :3], raw)
+        assert np.array_equal(weights[:, 3], weights[:, 2])
+        assert weights[1, 0] > 0.0 and not weights[1:, 1:].any()
+
     def test_negative_mass_guard_names_first_bad_time(self):
         # Four terms leave negative lobes at small t; t = 1 is healthy.
         cfg = igso3.TruncationConfig(series_terms=4)

@@ -135,6 +135,18 @@ class TestSigmaR:
             assert np.isfinite(schedules.sigma_r(s, rs)).all()
             assert np.isfinite(schedules.g_r(s, rs)).all()
 
+    def test_linear_sigma_max_below_variance_overflow(self):
+        # 1e154 squares to a finite 1e308, but g_r^2 = 2 sigma_r (sigma_max - sigma_min)
+        # reaches 2e308.
+        for sigma_max in (1e300, 1e154):
+            with pytest.raises(ValueError, match="overflows"):
+                schedules.RotationSchedule(sigma_max=sigma_max, kind="linear")
+        rs = schedules.RotationSchedule(sigma_max=1e153, kind="linear")
+        s = np.linspace(0.0, 1.0, 11)
+        with np.errstate(over="raise"):
+            assert np.isfinite(schedules.rot_variance(s, rs)).all()
+            assert np.isfinite(schedules.g_r(s, rs)).all()
+
 
 class TestGr:
     @pytest.mark.parametrize("rs", [RS_LOG, RS_LIN])

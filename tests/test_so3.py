@@ -198,6 +198,17 @@ class TestExpmap:
         with pytest.raises(ValueError):
             so3.expmap(r0, np.eye(3))
 
+    def test_large_tangent_within_scaled_tolerance(self, rng):
+        # Roundoff in r0^T tangent grows with its size: near 1e-8 at norm 1e8.
+        r0 = random_rotations(rng, 100)
+        v = rng.standard_normal((100, 3))
+        v *= 1e8 / np.linalg.norm(v, axis=-1, keepdims=True)
+        out = so3.expmap(r0, r0 @ so3.hat(v))
+        assert np.abs(so3.transpose(out) @ out - np.eye(3)).max() < 1e-12
+        assert np.abs(out - r0 @ so3.exp_so3(so3.hat(v))).max() < 1e-6
+        with pytest.raises(ValueError):
+            so3.expmap(r0, r0 @ (so3.hat(v) + 100.0 * np.eye(3)))  # symmetric part 1e-6
+
 
 class TestTangentGaussian:
     def test_lives_in_tangent_space(self, rng):
