@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import igso3, schedules, so3
+from . import igso3, process, schedules, so3
 from .process import FrameSet
 
 ATOM_NAMES = ("N", "CA", "C", "O")
@@ -166,10 +166,8 @@ def dsm_loss(
     pred_rot, pred_trans = score_pred
     if not (len(pred_rot) == len(pred_trans) == len(fs0) == len(fs_t)):
         raise ValueError("frame counts differ")
-    var = float(schedules.rot_variance(t, rot_sched))
-    lambda_r = 1.0 / igso3.expected_score_norm_sq(var, cfg)
-    table = igso3.cached_table(var, cfg)
-    true_rot = igso3.score_from_table(fs0.rotations, fs_t.rotations, table, cfg)
+    lambda_r, _ = schedules.dsm_weights(t, trans_sched, rot_sched, cfg)
+    true_rot, _ = process.score_from_denoised(fs_t, fs0, t, trans_sched, rot_sched, cfg)
     coeffs = so3.vee(so3.transpose(fs_t.rotations) @ (pred_rot - true_rot))
     loss_r = lambda_r * float((coeffs**2).sum(axis=-1).mean())
 

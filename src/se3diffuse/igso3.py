@@ -318,11 +318,7 @@ def sample_igso3(
     with linear interpolation; the axis is uniform on the sphere.
     """
     r0 = np.asarray(r0, dtype=float)
-    shape = r0.shape[:-2]
-    angles = table.sample_angles(rng, shape)
-    axes = rng.standard_normal(shape + (3,))
-    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
-    return r0 @ so3.exp_so3(so3.hat(angles[..., None] * axes))
+    return r0 @ so3.rotations_about_random_axes(table.sample_angles(rng, r0.shape[:-2]), rng)
 
 
 def score_from_table(

@@ -3,9 +3,9 @@
 A frame set carries N rigid transforms (rotation, translation-in-nm). The
 forward process noises rotations by Brownian motion on SO(3) (variance
 sigma_r(t)^2) and translations by a variance-preserving OU process, then
-re-centers. The reverse process is simulated as a geodesic random walk on
-the product metric, with the center-of-mass projection applied after
-every step and an optional noise scale zeta on the diffusion term.
+re-centers. Both run on one geodesic random walk, :func:`iter_walk`, on the
+product metric, with the center-of-mass projection applied after every
+step and a noise scale zeta on the diffusion term.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import igso3, schedules, so3
 
 @dataclass(frozen=True)
 class FrameSet:
-    """Ordered frames as stacked arrays (N, 3, 3) and (N, 3)."""
+    """Frames as arrays (N, 3, 3) and (N, 3), or (N, 0) for rotations only."""
 
     rotations: np.ndarray
     translations: np.ndarray
@@ -34,23 +34,26 @@ class FrameSet:
         )
         if self.rotations.shape[-2:] != (3, 3) or self.rotations.ndim != 3:
             raise ValueError("rotations must have shape (N, 3, 3)")
-        if self.translations.shape != (self.rotations.shape[0], 3):
-            raise ValueError("translations must have shape (N, 3)")
-        if self.centered:
-            # Rounding leaves a mean of up to about N * eps * max|x| after
-            # centering; 1e-12 is about 4500 eps.
-            x = self.translations
-            tol = 1e-12 * len(x) * max(1.0, np.abs(x).max(initial=0.0))
-            if np.abs(x.mean(axis=0)).max() > tol:
-                raise ValueError("centered frame sets must have zero mean translation")
+        n = len(self.rotations)
+        if self.translations.shape not in ((n, 3), (n, 0)):
+            raise ValueError("translations must have shape (N, 3) or (N, 0)")
+        if self.centered and _off_center(self.translations):
+            raise ValueError("centered frame sets must have zero mean translation")
 
     def __len__(self) -> int:
         return self.rotations.shape[0]
 
 
+def _off_center(x: np.ndarray) -> bool:
+    """True when the mean of ``x`` exceeds the N * eps * max|x| centering leaves."""
+    # 1e-12 is about 4500 eps.
+    tol = 1e-12 * len(x) * max(1.0, np.abs(x).max(initial=0.0))
+    return np.abs(x.mean(axis=0)).max(initial=0.0) > tol
+
+
 # A score field maps (forward time t, FrameSet) to the score as arrays:
 # rot (N, 3, 3), each in the tangent space at its frame's rotation, and
-# trans (N, 3).
+# trans shaped like the state's translations.
 ScoreField = Callable[[float, FrameSet], tuple[np.ndarray, np.ndarray]]
 
 
@@ -76,8 +79,10 @@ def center(fs: FrameSet) -> FrameSet:
     """Shift translations to zero mean; rotations untouched; idempotent."""
     if fs.centered:
         return fs
-    mean = fs.translations.mean(axis=0)
-    return FrameSet(fs.rotations, fs.translations - mean, centered=True)
+    x = fs.translations - fs.translations.mean(axis=0)
+    if _off_center(x):  # the rounded mean of a far-off set leaves ~eps * |offset|
+        x = x - x.mean(axis=0)
+    return FrameSet(fs.rotations, x, centered=True)
 
 
 def forward_sample(
@@ -131,47 +136,53 @@ def reference_sample(n: int, rng: np.random.Generator) -> FrameSet:
     return center(FrameSet(rotations, translations))
 
 
-def iter_reverse_walk(
-    init: FrameSet, score: ScoreField, trans_sched: schedules.TranslationSchedule,
-    rot_sched: schedules.RotationSchedule, cfg: SimConfig, rng: np.random.Generator,
+def iter_walk(
+    init: FrameSet, grid: np.ndarray, drift: ScoreField,
+    diffusion: tuple[np.ndarray, np.ndarray], zeta: float, rng: np.random.Generator,
 ) -> Iterator[tuple[float, FrameSet]]:
-    """Euler-Maruyama geodesic random walk down the reverse-time grid.
+    """Euler-Maruyama geodesic random walk through ``grid``, in either direction.
 
-    The grid is uniform from t = 1 to t = eps with ``n_steps`` points. Each
-    step applies the product exponential to drift*dt plus
-    zeta * [g_r Z_r, g_x Z_x] * sqrt(dt) with tangent-space standard
-    normals; the frame set is re-centered after every step and rotations
-    are re-orthonormalized every 100 steps. Yields a (t, state) pair per
-    grid point as the walk goes, starting with (1.0, init).
-    Raises ValueError when a score's rotation part leaves the tangent space.
+    Step i applies the product exponential to drift(grid[i], state) * h plus
+    zeta * [g_r Z_r, g_x Z_x] * sqrt(h), h = |grid[i+1] - grid[i]|, with
+    tangent-space standard normals and ``diffusion`` = (g_r, g_x) on the
+    grid. The frame set is re-centered after every step and rotations are
+    re-orthonormalized every 100 steps. Yields a (t, state) pair per grid
+    point as the walk goes, starting with (grid[0], init). Raises ValueError
+    when the drift's rotation part leaves the tangent space and
+    FloatingPointError when the state stops being finite.
     """
-    if not init.centered:
-        raise ValueError("reverse_walk needs a centered initial frame set")
-    zeta = cfg.noise_scale
-    tgrid = np.linspace(1.0, cfg.eps, cfg.n_steps)
-    g_r, g_x = _diffusion(tgrid, trans_sched, rot_sched)
+    g_r, g_x = diffusion
     state = init
-    yield 1.0, state
-    n = len(init)
-    for i in range(cfg.n_steps - 1):
-        dt = tgrid[i] - tgrid[i + 1]
-        drift_rot, drift_trans = reverse_drift(
-            state, float(tgrid[i]), score, trans_sched, rot_sched
-        )
-        noise_rot = g_r[i] * (state.rotations @ so3.hat(rng.standard_normal((n, 3))))
-        noise_trans = g_x[i] * rng.standard_normal((n, 3))
-        rot_tangent = drift_rot * dt + zeta * np.sqrt(dt) * noise_rot
-        trans_step = drift_trans * dt + zeta * np.sqrt(dt) * noise_trans
+    yield float(grid[0]), state
+    for i in range(len(grid) - 1):
+        h = abs(grid[i + 1] - grid[i])
+        drift_rot, drift_trans = drift(float(grid[i]), state)
+        noise_rot = g_r[i] * so3.sample_tangent_gaussian(state.rotations, rng)
+        noise_trans = g_x[i] * rng.standard_normal(state.translations.shape)
+        rot_tangent = drift_rot * h + zeta * np.sqrt(h) * noise_rot
+        trans_step = drift_trans * h + zeta * np.sqrt(h) * noise_trans
         rotations = so3.expmap(state.rotations, rot_tangent)
         if (i + 1) % 100 == 0:
             rotations = so3.renormalize(rotations)
         state = center(FrameSet(rotations, state.translations + trans_step))
-        if not (
-            np.isfinite(state.rotations).all()
-            and np.isfinite(state.translations).all()
-        ):
+        if not (np.isfinite(state.rotations).all()
+                and np.isfinite(state.translations).all()):
             raise FloatingPointError(f"non-finite state at step {i + 1}")
-        yield float(tgrid[i + 1]), state
+        yield float(grid[i + 1]), state
+
+
+def iter_reverse_walk(
+    init: FrameSet, score: ScoreField, trans_sched: schedules.TranslationSchedule,
+    rot_sched: schedules.RotationSchedule, cfg: SimConfig, rng: np.random.Generator,
+) -> Iterator[tuple[float, FrameSet]]:
+    """:func:`iter_walk` stepping with :func:`reverse_drift` on ``cfg.n_steps``
+    uniform times from t = 1 down to t = eps."""
+    if not init.centered:
+        raise ValueError("reverse_walk needs a centered initial frame set")
+    grid = np.linspace(1.0, cfg.eps, cfg.n_steps)
+    yield from iter_walk(
+        init, grid, lambda t, fs: reverse_drift(fs, t, score, trans_sched, rot_sched),
+        _diffusion(grid, trans_sched, rot_sched), cfg.noise_scale, rng)
 
 
 def reverse_walk(
@@ -227,4 +238,4 @@ def fixed_target_score(
 
 def zero_score(t: float, fs: FrameSet) -> tuple[np.ndarray, np.ndarray]:
     """ScoreField of the pure reference walk (no data term)."""
-    return np.zeros((len(fs), 3, 3)), np.zeros((len(fs), 3))
+    return np.zeros((len(fs), 3, 3)), np.zeros_like(fs.translations)

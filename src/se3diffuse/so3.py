@@ -18,6 +18,8 @@ _LOG_SMALL = 1e-6
 # Above this angle the log reads the axis from the symmetric part.
 _LOG_WIDE = 3.0
 _SKEW_TOL = 1e-8
+# Points of the angle CDF that sample_uniform_so3 inverts.
+_UNIFORM_GRID = 1000
 
 
 def hat(v: np.ndarray) -> np.ndarray:
@@ -157,29 +159,29 @@ def sample_tangent_gaussian(r0: np.ndarray, rng: np.random.Generator) -> np.ndar
     return r0 @ hat(rng.standard_normal(r0.shape[:-2] + (3,)))
 
 
-def sample_uniform_so3(
-    rng: np.random.Generator, n: int | None = None, grid_size: int = 1000
-) -> np.ndarray:
+def rotations_about_random_axes(angles: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Rotations by ``angles`` about uniform random axes, drawn after the angles."""
+    axes = rng.standard_normal(np.shape(angles) + (3,))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    return exp_so3(hat(angles[..., None] * axes))
+
+
+def sample_uniform_so3(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Haar-uniform rotations via inverse transform on the angle CDF.
 
     The angle density (1 - cos w)/pi is tabulated on a uniform
-    ``grid_size``-point grid by trapezoidal integration and inverted with
-    linear interpolation; the axis is uniform on the sphere. Returns a
+    ``_UNIFORM_GRID``-point grid by trapezoidal integration and inverted
+    with linear interpolation; the axis is uniform on the sphere. Returns a
     single (3, 3) matrix when ``n`` is None, else (n, 3, 3).
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
     shape = () if n is None else (int(n),)
-    grid = np.linspace(0.0, np.pi, grid_size)
+    grid = np.linspace(0.0, np.pi, _UNIFORM_GRID)
     pdf = (1.0 - np.cos(grid)) / np.pi
     cdf = np.concatenate(
         [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))]
     )
     cdf /= cdf[-1]
-    angles = np.interp(rng.random(shape), cdf, grid)
-    axes = rng.standard_normal(shape + (3,))
-    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
-    return exp_so3(hat(angles[..., None] * axes))
+    return rotations_about_random_axes(np.interp(rng.random(shape), cdf, grid), rng)
 
 
 def quat_from_rotation(r: np.ndarray) -> np.ndarray:

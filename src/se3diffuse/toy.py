@@ -4,7 +4,8 @@ The target is a weighted discrete measure on SO(3). Noising it with
 unit-rate Brownian motion gives a mixture of heat kernels whose density
 and Stein score are available in closed form; the forward and reverse
 geodesic random walks should then produce matching marginals at every
-recorded time.
+recorded time. Both walks are :func:`process.iter_walk` on rotation-only
+frame sets.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import igso3, so3
+from . import igso3, process, so3
 
 
 @dataclass(frozen=True)
@@ -104,22 +105,12 @@ def score_t(
     return igso3.mixture_score(_centers(target, rt), rt, t, cfg, table, target.weights)
 
 
-def _walk(
-    initial: np.ndarray,
-    times: np.ndarray,
-    drift,
-    rng: np.random.Generator,
-) -> dict[float, np.ndarray]:
-    """Geodesic random walk recording the marginal at every grid time."""
-    state = initial
-    out = {float(times[0]): state}
-    for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
-        tangent = drift(state, float(times[i - 1])) * dt
-        tangent = tangent + np.sqrt(abs(dt)) * so3.sample_tangent_gaussian(state, rng)
-        state = so3.expmap(state, tangent)
-        out[float(times[i])] = state
-    return out
+def _unit_rate_walk(init, times, score, rng) -> dict[float, np.ndarray]:
+    """:func:`process.iter_walk` of rotation-only frames at g = zeta = 1, by grid time."""
+    frames = process.center(process.FrameSet(init, np.empty((len(init), 0))))
+    unit = np.ones(len(times))
+    walk = process.iter_walk(frames, times, score, (unit, unit), 1.0, rng)
+    return {t: fs.rotations for t, fs in walk}
 
 
 def run_forward(
@@ -127,7 +118,7 @@ def run_forward(
 ) -> dict[float, np.ndarray]:
     """Zero-drift unit-rate walk from p_0; marginals keyed by grid time."""
     init = sample_p0(target, rng, cfg.n_paths)
-    return _walk(init, cfg.times(), lambda r, t: 0.0, rng)
+    return _unit_rate_walk(init, cfg.times(), process.zero_score, rng)
 
 
 def run_reverse(
@@ -136,23 +127,20 @@ def run_reverse(
     rng: np.random.Generator,
     trunc: igso3.TruncationConfig = igso3.DEFAULT_CONFIG,
 ) -> dict[float, np.ndarray]:
-    """Score-ascent walk from uniform along the reversed grid.
+    """Score-ascent walk from uniform down the reversed grid.
 
-    The drift is -score so the negative reverse-time dt yields a net
-    score-ascent step, exactly mirroring the forward reversal. Score
-    tables are precomputed for the whole grid.
+    At unit rate the reverse drift is the score itself. Score tables are
+    precomputed for the whole grid.
     """
     times = cfg.times()
-    tables = {
-        float(t): tab
-        for t, tab in zip(times[1:], igso3.build_tables(times[1:], trunc))
-    }
+    tables = dict(zip(times[1:].tolist(), igso3.build_tables(times[1:], trunc)))
 
-    def drift(r, t):
-        return -score_t(target, r, t, trunc, table=tables[t])
+    def score(t: float, fs: process.FrameSet) -> tuple[np.ndarray, np.ndarray]:
+        rot = score_t(target, fs.rotations, t, trunc, table=tables[t])
+        return rot, np.zeros_like(fs.translations)
 
     init = so3.sample_uniform_so3(rng, cfg.n_paths)
-    return _walk(init, times[::-1], drift, rng)
+    return _unit_rate_walk(init, times[::-1], score, rng)
 
 
 def ks_2samp_statistic(a, b) -> float:

@@ -58,10 +58,60 @@ class TestCenter:
         again = process.FrameSet(out.rotations, out.translations, centered=True)
         assert np.array_equal(again.translations, out.translations)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 512),
+        spread=st.floats(1e-3, 1e3),
+        offset=st.lists(st.floats(-1e8, 1e8), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_far_from_origin_centers(self, n, spread, offset, seed):
+        # One subtraction of the rounded mean leaves about eps * |offset|.
+        rng = np.random.default_rng(seed)
+        translations = np.array(offset) + spread * rng.standard_normal((n, 3))
+        rotations = np.broadcast_to(np.eye(3), (n, 3, 3))
+        out = process.center(process.FrameSet(rotations, translations))
+        assert out.centered
+        shift = translations - out.translations
+        bound = 8 * np.finfo(float).eps * np.abs(translations).max()
+        assert np.abs(shift - shift[0]).max() <= bound
+
     def test_offset_frames_are_not_centered(self):
         with pytest.raises(ValueError, match="zero mean"):
             process.FrameSet(np.broadcast_to(np.eye(3), (2, 3, 3)),
                              np.full((2, 3), 1e-6), centered=True)
+
+
+class TestRotationOnly:
+    def test_accepts_empty_translations(self, rng):
+        fs = process.center(process.FrameSet(so3.sample_uniform_so3(rng, 4),
+                                             np.empty((4, 0))))
+        assert fs.centered and fs.translations.shape == (4, 0)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_rejects_partial_translations(self, rng, width):
+        with pytest.raises(ValueError, match="translations must have shape"):
+            process.FrameSet(so3.sample_uniform_so3(rng, 4), np.zeros((4, width)))
+
+    @pytest.mark.parametrize("width", [0, 3])
+    def test_zero_score_matches_translation_shape(self, rng, width):
+        fs = process.FrameSet(so3.sample_uniform_so3(rng, 5), np.ones((5, width)))
+        rot, trans = process.zero_score(0.5, fs)
+        assert rot.shape == (5, 3, 3) and not rot.any()
+        assert trans.shape == (5, width) and not trans.any()
+
+    def test_walk_step_draws_n_by_3_normals(self, rng):
+        n = 7
+        init = process.center(process.FrameSet(so3.sample_uniform_so3(rng, n),
+                                               np.empty((n, 0))))
+        unit = np.ones(2)
+        walk_rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        walk = process.iter_walk(init, np.array([0.0, 0.1]), process.zero_score,
+                                 (unit, unit), 1.0, walk_rng)
+        (_, first), (t, last) = walk
+        ref_rng.standard_normal((n, 3))
+        assert t == 0.1 and first is init and last.translations.shape == (n, 0)
+        assert walk_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestForwardSample:

@@ -250,10 +250,7 @@ class TestUniformSampler:
             assert np.linalg.norm(r[..., :, col].mean(axis=0)) < 0.01
 
     def test_default_grid_size(self):
-        import inspect
-
-        sig = inspect.signature(so3.sample_uniform_so3)
-        assert sig.parameters["grid_size"].default == 1000
+        assert so3._UNIFORM_GRID == 1000
 
     def test_left_invariance_ks(self, rng):
         g = so3.sample_uniform_so3(rng)

@@ -156,7 +156,58 @@ class TestMixtureScore:
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
+def reference_walk(initial, times, drift, rng):
+    """The toy's stepping loop from before it ran through process.iter_walk."""
+    state = initial
+    out = {float(times[0]): state}
+    for i in range(1, len(times)):
+        dt = times[i] - times[i - 1]
+        tangent = drift(state, float(times[i - 1])) * dt
+        tangent = tangent + np.sqrt(abs(dt)) * so3.sample_tangent_gaussian(state, rng)
+        state = so3.expmap(state, tangent)
+        out[float(times[i])] = state
+    return out
+
+
+def reference_forward(target, cfg, rng):
+    init = toy.sample_p0(target, rng, cfg.n_paths)
+    return reference_walk(init, cfg.times(), lambda r, t: 0.0, rng)
+
+
+def reference_reverse(target, cfg, rng):
+    times = cfg.times()
+    tables = dict(zip(times[1:].tolist(), igso3.build_tables(times[1:])))
+    init = so3.sample_uniform_so3(rng, cfg.n_paths)
+    return reference_walk(
+        init, times[::-1], lambda r, t: -toy.score_t(target, r, t, table=tables[t]), rng
+    )
+
+
+def assert_same_runs(a, b, atol=0.0):
+    assert list(a) == list(b)
+    for t in a:
+        assert np.abs(a[t] - b[t]).max(initial=0.0) <= atol, t
+
+
 class TestWalks:
+    @pytest.mark.parametrize("n_steps", [2, 37, 100])
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_equals_reference_loop(self, target, n_steps, direction):
+        cfg = toy.ToyRunConfig(n_paths=50, n_steps=n_steps)
+        run = getattr(toy, f"run_{direction}")
+        ref = globals()[f"reference_{direction}"]
+        assert_same_runs(run(target, cfg, np.random.default_rng(4)),
+                         ref(target, cfg, np.random.default_rng(4)))
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_renormalizes_past_100_steps(self, target, direction):
+        # Renormalization at step 100 is the only change from the reference loop.
+        cfg = toy.ToyRunConfig(n_paths=50, n_steps=150)
+        run = getattr(toy, f"run_{direction}")(target, cfg, np.random.default_rng(4))
+        ref = globals()[f"reference_{direction}"](target, cfg, np.random.default_rng(4))
+        assert_same_runs(run, ref, atol=1e-10)
+        assert not all(np.array_equal(run[t], ref[t]) for t in run)
+
     def test_forward_initial_marginal_is_p0(self, rng, target):
         cfg = toy.ToyRunConfig(n_paths=200, n_steps=10)
         marginals = toy.run_forward(target, cfg, rng)
