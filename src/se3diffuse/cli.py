@@ -80,26 +80,29 @@ def _set_task(fn) -> None:
     _task = fn
 
 
-def _run_task(i: int):
-    return _task(i)
+def _run_task(item):
+    return _task(item)
 
 
-def _fan_out(fn, n: int) -> list:
-    """``[fn(i) for i in range(n)]``, spread over one process per CPU.
+def _pmap(fn, items):
+    """``fn(item)`` for each of ``items``, in order, spread over one process per CPU.
 
     Workers are forked, so they inherit ``fn`` and every array it reads;
-    only indices and results are pickled. Results come back in index
-    order, so the output does not depend on the worker count. A worker's
-    exception is raised here. The loop runs in this process when there is
-    one CPU, when ``fork`` is unavailable, or when other threads are
-    running (forking a threaded process can deadlock the child).
+    only items and results are pickled. ``items`` is consumed lazily, with
+    at most two tasks per worker in flight, so a generator of items (a walk)
+    keeps running here while the workers compute. The output does not
+    depend on the worker count. An exception from ``items`` or a worker is
+    raised here, once pending tasks are cancelled and the workers have
+    exited. The loop runs in this process when there is one CPU, when
+    ``fork`` is unavailable, or when other threads are running (forking a
+    threaded process can deadlock the child).
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         cpus = os.cpu_count() or 1
-    workers = min(cpus, n)
-    if workers > 1 and threading.active_count() == 1:
+    pool = None
+    if cpus > 1 and threading.active_count() == 1:
         import multiprocessing  # not at module level: keeps CLI start-up lean
 
         if "fork" in multiprocessing.get_all_start_methods():
@@ -107,10 +110,21 @@ def _fan_out(fn, n: int) -> list:
             # waiting forever, when a worker is killed.
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     initializer=_set_task, initargs=(fn,)) as pool:
-                return list(pool.map(_run_task, range(n)))
-    return [fn(i) for i in range(n)]
+            pool = ProcessPoolExecutor(cpus, multiprocessing.get_context("fork"),
+                                       initializer=_set_task, initargs=(fn,))
+    if pool is None:
+        yield from map(fn, items)
+        return
+    pending = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(_run_task, item))
+            if len(pending) == 2 * cpus:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _csv_rows(values, lead=None) -> str:
@@ -243,27 +257,52 @@ def cmd_schedule(args: argparse.Namespace) -> RunManifest:
 # ------------------------------------------------------------------ toy
 
 def _toy_run_dir_write(
-    out_dir: str, marginals: dict[float, np.ndarray], target: toy.DiscreteTarget
+    out_dir: str, run, times: list[float], target: toy.DiscreteTarget
 ) -> list[str]:
-    """One ``t_XXXX.csv`` per recorded time, written in parallel."""
+    """One ``t_XXXX.csv`` per recorded time, written by workers as the run goes.
+
+    ``run`` yields (t, rotations) pairs at the times of the ascending grid
+    ``times``, in either order; a file's number is its time's rank. When
+    the run or a write fails, the files handed out and the directories
+    this call created are removed.
+    """
+    created, parent = [], os.path.abspath(out_dir)
+    while not os.path.exists(parent):
+        created.append(parent)
+        parent = os.path.dirname(parent)
     os.makedirs(out_dir, exist_ok=True)
-    states = [marginals[t] for t in sorted(marginals)]
+    paths = [os.path.join(out_dir, f"t_{idx:04d}.csv") for idx in range(len(times))]
+    rank = {t: idx for idx, t in enumerate(times)}
     header = "path_id,a,b,c,d," + ",".join(
         f"angle_to_atom_{k}" for k in range(len(target.weights))
     )
-    path_ids = [str(pid) for pid in range(states[0].shape[0])]
 
-    def write(idx: int) -> str:
-        samples = states[idx]
+    def write(job) -> None:
+        path, samples = job
         quats = so3.quat_from_rotation(samples)
         angles = toy.atom_angles(target, samples)
-        path = os.path.join(out_dir, f"t_{idx:04d}.csv")
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            fh.write(_csv_rows(np.column_stack([quats, angles.T]), path_ids))
-        return path
+            fh.write(_csv_rows(np.column_stack([quats, angles.T]),
+                               map(str, range(len(samples)))))
 
-    return _fan_out(write, len(states))
+    handed = []
+
+    def jobs():
+        for t, samples in run:
+            handed.append(paths[rank[t]])
+            yield handed[-1], samples
+
+    try:
+        deque(_pmap(write, jobs()), maxlen=0)
+    except BaseException:
+        for path in handed:
+            if os.path.isfile(path):
+                os.remove(path)
+        for d in created:
+            os.rmdir(d)
+        raise
+    return paths
 
 
 def cmd_toy(args: argparse.Namespace) -> RunManifest:
@@ -280,12 +319,13 @@ def cmd_toy(args: argparse.Namespace) -> RunManifest:
     target = _from_flags(toy.random_target, k=v.atoms, seed=v.atom_seed)
     run_cfg = _from_flags(toy.ToyRunConfig, n_paths=v.paths, final_time=v.T,
                           n_steps=v.steps)
-    run = toy.run_forward if args.toy_cmd == "forward" else toy.run_reverse
-    marginals = run(target, run_cfg, np.random.default_rng(v.seed))
-    outputs = _toy_run_dir_write(v.out_dir, marginals, target)
+    walk = toy.iter_forward if args.toy_cmd == "forward" else toy.iter_reverse
+    times = run_cfg.times().tolist()
+    run = walk(target, run_cfg, np.random.default_rng(v.seed))
+    outputs = _toy_run_dir_write(v.out_dir, run, times, target)
     config = dict(
         cfg,
-        grid_times=[_fmt(t) for t in sorted(marginals)],
+        grid_times=[_fmt(t) for t in times],
         atom_quaternions=[
             [_fmt(x) for x in q] for q in so3.quat_from_rotation(target.atoms)
         ],
@@ -335,7 +375,7 @@ def _toy_compare(run_a: str, run_b: str) -> dict:
         return toy.ks_2samp_statistic(angles(run_a, cols_a, idx),
                                       angles(run_b, cols_b, idx))
 
-    ks_list = _fan_out(ks_at, len(times_a))
+    ks_list = list(_pmap(ks_at, range(len(times_a))))
     return {
         "times": times_a,
         "ks": ks_list,
@@ -357,28 +397,41 @@ def _extended_chain(n_residues: int) -> process.FrameSet:
 _TRAJECTORY_BLOCK = 32  # states per quat_from_rotation call; one per state is slower
 
 
+def _trajectory_rows(block) -> str:
+    """CSV rows of a block (times, rotations (B, N, 3, 3), translations (B, N, 3))."""
+    times, rotations, x = block
+    quats = so3.quat_from_rotation(rotations)
+    residues = [f",0,{i}" for i in range(x.shape[1])]
+    lead = [t + residue for t in map(_fmt, times) for residue in residues]
+    return _csv_rows(np.concatenate([quats, x], -1).reshape(-1, 7), lead)
+
+
 def _write_trajectory(path: str, traj) -> process.FrameSet:
     """One CSV row per (time, residue): quaternion, then translation.
 
-    Consumes the (t, state) pairs of ``traj`` a block at a time and returns
-    the last state. A walk that raises leaves no file at ``path``.
+    Stacks the (t, state) pairs of ``traj`` a block at a time, has workers
+    format the blocks while the walk goes on, and returns the last state.
+    A walk that raises leaves no file at ``path``.
     """
-    traj, part = iter(traj), path + ".part"
+    traj, part, final = iter(traj), path + ".part", None
+
+    def blocks():
+        nonlocal final
+        while block := list(itertools.islice(traj, _TRAJECTORY_BLOCK)):
+            times, states = zip(*block)
+            final = states[-1]
+            yield (times, np.stack([s.rotations for s in states]),
+                   np.stack([s.translations for s in states]))
+
     try:
         with open(part, "w") as fh:
             fh.write("t,chain_id,residue_index,a,b,c,d,x,y,z\n")
-            while block := list(itertools.islice(traj, _TRAJECTORY_BLOCK)):
-                times, states = zip(*block)
-                quats = so3.quat_from_rotation(np.stack([s.rotations for s in states]))
-                x = np.stack([s.translations for s in states])
-                residues = [f",0,{i}" for i in range(x.shape[1])]
-                lead = [t + residue for t in map(_fmt, times) for residue in residues]
-                fh.write(_csv_rows(np.concatenate([quats, x], -1).reshape(-1, 7), lead))
+            fh.writelines(_pmap(_trajectory_rows, blocks()))
         os.replace(part, path)
     finally:
         if os.path.exists(part):  # the walk or a write failed
             os.remove(part)
-    return states[-1]
+    return final
 
 
 def cmd_sample_backbones(args: argparse.Namespace) -> RunManifest:

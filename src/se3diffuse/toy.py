@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -105,32 +106,35 @@ def score_t(
     return igso3.mixture_score(_centers(target, rt), rt, t, cfg, table, target.weights)
 
 
-def _unit_rate_walk(init, times, score, rng) -> dict[float, np.ndarray]:
-    """:func:`process.iter_walk` of rotation-only frames at g = zeta = 1, by grid time."""
+def _unit_rate_walk(init, times, score, rng) -> Iterator[tuple[float, np.ndarray]]:
+    """:func:`process.iter_walk` of rotation-only frames at g = zeta = 1.
+
+    Yields (grid time, rotations) pairs as the walk goes.
+    """
     frames = process.center(process.FrameSet(init, np.empty((len(init), 0))))
     unit = np.ones(len(times))
     walk = process.iter_walk(frames, times, score, (unit, unit), 1.0, rng)
-    return {t: fs.rotations for t, fs in walk}
+    return ((t, fs.rotations) for t, fs in walk)
 
 
-def run_forward(
+def iter_forward(
     target: DiscreteTarget, cfg: ToyRunConfig, rng: np.random.Generator
-) -> dict[float, np.ndarray]:
-    """Zero-drift unit-rate walk from p_0; marginals keyed by grid time."""
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Zero-drift unit-rate walk from p_0, up the grid; (t, rotations) pairs."""
     init = sample_p0(target, rng, cfg.n_paths)
     return _unit_rate_walk(init, cfg.times(), process.zero_score, rng)
 
 
-def run_reverse(
+def iter_reverse(
     target: DiscreteTarget,
     cfg: ToyRunConfig,
     rng: np.random.Generator,
     trunc: igso3.TruncationConfig = igso3.DEFAULT_CONFIG,
-) -> dict[float, np.ndarray]:
-    """Score-ascent walk from uniform down the reversed grid.
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Score-ascent walk from uniform down the reversed grid; (t, rotations) pairs.
 
     At unit rate the reverse drift is the score itself. Score tables are
-    precomputed for the whole grid.
+    built for the whole grid, in one batch, before the walk starts.
     """
     times = cfg.times()
     tables = dict(zip(times[1:].tolist(), igso3.build_tables(times[1:], trunc)))
@@ -141,6 +145,23 @@ def run_reverse(
 
     init = so3.sample_uniform_so3(rng, cfg.n_paths)
     return _unit_rate_walk(init, times[::-1], score, rng)
+
+
+def run_forward(
+    target: DiscreteTarget, cfg: ToyRunConfig, rng: np.random.Generator
+) -> dict[float, np.ndarray]:
+    """:func:`iter_forward`'s marginals keyed by grid time."""
+    return dict(iter_forward(target, cfg, rng))
+
+
+def run_reverse(
+    target: DiscreteTarget,
+    cfg: ToyRunConfig,
+    rng: np.random.Generator,
+    trunc: igso3.TruncationConfig = igso3.DEFAULT_CONFIG,
+) -> dict[float, np.ndarray]:
+    """:func:`iter_reverse`'s marginals keyed by grid time."""
+    return dict(iter_reverse(target, cfg, rng, trunc))
 
 
 def ks_2samp_statistic(a, b) -> float:

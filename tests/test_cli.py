@@ -528,8 +528,11 @@ class TestArtifactWriters:
         target = toy.random_target(3, seed=0)
         marginals = {t: _edge_rotations(rng, 6) for t in (0.0, 0.25, 0.5)}
         marginals[0.0][2] = target.atoms[1]  # angle 0 to one atom
-        cli._toy_run_dir_write(str(tmp_path / "new"), marginals, target)
+        times = sorted(marginals)
+        run = ((t, marginals[t]) for t in reversed(times))  # a reverse run's order
+        outputs = cli._toy_run_dir_write(str(tmp_path / "new"), run, times, target)
         _per_value_run_dir(str(tmp_path / "old"), marginals, target)
+        assert outputs == [str(tmp_path / "new" / f"t_{i:04d}.csv") for i in range(3)]
         for idx in range(3):
             name = f"t_{idx:04d}.csv"
             new = (tmp_path / "new" / name).read_bytes()
@@ -537,12 +540,17 @@ class TestArtifactWriters:
             assert b",-0.0," in new and b"e-311" in new
 
 
-def _python(code):
-    """Exit code of ``code`` run by a fresh interpreter that finds this package."""
+def _run_python(code, **kwargs):
+    """``code`` run by a fresh interpreter that finds this package."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode
+    return subprocess.run([sys.executable, "-c", code], env=env, **kwargs)
+
+
+def _python(code):
+    """Exit code of ``code`` run by a fresh interpreter that finds this package."""
+    return _run_python(code, timeout=60).returncode
 
 
 def test_cli_import_does_not_load_scipy():
@@ -559,8 +567,8 @@ def _cpus(monkeypatch, n):
                         raising=False)
 
 
-class TestFanOut:
-    def test_results_in_index_order_from_workers(self, monkeypatch):
+class TestPmap:
+    def test_results_in_item_order_from_workers(self, monkeypatch):
         _cpus(monkeypatch, 2)
 
         def square(i):  # the first result is the last to be ready
@@ -568,8 +576,8 @@ class TestFanOut:
                 time.sleep(0.2)
             return i * i
 
-        assert cli._fan_out(square, 50) == [i * i for i in range(50)]
-        pids = set(cli._fan_out(lambda i: os.getpid(), 8))
+        assert list(cli._pmap(square, range(50))) == [i * i for i in range(50)]
+        pids = set(cli._pmap(lambda i: os.getpid(), range(8)))
         assert os.getpid() not in pids and len(pids) <= 2
 
     @pytest.mark.parametrize("cpus,methods", [(1, None), (2, ["spawn"])])
@@ -580,7 +588,46 @@ class TestFanOut:
         if methods is not None:
             monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                                 lambda: methods)
-        assert cli._fan_out(lambda i: os.getpid(), 4) == [os.getpid()] * 4
+        assert list(cli._pmap(lambda i: os.getpid(), range(4))) == [os.getpid()] * 4
+
+    def test_serial_while_other_threads_run(self, monkeypatch):
+        import threading
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+        assert list(cli._pmap(lambda i: os.getpid(), range(4))) == [os.getpid()] * 4
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_items_consumed_at_most_two_per_worker_ahead(self, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        pulled, received = [0], []
+
+        def items():
+            for i in range(40):
+                assert pulled[0] - len(received) <= 2 * cpus
+                pulled[0] += 1
+                yield i
+
+        for result in cli._pmap(lambda i: -i, items()):
+            received.append(result)
+        assert received == [-i for i in range(40)] and pulled[0] == 40
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_item_exception_reaches_caller_and_workers_exit(self, monkeypatch, cpus):
+        import multiprocessing
+
+        _cpus(monkeypatch, cpus)
+
+        def items():
+            yield from range(5)
+            raise FloatingPointError("walk failed")
+
+        received = []
+        with pytest.raises(FloatingPointError, match="walk failed"):
+            for result in cli._pmap(lambda i: i + 1, items()):
+                received.append(result)
+        assert received == list(range(1, 6))[:len(received)]
+        assert multiprocessing.active_children() == []
 
     def test_killed_worker_raises(self):
         code = (
@@ -593,7 +640,7 @@ class TestFanOut:
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
             "    return i\n"
             "try:\n"
-            "    cli._fan_out(fn, 20)\n"
+            "    list(cli._pmap(fn, range(20)))\n"
             "except BrokenProcessPool:\n"
             "    sys.exit(7)\n"
         )
@@ -608,7 +655,12 @@ class TestFanOut:
             assert run(["toy", "reverse", *base, "--out-dir", str(root / "rev")]) == 0
             assert run(["toy", "compare", "--run-a", str(root / "fwd"), "--run-b",
                         str(root / "rev"), "--out", str(root / "ks.json")]) == 0
+            assert run(["sample-backbones", "--n-residues", "4", "--n-steps",
+                        str(3 * cli._TRAJECTORY_BLOCK + 5), "--zeta", "0.3",
+                        "--seed", "3", "--out", str(root / "bb"), "--trajectory"]) == 0
         one, two = tmp_path / "1", tmp_path / "2"
+        for name in ("bb.pdb", "bb_trajectory.csv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
         for d in ("fwd", "rev"):
             names = sorted(p.name for p in (one / d).glob("t_*.csv"))
             assert len(names) == 6
@@ -634,3 +686,85 @@ class TestFanOut:
             errors.append(capsys.readouterr().err.replace(str(out), "OUT"))
         assert errors[0] == errors[1]
         assert errors[0].startswith("i/o error: ") and errors[0].count("\n") == 1
+
+
+class TestToyRunFailure:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    @pytest.mark.parametrize("out_exists", [False, True], ids=["new-dir", "old-dir"])
+    def test_failed_walk_leaves_no_time_files(self, tmp_path, capsys, monkeypatch,
+                                              cpus, direction, out_exists):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / "parent" / "run"
+        if out_exists:
+            out.mkdir(parents=True)
+            (out / "keep.txt").write_text("not this run's\n")
+        # The drift turns non-finite at the fifth step, once a time file is written.
+        forward = direction == "forward"
+        module, name = (process, "zero_score") if forward else (toy, "score_t")
+        drift, calls = getattr(module, name), []
+
+        def diverging(*args, **kwargs):
+            calls.append(1)
+            result = drift(*args, **kwargs)
+            if len(calls) < 5:
+                return result
+            deadline = time.monotonic() + 30
+            while not list(out.glob("t_*.csv")) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert list(out.glob("t_*.csv"))
+            if forward:  # a ScoreField's (rot, trans)
+                return result[0] * np.nan, result[1]
+            return result * np.nan
+
+        monkeypatch.setattr(module, name, diverging)
+        assert run(["toy", direction, "--paths", "20", "--T", "1.0", "--steps", "10",
+                    "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical-domain error: non-finite state at step 5\n"
+        if out_exists:
+            assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+
+def _peak_rss_mb(args):
+    """VmHWM, in MB, of a fresh interpreter that runs ``cli.main(args)``."""
+    code = (
+        "import sys\n"
+        "from se3diffuse import cli\n"
+        f"if cli.main({args!r}) != 0:\n"
+        "    sys.exit('command failed')\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    hwm = [l for l in fh if l.startswith('VmHWM:')][0]\n"
+        "print(int(hwm.split()[1]) / 1024)\n"
+    )
+    done = _run_python(code, timeout=120, capture_output=True, text=True, check=True)
+    return float(done.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs VmHWM from /proc/self/status")
+class TestPeakMemory:
+    """A command's own peak memory does not grow with its step count.
+
+    The peak is the interpreter's VmHWM: after vfork and exec,
+    ``ru_maxrss`` would report the test runner's peak instead.
+    """
+
+    def test_toy_forward(self, tmp_path):
+        peaks = [
+            _peak_rss_mb(["toy", "forward", "--paths", "500", "--T", "1.0",
+                          "--steps", str(steps), "--out-dir", str(tmp_path / str(steps))])
+            for steps in (50, 400)
+        ]
+        assert peaks[1] - peaks[0] < 3.0, peaks
+
+    def test_sample_backbones_trajectory(self, tmp_path):
+        peaks = [
+            _peak_rss_mb(["sample-backbones", "--n-residues", "64", "--n-steps",
+                          str(steps), "--out", str(tmp_path / str(steps)),
+                          "--trajectory"])
+            for steps in (100, 2000)
+        ]
+        assert peaks[1] - peaks[0] < 3.0, peaks

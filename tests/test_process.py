@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -315,6 +315,36 @@ class TestReverseWalk:
         traj = process.reverse_walk(init, score, TS, RS, sim, rng)
         for _, state in traj:
             assert np.abs(state.translations.mean(axis=0)).max() < 1e-12
+
+
+class TestLargeWalks:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 4096),
+        spread=st.floats(1e-3, 1e3),
+        offset=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+        zeta=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=4096, spread=1e-3, offset=[1e6, -1e6, 1e6], zeta=1.0, seed=0)
+    @example(n=4096, spread=1e3, offset=[-1e6, 0.0, 1e6], zeta=0.0, seed=1)
+    def test_states_finite_centered_orthonormal(self, n, spread, offset, zeta, seed):
+        rng = np.random.default_rng(seed)
+        init = process.center(process.FrameSet(
+            so3.sample_uniform_so3(rng, n),
+            np.array(offset) + spread * rng.standard_normal((n, 3))))
+        score = process.fixed_target_score(make_frameset(rng, n, spread), TS, RS)
+        grid = np.linspace(1.0, 0.5, 4)
+        diffusion = schedules.g_r(grid, RS), np.sqrt(schedules.beta(grid, TS))
+        walk = process.iter_walk(
+            init, grid, lambda t, fs: process.reverse_drift(fs, t, score, TS, RS),
+            diffusion, zeta, rng)
+        for _, state in walk:
+            assert np.isfinite(state.rotations).all()
+            assert np.isfinite(state.translations).all()
+            assert state.centered and not process._off_center(state.translations)
+            gram = so3.transpose(state.rotations) @ state.rotations
+            assert np.abs(gram - np.eye(3)).max() <= 1e-12
 
 
 class TestScoreFromDenoised:
