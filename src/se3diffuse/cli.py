@@ -438,8 +438,7 @@ def cmd_sample_backbones(args: argparse.Namespace) -> RunManifest:
     cfg, v = _resolve(args, "sample-backbones")
     trans_sched = schedules.TranslationSchedule()
     rot_sched = schedules.RotationSchedule()
-    sim = _from_flags(process.SimConfig, n_steps=v.n_steps, eps=v.eps,
-                      noise_scale=v.zeta, seed=v.seed)
+    sim = _from_flags(process.SimConfig, n_steps=v.n_steps, eps=v.eps, noise_scale=v.zeta)
     init = process.reference_sample(v.n_residues, np.random.default_rng(v.init_seed))
     if v.score == "fixed-target":
         score = process.fixed_target_score(_extended_chain(v.n_residues), trans_sched,

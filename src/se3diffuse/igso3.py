@@ -12,14 +12,14 @@ evaluation point under the tr(u v^T)/2 metric.
 
 Truncation rule: a configuration sums the first L terms, where L is the
 smallest count such that every weight (2l+1) exp(-l(l+1) t_min / 2) with
-l >= L is below machine epsilon times the largest weight at t_min. The
-weights decay faster at larger t, so later terms cannot change a double
-at any t >= t_min (L = 88 at the default t_min = 0.01). ``series_terms``
-(the CLI's ``--terms``) is an upper cap on L, not the count summed.
-Of the L weights, those below the smallest normal double are flushed to
-zero: at 0.2 <= t <= 1 one or two are subnormal, which leaves every bit
-of f and df unchanged but slows the table mat-vec severalfold on x86.
-``igsu2_density`` applies the same rule to its own weights.
+l >= L is below machine epsilon times the largest weight at t_min =
+:data:`T_MIN`, the smallest time the series is trusted at. The weights
+decay faster at larger t, so later terms cannot change a double at any
+t >= t_min (L = 88). ``series_terms`` (the CLI's ``--terms``) is an upper
+cap on L, not the count summed. Of the L weights, those below the
+smallest normal double are flushed to zero: at 0.2 <= t <= 1 one or two
+are subnormal, which leaves every bit of f and df unchanged but slows
+the table mat-vec severalfold on x86.
 """
 
 from __future__ import annotations
@@ -44,14 +44,13 @@ class TruncationConfig:
     series_terms: upper cap on the number of series terms summed.
     angle_grid: points of the uniform angle grid for tables and CDFs.
     omega_eps: below this angle the analytic w -> 0 limits are used.
-    t_min: smallest diffusion time at which the truncated series is
-        trusted; below it the partial sums oscillate.
+
+    Every configuration shares the smallest trusted time :data:`T_MIN`.
     """
 
     series_terms: int = 2000
     angle_grid: int = 1000
     omega_eps: float = 1e-4
-    t_min: float = 0.01
 
     def __post_init__(self):
         if self.series_terms < 1:
@@ -60,22 +59,22 @@ class TruncationConfig:
             raise ValueError("angle_grid must be >= 2")
         if not 0.0 < self.omega_eps < 1e-3:
             raise ValueError("omega_eps must be in (0, 1e-3)")
-        if self.t_min <= 0.0:
-            raise ValueError("t_min must be positive")
 
 
 DEFAULT_CONFIG = TruncationConfig()
+
+T_MIN = 0.01  # smallest trusted diffusion time: below it the partial sums oscillate
 
 # Fraction of probability mass allowed in clamped negative lobes before a
 # table build is considered misconfigured.
 _CLAMP_TOLERANCE = 1e-6
 
 
-def _check_time(t: float, cfg: TruncationConfig) -> float:
+def _check_time(t: float) -> float:
     t = float(t)
-    if not cfg.t_min <= t < np.inf:
+    if not T_MIN <= t < np.inf:
         raise NumericalDomainError(
-            f"diffusion time {t} outside [t_min={cfg.t_min}, inf); series unreliable"
+            f"diffusion time {t} outside [t_min={T_MIN}, inf); series unreliable"
         )
     return t
 
@@ -99,16 +98,12 @@ def _series_weights(ts, n_terms: int) -> np.ndarray:
     return weights
 
 
-def _kept_terms(weights: np.ndarray) -> int:
-    """Leading terms up to the last weight >= machine epsilon times the largest."""
-    above = np.flatnonzero(weights >= np.finfo(float).eps * weights.max())
-    return int(above[-1]) + 1
-
-
 @lru_cache(maxsize=16)
 def _term_count(cfg: TruncationConfig) -> int:
     """Terms summed under ``cfg``: see the truncation rule in the module docstring."""
-    return _kept_terms(_series_weights(cfg.t_min, cfg.series_terms)[:, 0])
+    weights = _series_weights(T_MIN, cfg.series_terms)[:, 0]
+    above = np.flatnonzero(weights >= np.finfo(float).eps * weights.max())
+    return int(above[-1]) + 1
 
 
 def _series_basis(omega: np.ndarray, n_terms: int, omega_eps: float):
@@ -149,7 +144,7 @@ def _f_df(omega, t: float, cfg: TruncationConfig, table):
     """f(w, t) and df/dw shaped like ``omega``: the series, or ``table``'s interpolation."""
     if table is not None:
         return table.interp_f(omega), table.interp_df(omega)
-    t = _check_time(t, cfg)
+    t = _check_time(t)
     n_terms = _term_count(cfg)
     f_basis, df_basis = _series_basis(
         np.atleast_1d(np.asarray(omega, dtype=float)).ravel(), n_terms, cfg.omega_eps
@@ -263,7 +258,7 @@ def build_tables(ts, cfg: TruncationConfig = DEFAULT_CONFIG) -> list[IGSO3Table]
     """Batch table construction for a whole time grid, one row per time."""
     ts = np.asarray(ts, dtype=float)
     for t in ts:
-        _check_time(t, cfg)
+        _check_time(t)
     grid, f_basis, df_basis, haar, steps = _table_bases(cfg)
     weights = _series_weights(ts, f_basis.shape[1])
     # Rows are contiguous per time, for np.interp and the running sums.
@@ -364,39 +359,3 @@ def expected_score_norm_sq(t: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> 
     integrand = integrand * (1.0 - np.cos(table.omega_grid)) / np.pi
     return float(np.trapezoid(integrand, table.omega_grid))
 
-
-def _su2_weights(t: float, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Degrees l = 1..n_terms and their SU(2) weights l^2 exp(-(l^2-1) t / 8)."""
-    ls = np.arange(1, n_terms + 1)
-    return ls, ls**2 * np.exp(-(ls**2 - 1) * t / 8.0)
-
-
-@lru_cache(maxsize=16)
-def _su2_term_count(cfg: TruncationConfig) -> int:
-    """SU(2) terms summed under ``cfg``, by the module's truncation rule."""
-    return _kept_terms(_su2_weights(cfg.t_min, cfg.series_terms)[1])
-
-
-def igsu2_density(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
-    """Heat-kernel density on SU(2): sum of l^2 exp(-(l^2-1)t/8) sin(lw)/sin(w).
-
-    The angle marginal under Haar on SU(2) is this density times
-    (2/pi) sin^2(w). Analytic limits replace the ratio near w = 0 and
-    w = pi where sin(w) vanishes.
-    """
-    t = _check_time(t, cfg)
-    omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    ls, weights = _su2_weights(t, _su2_term_count(cfg))
-    out = np.empty(omega_arr.shape)
-    near0 = omega_arr < cfg.omega_eps
-    nearpi = omega_arr > np.pi - cfg.omega_eps
-    mid = ~(near0 | nearpi)
-    if np.any(near0):
-        out[near0] = ls @ weights
-    if np.any(nearpi):
-        # sin(lw)/sin(w) -> l (-1)^(l+1) as w -> pi.
-        out[nearpi] = (ls * (-1.0) ** (ls + 1)) @ weights
-    if np.any(mid):
-        w = omega_arr[mid][:, None]
-        out[mid] = (np.sin(ls * w) / np.sin(w)) @ weights
-    return out if np.ndim(omega) else float(out[0])

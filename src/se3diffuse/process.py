@@ -59,7 +59,11 @@ ScoreField = Callable[[float, FrameSet], tuple[np.ndarray, np.ndarray]]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Reverse-walk discretization: steps, truncation, noise scale, seed."""
+    """Reverse-walk discretization: steps, truncation and noise scale.
+
+    The walk never reads ``seed``: it draws only from the generator passed
+    to :func:`reverse_walk` or :func:`iter_reverse_walk`.
+    """
 
     n_steps: int = 500
     eps: float = 0.01

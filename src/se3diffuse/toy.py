@@ -76,21 +76,6 @@ def _centers(target: DiscreteTarget, rt) -> np.ndarray:
     return target.atoms.reshape((-1,) + (1,) * (np.ndim(rt) - 2) + (3, 3))
 
 
-def p_t_density(
-    target: DiscreteTarget,
-    rt: np.ndarray,
-    t: float,
-    cfg: igso3.TruncationConfig = igso3.DEFAULT_CONFIG,
-    table: igso3.IGSO3Table | None = None,
-):
-    """Mixture density of the target noised for time ``t``.
-
-    A precomputed ``table`` for time ``t`` switches per-atom evaluation
-    from the direct series to grid interpolation.
-    """
-    return igso3.mixture_density(_centers(target, rt), rt, t, cfg, table, target.weights)
-
-
 def score_t(
     target: DiscreteTarget,
     rt: np.ndarray,
@@ -195,46 +180,3 @@ def angle_to_nearest_atom(target: DiscreteTarget, samples: np.ndarray) -> np.nda
     """Geodesic distance from each sample to its nearest atom."""
     return atom_angles(target, samples).min(axis=0)
 
-
-@dataclass(frozen=True)
-class MarginalStats:
-    """Summary of one sample set against the target (plus optional KS)."""
-
-    angle_histograms: np.ndarray  # (K, n_bins) masses, rows sum to 1
-    bin_edges: np.ndarray
-    assignment_freq: np.ndarray  # (K,) nearest-atom frequencies
-    ks_statistic: float | None = None
-
-
-def marginal_stats(
-    samples: np.ndarray,
-    target: DiscreteTarget,
-    other: np.ndarray | None = None,
-    n_bins: int = 64,
-) -> MarginalStats:
-    """Angle histograms, nearest-atom frequencies, optional two-sample KS.
-
-    The KS statistic compares the angle-to-nearest-atom laws of
-    ``samples`` and ``other``.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 3 or samples.shape[0] == 0:
-        raise ValueError("samples must be a nonempty (n, 3, 3) stack")
-    angles = atom_angles(target, samples)
-    edges = np.linspace(0.0, np.pi, n_bins + 1)
-    hists = np.stack(
-        [np.histogram(a, bins=edges)[0] / angles.shape[1] for a in angles]
-    )
-    nearest = angles.argmin(axis=0)
-    freq = np.bincount(nearest, minlength=len(target.weights)) / angles.shape[1]
-    ks = None
-    if other is not None:
-        ks = ks_2samp_statistic(
-            angles.min(axis=0), angle_to_nearest_atom(target, other)
-        )
-    return MarginalStats(
-        angle_histograms=hists,
-        bin_edges=edges,
-        assignment_freq=freq,
-        ks_statistic=ks,
-    )

@@ -92,7 +92,7 @@ class TestTruncation:
     def test_default_term_count(self):
         assert igso3._term_count(CFG) == 88
 
-    @pytest.mark.parametrize("t", [CFG.t_min, 0.1, 1.0, 2.25])
+    @pytest.mark.parametrize("t", [igso3.T_MIN, 0.1, 1.0, 2.25])
     def test_matches_full_sum(self, t):
         table = igso3.build_table(t)
         grid = table.omega_grid
@@ -106,22 +106,22 @@ class TestTruncation:
         assert np.abs(table.cdf_vals - trapezoid_cdf(f_ref, grid)).max() <= 1e-15
 
     def test_scalar_oracle_agrees(self):
-        tol = 1e-15 * brute_force_f(0.0, CFG.t_min, 2000)  # f peaks at w = 0
+        tol = 1e-15 * brute_force_f(0.0, igso3.T_MIN, 2000)  # f peaks at w = 0
         for omega in (0.0, 0.9, np.pi):
-            expected = brute_force_f(omega, CFG.t_min, 2000)
-            assert abs(igso3.f_igso3(omega, CFG.t_min) - expected) <= tol
+            expected = brute_force_f(omega, igso3.T_MIN, 2000)
+            assert abs(igso3.f_igso3(omega, igso3.T_MIN) - expected) <= tol
 
     def test_cap_sums_exactly_that_many_terms(self):
         # At t_min ten terms are far from converged, so the cap is visible.
         cfg = igso3.TruncationConfig(series_terms=10)
         assert igso3._term_count(cfg) == 10
         grid = np.linspace(0.0, np.pi, 50)
-        f10, df10 = brute_force_series(grid, CFG.t_min, 10)
-        f = igso3.f_igso3(grid, CFG.t_min, cfg)
+        f10, df10 = brute_force_series(grid, igso3.T_MIN, 10)
+        f = igso3.f_igso3(grid, igso3.T_MIN, cfg)
         assert np.abs(f - f10).max() <= 1e-15 * np.abs(f10).max()
-        df = igso3.df_igso3_domega(grid, CFG.t_min, cfg)
+        df = igso3.df_igso3_domega(grid, igso3.T_MIN, cfg)
         assert np.abs(df - df10).max() <= 1e-15 * np.abs(df10).max()
-        assert np.abs(f - igso3.f_igso3(grid, CFG.t_min)).max() > 1.0
+        assert np.abs(f - igso3.f_igso3(grid, igso3.T_MIN)).max() > 1.0
 
 
 class TestDerivative:
@@ -261,7 +261,7 @@ class TestScoreFromTable:
             assert np.abs(tabled - series).max() <= 1e-4 * np.abs(series).max()
 
 
-TABLE_TIMES = [CFG.t_min, 0.2, 0.5, 1.0, 4.0, 50.0]
+TABLE_TIMES = [igso3.T_MIN, 0.2, 0.5, 1.0, 4.0, 50.0]
 
 
 def per_column_tables(ts, cfg=CFG):
@@ -332,7 +332,7 @@ class TestTable:
         assert_tables_equal(igso3.build_tables(TABLE_TIMES), per_column_tables(TABLE_TIMES))
 
     def test_series_weights_have_no_subnormals(self):
-        ts = np.geomspace(CFG.t_min, 1e4, 200)
+        ts = np.geomspace(igso3.T_MIN, 1e4, 200)
         weights = igso3._series_weights(ts, CFG.series_terms)
         tiny = np.finfo(float).tiny
         assert np.all((weights == 0.0) | (weights >= tiny))
@@ -401,7 +401,7 @@ class TestSampling:
 class TestTimeRangeEnds:
     """Table scores and sampling at the smallest trusted time and a flat one."""
 
-    @pytest.mark.parametrize("t", [CFG.t_min, 50.0])
+    @pytest.mark.parametrize("t", [igso3.T_MIN, 50.0])
     def test_table_score_is_finite_and_tangent(self, rng, t):
         table = igso3.build_table(t)
         r0 = so3.sample_uniform_so3(rng, 200)
@@ -412,7 +412,7 @@ class TestTimeRangeEnds:
         skew_error = np.abs(coeffs + so3.transpose(coeffs)).max()
         assert skew_error <= 1e-12 * max(1.0, np.abs(coeffs).max())
 
-    @pytest.mark.parametrize("t", [CFG.t_min, 50.0])
+    @pytest.mark.parametrize("t", [igso3.T_MIN, 50.0])
     def test_sampled_angles_follow_series_law(self, rng, t):
         grid = np.linspace(0.0, np.pi, 20_000)
         cdf = trapezoid_cdf(igso3.f_igso3(grid, t), grid)
@@ -457,40 +457,6 @@ class TestExpectedScoreNormSq:
         esns = igso3.expected_score_norm_sq(t)
         assert esns > 0
         assert abs((1.0 / esns) * esns - 1.0) < 1e-15
-
-
-class TestIGSU2:
-    def test_flat_limit(self):
-        for omega in (0.4, 1.2, 2.6):
-            assert abs(igso3.igsu2_density(omega, 50.0) - 1.0) < 1e-6
-
-    def test_normalization(self):
-        grid = np.linspace(0.0, np.pi, 10_000)
-        f = igso3.igsu2_density(grid, 0.5)
-        integral = np.trapezoid(f * (2.0 / np.pi) * np.sin(grid) ** 2, grid)
-        assert abs(integral - 1.0) < 1e-4
-
-    def test_truncation_matches_full_sum(self):
-        # Terms past the truncation count cannot change a double at t >= t_min.
-        omega = np.array([0.0, 0.3, 1.7, np.pi])
-        ls = np.arange(1, CFG.series_terms + 1)
-        for t in (CFG.t_min, 0.5, 3.0):
-            weights = ls**2 * np.exp(-(ls**2 - 1) * t / 8.0)
-            w = omega[1:3, None]
-            full = np.concatenate([[ls @ weights],
-                                   (np.sin(ls * w) / np.sin(w)) @ weights,
-                                   [(ls * (-1.0) ** (ls + 1)) @ weights]])
-            got = igso3.igsu2_density(omega, t)
-            assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
-
-    def test_even_extension_near_zero(self):
-        eps = CFG.omega_eps
-        limit = igso3.igsu2_density(eps / 2, 0.5)  # limit branch
-        direct = igso3.igsu2_density(eps * 1.5, 0.5)  # direct branch
-        mid = igso3.igsu2_density(eps * 0.999, 0.5)
-        # Continuity across the branch switch at machine-level accuracy
-        # relative to the local derivative scale.
-        assert abs(limit - mid) < abs(direct - mid) + 1e-10
 
 
 class TestSemigroup:

@@ -1,7 +1,12 @@
 """Package layout: modules read each other only through public names."""
 
 import ast
+import importlib
+import pkgutil
+import re
 from pathlib import Path
+
+import numpy as np
 
 import se3diffuse
 
@@ -50,3 +55,45 @@ def test_scan_finds_private_reads(tmp_path):
         "from . import igso3\nfrom .so3 import _hidden\nx = igso3._log_coeff\ny = igso3.__name__\n"
     )
     assert private_reads(module) == ["mod.py:2 so3._hidden", "mod.py:3 igso3._log_coeff"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+_SPAN = re.compile(r"`([^`]+)`")
+_IDENTIFIER = re.compile(r"([A-Za-z_]\w*)(\(.*\))?", re.S)
+
+
+def unresolved_readme_names(text: str) -> list[str]:
+    """Names in the library section of ``text`` that no module defines.
+
+    The section is everything before ``## Install and test``. A backticked
+    span counts when it is a bare identifier that contains ``_`` or is
+    followed by ``(``; it resolves to a public name of a ``se3diffuse``
+    module or to a numpy function.
+    """
+    public = {
+        name
+        for info in pkgutil.iter_modules([str(PACKAGE)])
+        for name in vars(importlib.import_module(f"se3diffuse.{info.name}"))
+        if not _private(name)
+    }
+    missing = []
+    for span in _SPAN.findall(text.split("## Install and test")[0]):
+        match = _IDENTIFIER.fullmatch(span)
+        if match is None or ("_" not in match[1] and match[2] is None):
+            continue
+        if match[1] not in public and not callable(getattr(np, match[1], None)):
+            missing.append(match[1])
+    return missing
+
+
+def test_readme_library_section_names_exist():
+    assert unresolved_readme_names(README.read_text()) == []
+
+
+def test_readme_scan_finds_missing_names():
+    text = (
+        "`mixture_score(centers)`, `linspace(0, 1)`, `ATOM_NAMES`, `no_such_name(x)`,\n"
+        "`zeta`, `se3diffuse.toy`, `(N, 3)` and `igso3_density(r0,\nrt)`.\n"
+        "## Install and test\n`not_a_name`\n"
+    )
+    assert unresolved_readme_names(text) == ["no_such_name"]

@@ -41,12 +41,13 @@ class TestMixtureDensity:
         t = toy.DiscreteTarget(atom[None], np.array([1.0]))
         rt = so3.sample_uniform_so3(rng)
         assert np.isclose(
-            toy.p_t_density(t, rt, 0.7), igso3.igso3_density(atom, rt, 0.7)
+            igso3.mixture_density(t.atoms, rt, 0.7, weights=t.weights),
+            igso3.igso3_density(atom, rt, 0.7),
         )
 
     def test_flat_limit(self, rng, target):
         rts = so3.sample_uniform_so3(rng, 20)
-        vals = toy.p_t_density(target, rts, 50.0)
+        vals = igso3.mixture_density(target.atoms[:, None], rts, 50.0, weights=target.weights)
         assert np.abs(vals - 1.0).max() < 1e-3
 
     def test_integrates_to_one_haar(self, rng, target):
@@ -54,15 +55,18 @@ class TestMixtureDensity:
         total, n = 0.0, 0
         for _ in range(10):
             rts = so3.sample_uniform_so3(rng, 100_000)
-            total += toy.p_t_density(target, rts, 0.5, table=table).sum()
+            total += igso3.mixture_density(
+                target.atoms[:, None], rts, 0.5, table=table, weights=target.weights
+            ).sum()
             n += 100_000
         assert abs(total / n - 1.0) < 0.01
 
     def test_table_path_matches_series(self, rng, target):
         table = igso3.build_table(0.5)
         rts = so3.sample_uniform_so3(rng, 100)
-        direct = toy.p_t_density(target, rts, 0.5)
-        fast = toy.p_t_density(target, rts, 0.5, table=table)
+        centers = target.atoms[:, None]
+        direct = igso3.mixture_density(centers, rts, 0.5, weights=target.weights)
+        fast = igso3.mixture_density(centers, rts, 0.5, table=table, weights=target.weights)
         assert np.abs(direct - fast).max() / direct.max() < 1e-3
 
 
@@ -95,7 +99,9 @@ class TestMixtureScore:
                 rt = igso3.sample_igso3(atom, table, rng)
                 analytic = toy.score_t(target, rt, t)
                 fd = igso3.riemannian_gradient_fd(
-                    lambda r: np.log(toy.p_t_density(target, r, t)), rt, h=1e-4
+                    lambda r: np.log(igso3.mixture_density(target.atoms, r, t,
+                                                           weights=target.weights)),
+                    rt, h=1e-4,
                 )
                 denom = max(np.linalg.norm(so3.vee(rt.T @ fd)), 1.0)
                 assert np.abs(analytic - fd).max() / denom < 1e-4
@@ -116,7 +122,9 @@ class TestMixtureScore:
         coeffs = so3.vee(rt.T @ score)
         assert abs(coeffs[1]) < 1e-6 and abs(coeffs[2]) < 1e-6
         fd = igso3.riemannian_gradient_fd(
-            lambda r: np.log(toy.p_t_density(target, r, 0.4)), rt, h=1e-4
+            lambda r: np.log(igso3.mixture_density(target.atoms, r, 0.4,
+                                                   weights=target.weights)),
+            rt, h=1e-4,
         )
         fd_coeffs = so3.vee(rt.T @ fd)
         assert np.abs(coeffs - fd_coeffs).max() < 1e-4
@@ -264,29 +272,6 @@ class TestWalks:
         rev_mean = so3.rotation_angle(rev[0.0]).mean()
         fwd_mean = so3.rotation_angle(fwd[h]).mean()
         assert rev_mean < fwd_mean + 0.05
-
-
-class TestMarginalStats:
-    def test_identical_sets_have_zero_ks(self, rng, target):
-        samples = toy.sample_p0(target, rng, 500)
-        st = toy.marginal_stats(samples, target, other=samples)
-        assert st.ks_statistic == 0.0
-
-    def test_uniform_vs_uniform_ks(self, rng, target):
-        a = so3.sample_uniform_so3(rng, 10_000)
-        b = so3.sample_uniform_so3(rng, 10_000)
-        st = toy.marginal_stats(a, target, other=b)
-        assert st.ks_statistic < 0.02
-
-    def test_histogram_mass_sums_to_one(self, rng, target):
-        samples = so3.sample_uniform_so3(rng, 1000)
-        st = toy.marginal_stats(samples, target)
-        assert np.allclose(st.angle_histograms.sum(axis=1), 1.0)
-        assert np.isclose(st.assignment_freq.sum(), 1.0)
-
-    def test_rejects_empty(self, target):
-        with pytest.raises(ValueError):
-            toy.marginal_stats(np.zeros((0, 3, 3)), target)
 
 
 class TestKSStatistic:
