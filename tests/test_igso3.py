@@ -92,6 +92,14 @@ class TestTruncation:
     def test_default_term_count(self):
         assert igso3._term_count(CFG) == 88
 
+    def test_accepts_t_min(self):
+        assert np.isfinite(igso3.f_igso3(1.0, igso3.T_MIN))
+
+    @pytest.mark.parametrize("t", [np.nextafter(igso3.T_MIN, 0.0), np.inf, np.nan])
+    def test_rejects_times_outside_trusted_range(self, t):
+        with pytest.raises(igso3.NumericalDomainError, match=r"outside \[t_min=0\.01, inf\)"):
+            igso3.f_igso3(1.0, t)
+
     @pytest.mark.parametrize("t", [igso3.T_MIN, 0.1, 1.0, 2.25])
     def test_matches_full_sum(self, t):
         table = igso3.build_table(t)

@@ -69,6 +69,37 @@ class TestMixtureDensity:
         fast = igso3.mixture_density(centers, rts, 0.5, table=table, weights=target.weights)
         assert np.abs(direct - fast).max() / direct.max() < 1e-3
 
+    def test_weighted_sum_of_components(self, rng):
+        target = toy.DiscreteTarget(so3.sample_uniform_so3(rng, 3), np.array([0.5, 0.3, 0.2]))
+        rts = so3.sample_uniform_so3(rng, 50)
+        mixed = igso3.mixture_density(target.atoms[:, None], rts, 0.3, weights=target.weights)
+        parts = sum(w * igso3.igso3_density(atom, rts, 0.3)
+                    for atom, w in zip(target.atoms, target.weights))
+        assert np.abs(mixed - parts).max() <= 1e-12 * parts.max()
+
+
+class TestAtomAngles:
+    def test_atoms_are_at_zero_from_themselves(self, target):
+        angles = toy.atom_angles(target, target.atoms)
+        assert angles.shape == (3, 3)
+        assert np.abs(np.diag(angles)).max() < 1e-12
+        assert np.abs(angles - angles.T).max() < 1e-12
+        assert np.abs(toy.angle_to_nearest_atom(target, target.atoms)).max() < 1e-12
+
+    def test_nearest_angle_matches_per_atom_loop(self, rng, target):
+        samples = so3.sample_uniform_so3(rng, 40)
+        expected = np.array([
+            min(so3.rotation_angle(atom.T @ s) for atom in target.atoms) for s in samples
+        ])
+        assert np.abs(toy.angle_to_nearest_atom(target, samples) - expected).max() < 1e-12
+
+    def test_left_invariance(self, rng, target):
+        g = so3.sample_uniform_so3(rng)
+        samples = so3.sample_uniform_so3(rng, 40)
+        rotated = toy.DiscreteTarget(g @ target.atoms, target.weights)
+        lhs = toy.atom_angles(rotated, g @ samples)
+        assert np.abs(lhs - toy.atom_angles(target, samples)).max() < 1e-10
+
 
 class TestMixtureScore:
     def test_single_component_equals_conditional(self, rng):
