@@ -1,4 +1,4 @@
-"""Isotropic Gaussian on SO(3): heat-kernel series, score, and sampling.
+"""Isotropic Gaussian on SO(3): heat-kernel series, image sum, score, and sampling.
 
 The density of Brownian motion on SO(3) run for time t, relative to the
 normalized Haar measure, depends only on the rotation angle w of the
@@ -6,24 +6,56 @@ relative rotation and is given by the character series
 
     f(w, t) = sum_{l >= 0} (2l + 1) exp(-l(l+1) t / 2) sin((l+1/2) w) / sin(w/2).
 
-Everything here works with the truncated series; the angle marginal under
-Haar is f(w, t) (1 - cos w) / pi. Scores are tangent matrices at the
-evaluation point under the tr(u v^T)/2 metric.
+Poisson summation over l + 1/2 turns it into an exact sum over the images
+w + 2 pi k of the angle (the heat kernel of S^3 = SU(2) by the method of
+images):
 
-Truncation rule: a configuration sums the first L terms, where L is the
-smallest count such that every weight (2l+1) exp(-l(l+1) t_min / 2) with
-l >= L is below machine epsilon times the largest weight at t_min =
-:data:`T_MIN`, the smallest time the series is trusted at. The weights
-decay faster at larger t, so later terms cannot change a double at any
-t >= t_min (L = 88). ``series_terms`` (the CLI's ``--terms``) is an upper
-cap on L, not the count summed. Of the L weights, those below the
-smallest normal double are flushed to zero: at 0.2 <= t <= 1 one or two
-are subnormal, which leaves every bit of f and df unchanged but slows
-the table mat-vec severalfold on x86.
+    f(w, t) = exp(t/8) sqrt(2 pi) t^(-3/2) / sin(w/2)
+              * sum_k (-1)^k (w + 2 pi k) exp(-(w + 2 pi k)^2 / (2t)).
+
+The angle marginal under Haar is f(w, t) (1 - cos w) / pi. Scores are
+tangent matrices at the evaluation point under the tr(u v^T)/2 metric.
+
+Two branches give f and df/dw at given angles:
+
+- ``t <= T_IMAGE``: the image sum. Images are taken in pairs about the
+  nearer of 0 and pi (k and -k about 0, k and -k-1 about pi), each pair
+  written through exp/expm1 of its distance to that center, so nothing
+  cancels as w -> 0 or w -> pi, and f keeps its relative precision out to
+  f(pi, t_min) ~ 1e-211, far past the series' roundoff floor of about
+  eps * f(0, t). A pair is kept while its weight against the k = 0 image
+  can reach exp(-80) at the largest angle given: none at small t and
+  small angles, three at t = 2.25 (the variance at the end of the default
+  rotation schedule), six at T_IMAGE.
+- ``t > T_IMAGE``: the truncated series. Against a high-precision
+  reference at 40 angles from 1e-4 to pi, the image sum's d log f/dw is
+  within 8e-16 max(1, |score|) from t_min to t = 10, the series' within
+  1e-12 from t = 1, 6e-15 at t = 8 and 1e-16 at t = 10: the crossover
+  sits where the series becomes the more accurate. Relative to the score
+  itself the image sum stays within 4e-15 up to t = 4 and 6e-12 at t = 8,
+  as its alternating pairs grow; the series is off by up to 2e-7 at small
+  angles. f from either is within 1e-15 relative above t = 1.
+
+Truncation rule of the series: a configuration sums the first L terms,
+where L is the smallest count such that every weight (2l+1)
+exp(-l(l+1) t_min / 2) with l >= L is below machine epsilon times the
+largest weight at t_min = :data:`T_MIN`, the smallest time either branch
+accepts. The weights decay faster at larger t, so later terms cannot
+change a double at any t >= t_min (L = 88). ``series_terms`` (the CLI's
+``--terms``) is an upper cap on L, not the count summed; it caps the
+series branch and the tables only, never the image sum. Of the L
+weights, those below the smallest normal double are flushed to zero: at
+0.2 <= t <= 1 one or two are subnormal, which leaves every bit of f and
+df unchanged but slows the table mat-vec severalfold on x86.
+
+Tables (:func:`build_tables`) stay on the series at every time: one
+matrix product gives a whole grid of times at once, and near t_min their
+values past the series' roundoff floor are roundoff.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -41,7 +73,7 @@ class NumericalDomainError(ValueError):
 class TruncationConfig:
     """Truncation and discretization knobs for the series and its tables.
 
-    series_terms: upper cap on the number of series terms summed.
+    series_terms: upper cap on the series terms summed, for tables and t > T_IMAGE.
     angle_grid: points of the uniform angle grid for tables and CDFs.
     omega_eps: below this angle the analytic w -> 0 limits are used.
 
@@ -64,6 +96,7 @@ class TruncationConfig:
 DEFAULT_CONFIG = TruncationConfig()
 
 T_MIN = 0.01  # smallest trusted diffusion time: below it the partial sums oscillate
+T_IMAGE = 8.0  # largest time evaluated by the image sum; the series takes over above
 
 # Fraction of probability mass allowed in clamped negative lobes before a
 # table build is considered misconfigured.
@@ -140,40 +173,172 @@ def _log_coeff(omega, ratio, omega_eps: float):
     return np.where(omega >= omega_eps, ratio / np.where(omega > 0, omega, 1.0), 0.0)
 
 
+# pi - float(pi): the rounding of pi, so pi - w is exact to a double near pi.
+_PI_LO = 1.2246467991473532e-16
+# Image pairs are kept while the first dropped one can reach exp(-_IMAGE_DROP)
+# of the sum; the margin covers the factors up to 4 c^4 / t^2 by which a pair's
+# part of the score can exceed its part of f.
+_IMAGE_DROP = 80.0
+# |B_2n| / (2n)! for n = 1..12, highest first: 1/w - cot(w/2)/2 is
+# sum_n |B_2n| w^(2n-1) / (2n)!, which these terms give to a double below w = 1.
+_BERNOULLI = (1 / 6, 1 / 30, 1 / 42, 1 / 30, 5 / 66, 691 / 2730, 7 / 6, 3617 / 510,
+              43867 / 798, 174611 / 330, 854513 / 138, 236364091 / 2730)
+_COT_COEFFS = tuple(b / math.factorial(2 * n + 2) for n, b in reversed(list(enumerate(_BERNOULLI))))
+
+
+def _image_pairs(t: float, top: float) -> int:
+    """Image pairs about 2 pi j, j >= 1, kept at time ``t`` for angles up to ``top``.
+
+    The pair about 2 pi j weighs at most exp(-2 pi j (pi j - top) / t)
+    against the k = 0 image; the first one below exp(-_IMAGE_DROP) is dropped.
+    Angles near pi, paired about (2j + 1) pi, need one pair more.
+    """
+    n = 0
+    while 2.0 * np.pi * (n + 1) * (np.pi * (n + 1) - top) < _IMAGE_DROP * t:
+        n += 1
+    return n
+
+
+@lru_cache(maxsize=8)
+def _pair_centers(n: int):
+    """(n, 1) columns for the pairs j = 1..n about 0: centers 2 pi j, their
+    rounding 2 pi j - float(2 pi j) and signs (-1)^j; then the centers
+    (2j + 1) pi and signs (-1)^j of the pairs j = 0..n about pi."""
+    j = np.arange(n + 1)[:, None]
+    signs = np.where(j % 2 == 1, -1.0, 1.0)
+    return 2.0 * np.pi * j[1:], 2.0 * _PI_LO * j[1:], signs[1:], (2 * j + 1) * np.pi, signs
+
+
+def _inv_minus_half_cot(w, top: float, t: float):
+    """1/w - cot(w/2)/2 for 0 < w <= ``top`` <= pi, without the cancellation near 0.
+
+    Below w = min(1, sqrt(t)) the series, with the terms that can change a
+    double there: the n-th is about (w / 2 pi)^(2n - 2) of the first. Above,
+    the direct form, whose rounding of about 2 eps / w is within a few eps
+    of the score, about w / t in size.
+    """
+    cut = min(1.0, math.sqrt(t))
+    x = np.minimum(w, cut) if top > cut else w
+    kept = math.ceil(20.0 / math.log(2.0 * np.pi / min(max(top, 1e-3), cut)))
+    coeffs = _COT_COEFFS[-kept:]
+    x2 = x * x
+    series = coeffs[0] * x2
+    for coeff in coeffs[1:-1]:
+        series += coeff
+        series *= x2
+    series += coeffs[-1]
+    series *= x
+    if top <= cut:
+        return series
+    return np.where(w < cut, series, 1.0 / w - 0.5 / np.tan(0.5 * w))
+
+
+def _image_sum(omega: np.ndarray, t: float, omega_eps: float):
+    """f and df/dw at angles ``omega`` by the image sum.
+
+    About 0, with y = w and each pair center c = 2 pi j, a = 2cy/t and
+    m = 1 - exp(-a), the sum over images divided by the k = 0 weight
+    exp(-y^2 / 2t) is S = y + sum_j (-1)^j r_j (y (2 - m) - c m), where
+    r_j = exp(-c (c - 2y) / 2t) is the pair's weight relative to it, and
+    f = scale exp(-y^2 / 2t) S / sin(y/2). The score d log f/dw is
+    Z / (y S) + 1/y - cot(y/2)/2 with Z = y dS/dy - S = -y^3/t +
+    sum_j (-1)^j r_j (c chi(a) / 2 + a y m - y^3 (2 - m) / t), where
+    chi(a) = 2 - a - (2 + a) exp(-a) = O(a^3) comes from its series below
+    a = 0.1. Within t / (2 pi) of pi, with y = pi - w, the pairs about
+    c = (2j + 1) pi sum to E (c (2 - m) - y m), E = exp(-(c - y)^2 / 2t), and
+    the score is -(dS/dy) / S - tan(y/2)/2. Below ``omega_eps`` f is its
+    w -> 0 limit and df is 0, as in the series.
+    """
+    top = np.fmax.reduce(omega, initial=0.0)  # a nan angle gives nan alone
+    if top > np.pi:  # f is even and 2 pi-periodic in w, so df is odd about pi
+        omega = np.remainder(omega, 2.0 * np.pi)
+        flip = omega > np.pi
+        f, df = _image_sum(np.where(flip, 2.0 * np.pi - omega, omega), t, omega_eps)
+        return f, np.where(flip, -df, df)
+    n = _image_pairs(t, top)
+    c, c_lo, signs, c_pi, signs_pi = _pair_centers(n)
+    bottom = np.fmin.reduce(omega, initial=np.inf)
+    small = omega < omega_eps if bottom < omega_eps else None
+    y = omega if small is None else np.where(small, 1.0, omega)
+    cube = y * y
+    e0 = np.exp(cube * (-0.5 / t))
+    cube *= y / t
+    s, z = y, -cube
+    if n:
+        a = (2.0 / t) * c * y
+        q = np.expm1(-a)  # -m
+        r = signs * np.exp(c * ((c - 2.0 * y) + c_lo) * (-0.5 / t))
+        two_m = 2.0 + q
+        s = s + (r * (y * two_m + c * q)).sum(axis=0)
+        chi = -2.0 * q - a * two_m
+        if bottom < 0.05 * t / c[0, 0]:  # some a < 0.1
+            low = a < 0.1  # chi = -4 exp(-a/2) sum_k 2k (a/2)^(2k+1) / (2k+1)!
+            a_low = a[low]
+            b2 = 0.25 * a_low * a_low
+            chi[low] = (-2.0 * a_low * b2) * np.sqrt(1.0 + q[low]) * (
+                1 / 3 + b2 * (1 / 30 + b2 * (1 / 840 + b2 / 45360)))
+        z = z + (r * (0.5 * c * chi - (a * q * y + cube * two_m))).sum(axis=0)
+    score = z / (y * s) + _inv_minus_half_cot(y, top, t)
+    s = s * e0
+    if top > np.pi - t / (2.0 * np.pi):
+        about_pi = omega > np.pi - t / (2.0 * np.pi)
+        v = (np.pi - omega[about_pi]) + _PI_LO
+        a = (2.0 / t) * c_pi * v
+        q = np.expm1(-a)  # -m
+        e = signs_pi * np.exp((c_pi - v) ** 2 * (-0.5 / t))
+        s[about_pi] = s_pi = (e * (c_pi * (2.0 + q) + v * q)).sum(axis=0)
+        ds = (e * (2.0 * a - q * (1.0 - (c_pi + v) ** 2 / t))).sum(axis=0)
+        score[about_pi] = ds / s_pi - 0.5 * np.tan(0.5 * v)
+    scale = math.exp(t / 8.0) * math.sqrt(2.0 * np.pi) * t**-1.5
+    f = s * scale
+    f /= np.sin(0.5 * y)
+    if small is not None:  # S / y -> 1 + sum_j (-1)^j exp(-c^2 / 2t) (2 - 2 c^2 / t)
+        limit = 1.0 + (signs * np.exp(c * c / (-2.0 * t)) * (2.0 - 2.0 * c * c / t)).sum()
+        f[small] = 2.0 * scale * limit
+        score[small] = 0.0
+    return f, f * score
+
+
 def _f_df(omega, t: float, cfg: TruncationConfig, table):
-    """f(w, t) and df/dw shaped like ``omega``: the series, or ``table``'s interpolation."""
+    """f(w, t) and df/dw shaped like ``omega``: the image sum, the series, or
+    ``table``'s interpolation."""
     if table is not None:
         return table.interp_f(omega), table.interp_df(omega)
     t = _check_time(t)
-    n_terms = _term_count(cfg)
-    f_basis, df_basis = _series_basis(
-        np.atleast_1d(np.asarray(omega, dtype=float)).ravel(), n_terms, cfg.omega_eps
-    )
-    weights = _series_weights(t, n_terms)[:, 0]
-    return _shaped(f_basis @ weights, omega), _shaped(df_basis @ weights, omega)
+    w = np.atleast_1d(np.asarray(omega, dtype=float)).ravel()
+    if t <= T_IMAGE:
+        f, df = _image_sum(w, t, cfg.omega_eps)
+    else:
+        n_terms = _term_count(cfg)
+        f_basis, df_basis = _series_basis(w, n_terms, cfg.omega_eps)
+        weights = _series_weights(t, n_terms)[:, 0]
+        f, df = f_basis @ weights, df_basis @ weights
+    return _shaped(f, omega), _shaped(df, omega)
 
 
 def f_igso3(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
-    """Truncated heat-kernel series f(w, t), vectorized over ``omega``."""
+    """Heat kernel f(w, t), vectorized over ``omega``: the image sum up to
+    :data:`T_IMAGE`, the truncated series above."""
     return _f_df(omega, t, cfg, None)[0]
 
 
 def df_igso3_domega(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
-    """Termwise analytic d/dw of the truncated series; odd, so 0 at w -> 0."""
+    """Analytic df/dw of :func:`f_igso3`; odd, so 0 below ``cfg.omega_eps``."""
     return _f_df(omega, t, cfg, None)[1]
 
 
 def _mixture(centers, rt, t, cfg, table, weights):
-    """Relative rotations, their angles, f and df/dw per center, posteriors and density."""
+    """Relative rotations, their skew/trace parts, f and df/dw per center,
+    posteriors and density."""
     # rt[None]: a center shared by a batch of rt must not broadcast over the batch.
     rel = so3.transpose(np.asarray(centers, dtype=float)) @ np.asarray(rt, dtype=float)[None]
-    omega = so3.rotation_angle(rel)
-    f, df = _f_df(omega, t, cfg, table)
+    parts = so3.skew_trace(rel)
+    f, df = _f_df(parts.angle, t, cfg, table)
     weighted = f if weights is None else np.reshape(weights, (-1,) + (1,) * (f.ndim - 1)) * f
     total = weighted.sum(axis=0)
     if np.any(total <= 0.0):
         raise NumericalDomainError("density not positive; increase t or series_terms")
-    return rel, omega, f, df, weighted / total, total
+    return rel, parts, f, df, weighted / total, total
 
 
 def mixture_density(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weights=None):
@@ -181,7 +346,7 @@ def mixture_density(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weigh
 
     ``centers`` is (K, ..., 3, 3), each ``centers[k]`` broadcasting against
     ``rt``; ``weights`` (K,) default to a single center of weight 1. A
-    ``table`` for time ``t`` replaces the series by interpolation. Raises
+    ``table`` for time ``t`` replaces :func:`f_igso3` by interpolation. Raises
     :class:`NumericalDomainError` where the density is not positive.
     """
     return _mixture(centers, rt, t, cfg, table, weights)[-1]
@@ -195,9 +360,9 @@ def mixture_score(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weights
     a center within ``omega_eps`` of ``rt`` contributes the zero tangent.
     """
     rt = np.asarray(rt, dtype=float)
-    rel, omega, f, df, post, _ = _mixture(centers, rt, t, cfg, table, weights)
-    coef = _log_coeff(omega, df / np.where(f > 0, f, 1.0), cfg.omega_eps)
-    return rt @ so3.hat((so3.log_rotvec(rel) * (post * coef)[..., None]).sum(axis=0))
+    rel, parts, f, df, post, _ = _mixture(centers, rt, t, cfg, table, weights)
+    coef = _log_coeff(parts.angle, df / np.where(f > 0, f, 1.0), cfg.omega_eps)
+    return rt @ so3.hat((so3.log_rotvec(rel, parts) * (post * coef)[..., None]).sum(axis=0))
 
 
 def igso3_density(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
@@ -319,9 +484,9 @@ def sample_igso3(
 def score_from_table(
     r0, rt, table: IGSO3Table, cfg: TruncationConfig = DEFAULT_CONFIG
 ):
-    """Table-backed :func:`conditional_score` for hot simulation loops.
+    """:func:`conditional_score` interpolated from a table of time ``table.t``.
 
-    Uses the same w < ``cfg.omega_eps`` zero gate as the series path.
+    Uses the same w < ``cfg.omega_eps`` zero gate as the direct path.
     """
     return mixture_score(np.asarray(r0, dtype=float)[None], rt, table.t, cfg, table)
 

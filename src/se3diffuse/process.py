@@ -217,9 +217,11 @@ def score_from_denoised(
     """
     if len(fs_t) != len(pred0):
         raise ValueError("frame counts differ")
-    # A walk visits each time once: a cached table would never be read again.
-    table = igso3.build_table(float(schedules.rot_variance(t, rot_sched)), cfg)
-    rot_scores = igso3.score_from_table(pred0.rotations, fs_t.rotations, table, cfg)
+    # Scores at the walk's own angles: a walk visits each time once, so a
+    # table of the time would be built for one read.
+    rot_scores = igso3.conditional_score(
+        pred0.rotations, fs_t.rotations, float(schedules.rot_variance(t, rot_sched)), cfg
+    )
     trans_scores = schedules.trans_conditional_score(
         pred0.translations, fs_t.translations, t, trans_sched
     )

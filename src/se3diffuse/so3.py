@@ -9,6 +9,8 @@ for which that basis is orthonormal.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 # Taylor fallbacks: exp below 1e-8, log below 1e-6 (keeps the error under
@@ -88,17 +90,33 @@ def log_so3(r: np.ndarray) -> np.ndarray:
     return hat(log_rotvec(r))
 
 
-def _skew_trace(r: np.ndarray):
-    """Components of ``r - r^T`` (2 sin(w) u), its norm 2 sin(w), 2 cos(w) and w."""
+class SkewTrace(NamedTuple):
+    """What the angle and the log of rotations (..., 3, 3) are read from.
+
+    ``skew`` holds the components of ``r - r^T`` (2 sin(w) u), ``sin2``
+    their norm 2 sin(w), ``cos2`` the trace minus one, 2 cos(w), and
+    ``angle`` is w = atan2(sin2, cos2).
+    """
+
+    skew: tuple[np.ndarray, np.ndarray, np.ndarray]
+    sin2: np.ndarray
+    cos2: np.ndarray
+    angle: np.ndarray
+
+
+def skew_trace(r: np.ndarray) -> SkewTrace:
+    """Skew part, trace and angle of rotations, shared by :func:`rotation_angle`
+    and :func:`log_rotvec`; compute it once when both are needed."""
+    r = np.asarray(r, dtype=float)
     x = r[..., 2, 1] - r[..., 1, 2]
     y = r[..., 0, 2] - r[..., 2, 0]
     z = r[..., 1, 0] - r[..., 0, 1]
     sin2 = np.sqrt(x * x + y * y + z * z)
     cos2 = r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2] - 1.0
-    return (x, y, z), sin2, cos2, np.arctan2(sin2, cos2)
+    return SkewTrace((x, y, z), sin2, cos2, np.arctan2(sin2, cos2))
 
 
-def log_rotvec(r: np.ndarray) -> np.ndarray:
+def log_rotvec(r: np.ndarray, parts: SkewTrace | None = None) -> np.ndarray:
     """Rotation vector (angle times unit axis) of rotations (..., 3, 3).
 
     The angle is ``w = atan2(|skew part|, (tr - 1) / 2)`` and the vector
@@ -106,9 +124,10 @@ def log_rotvec(r: np.ndarray) -> np.ndarray:
     skew part is too short to carry the axis, so those rows read it from
     the column of the largest diagonal entry of ``(1 - cos w) u u^T``, the
     symmetric part minus ``cos(w) I``, and take its sign from the skew part.
+    ``parts`` is :func:`skew_trace` of ``r`` when the caller has it already.
     """
     r = np.asarray(r, dtype=float)
-    skew, sin2, cos2, theta = _skew_trace(r)
+    skew, sin2, cos2, theta = skew_trace(r) if parts is None else parts
     small = sin2 <= 2.0 * _LOG_SMALL
     # w / (2 sin w), with the limit 1/2 + w^2/12 as w -> 0.
     scale = np.where(small, 0.5 + sin2 * sin2 / 48.0, theta / np.where(small, 1.0, sin2))
@@ -132,7 +151,7 @@ def rotation_angle(r: np.ndarray) -> np.ndarray:
     Accurate to roundoff at every angle; ``arccos`` of the trace errs by
     up to about 5e-8 near 0 and pi, the square root of the trace's roundoff.
     """
-    return _skew_trace(np.asarray(r, dtype=float))[3]
+    return skew_trace(r).angle
 
 
 def expmap(r0: np.ndarray, tangent: np.ndarray, tol: float = _SKEW_TOL) -> np.ndarray:

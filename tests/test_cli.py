@@ -540,17 +540,30 @@ class TestArtifactWriters:
             assert b",-0.0," in new and b"e-311" in new
 
 
-def _run_python(code, **kwargs):
-    """``code`` run by a fresh interpreter that finds this package."""
+def _run_interpreter(args, **kwargs):
+    """A fresh interpreter that finds this package, run with ``args``."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, **kwargs)
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+def _run_python(code, **kwargs):
+    """``code`` run by a fresh interpreter that finds this package."""
+    return _run_interpreter(["-c", code], **kwargs)
 
 
 def _python(code):
     """Exit code of ``code`` run by a fresh interpreter that finds this package."""
     return _run_python(code, timeout=60).returncode
+
+
+def test_run_as_module_warns_nothing():
+    # The package must not import cli before runpy executes it as __main__.
+    proc = _run_interpreter(["-W", "error::RuntimeWarning", "-m", "se3diffuse.cli", "--help"],
+                            capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert b"sample-backbones" in proc.stdout
 
 
 def test_cli_import_does_not_load_scipy():

@@ -47,6 +47,27 @@ def brute_force_series(omega, t, n_terms):
     return f, df
 
 
+def dirichlet_series(omega, t, n_terms):
+    """The same partial sums of f and df/dw, summed without cancellation.
+
+    sin((l + 1/2) w) / sin(w/2) = 1 + 2 sum_{m=1}^{l} cos(m w), so the sum
+    over l < n_terms is sum_m c_m cos(m w) with c_m twice the tail sum of
+    the weights from m on (once for m = 0), and df/dw is -sum_m m c_m
+    sin(m w). Each angle's terms are summed with ``math.fsum``. The
+    termwise derivative in :func:`brute_force_series` cancels as w -> 0:
+    at t = 0.1 and w = pi/999 it is off a high-precision value by 2.5e-12,
+    8 times the tolerance of ``test_matches_full_sum``; this form is off
+    by under 1e-15 there.
+    """
+    ls = np.arange(n_terms)
+    weights = (2 * ls + 1) * np.exp(-ls * (ls + 1) * t / 2.0)
+    coeffs = np.cumsum(weights[::-1])[::-1] * np.where(ls == 0, 1.0, 2.0)
+    omega = np.asarray(omega, dtype=float)
+    f = np.array([math.fsum(coeffs * np.cos(ls * w)) for w in omega])
+    df = np.array([math.fsum(-ls * coeffs * np.sin(ls * w)) for w in omega])
+    return f, df
+
+
 def trapezoid_cdf(f, grid):
     """Normalized trapezoidal angle CDF of a clamped density, as tables build it."""
     pdf = np.clip(f, 0.0, None) * (1.0 - np.cos(grid)) / np.pi
@@ -77,6 +98,15 @@ class TestSeries:
     def test_default_truncation(self):
         assert igso3.TruncationConfig().series_terms == 2000
 
+    @pytest.mark.parametrize("t", [0.05, 1.0, 20.0])
+    def test_nan_angle_leaves_the_others_alone(self, t):
+        omega = np.array([1e-5, 0.5, 3.0])
+        f, df = igso3.f_igso3(omega, t), igso3.df_igso3_domega(omega, t)
+        with_nan = np.array([1e-5, 0.5, np.nan, 3.0])
+        assert np.array_equal(igso3.f_igso3(with_nan, t), np.insert(f, 2, np.nan), equal_nan=True)
+        assert np.array_equal(igso3.df_igso3_domega(with_nan, t), np.insert(df, 2, np.nan),
+                              equal_nan=True)
+
     def test_rejects_small_time(self):
         with pytest.raises(igso3.NumericalDomainError):
             igso3.f_igso3(1.0, 0.001)
@@ -102,13 +132,17 @@ class TestTruncation:
 
     @pytest.mark.parametrize("t", [igso3.T_MIN, 0.1, 1.0, 2.25])
     def test_matches_full_sum(self, t):
+        # The direct values come from the image sum, which agrees with the
+        # exact sum; the tables come from the series, whose termwise
+        # rounding the termwise oracle shares.
         table = igso3.build_table(t)
         grid = table.omega_grid
+        f_exact, df_exact = dirichlet_series(grid, t, 2000)
         f_ref, df_ref = brute_force_series(grid, t, 2000)
         f_tol = 1e-15 * np.abs(f_ref).max()
         df_tol = 1e-15 * np.abs(df_ref).max()
-        assert np.abs(igso3.f_igso3(grid, t) - f_ref).max() <= f_tol
-        assert np.abs(igso3.df_igso3_domega(grid, t) - df_ref).max() <= df_tol
+        assert np.abs(igso3.f_igso3(grid, t) - f_exact).max() <= f_tol
+        assert np.abs(igso3.df_igso3_domega(grid, t) - df_exact).max() <= df_tol
         assert np.abs(table.f_vals - np.clip(f_ref, 0.0, None)).max() <= f_tol
         assert np.abs(table.df_vals - df_ref).max() <= df_tol
         assert np.abs(table.cdf_vals - trapezoid_cdf(f_ref, grid)).max() <= 1e-15
@@ -120,16 +154,26 @@ class TestTruncation:
             assert abs(igso3.f_igso3(omega, igso3.T_MIN) - expected) <= tol
 
     def test_cap_sums_exactly_that_many_terms(self):
-        # At t_min ten terms are far from converged, so the cap is visible.
-        cfg = igso3.TruncationConfig(series_terms=10)
-        assert igso3._term_count(cfg) == 10
+        # The cap reaches the tables, not the image sum. At t_min 60 terms
+        # are not converged, so the cap is visible; fewer leave more
+        # negative mass than a table build accepts.
+        cfg = igso3.TruncationConfig(series_terms=60)
+        assert igso3._term_count(cfg) == 60
+        table = igso3.build_table(igso3.T_MIN, cfg)
+        f60, df60 = brute_force_series(table.omega_grid, igso3.T_MIN, 60)
+        assert np.abs(table.f_vals - np.clip(f60, 0.0, None)).max() <= 1e-15 * np.abs(f60).max()
+        assert np.abs(table.df_vals - df60).max() <= 1e-15 * np.abs(df60).max()
+        assert np.abs(table.f_vals - igso3.build_table(igso3.T_MIN).f_vals).max() > 1e-4
+        grid = table.omega_grid
+        assert np.array_equal(igso3.f_igso3(grid, igso3.T_MIN, cfg), igso3.f_igso3(grid, igso3.T_MIN))
+
+    def test_cap_reaches_the_series_above_the_image_sum(self):
+        t = np.nextafter(igso3.T_IMAGE, np.inf)
+        cfg = igso3.TruncationConfig(series_terms=2)
         grid = np.linspace(0.0, np.pi, 50)
-        f10, df10 = brute_force_series(grid, igso3.T_MIN, 10)
-        f = igso3.f_igso3(grid, igso3.T_MIN, cfg)
-        assert np.abs(f - f10).max() <= 1e-15 * np.abs(f10).max()
-        df = igso3.df_igso3_domega(grid, igso3.T_MIN, cfg)
-        assert np.abs(df - df10).max() <= 1e-15 * np.abs(df10).max()
-        assert np.abs(f - igso3.f_igso3(grid, igso3.T_MIN)).max() > 1.0
+        f2, df2 = brute_force_series(grid, t, 2)
+        assert np.abs(igso3.f_igso3(grid, t, cfg) - f2).max() <= 1e-15 * np.abs(f2).max()
+        assert np.abs(igso3.df_igso3_domega(grid, t, cfg) - df2).max() <= 1e-15 * np.abs(df2).max()
 
 
 class TestDerivative:
@@ -218,8 +262,14 @@ class TestConditionalScore:
         assert np.array_equal(shared, stacked)
 
 
+def small_time_score(omega, t):
+    """d log f/dw of the k = 0 image alone: -w/t + 1/w - cot(w/2)/2."""
+    return -omega / t + 1.0 / omega - 0.5 / np.tan(0.5 * omega)
+
+
 class TestVanishingDensity:
-    """At the rotation variance of eps = 0.01, w = 2 is past where f is positive."""
+    """At the rotation variance of eps = 0.01, w = 2 is past where the
+    series' f is positive, and from about w = 1.15 on its f is roundoff."""
 
     T = float(schedules.rot_variance(0.01, schedules.RotationSchedule()))
     RT = so3.exp_so3(so3.hat(np.array([2.0, 0.0, 0.0])))
@@ -228,9 +278,24 @@ class TestVanishingDensity:
         with pytest.raises(igso3.NumericalDomainError):
             igso3.score_from_table(np.eye(3), self.RT, igso3.build_table(self.T))
 
-    def test_series_score_raises(self):
-        with pytest.raises(igso3.NumericalDomainError):
-            igso3.conditional_score(np.eye(3), self.RT, self.T)
+    @pytest.mark.parametrize("omega", [1.15, 1.2, 1.5, 2.0])
+    def test_direct_score_follows_small_time_expansion(self, omega):
+        # The other images weigh under exp(-2 pi (pi - w) / t) < 1e-180 here.
+        rt = so3.exp_so3(so3.hat(np.array([omega, 0.0, 0.0])))
+        score = so3.vee(rt.T @ igso3.conditional_score(np.eye(3), rt, self.T))
+        expected = small_time_score(omega, self.T)
+        assert expected < -60.0
+        assert abs(score[0] - expected) <= 1e-12 * abs(expected)
+        assert score[1] == 0.0 and score[2] == 0.0
+
+    @pytest.mark.parametrize("t", [igso3.T_MIN, T, 0.1])
+    def test_direct_density_positive_everywhere(self, rng, t):
+        # Uniform pairs reach w = pi, where f(pi, t_min) is about 1e-211.
+        r0 = so3.sample_uniform_so3(rng, 2000)
+        rt = so3.sample_uniform_so3(rng, 2000)
+        rt[0] = r0[0] @ so3.exp_so3(so3.hat(np.array([0.0, 0.0, np.pi])))
+        assert (igso3.igso3_density(r0, rt, t) > 0.0).all()
+        assert np.isfinite(igso3.conditional_score(r0, rt, t)).all()
 
 
 class TestScoreFromTable:

@@ -1,0 +1,76 @@
+"""f and d log f/dw of both IGSO3 branches against a high-precision series."""
+
+import math
+
+import numpy as np
+import pytest
+
+from se3diffuse import igso3
+
+mpmath = pytest.importorskip("mpmath")
+
+ANGLES = [0.0, 1e-4, 1e-3, 0.01, 0.3, 1.0, 1.15, 1.5, 2.0, 2.9, 3.1,
+          np.pi - 1e-2, np.pi - 3e-3, np.pi - 1e-3, np.pi - 1e-6, np.pi]
+# Both sides of the crossover between the image sum and the series.
+TIMES = [igso3.T_MIN, 0.0169, 0.1, 0.5, 1.0, 2.25, 4.0, igso3.T_IMAGE,
+         float(np.nextafter(igso3.T_IMAGE, np.inf)), 10.0, 50.0]
+
+
+def reference(omega: float, t: float) -> tuple[float, float]:
+    """f(w, t) and d log f/dw of the character series at the double ``omega``.
+
+    The working precision covers the cancellation down to f(pi, t) ~
+    exp(-pi^2 / 2t) with 40 digits to spare, and the sum runs until the
+    weights drop below it.
+    """
+    digits = 40 + math.ceil(math.pi**2 / (2.0 * t) / math.log(10.0))
+    with mpmath.workdps(digits):
+        w, t = mpmath.mpf(omega), mpmath.mpf(t)
+        n_terms = int(mpmath.sqrt(2 * (digits + 10) * mpmath.log(10) / t)) + 5
+        f = df = mpmath.mpf(0)
+        sin_half, cos_half = mpmath.sin(w / 2), mpmath.cos(w / 2)
+        for ell in range(n_terms):
+            weight = (2 * ell + 1) * mpmath.exp(-ell * (ell + 1) * t / 2)
+            if w == 0:
+                f += weight * (2 * ell + 1)
+                continue
+            a = ell + mpmath.mpf(1) / 2
+            f += weight * mpmath.sin(a * w) / sin_half
+            df += weight * (a * mpmath.cos(a * w) * sin_half
+                            - cos_half * mpmath.sin(a * w) / 2) / sin_half**2
+        return float(f), float(df / f)
+
+
+@pytest.mark.parametrize("t", TIMES)
+def test_density_and_score_match_high_precision_series(t):
+    omega = np.array(ANGLES)
+    f = igso3.f_igso3(omega, t)
+    score = igso3.df_igso3_domega(omega, t) / f
+    for i, w in enumerate(ANGLES):
+        f_ref, s_ref = reference(w, t)
+        assert abs(f[i] - f_ref) <= 1e-12 * f_ref, (w, f[i], f_ref)
+        assert abs(score[i] - s_ref) <= 1e-12 * max(1.0, abs(s_ref)), (w, score[i], s_ref)
+        if t <= 4.0:  # the image sum also keeps small scores, near 0 and pi, to roundoff
+            assert abs(score[i] - s_ref) <= 1e-14 * abs(s_ref), (w, score[i], s_ref)
+
+
+def test_branches_meet_at_the_crossover():
+    grid = np.linspace(0.0, np.pi, 200)
+    below = igso3.T_IMAGE
+    above = float(np.nextafter(below, np.inf))
+    f_below, f_above = igso3.f_igso3(grid, below), igso3.f_igso3(grid, above)
+    assert np.abs(f_above / f_below - 1.0).max() < 1e-14
+    df_below = igso3.df_igso3_domega(grid, below)
+    df_above = igso3.df_igso3_domega(grid, above)
+    # df is 0.002 at most here: its roundoff is on the scale of f, about 1.
+    assert np.abs(df_above - df_below).max() < 1e-14 * f_below.max()
+
+
+@pytest.mark.parametrize("t", [0.05, 1.0, 2.0])
+def test_image_sum_is_periodic_and_even_like_the_series(t):
+    omega = np.array([0.3, 1.7, 3.0])
+    f, df = igso3.f_igso3(omega, t), igso3.df_igso3_domega(omega, t)
+    for shifted, sign in ((2.0 * np.pi - omega, -1.0), (omega + 2.0 * np.pi, 1.0)):
+        assert np.allclose(igso3.f_igso3(shifted, t), f, rtol=1e-12, atol=0.0)
+        assert np.allclose(igso3.df_igso3_domega(shifted, t), sign * df,
+                           rtol=1e-10, atol=1e-12 * np.abs(df).max())

@@ -284,6 +284,16 @@ class TestReverseWalk:
         process.reverse_walk(make_frameset(rng, 3), score, TS, RS, sim, rng)
         assert igso3.cached_table.cache_info() == before
 
+    def test_walk_builds_no_table(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the walk built an IGSO3 table")
+
+        monkeypatch.setattr(igso3, "build_tables", refuse)
+        score = process.fixed_target_score(make_frameset(rng, 8), TS, RS)
+        sim = process.SimConfig(n_steps=20, eps=0.01)
+        walk = process.iter_reverse_walk(make_frameset(rng, 8), score, TS, RS, sim, rng)
+        assert len(list(walk)) == 20
+
     def test_default_steps(self):
         assert process.SimConfig().n_steps == 500
 

@@ -175,6 +175,31 @@ class TestRotationAngle:
         ).max() < 1e-12
 
 
+class TestSkewTrace:
+    def rotations(self, rng):
+        """Uniform rotations plus angles near 0 and pi, where the log switches form."""
+        axes = rng.standard_normal((40, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angles = np.concatenate([[0.0, 1e-9, 1e-6, 2e-6, 3.0, np.pi - 1e-9, np.pi],
+                                 rng.uniform(2.9, np.pi, 33)])
+        return np.concatenate([random_rotations(rng, 60), so3.exp_so3(so3.hat(angles[:, None] * axes))])
+
+    def test_angle_is_atan2_of_skew_norm_and_trace(self, rng):
+        r = self.rotations(rng)
+        x = r[:, 2, 1] - r[:, 1, 2]
+        y = r[:, 0, 2] - r[:, 2, 0]
+        z = r[:, 1, 0] - r[:, 0, 1]
+        expected = np.arctan2(np.sqrt(x * x + y * y + z * z), np.trace(r, axis1=1, axis2=2) - 1.0)
+        assert np.array_equal(so3.skew_trace(r).angle, expected)
+        assert np.array_equal(so3.rotation_angle(r), expected)
+
+    def test_shared_parts_give_the_same_log(self, rng):
+        r = self.rotations(rng)
+        parts = so3.skew_trace(r)
+        assert np.array_equal(so3.log_rotvec(r, parts), so3.log_rotvec(r))
+        assert np.array_equal(so3.rotation_angle(r), parts.angle)
+
+
 class TestExpmap:
     def test_identity_base(self, rng):
         v = rng.standard_normal(3)

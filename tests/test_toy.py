@@ -177,14 +177,23 @@ class TestMixtureScore:
             single = toy.score_t(target, rts[0], 0.6, table=table)
             assert np.abs(single - batched[0]).max() <= 1e-12 * max(1.0, np.abs(single).max())
 
-    @pytest.mark.parametrize("tabled", [False, True])
-    def test_single_atom_raises_where_density_vanishes(self, tabled):
+    def test_single_atom_table_raises_where_density_vanishes(self):
         t = float(schedules.rot_variance(0.01, schedules.RotationSchedule()))
         rt = so3.exp_so3(so3.hat(np.array([2.0, 0.0, 0.0])))
         single = toy.DiscreteTarget(np.eye(3)[None], np.array([1.0]))
-        table = igso3.build_table(t) if tabled else None
         with pytest.raises(igso3.NumericalDomainError):
-            toy.score_t(single, rt, t, table=table)
+            toy.score_t(single, rt, t, table=igso3.build_table(t))
+
+    @pytest.mark.parametrize("omega", [1.15, 1.2, 1.5, 2.0])
+    def test_single_atom_direct_score_follows_small_time_expansion(self, omega):
+        # Past the series' roundoff floor the image sum keeps the k = 0
+        # image's score -w/t + 1/w - cot(w/2)/2.
+        t = float(schedules.rot_variance(0.01, schedules.RotationSchedule()))
+        rt = so3.exp_so3(so3.hat(np.array([omega, 0.0, 0.0])))
+        single = toy.DiscreteTarget(np.eye(3)[None], np.array([1.0]))
+        score = so3.vee(rt.T @ toy.score_t(single, rt, t))
+        expected = -omega / t + 1.0 / omega - 0.5 / np.tan(0.5 * omega)
+        assert abs(score[0] - expected) <= 1e-12 * abs(expected)
 
     def test_conjugation_covariance(self, rng, target):
         g = so3.sample_uniform_so3(rng)
