@@ -2,34 +2,33 @@
 
 import importlib
 
-from . import backbone, igso3, process, schedules, so3, toy
-from .igso3 import IGSO3Table, NumericalDomainError, TruncationConfig
-from .process import FrameSet, SimConfig
-from .schedules import RotationSchedule, TranslationSchedule
-
-__all__ = [
-    "backbone",
-    "cli",
-    "igso3",
-    "process",
-    "schedules",
-    "so3",
-    "toy",
-    "FrameSet",
-    "IGSO3Table",
-    "NumericalDomainError",
-    "RotationSchedule",
-    "SimConfig",
-    "TranslationSchedule",
-    "TruncationConfig",
-]
-
 __version__ = "0.1.0"
+
+# The module that defines each re-exported class.
+_HOMES = {"FrameSet": "process", "IGSO3Table": "igso3", "NumericalDomainError": "igso3",
+          "RotationSchedule": "schedules", "SimConfig": "process",
+          "TranslationSchedule": "schedules", "TruncationConfig": "igso3"}
+__all__ = ["backbone", "cli", "igso3", "process", "schedules", "so3", "toy", *_HOMES]
+
+
+class UsageError(Exception):
+    """A command line or ``--config`` value the CLI rejects (exit code 1).
+
+    Defined here, not in cli: ``python -m se3diffuse.cli`` runs a second copy
+    of cli, whose ``main`` would not catch the first copy's class.
+    """
 
 
 def __getattr__(name):
-    # cli is imported on first use: importing it with the package would make
-    # ``python -m se3diffuse.cli`` find it in sys.modules before running it.
-    if name == "cli":
-        return importlib.import_module(f"{__name__}.cli")
+    # Submodules and their classes load on first access, so importing the
+    # package loads no numpy, and ``python -m se3diffuse.cli`` finds no cli
+    # in sys.modules before running it.
+    if name in _HOMES:
+        return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -8,24 +8,22 @@ Subcommands:
 
 Every command writes a run-manifest JSON alongside its outputs. Exit
 codes: 0 success, 1 usage error, 2 numerical-domain error, 3 I/O error.
+
+This module imports only the standard library. ``main`` checks every
+option, bound and ``--config`` value before it imports numpy and the
+library with :mod:`se3diffuse.commands`, which runs the command.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
-import threading
 import time
-import warnings
-from collections import deque
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
-from . import backbone, igso3, process, schedules, so3, toy
+from . import UsageError
 
 # Each command's options: key -> (type, default[, lowest value or choices]).
 # The flag is --key with "_" written as "-", and --config files take the
@@ -50,93 +48,9 @@ OPTIONS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
-def _from_flags(build, **values):
-    """``build(**values)``; a value the constructor rejects is a usage error."""
-    try:
-        return build(**values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems must exit 1, not argparse's 2
         raise UsageError(message)
-
-
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form; keeps CSV output byte-stable."""
-    return repr(float(x))
-
-
-_task = None  # the function a forked worker computes; set only in workers
-
-
-def _set_task(fn) -> None:
-    global _task
-    _task = fn
-
-
-def _run_task(item):
-    return _task(item)
-
-
-def _pmap(fn, items):
-    """``fn(item)`` for each of ``items``, in order, spread over one process per CPU.
-
-    Workers are forked, so they inherit ``fn`` and every array it reads;
-    only items and results are pickled. ``items`` is consumed lazily, with
-    at most two tasks per worker in flight, so a generator of items (a walk)
-    keeps running here while the workers compute. The output does not
-    depend on the worker count. An exception from ``items`` or a worker is
-    raised here, once pending tasks are cancelled and the workers have
-    exited. The loop runs in this process when there is one CPU, when
-    ``fork`` is unavailable, or when other threads are running (forking a
-    threaded process can deadlock the child).
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    pool = None
-    if cpus > 1 and threading.active_count() == 1:
-        import multiprocessing  # not at module level: keeps CLI start-up lean
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            # Unlike multiprocessing.Pool, the executor raises, instead of
-            # waiting forever, when a worker is killed.
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(cpus, multiprocessing.get_context("fork"),
-                                       initializer=_set_task, initargs=(fn,))
-    if pool is None:
-        yield from map(fn, items)
-        return
-    pending = deque()
-    try:
-        for item in items:
-            pending.append(pool.submit(_run_task, item))
-            if len(pending) == 2 * cpus:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _csv_rows(values, lead=None) -> str:
-    """CSV lines of a 2-d float array in :func:`_fmt` form.
-
-    Each line starts with the matching ``lead`` string when one is given.
-    ``tolist`` yields Python floats, whose ``repr`` is ``_fmt``'s text.
-    """
-    rows = (",".join(map(repr, row)) for row in np.asarray(values, float).tolist())
-    if lead is None:
-        return "".join(row + "\n" for row in rows)
-    return "".join(f"{first},{row}\n" for first, row in zip(lead, rows))
 
 
 @dataclass
@@ -172,7 +86,7 @@ def _resolve(args: argparse.Namespace, command: str):
         with open(args.config) as fh:
             try:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or not UTF-8
                 raise UsageError(f"bad --config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError("bad --config file: not a JSON object")
@@ -201,280 +115,22 @@ def _resolve(args: argparse.Namespace, command: str):
     return config, checked
 
 
-# ---------------------------------------------------------------- igso3
-
-def cmd_igso3(args: argparse.Namespace) -> RunManifest:
-    cfg, v = _resolve(args, "igso3")
-    trunc = _from_flags(igso3.TruncationConfig, series_terms=v.terms, angle_grid=v.grid)
-    if args.igso3_cmd == "eval":
-        grid = np.linspace(0.0, np.pi, trunc.angle_grid)
-        header = "omega,f,df"
-        rows = np.column_stack([grid, igso3.f_igso3(grid, v.t, trunc),
-                                igso3.df_igso3_domega(grid, v.t, trunc)])
-    else:
-        rng = np.random.default_rng(v.seed)
-        table = igso3.build_table(v.t, trunc)
-        base = np.broadcast_to(np.eye(3), (v.n, 3, 3))
-        samples = igso3.sample_igso3(base, table, rng)
-        if args.igso3_cmd == "sample":
-            header, rows = "a,b,c,d", so3.quat_from_rotation(samples)
-        else:
-            scores = igso3.conditional_score(base, samples, v.t, trunc)
-            coeffs = so3.vee(so3.transpose(samples) @ scores)
-            header = "omega,s1,s2,s3"
-            rows = np.column_stack([so3.rotation_angle(samples), coeffs])
-    with open(v.out, "w") as fh:
-        fh.write(header + "\n")
-        fh.write(_csv_rows(rows))
-    return RunManifest(command=f"igso3 {args.igso3_cmd}", config=cfg, seed=v.seed,
-                       outputs=[v.out])
-
-
-# ------------------------------------------------------------- schedule
-
-def cmd_schedule(args: argparse.Namespace) -> RunManifest:
-    cfg, v = _resolve(args, "schedule")
-    ts = _from_flags(schedules.TranslationSchedule, beta_min=v.beta_min,
-                     beta_max=v.beta_max)
-    rs = _from_flags(schedules.RotationSchedule, sigma_min=v.sigma_min,
-                     sigma_max=v.sigma_max, kind=v.kind)
-    s = np.linspace(0.0, 1.0, v.points)
-    columns = [
-        s,
-        schedules.beta(s, ts),
-        schedules.G_x(s, ts),
-        1.0 - np.exp(-schedules.G_x(s, ts)),
-        schedules.sigma_r(s, rs),
-        schedules.rot_variance(s, rs),
-        schedules.g_r(s, rs),
-    ]
-    with open(v.out, "w") as fh:
-        fh.write("s,beta,G_x,trans_var,sigma_r,rot_var,g_r\n")
-        fh.write(_csv_rows(np.column_stack(columns)))
-    return RunManifest(command="schedule", config=cfg, seed=None, outputs=[v.out])
-
-
-# ------------------------------------------------------------------ toy
-
-def _toy_run_dir_write(
-    out_dir: str, run, times: list[float], target: toy.DiscreteTarget
-) -> list[str]:
-    """One ``t_XXXX.csv`` per recorded time, written by workers as the run goes.
-
-    ``run`` yields (t, rotations) pairs at the times of the ascending grid
-    ``times``, in either order; a file's number is its time's rank. When
-    the run or a write fails, the files handed out and the directories
-    this call created are removed.
-    """
-    created, parent = [], os.path.abspath(out_dir)
-    while not os.path.exists(parent):
-        created.append(parent)
-        parent = os.path.dirname(parent)
-    os.makedirs(out_dir, exist_ok=True)
-    paths = [os.path.join(out_dir, f"t_{idx:04d}.csv") for idx in range(len(times))]
-    rank = {t: idx for idx, t in enumerate(times)}
-    header = "path_id,a,b,c,d," + ",".join(
-        f"angle_to_atom_{k}" for k in range(len(target.weights))
-    )
-
-    def write(job) -> None:
-        path, samples = job
-        quats = so3.quat_from_rotation(samples)
-        angles = toy.atom_angles(target, samples)
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            fh.write(_csv_rows(np.column_stack([quats, angles.T]),
-                               map(str, range(len(samples)))))
-
-    handed = []
-
-    def jobs():
-        for t, samples in run:
-            handed.append(paths[rank[t]])
-            yield handed[-1], samples
-
-    try:
-        deque(_pmap(write, jobs()), maxlen=0)
-    except BaseException:
-        for path in handed:
-            if os.path.isfile(path):
-                os.remove(path)
-        for d in created:
-            os.rmdir(d)
-        raise
-    return paths
-
-
-def cmd_toy(args: argparse.Namespace) -> RunManifest:
-    if args.toy_cmd == "compare":
-        cfg, v = _resolve(args, "toy compare")
-        report = _toy_compare(v.run_a, v.run_b)
-        with open(v.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return RunManifest(command="toy compare", config=cfg, seed=None,
-                           outputs=[v.out])
-
-    cfg, v = _resolve(args, "toy")
-    target = _from_flags(toy.random_target, k=v.atoms, seed=v.atom_seed)
-    run_cfg = _from_flags(toy.ToyRunConfig, n_paths=v.paths, final_time=v.T,
-                          n_steps=v.steps)
-    walk = toy.iter_forward if args.toy_cmd == "forward" else toy.iter_reverse
-    times = run_cfg.times().tolist()
-    run = walk(target, run_cfg, np.random.default_rng(v.seed))
-    outputs = _toy_run_dir_write(v.out_dir, run, times, target)
-    config = dict(
-        cfg,
-        grid_times=[_fmt(t) for t in times],
-        atom_quaternions=[
-            [_fmt(x) for x in q] for q in so3.quat_from_rotation(target.atoms)
-        ],
-    )
-    return RunManifest(command=f"toy {args.toy_cmd}", config=config, seed=v.seed,
-                       outputs=outputs)
-
-
-def _toy_compare(run_a: str, run_b: str) -> dict:
-    """KS statistic of angle-to-nearest-atom between two runs, per time.
-
-    ``max_ks`` leaves out t = 0, where a forward run is exact point masses.
-    A run file that does not parse is a usage error naming the file.
-    """
-    def load_run(d):
-        path = os.path.join(d, "manifest.json")
-        try:
-            with open(path) as fh:
-                times = [float(t) for t in json.load(fh)["config"]["grid_times"]]
-            path = os.path.join(d, "t_0000.csv")
-            with open(path) as fh:
-                n_cols = len(fh.readline().split(","))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"malformed run file {path}: {exc!r}") from exc
-        return times, n_cols
-
-    times_a, cols_a = load_run(run_a)
-    times_b, cols_b = load_run(run_b)
-    if len(times_a) != len(times_b) or np.max(
-        np.abs(np.array(times_a) - np.array(times_b)), initial=0.0
-    ) > 1e-12:
-        raise UsageError("runs were recorded on different time grids")
-    if len(times_a) < 2:
-        raise UsageError("runs need at least two recorded times")
-
-    def angles(d: str, n_cols: int, idx: int) -> np.ndarray:
-        path = os.path.join(d, f"t_{idx:04d}.csv")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt warns on a file without rows
-                return np.loadtxt(path, delimiter=",", skiprows=1,
-                                  usecols=range(5, n_cols), ndmin=2).min(axis=1)
-        except (ValueError, UserWarning) as exc:
-            raise UsageError(f"malformed run file {path}: {exc!r}") from exc
-
-    def ks_at(idx: int) -> float:
-        return toy.ks_2samp_statistic(angles(run_a, cols_a, idx),
-                                      angles(run_b, cols_b, idx))
-
-    ks_list = list(_pmap(ks_at, range(len(times_a))))
-    return {
-        "times": times_a,
-        "ks": ks_list,
-        "max_ks": max(ks_list[1:]),
-    }
-
-
-# ------------------------------------------------------- sample-backbones
-
-def _extended_chain(n_residues: int) -> process.FrameSet:
-    """Deterministic denoising target: identity frames strung along x."""
-    spacing = 0.38  # nm, roughly one CA-CA step
-    translations = np.zeros((n_residues, 3))
-    translations[:, 0] = spacing * np.arange(n_residues)
-    rotations = np.broadcast_to(np.eye(3), (n_residues, 3, 3)).copy()
-    return process.center(process.FrameSet(rotations, translations))
-
-
-_TRAJECTORY_BLOCK = 32  # states per quat_from_rotation call; one per state is slower
-
-
-def _trajectory_rows(block) -> str:
-    """CSV rows of a block (times, rotations (B, N, 3, 3), translations (B, N, 3))."""
-    times, rotations, x = block
-    quats = so3.quat_from_rotation(rotations)
-    residues = [f",0,{i}" for i in range(x.shape[1])]
-    lead = [t + residue for t in map(_fmt, times) for residue in residues]
-    return _csv_rows(np.concatenate([quats, x], -1).reshape(-1, 7), lead)
-
-
-def _write_trajectory(path: str, traj) -> process.FrameSet:
-    """One CSV row per (time, residue): quaternion, then translation.
-
-    Stacks the (t, state) pairs of ``traj`` a block at a time, has workers
-    format the blocks while the walk goes on, and returns the last state.
-    A walk that raises leaves no file at ``path``.
-    """
-    traj, part, final = iter(traj), path + ".part", None
-
-    def blocks():
-        nonlocal final
-        while block := list(itertools.islice(traj, _TRAJECTORY_BLOCK)):
-            times, states = zip(*block)
-            final = states[-1]
-            yield (times, np.stack([s.rotations for s in states]),
-                   np.stack([s.translations for s in states]))
-
-    try:
-        with open(part, "w") as fh:
-            fh.write("t,chain_id,residue_index,a,b,c,d,x,y,z\n")
-            fh.writelines(_pmap(_trajectory_rows, blocks()))
-        os.replace(part, path)
-    finally:
-        if os.path.exists(part):  # the walk or a write failed
-            os.remove(part)
-    return final
-
-
-def cmd_sample_backbones(args: argparse.Namespace) -> RunManifest:
-    cfg, v = _resolve(args, "sample-backbones")
-    trans_sched = schedules.TranslationSchedule()
-    rot_sched = schedules.RotationSchedule()
-    sim = _from_flags(process.SimConfig, n_steps=v.n_steps, eps=v.eps, noise_scale=v.zeta)
-    init = process.reference_sample(v.n_residues, np.random.default_rng(v.init_seed))
-    if v.score == "fixed-target":
-        score = process.fixed_target_score(_extended_chain(v.n_residues), trans_sched,
-                                           rot_sched)
-    else:
-        score = process.zero_score
-    rng = np.random.default_rng(v.seed)
-    walk = process.iter_reverse_walk(init, score, trans_sched, rot_sched, sim, rng)
-    outputs = [v.out + ".pdb"] + ([v.out + "_trajectory.csv"] if v.trajectory else [])
-    if v.trajectory:
-        final = _write_trajectory(outputs[1], walk)
-    else:
-        final = deque(walk, maxlen=1)[0][1]
-    backbone.write_pdb(outputs[0], backbone.frameset_to_atoms(final))
-    return RunManifest(command="sample-backbones", config=cfg, seed=v.seed,
-                       outputs=outputs)
-
-
 # ----------------------------------------------------------------- main
 
-# Subcommand -> (its function, help, actions, the OPTIONS tables of its flags).
+# Subcommand -> (help, actions, the OPTIONS tables of its flags).
 COMMANDS = {
-    "igso3": (cmd_igso3, "heat-kernel series utilities", ("eval", "sample", "score"),
-              ("igso3",)),
-    "schedule": (cmd_schedule, "dump schedule curves as CSV", (), ("schedule",)),
-    "toy": (cmd_toy, "discrete-target SO(3) experiment",
-            ("forward", "reverse", "compare"), ("toy", "toy compare")),
-    "sample-backbones": (cmd_sample_backbones, "reverse walk to a PDB file", (),
-                         ("sample-backbones",)),
+    "igso3": ("heat-kernel series utilities", ("eval", "sample", "score"), ("igso3",)),
+    "schedule": ("dump schedule curves as CSV", (), ("schedule",)),
+    "toy": ("discrete-target SO(3) experiment", ("forward", "reverse", "compare"),
+            ("toy", "toy compare")),
+    "sample-backbones": ("reverse walk to a PDB file", (), ("sample-backbones",)),
 }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="se3diffuse")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, actions, tables) in COMMANDS.items():
+    for command, (help_text, actions, tables) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         if actions:
             p.add_argument(f"{command}_cmd", choices=actions)
@@ -492,18 +148,24 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    domain_errors = (FloatingPointError,)  # igso3's joins once the library loads
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        action = getattr(args, f"{args.command}_cmd", None)
+        command = f"{args.command} {action}" if action else args.command
+        config, values = _resolve(args, command if command in OPTIONS else args.command)
+        from . import commands  # numpy and the library: only for a valid command line
+        from .igso3 import NumericalDomainError
+
+        domain_errors += (NumericalDomainError,)
         start = time.monotonic()
-        # An overflow or invalid operation left in a command is a domain error.
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            manifest = COMMANDS[args.command][0](args)
-        manifest.duration_s = time.monotonic() - start
+        outputs = commands.run(command, values, config)
+        manifest = RunManifest(command, config, getattr(values, "seed", None), outputs,
+                               time.monotonic() - start)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (igso3.NumericalDomainError, FloatingPointError) as exc:
+    except domain_errors as exc:
         print(f"numerical-domain error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

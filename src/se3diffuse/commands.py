@@ -1,0 +1,357 @@
+"""The bodies of the CLI commands; ``cli.main`` imports this module, and with
+it numpy and the library, only once a command line has been checked.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import threading
+import warnings
+from collections import deque
+
+import numpy as np
+
+from . import UsageError, backbone, igso3, process, schedules, so3, toy
+
+
+def run(command: str, v: argparse.Namespace, config: dict) -> list[str]:
+    """Runs ``command`` (``"toy forward"``, ``"schedule"``, ...) on checked values.
+
+    ``v`` holds the values of the command's options. A toy walk adds its
+    time grid and atoms to ``config``, the manifest's record of the run.
+    An overflow or invalid operation left in a command is a domain error.
+    """
+    name, _, action = command.partition(" ")
+    body = {"igso3": cmd_igso3, "schedule": cmd_schedule, "toy": cmd_toy,
+            "sample-backbones": cmd_sample_backbones}[name]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        return body(action, v, config)
+
+
+def _from_flags(build, **values):
+    """``build(**values)``; a value the constructor rejects is a usage error."""
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _fmt(x) -> str:
+    """Shortest round-trip decimal form; keeps CSV output byte-stable."""
+    return repr(float(x))
+
+
+_task = None  # the function a forked worker computes; set only in workers
+
+
+def _set_task(fn) -> None:
+    global _task
+    _task = fn
+
+
+def _run_task(item):
+    return _task(item)
+
+
+def _pmap(fn, items):
+    """``fn(item)`` for each of ``items``, in order, spread over one process per CPU.
+
+    Workers are forked, so they inherit ``fn`` and every array it reads;
+    only items and results are pickled. ``items`` is consumed lazily, with
+    at most two tasks per worker in flight, so a generator of items (a walk)
+    keeps running here while the workers compute. The output does not
+    depend on the worker count. An exception from ``items`` or a worker is
+    raised here, once pending tasks are cancelled and the workers have
+    exited. The loop runs in this process when there is one CPU, when
+    ``fork`` is unavailable, or when other threads are running (forking a
+    threaded process can deadlock the child).
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    pool = None
+    if cpus > 1 and threading.active_count() == 1:
+        import multiprocessing  # not at module level: only forking commands pay for it
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # Unlike multiprocessing.Pool, the executor raises, instead of
+            # waiting forever, when a worker is killed.
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(cpus, multiprocessing.get_context("fork"),
+                                       initializer=_set_task, initargs=(fn,))
+    if pool is None:
+        yield from map(fn, items)
+        return
+    pending = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(_run_task, item))
+            if len(pending) == 2 * cpus:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _csv_rows(values, lead=None) -> str:
+    """CSV lines of a 2-d float array in :func:`_fmt` form.
+
+    Each line starts with the matching ``lead`` string when one is given.
+    ``tolist`` yields Python floats, whose ``repr`` is ``_fmt``'s text.
+    """
+    rows = (",".join(map(repr, row)) for row in np.asarray(values, float).tolist())
+    if lead is None:
+        return "".join(row + "\n" for row in rows)
+    return "".join(f"{first},{row}\n" for first, row in zip(lead, rows))
+
+
+# ---------------------------------------------------------------- igso3
+
+def cmd_igso3(action: str, v: argparse.Namespace, config: dict) -> list[str]:
+    trunc = _from_flags(igso3.TruncationConfig, series_terms=v.terms, angle_grid=v.grid)
+    if action == "eval":
+        grid = np.linspace(0.0, np.pi, trunc.angle_grid)
+        header = "omega,f,df"
+        rows = np.column_stack([grid, igso3.f_igso3(grid, v.t, trunc),
+                                igso3.df_igso3_domega(grid, v.t, trunc)])
+    else:
+        rng = np.random.default_rng(v.seed)
+        table = igso3.build_table(v.t, trunc)
+        base = np.broadcast_to(np.eye(3), (v.n, 3, 3))
+        samples = igso3.sample_igso3(base, table, rng)
+        if action == "sample":
+            header, rows = "a,b,c,d", so3.quat_from_rotation(samples)
+        else:
+            scores = igso3.conditional_score(base, samples, v.t, trunc)
+            coeffs = so3.vee(so3.transpose(samples) @ scores)
+            header = "omega,s1,s2,s3"
+            rows = np.column_stack([so3.rotation_angle(samples), coeffs])
+    with open(v.out, "w") as fh:
+        fh.write(header + "\n")
+        fh.write(_csv_rows(rows))
+    return [v.out]
+
+
+# ------------------------------------------------------------- schedule
+
+def cmd_schedule(action: str, v: argparse.Namespace, config: dict) -> list[str]:
+    ts = _from_flags(schedules.TranslationSchedule, beta_min=v.beta_min,
+                     beta_max=v.beta_max)
+    rs = _from_flags(schedules.RotationSchedule, sigma_min=v.sigma_min,
+                     sigma_max=v.sigma_max, kind=v.kind)
+    s = np.linspace(0.0, 1.0, v.points)
+    columns = [
+        s,
+        schedules.beta(s, ts),
+        schedules.G_x(s, ts),
+        1.0 - np.exp(-schedules.G_x(s, ts)),
+        schedules.sigma_r(s, rs),
+        schedules.rot_variance(s, rs),
+        schedules.g_r(s, rs),
+    ]
+    with open(v.out, "w") as fh:
+        fh.write("s,beta,G_x,trans_var,sigma_r,rot_var,g_r\n")
+        fh.write(_csv_rows(np.column_stack(columns)))
+    return [v.out]
+
+
+# ------------------------------------------------------------------ toy
+
+def _toy_run_dir_write(
+    out_dir: str, run, times: list[float], target: toy.DiscreteTarget
+) -> list[str]:
+    """One ``t_XXXX.csv`` per recorded time, written by workers as the run goes.
+
+    ``run`` yields (t, rotations) pairs at the times of the ascending grid
+    ``times``, in either order; a file's number is its time's rank. When
+    the run or a write fails, the files handed out and the directories
+    this call created are removed.
+    """
+    created, parent = [], os.path.abspath(out_dir)
+    while not os.path.exists(parent):
+        created.append(parent)
+        parent = os.path.dirname(parent)
+    os.makedirs(out_dir, exist_ok=True)
+    paths = [os.path.join(out_dir, f"t_{idx:04d}.csv") for idx in range(len(times))]
+    rank = {t: idx for idx, t in enumerate(times)}
+    header = "path_id,a,b,c,d," + ",".join(
+        f"angle_to_atom_{k}" for k in range(len(target.weights))
+    )
+
+    def write(job) -> None:
+        path, samples = job
+        quats = so3.quat_from_rotation(samples)
+        angles = toy.atom_angles(target, samples)
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            fh.write(_csv_rows(np.column_stack([quats, angles.T]),
+                               map(str, range(len(samples)))))
+
+    handed = []
+
+    def jobs():
+        for t, samples in run:
+            handed.append(paths[rank[t]])
+            yield handed[-1], samples
+
+    try:
+        deque(_pmap(write, jobs()), maxlen=0)
+    except BaseException:
+        for path in handed:
+            if os.path.isfile(path):
+                os.remove(path)
+        for d in created:
+            os.rmdir(d)
+        raise
+    return paths
+
+
+def cmd_toy(action: str, v: argparse.Namespace, config: dict) -> list[str]:
+    if action == "compare":
+        report = _toy_compare(v.run_a, v.run_b)
+        with open(v.out, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return [v.out]
+
+    target = _from_flags(toy.random_target, k=v.atoms, seed=v.atom_seed)
+    run_cfg = _from_flags(toy.ToyRunConfig, n_paths=v.paths, final_time=v.T,
+                          n_steps=v.steps)
+    walk = toy.iter_forward if action == "forward" else toy.iter_reverse
+    times = run_cfg.times().tolist()
+    run = walk(target, run_cfg, np.random.default_rng(v.seed))
+    outputs = _toy_run_dir_write(v.out_dir, run, times, target)
+    config.update(
+        grid_times=[_fmt(t) for t in times],
+        atom_quaternions=[
+            [_fmt(x) for x in q] for q in so3.quat_from_rotation(target.atoms)
+        ],
+    )
+    return outputs
+
+
+def _toy_compare(run_a: str, run_b: str) -> dict:
+    """KS statistic of angle-to-nearest-atom between two runs, per time.
+
+    ``max_ks`` leaves out t = 0, where a forward run is exact point masses.
+    A run file that does not parse is a usage error naming the file.
+    """
+    def load_run(d):
+        path = os.path.join(d, "manifest.json")
+        try:
+            with open(path) as fh:
+                times = [float(t) for t in json.load(fh)["config"]["grid_times"]]
+            path = os.path.join(d, "t_0000.csv")
+            with open(path) as fh:
+                n_cols = len(fh.readline().split(","))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"malformed run file {path}: {exc!r}") from exc
+        return times, n_cols
+
+    times_a, cols_a = load_run(run_a)
+    times_b, cols_b = load_run(run_b)
+    if len(times_a) != len(times_b) or np.max(
+        np.abs(np.array(times_a) - np.array(times_b)), initial=0.0
+    ) > 1e-12:
+        raise UsageError("runs were recorded on different time grids")
+    if len(times_a) < 2:
+        raise UsageError("runs need at least two recorded times")
+
+    def angles(d: str, n_cols: int, idx: int) -> np.ndarray:
+        path = os.path.join(d, f"t_{idx:04d}.csv")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on a file without rows
+                return np.loadtxt(path, delimiter=",", skiprows=1,
+                                  usecols=range(5, n_cols), ndmin=2).min(axis=1)
+        except (ValueError, UserWarning) as exc:
+            raise UsageError(f"malformed run file {path}: {exc!r}") from exc
+
+    def ks_at(idx: int) -> float:
+        return toy.ks_2samp_statistic(angles(run_a, cols_a, idx),
+                                      angles(run_b, cols_b, idx))
+
+    ks_list = list(_pmap(ks_at, range(len(times_a))))
+    return {
+        "times": times_a,
+        "ks": ks_list,
+        "max_ks": max(ks_list[1:]),
+    }
+
+
+# ------------------------------------------------------- sample-backbones
+
+def _extended_chain(n_residues: int) -> process.FrameSet:
+    """Deterministic denoising target: identity frames strung along x."""
+    spacing = 0.38  # nm, roughly one CA-CA step
+    translations = np.zeros((n_residues, 3))
+    translations[:, 0] = spacing * np.arange(n_residues)
+    rotations = np.broadcast_to(np.eye(3), (n_residues, 3, 3)).copy()
+    return process.center(process.FrameSet(rotations, translations))
+
+
+_TRAJECTORY_BLOCK = 32  # states per quat_from_rotation call; one per state is slower
+
+
+def _trajectory_rows(block) -> str:
+    """CSV rows of a block (times, rotations (B, N, 3, 3), translations (B, N, 3))."""
+    times, rotations, x = block
+    quats = so3.quat_from_rotation(rotations)
+    residues = [f",0,{i}" for i in range(x.shape[1])]
+    lead = [t + residue for t in map(_fmt, times) for residue in residues]
+    return _csv_rows(np.concatenate([quats, x], -1).reshape(-1, 7), lead)
+
+
+def _write_trajectory(path: str, traj) -> process.FrameSet:
+    """One CSV row per (time, residue): quaternion, then translation.
+
+    Stacks the (t, state) pairs of ``traj`` a block at a time, has workers
+    format the blocks while the walk goes on, and returns the last state.
+    A walk that raises leaves no file at ``path``.
+    """
+    traj, part, final = iter(traj), path + ".part", None
+
+    def blocks():
+        nonlocal final
+        while block := list(itertools.islice(traj, _TRAJECTORY_BLOCK)):
+            times, states = zip(*block)
+            final = states[-1]
+            yield (times, np.stack([s.rotations for s in states]),
+                   np.stack([s.translations for s in states]))
+
+    try:
+        with open(part, "w") as fh:
+            fh.write("t,chain_id,residue_index,a,b,c,d,x,y,z\n")
+            fh.writelines(_pmap(_trajectory_rows, blocks()))
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):  # the walk or a write failed
+            os.remove(part)
+    return final
+
+
+def cmd_sample_backbones(action: str, v: argparse.Namespace, config: dict) -> list[str]:
+    trans_sched = schedules.TranslationSchedule()
+    rot_sched = schedules.RotationSchedule()
+    sim = _from_flags(process.SimConfig, n_steps=v.n_steps, eps=v.eps, noise_scale=v.zeta)
+    init = process.reference_sample(v.n_residues, np.random.default_rng(v.init_seed))
+    if v.score == "fixed-target":
+        score = process.fixed_target_score(_extended_chain(v.n_residues), trans_sched,
+                                           rot_sched)
+    else:
+        score = process.zero_score
+    rng = np.random.default_rng(v.seed)
+    walk = process.iter_reverse_walk(init, score, trans_sched, rot_sched, sim, rng)
+    outputs = [v.out + ".pdb"] + ([v.out + "_trajectory.csv"] if v.trajectory else [])
+    if v.trajectory:
+        final = _write_trajectory(outputs[1], walk)
+    else:
+        final = deque(walk, maxlen=1)[0][1]
+    backbone.write_pdb(outputs[0], backbone.frameset_to_atoms(final))
+    return outputs

@@ -116,12 +116,17 @@ def test_c07_translation_vp_sde():
     n_paths, n_steps = 100_000, 10_000
     x0 = 1.5
     x = np.full(n_paths, x0)
+    z = np.empty(n_paths)
     dt = 1.0 / n_steps
     checkpoints = {0.25: None, 0.5: None, 1.0: None}
     for k in range(n_steps):
         s = k * dt
         b = float(schedules.beta(s, TS))
-        x = x * (1.0 - 0.5 * b * dt) + np.sqrt(b * dt) * rng.standard_normal(n_paths)
+        # In place, with the operations of x * (1 - b dt / 2) + sqrt(b dt) z.
+        rng.standard_normal(out=z)
+        z *= np.sqrt(b * dt)
+        x *= 1.0 - 0.5 * b * dt
+        x += z
         s_next = (k + 1) * dt
         for cp in checkpoints:
             if checkpoints[cp] is None and s_next >= cp - 1e-12:

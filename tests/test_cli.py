@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from se3diffuse import backbone, cli, process, schedules, so3, toy
+from se3diffuse import backbone, cli, commands, process, schedules, so3, toy
 
 
 def run(args):
@@ -211,7 +211,7 @@ class TestRejectedValues:
     def test_non_finite_walk_is_domain_error(self, tmp_path, capsys, monkeypatch,
                                              trajectory):
         # The walk diverges after the trajectory writer's first block.
-        fail_at = cli._TRAJECTORY_BLOCK + 5
+        fail_at = commands._TRAJECTORY_BLOCK + 5
         target_score = process.fixed_target_score
 
         def diverging_score(*args):
@@ -360,10 +360,10 @@ class TestSampleBackbones:
 
     @pytest.mark.parametrize("n_steps", [
         2,
-        cli._TRAJECTORY_BLOCK - 1,
-        cli._TRAJECTORY_BLOCK,
-        cli._TRAJECTORY_BLOCK + 1,
-        2 * cli._TRAJECTORY_BLOCK + 3,
+        commands._TRAJECTORY_BLOCK - 1,
+        commands._TRAJECTORY_BLOCK,
+        commands._TRAJECTORY_BLOCK + 1,
+        2 * commands._TRAJECTORY_BLOCK + 3,
     ])
     def test_streamed_trajectory_matches_recorded_walk(self, tmp_path, n_steps):
         n, seed, zeta = 3, 5, 0.3
@@ -373,7 +373,7 @@ class TestSampleBackbones:
                     "--trajectory"]) == 0
         ts, rs = schedules.TranslationSchedule(), schedules.RotationSchedule()
         init = process.reference_sample(n, np.random.default_rng(seed))
-        score = process.fixed_target_score(cli._extended_chain(n), ts, rs)
+        score = process.fixed_target_score(commands._extended_chain(n), ts, rs)
         sim = process.SimConfig(n_steps=n_steps, noise_scale=zeta)
         traj = process.reverse_walk(init, score, ts, rs, sim, np.random.default_rng(seed))
         _per_value_trajectory(str(tmp_path / "oracle.csv"), traj)
@@ -476,9 +476,9 @@ def _per_value_trajectory(path, traj):
         for t, state in traj:
             quats = so3.quat_from_rotation(state.rotations)
             for i in range(len(state)):
-                row = [cli._fmt(t), "0", str(i)]
-                row += [cli._fmt(v) for v in quats[i]]
-                row += [cli._fmt(v) for v in state.translations[i]]
+                row = [commands._fmt(t), "0", str(i)]
+                row += [commands._fmt(v) for v in quats[i]]
+                row += [commands._fmt(v) for v in state.translations[i]]
                 fh.write(",".join(row) + "\n")
 
 
@@ -495,8 +495,8 @@ def _per_value_run_dir(out_dir, marginals, target):
         with open(os.path.join(out_dir, f"t_{idx:04d}.csv"), "w") as fh:
             fh.write(header + "\n")
             for pid in range(samples.shape[0]):
-                vals = [str(pid)] + [cli._fmt(v) for v in quats[pid]]
-                vals += [cli._fmt(angles[k, pid]) for k in range(angles.shape[0])]
+                vals = [str(pid)] + [commands._fmt(v) for v in quats[pid]]
+                vals += [commands._fmt(angles[k, pid]) for k in range(angles.shape[0])]
                 fh.write(",".join(vals) + "\n")
 
 
@@ -505,10 +505,10 @@ class TestArtifactWriters:
         values = np.array([[-0.0, 0.0, 5e-324, -2.2250738585072014e-308],
                            [1e-310, 1 / 3, -1e300, 0.1 + 0.2]])
         expected = "".join(
-            f"id{i}," + ",".join(cli._fmt(v) for v in row) + "\n"
+            f"id{i}," + ",".join(commands._fmt(v) for v in row) + "\n"
             for i, row in enumerate(values)
         )
-        assert cli._csv_rows(values, ["id0", "id1"]) == expected
+        assert commands._csv_rows(values, ["id0", "id1"]) == expected
         assert "-0.0," in expected and "5e-324" in expected
 
     def test_trajectory_bytes_unchanged(self, tmp_path, rng):
@@ -517,7 +517,7 @@ class TestArtifactWriters:
             translations = rng.standard_normal((5, 3))
             translations[0] = [-0.0, 5e-324, -1e-310]
             traj.append((t, process.FrameSet(_edge_rotations(rng, 5), translations)))
-        last = cli._write_trajectory(str(tmp_path / "new.csv"), iter(traj))
+        last = commands._write_trajectory(str(tmp_path / "new.csv"), iter(traj))
         _per_value_trajectory(str(tmp_path / "old.csv"), traj)
         new = (tmp_path / "new.csv").read_bytes()
         assert new == (tmp_path / "old.csv").read_bytes()
@@ -530,7 +530,7 @@ class TestArtifactWriters:
         marginals[0.0][2] = target.atoms[1]  # angle 0 to one atom
         times = sorted(marginals)
         run = ((t, marginals[t]) for t in reversed(times))  # a reverse run's order
-        outputs = cli._toy_run_dir_write(str(tmp_path / "new"), run, times, target)
+        outputs = commands._toy_run_dir_write(str(tmp_path / "new"), run, times, target)
         _per_value_run_dir(str(tmp_path / "old"), marginals, target)
         assert outputs == [str(tmp_path / "new" / f"t_{i:04d}.csv") for i in range(3)]
         for idx in range(3):
@@ -566,13 +566,73 @@ def test_run_as_module_warns_nothing():
     assert b"sample-backbones" in proc.stdout
 
 
-def test_cli_import_does_not_load_scipy():
-    assert _python("import sys, se3diffuse.cli; sys.exit('scipy' in sys.modules)") == 0
+@pytest.mark.parametrize("argv,code,prefix", [
+    (["toy", "forward", "--steps", "1", "--out-dir", "OUT/run"], 1, "usage error: "),
+    (["igso3", "eval", "--t", "nan", "--out", "OUT/e.csv"], 2, "numerical-domain error: "),
+])
+def test_run_as_module_maps_command_errors(tmp_path, argv, code, prefix):
+    # Run as __main__, cli is a second copy of the module: the command bodies'
+    # errors must still be the classes its main catches.
+    argv = [a.replace("OUT", str(tmp_path)) for a in argv]
+    proc = _run_interpreter(["-W", "error::RuntimeWarning", "-m", "se3diffuse.cli", *argv],
+                            capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_import_does_not_load_multiprocessing():
-    code = "import sys, se3diffuse.cli; sys.exit('multiprocessing' in sys.modules)"
-    assert _python(code) == 0
+# Modules that a command line rejected before any command runs must not load.
+_HEAVY = ("numpy", "scipy", "multiprocessing")
+
+
+def _fresh_run(tmp_path, code):
+    """Exit code, stderr and loaded ``_HEAVY`` modules of a fresh interpreter.
+
+    ``code`` is Python source, or an argv for ``cli.main`` in which ``OUT``
+    stands for ``tmp_path``.
+    """
+    if isinstance(code, list):
+        argv = [a.replace("OUT", str(tmp_path)) for a in code]
+        code = f"from se3diffuse import cli; sys.exit(cli.main({argv!r}))"
+    report = ("import atexit, sys\n"
+              f"atexit.register(lambda: print([m for m in {_HEAVY!r} if m in sys.modules]))\n")
+    proc = _run_python(report + code, capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stderr, proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("code,exit_code", [
+    pytest.param("import se3diffuse", 0, id="import"),
+    pytest.param("from se3diffuse import cli; cli.build_parser()", 0, id="setup-probe"),
+    pytest.param(["--help"], 0, id="help"),
+    pytest.param(["schedule", "--bogus", "1", "--out", "OUT/s.csv"], 1, id="unknown-flag"),
+    pytest.param(["toy", "forward", "--steps", "x", "--out-dir", "OUT/run"], 1, id="steps-x"),
+    pytest.param(["schedule", "--config", "OUT/cfg.json", "--out", "OUT/s.csv"], 1,
+                 id="config-wrong-type"),
+    pytest.param(["sample-backbones", "--n-residues", "0", "--out", "OUT/bb"], 1,
+                 id="n-residues-0"),
+    pytest.param(["schedule", "--config", "OUT/none.json", "--out", "OUT/s.csv"], 3,
+                 id="config-missing"),
+])
+def test_command_line_checked_before_numpy_loads(tmp_path, code, exit_code):
+    (tmp_path / "cfg.json").write_text(json.dumps({"points": "3"}))
+    returncode, err, loaded = _fresh_run(tmp_path, code)
+    assert (returncode, loaded) == (exit_code, "[]")
+    assert err.count("\n") == (exit_code != 0) and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+def test_command_loads_numpy(tmp_path):
+    returncode, err, loaded = _fresh_run(
+        tmp_path, ["schedule", "--points", "3", "--out", "OUT/s.csv"])
+    assert (returncode, err) == (0, "") and "'numpy'" in loaded
+
+
+def test_config_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run(["schedule", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: bad --config file: ") and err.count("\n") == 1
 
 
 def _cpus(monkeypatch, n):
@@ -589,8 +649,8 @@ class TestPmap:
                 time.sleep(0.2)
             return i * i
 
-        assert list(cli._pmap(square, range(50))) == [i * i for i in range(50)]
-        pids = set(cli._pmap(lambda i: os.getpid(), range(8)))
+        assert list(commands._pmap(square, range(50))) == [i * i for i in range(50)]
+        pids = set(commands._pmap(lambda i: os.getpid(), range(8)))
         assert os.getpid() not in pids and len(pids) <= 2
 
     @pytest.mark.parametrize("cpus,methods", [(1, None), (2, ["spawn"])])
@@ -601,14 +661,14 @@ class TestPmap:
         if methods is not None:
             monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                                 lambda: methods)
-        assert list(cli._pmap(lambda i: os.getpid(), range(4))) == [os.getpid()] * 4
+        assert list(commands._pmap(lambda i: os.getpid(), range(4))) == [os.getpid()] * 4
 
     def test_serial_while_other_threads_run(self, monkeypatch):
         import threading
 
         _cpus(monkeypatch, 2)
         monkeypatch.setattr(threading, "active_count", lambda: 2)
-        assert list(cli._pmap(lambda i: os.getpid(), range(4))) == [os.getpid()] * 4
+        assert list(commands._pmap(lambda i: os.getpid(), range(4))) == [os.getpid()] * 4
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_items_consumed_at_most_two_per_worker_ahead(self, monkeypatch, cpus):
@@ -621,7 +681,7 @@ class TestPmap:
                 pulled[0] += 1
                 yield i
 
-        for result in cli._pmap(lambda i: -i, items()):
+        for result in commands._pmap(lambda i: -i, items()):
             received.append(result)
         assert received == [-i for i in range(40)] and pulled[0] == 40
 
@@ -637,7 +697,7 @@ class TestPmap:
 
         received = []
         with pytest.raises(FloatingPointError, match="walk failed"):
-            for result in cli._pmap(lambda i: i + 1, items()):
+            for result in commands._pmap(lambda i: i + 1, items()):
                 received.append(result)
         assert received == list(range(1, 6))[:len(received)]
         assert multiprocessing.active_children() == []
@@ -646,14 +706,14 @@ class TestPmap:
         code = (
             "import os, signal, sys\n"
             "from concurrent.futures.process import BrokenProcessPool\n"
-            "from se3diffuse import cli\n"
+            "from se3diffuse import commands\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "def fn(i):\n"
             "    if i == 3:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
             "    return i\n"
             "try:\n"
-            "    list(cli._pmap(fn, range(20)))\n"
+            "    list(commands._pmap(fn, range(20)))\n"
             "except BrokenProcessPool:\n"
             "    sys.exit(7)\n"
         )
@@ -669,7 +729,7 @@ class TestPmap:
             assert run(["toy", "compare", "--run-a", str(root / "fwd"), "--run-b",
                         str(root / "rev"), "--out", str(root / "ks.json")]) == 0
             assert run(["sample-backbones", "--n-residues", "4", "--n-steps",
-                        str(3 * cli._TRAJECTORY_BLOCK + 5), "--zeta", "0.3",
+                        str(3 * commands._TRAJECTORY_BLOCK + 5), "--zeta", "0.3",
                         "--seed", "3", "--out", str(root / "bb"), "--trajectory"]) == 0
         one, two = tmp_path / "1", tmp_path / "2"
         for name in ("bb.pdb", "bb_trajectory.csv"):

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import se3diffuse
 
@@ -42,6 +43,28 @@ def private_reads(path: Path) -> list[str]:
         and _private(n.attr)
     ]
     return [f"{path.name}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_lazy_names_are_their_home_modules_objects():
+    for name in se3diffuse.__all__:
+        value = getattr(se3diffuse, name)
+        if isinstance(value, type):
+            assert value.__module__.startswith("se3diffuse.")
+            assert vars(importlib.import_module(value.__module__))[name] is value
+        else:
+            assert value is importlib.import_module(f"se3diffuse.{name}")
+
+
+def test_lazy_names_listed_and_star_imported():
+    assert set(se3diffuse.__all__) <= set(dir(se3diffuse))
+    namespace = {}
+    exec("from se3diffuse import *", namespace)
+    assert all(namespace[name] is getattr(se3diffuse, name) for name in se3diffuse.__all__)
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        se3diffuse.no_such_name  # noqa: B018
 
 
 def test_modules_read_no_private_name_of_another_module():
