@@ -76,12 +76,12 @@ def _resolve(args: argparse.Namespace, command: str):
     Merge precedence: builtin defaults < --config file < explicit flags.
     Returns the merged values as given, for the manifest, and a namespace
     of them converted to their declared types, for the command body. A
-    missing required value is a usage error, as is a value of another JSON
-    type (an int is accepted where a float is), one below its lowest value
-    or one outside its choices.
+    required option given nowhere is a usage error, as is a value of
+    another JSON type (null is one; an int is accepted where a float is),
+    one below its lowest value or one outside its choices.
     """
     options = OPTIONS[command]
-    config = {key: spec[1] for key, spec in options.items()}
+    config = {key: spec[1] for key, spec in options.items() if spec[1] is not None}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             try:
@@ -98,9 +98,9 @@ def _resolve(args: argparse.Namespace, command: str):
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    missing = [k for k, v in config.items() if v is None]
+    missing = sorted(set(options) - set(config))
     if missing:
-        raise UsageError(f"missing required options: {sorted(missing)}")
+        raise UsageError(f"missing required options: {missing}")
     checked = argparse.Namespace()
     for key, (kind, _, *bound) in options.items():
         value = config[key]

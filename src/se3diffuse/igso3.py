@@ -27,14 +27,14 @@ Two branches give f and df/dw at given angles:
   can reach exp(-80) at the largest angle given: none at small t and
   small angles, three at t = 2.25 (the variance at the end of the default
   rotation schedule), six at T_IMAGE.
-- ``t > T_IMAGE``: the truncated series. Against a high-precision
-  reference at 40 angles from 1e-4 to pi, the image sum's d log f/dw is
-  within 8e-16 max(1, |score|) from t_min to t = 10, the series' within
-  1e-12 from t = 1, 6e-15 at t = 8 and 1e-16 at t = 10: the crossover
-  sits where the series becomes the more accurate. Relative to the score
-  itself the image sum stays within 4e-15 up to t = 4 and 6e-12 at t = 8,
-  as its alternating pairs grow; the series is off by up to 2e-7 at small
-  angles. f from either is within 1e-15 relative above t = 1.
+- ``t > T_IMAGE``: the truncated series, summed as cosines of m w with
+  the tail sums of its weights (:func:`_series`), so nothing cancels at
+  small angles. Against a high-precision reference at 40 angles from 1e-4
+  to pi, the image sum's d log f/dw is within 8e-16 max(1, |score|) from
+  t_min to t = 10, and within 4e-15 of the score itself up to t = 4 and
+  1e-11 at t = 10, as its alternating pairs grow. The series is within
+  5e-16 of the score itself from t = 2.25 on and within 2e-15 max(1,
+  |score|) at t = 1. f from either is within 1e-15 relative above t = 1.
 
 Truncation rule of the series: a configuration sums the first L terms,
 where L is the smallest count such that every weight (2l+1)
@@ -42,15 +42,14 @@ exp(-l(l+1) t_min / 2) with l >= L is below machine epsilon times the
 largest weight at t_min = :data:`T_MIN`, the smallest time either branch
 accepts. The weights decay faster at larger t, so later terms cannot
 change a double at any t >= t_min (L = 88). ``series_terms`` (the CLI's
-``--terms``) is an upper cap on L, not the count summed; it caps the
-series branch and the tables only, never the image sum. Of the L
-weights, those below the smallest normal double are flushed to zero: at
-0.2 <= t <= 1 one or two are subnormal, which leaves every bit of f and
-df unchanged but slows the table mat-vec severalfold on x86.
+``--terms``) is an upper cap on L, not the count summed; it reaches only
+the series, above T_IMAGE, where a cap of 3 or more moves the score by
+under 1e-18. Of the L weights, those below the smallest normal double are
+flushed to zero and end the sums: above T_IMAGE at most 13 are left.
 
-Tables (:func:`build_tables`) stay on the series at every time: one
-matrix product gives a whole grid of times at once, and near t_min their
-values past the series' roundoff floor are roundoff.
+Tables (:func:`build_tables`) hold the values of the two branches on a
+uniform angle grid, built one time at a time, so a table's bits do not
+depend on the other times built with it.
 """
 
 from __future__ import annotations
@@ -98,10 +97,6 @@ DEFAULT_CONFIG = TruncationConfig()
 T_MIN = 0.01  # smallest trusted diffusion time: below it the partial sums oscillate
 T_IMAGE = 8.0  # largest time evaluated by the image sum; the series takes over above
 
-# Fraction of probability mass allowed in clamped negative lobes before a
-# table build is considered misconfigured.
-_CLAMP_TOLERANCE = 1e-6
-
 
 def _check_time(t: float) -> float:
     t = float(t)
@@ -139,29 +134,24 @@ def _term_count(cfg: TruncationConfig) -> int:
     return int(above[-1]) + 1
 
 
-def _series_basis(omega: np.ndarray, n_terms: int, omega_eps: float):
-    """Per-term f and df/dw columns, (len(omega), n_terms) each.
+def _series(omega: np.ndarray, t: float, cfg: TruncationConfig):
+    """f and df/dw at angles ``omega`` by the series, summed as cosines.
 
-    Rows with w < omega_eps hold the w -> 0 limits: 2l+1 for f and 0 for
-    its odd derivative.
+    sin((l + 1/2) w) / sin(w/2) = 1 + 2 sum_{m=1}^{l} cos(m w), so with the
+    tail weights W_m = sum_{l >= m} w_l, f = W_0 + 2 sum_{m>=1} W_m cos(m w)
+    and df/dw = -2 sum_{m>=1} m W_m sin(m w): no division by sin(w/2), and
+    at small angles the terms of each sum share one sign, so nothing
+    cancels. df is 0 below ``cfg.omega_eps``, as in the image sum.
     """
-    small = omega < omega_eps
-    w = np.where(small, np.pi, omega)[:, None]  # small rows are overwritten
-    a = np.arange(n_terms) + 0.5
-    half = w / 2.0
-    sin_half = np.sin(half)
-    aw = a * w
-    sin_aw = np.sin(aw)
-    f_basis = sin_aw / sin_half
-    df_basis = np.cos(aw, out=aw)
-    df_basis *= a
-    df_basis *= sin_half
-    sin_aw *= 0.5 * np.cos(half)
-    df_basis -= sin_aw
-    df_basis /= sin_half**2
-    f_basis[small] = 2.0 * a
-    df_basis[small] = 0.0
-    return f_basis, df_basis
+    weights = _series_weights(t, _term_count(cfg))[:, 0]
+    tail = np.cumsum(weights[::-1])[::-1]
+    tail = tail[: np.count_nonzero(tail)]  # flushed weights end the sums
+    m = np.arange(1.0, len(tail))
+    mw = np.multiply.outer(omega, m)
+    f = tail[0] + np.cos(mw) @ (2.0 * tail[1:])
+    df = np.sin(mw, out=mw) @ (-2.0 * m * tail[1:])
+    df[omega < cfg.omega_eps] = 0.0
+    return f, df
 
 
 def _shaped(values: np.ndarray, omega):
@@ -306,13 +296,7 @@ def _f_df(omega, t: float, cfg: TruncationConfig, table):
         return table.interp_f(omega), table.interp_df(omega)
     t = _check_time(t)
     w = np.atleast_1d(np.asarray(omega, dtype=float)).ravel()
-    if t <= T_IMAGE:
-        f, df = _image_sum(w, t, cfg.omega_eps)
-    else:
-        n_terms = _term_count(cfg)
-        f_basis, df_basis = _series_basis(w, n_terms, cfg.omega_eps)
-        weights = _series_weights(t, n_terms)[:, 0]
-        f, df = f_basis @ weights, df_basis @ weights
+    f, df = _image_sum(w, t, cfg.omega_eps) if t <= T_IMAGE else _series(w, t, cfg)
     return _shaped(f, omega), _shaped(df, omega)
 
 
@@ -383,10 +367,10 @@ def conditional_score(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
 class IGSO3Table:
     """Tabulated density, angle derivative, and angle CDF for one time.
 
-    ``f_vals`` are clamped at zero; ``cdf_vals`` is the normalized
-    trapezoidal CDF of the angle marginal f(w,t)(1-cos w)/pi on the
-    uniform grid. ``raw_mass`` records the integral before normalization
-    (1 up to truncation error for a healthy configuration).
+    The values are :func:`f_igso3` and :func:`df_igso3_domega` on the
+    uniform grid; ``cdf_vals`` is the normalized trapezoidal CDF of the
+    angle marginal f(w,t)(1-cos w)/pi there. ``raw_mass`` records the
+    integral before normalization (1 up to the trapezoid's error).
     """
 
     t: float
@@ -411,56 +395,25 @@ def build_table(t: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> IGSO3Table:
     return build_tables([t], cfg)[0]
 
 
-@lru_cache(maxsize=4)
-def _table_bases(cfg: TruncationConfig):
-    """Uniform angle grid, its series basis matrices, Haar factor 1 - cos w and spacings."""
-    grid = np.linspace(0.0, np.pi, cfg.angle_grid)
-    f_basis, df_basis = _series_basis(grid, _term_count(cfg), cfg.omega_eps)
-    return grid, f_basis, df_basis, 1.0 - np.cos(grid), np.diff(grid)
-
-
 def build_tables(ts, cfg: TruncationConfig = DEFAULT_CONFIG) -> list[IGSO3Table]:
-    """Batch table construction for a whole time grid, one row per time."""
-    ts = np.asarray(ts, dtype=float)
-    for t in ts:
-        _check_time(t)
-    grid, f_basis, df_basis, haar, steps = _table_bases(cfg)
-    weights = _series_weights(ts, f_basis.shape[1])
-    # Rows are contiguous per time, for np.interp and the running sums.
-    f = np.ascontiguousarray((f_basis @ weights).T)
-    df = np.ascontiguousarray((df_basis @ weights).T)
+    """:func:`build_table` for each time of ``ts``, one time at a time.
 
-    clamped = np.clip(f, 0.0, None)
-    pdf = clamped * haar
-    pdf /= np.pi
-    cdf = np.zeros(f.shape)
-    np.cumsum(0.5 * (pdf[:, 1:] + pdf[:, :-1]) * steps, axis=1, out=cdf[:, 1:])
-    raw_mass = cdf[:, -1].copy()
-    neg_pdf = np.subtract(clamped, f, out=f)  # clip(-f, 0) exactly
-    neg_pdf *= haar
-    neg_pdf /= np.pi
-    neg_mass = (0.5 * (neg_pdf[:, 1:] + neg_pdf[:, :-1]) * steps).sum(axis=1)
-    bad = np.flatnonzero(neg_mass > _CLAMP_TOLERANCE * raw_mass)
-    if bad.size:
-        j = bad[0]
-        raise NumericalDomainError(
-            f"clamped negative mass {neg_mass[j]:.3e} exceeds tolerance at t={ts[j]}"
-        )
-    cdf /= raw_mass[:, None]
-    bad = np.flatnonzero((cdf[:, 1:] < cdf[:, :-1]).any(axis=1))
-    if bad.size:
-        raise NumericalDomainError(f"non-monotone CDF at t={ts[bad[0]]}")
-    return [
-        IGSO3Table(
-            t=float(t),
-            omega_grid=grid,
-            f_vals=clamped[j],
-            df_vals=df[j],
-            cdf_vals=cdf[j],
-            raw_mass=float(raw_mass[j]),
-        )
-        for j, t in enumerate(ts)
-    ]
+    Raises :class:`NumericalDomainError` at the first time whose f is
+    negative or not finite on the grid.
+    """
+    grid = np.linspace(0.0, np.pi, cfg.angle_grid)
+    haar, steps = 1.0 - np.cos(grid), np.diff(grid)
+    tables = []
+    for t in ts:
+        f, df = _f_df(grid, t, cfg, None)
+        if not ((f >= 0.0) & (f < np.inf)).all():
+            raise NumericalDomainError(f"density negative or not finite at t={float(t)}")
+        pdf = f * haar / np.pi
+        cdf = np.zeros(grid.shape)
+        np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * steps, out=cdf[1:])
+        raw_mass = cdf[-1]
+        tables.append(IGSO3Table(float(t), grid, f, df, cdf / raw_mass, float(raw_mass)))
+    return tables
 
 
 @lru_cache(maxsize=512)
@@ -518,9 +471,7 @@ def expected_score_norm_sq(t: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> 
     The squared score norm at angle w is ((df/dw)/f)^2 in the tr(u v^T)/2
     metric, so this is the integral of (df/f)^2 f (1-cos w)/pi.
     """
-    table = cached_table(t, cfg)
-    f = table.f_vals
-    integrand = np.where(f > 0.0, table.df_vals**2 / np.where(f > 0, f, 1.0), 0.0)
-    integrand = integrand * (1.0 - np.cos(table.omega_grid)) / np.pi
-    return float(np.trapezoid(integrand, table.omega_grid))
+    grid = np.linspace(0.0, np.pi, cfg.angle_grid)
+    f, df = _f_df(grid, t, cfg, None)
+    return float(np.trapezoid(df**2 / f * (1.0 - np.cos(grid)) / np.pi, grid))
 

@@ -118,18 +118,15 @@ def iter_reverse(
 ) -> Iterator[tuple[float, np.ndarray]]:
     """Score-ascent walk from uniform down the reversed grid; (t, rotations) pairs.
 
-    At unit rate the reverse drift is the score itself. Score tables are
-    built for the whole grid, in one batch, before the walk starts.
+    At unit rate the reverse drift is the score itself, evaluated at the
+    walk's angles by :func:`score_t` without a table.
     """
-    times = cfg.times()
-    tables = dict(zip(times[1:].tolist(), igso3.build_tables(times[1:], trunc)))
 
     def score(t: float, fs: process.FrameSet) -> tuple[np.ndarray, np.ndarray]:
-        rot = score_t(target, fs.rotations, t, trunc, table=tables[t])
-        return rot, np.zeros_like(fs.translations)
+        return score_t(target, fs.rotations, t, trunc), np.zeros_like(fs.translations)
 
     init = so3.sample_uniform_so3(rng, cfg.n_paths)
-    return _unit_rate_walk(init, times[::-1], score, rng)
+    return _unit_rate_walk(init, cfg.times()[::-1], score, rng)
 
 
 def run_forward(

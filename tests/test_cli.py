@@ -199,6 +199,19 @@ class TestRejectedValues:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("key,kind", [("points", "int"), ("out", "str")])
+    def test_config_null_is_type_error(self, tmp_path, capsys, key, kind):
+        # A null is a value of the wrong type, for an option with a default
+        # and for a required one alike; only an option given nowhere is missing.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"out": str(tmp_path / "s.csv"), key: None}))
+        assert run(["schedule", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"usage error: {key} must be of type {kind}, got None\n"
+        path.write_text(json.dumps({"points": 3}))
+        assert run(["schedule", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "usage error: missing required options: ['out']\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_config_int_for_float_is_accepted(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"beta_max": 15, "points": 3}))

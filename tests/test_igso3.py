@@ -21,40 +21,14 @@ def brute_force_f(omega, t, n_terms):
     return math.fsum(terms)
 
 
-def brute_force_series(omega, t, n_terms):
-    """Termwise partial sums of f and df/dw on an angle array.
-
-    Each term is formed on its own and each angle's terms are summed with
-    ``math.fsum``, so the oracle adds no rounding of its own to the sum.
-    """
-    omega = np.asarray(omega, dtype=float)
-    zero = omega == 0.0
-    w = np.where(zero, 1.0, omega)
-    half = w / 2.0
-    f_terms = np.empty((n_terms, omega.size))
-    df_terms = np.empty((n_terms, omega.size))
-    for ell in range(n_terms):
-        weight = (2 * ell + 1) * math.exp(-ell * (ell + 1) * t / 2.0)
-        a = ell + 0.5
-        f_term = np.sin(a * w) / np.sin(half)
-        df_term = (
-            a * np.cos(a * w) * np.sin(half) - 0.5 * np.cos(half) * np.sin(a * w)
-        ) / np.sin(half) ** 2
-        f_terms[ell] = weight * np.where(zero, 2 * ell + 1, f_term)
-        df_terms[ell] = weight * np.where(zero, 0.0, df_term)
-    f = np.array([math.fsum(col) for col in f_terms.T])
-    df = np.array([math.fsum(col) for col in df_terms.T])
-    return f, df
-
-
 def dirichlet_series(omega, t, n_terms):
-    """The same partial sums of f and df/dw, summed without cancellation.
+    """Partial sums over l < n_terms of f and df/dw, summed without cancellation.
 
     sin((l + 1/2) w) / sin(w/2) = 1 + 2 sum_{m=1}^{l} cos(m w), so the sum
     over l < n_terms is sum_m c_m cos(m w) with c_m twice the tail sum of
     the weights from m on (once for m = 0), and df/dw is -sum_m m c_m
     sin(m w). Each angle's terms are summed with ``math.fsum``. The
-    termwise derivative in :func:`brute_force_series` cancels as w -> 0:
+    termwise derivative of sin((l + 1/2) w) / sin(w/2) cancels as w -> 0:
     at t = 0.1 and w = pi/999 it is off a high-precision value by 2.5e-12,
     8 times the tolerance of ``test_matches_full_sum``; this form is off
     by under 1e-15 there.
@@ -132,20 +106,20 @@ class TestTruncation:
 
     @pytest.mark.parametrize("t", [igso3.T_MIN, 0.1, 1.0, 2.25])
     def test_matches_full_sum(self, t):
-        # The direct values come from the image sum, which agrees with the
-        # exact sum; the tables come from the series, whose termwise
-        # rounding the termwise oracle shares.
+        # Direct values and tables both come from the image sum.
         table = igso3.build_table(t)
         grid = table.omega_grid
         f_exact, df_exact = dirichlet_series(grid, t, 2000)
-        f_ref, df_ref = brute_force_series(grid, t, 2000)
-        f_tol = 1e-15 * np.abs(f_ref).max()
-        df_tol = 1e-15 * np.abs(df_ref).max()
+        f_tol = 1e-15 * np.abs(f_exact).max()
+        df_tol = 1e-15 * np.abs(df_exact).max()
         assert np.abs(igso3.f_igso3(grid, t) - f_exact).max() <= f_tol
         assert np.abs(igso3.df_igso3_domega(grid, t) - df_exact).max() <= df_tol
-        assert np.abs(table.f_vals - np.clip(f_ref, 0.0, None)).max() <= f_tol
-        assert np.abs(table.df_vals - df_ref).max() <= df_tol
-        assert np.abs(table.cdf_vals - trapezoid_cdf(f_ref, grid)).max() <= 1e-15
+        assert np.abs(table.f_vals - f_exact).max() <= f_tol
+        assert np.abs(table.df_vals - df_exact).max() <= df_tol
+        assert np.array_equal(table.cdf_vals, trapezoid_cdf(table.f_vals, grid))
+        # From w ~ 1.15 on at t_min the oracle's f is its own roundoff.
+        cdf_tol = f_tol if t == igso3.T_MIN else 1e-15
+        assert np.abs(table.cdf_vals - trapezoid_cdf(f_exact, grid)).max() <= cdf_tol
 
     def test_scalar_oracle_agrees(self):
         tol = 1e-15 * brute_force_f(0.0, igso3.T_MIN, 2000)  # f peaks at w = 0
@@ -153,25 +127,27 @@ class TestTruncation:
             expected = brute_force_f(omega, igso3.T_MIN, 2000)
             assert abs(igso3.f_igso3(omega, igso3.T_MIN) - expected) <= tol
 
-    def test_cap_sums_exactly_that_many_terms(self):
-        # The cap reaches the tables, not the image sum. At t_min 60 terms
-        # are not converged, so the cap is visible; fewer leave more
-        # negative mass than a table build accepts.
-        cfg = igso3.TruncationConfig(series_terms=60)
-        assert igso3._term_count(cfg) == 60
-        table = igso3.build_table(igso3.T_MIN, cfg)
-        f60, df60 = brute_force_series(table.omega_grid, igso3.T_MIN, 60)
-        assert np.abs(table.f_vals - np.clip(f60, 0.0, None)).max() <= 1e-15 * np.abs(f60).max()
-        assert np.abs(table.df_vals - df60).max() <= 1e-15 * np.abs(df60).max()
-        assert np.abs(table.f_vals - igso3.build_table(igso3.T_MIN).f_vals).max() > 1e-4
-        grid = table.omega_grid
-        assert np.array_equal(igso3.f_igso3(grid, igso3.T_MIN, cfg), igso3.f_igso3(grid, igso3.T_MIN))
+    @pytest.mark.parametrize("terms", [1, 2])
+    def test_cap_sums_exactly_that_many_terms(self, terms):
+        # Above the image sum the cap reaches the tables; one or two terms
+        # leave a visible gap to the converged series there. Up to T_IMAGE
+        # it changes no bit of a table.
+        cfg = igso3.TruncationConfig(series_terms=terms)
+        assert igso3._term_count(cfg) == terms
+        t = 8.5
+        table = igso3.build_table(t, cfg)
+        f_cap, df_cap = dirichlet_series(table.omega_grid, t, terms)
+        assert np.abs(table.f_vals - f_cap).max() <= 1e-15 * np.abs(f_cap).max()
+        assert np.abs(table.df_vals - df_cap).max() <= 1e-15 * np.abs(df_cap).max()
+        assert np.abs(table.df_vals - igso3.build_table(t).df_vals).max() > 1e-12
+        for below in (igso3.T_MIN, 1.0, igso3.T_IMAGE):
+            assert_tables_equal([igso3.build_table(below, cfg)], per_time_tables([below]))
 
     def test_cap_reaches_the_series_above_the_image_sum(self):
         t = np.nextafter(igso3.T_IMAGE, np.inf)
         cfg = igso3.TruncationConfig(series_terms=2)
         grid = np.linspace(0.0, np.pi, 50)
-        f2, df2 = brute_force_series(grid, t, 2)
+        f2, df2 = dirichlet_series(grid, t, 2)
         assert np.abs(igso3.f_igso3(grid, t, cfg) - f2).max() <= 1e-15 * np.abs(f2).max()
         assert np.abs(igso3.df_igso3_domega(grid, t, cfg) - df2).max() <= 1e-15 * np.abs(df2).max()
 
@@ -274,9 +250,16 @@ class TestVanishingDensity:
     T = float(schedules.rot_variance(0.01, schedules.RotationSchedule()))
     RT = so3.exp_so3(so3.hat(np.array([2.0, 0.0, 0.0])))
 
-    def test_table_score_raises(self):
-        with pytest.raises(igso3.NumericalDomainError):
-            igso3.score_from_table(np.eye(3), self.RT, igso3.build_table(self.T))
+    @pytest.mark.parametrize("omega", [1.15, 1.2, 1.5, 2.0])
+    def test_table_score_follows_small_time_expansion(self, omega):
+        # Linear interpolation of f and df between grid nodes leaves about
+        # 1e-4 of the score here.
+        rt = so3.exp_so3(so3.hat(np.array([omega, 0.0, 0.0])))
+        table = igso3.build_table(self.T)
+        score = so3.vee(rt.T @ igso3.score_from_table(np.eye(3), rt, table))
+        expected = small_time_score(omega, self.T)
+        assert abs(score[0] - expected) <= 1e-3 * abs(expected)
+        assert score[1] == 0.0 and score[2] == 0.0
 
     @pytest.mark.parametrize("omega", [1.15, 1.2, 1.5, 2.0])
     def test_direct_score_follows_small_time_expansion(self, omega):
@@ -334,26 +317,19 @@ class TestScoreFromTable:
             assert np.abs(tabled - series).max() <= 1e-4 * np.abs(series).max()
 
 
-TABLE_TIMES = [igso3.T_MIN, 0.2, 0.5, 1.0, 4.0, 50.0]
+TABLE_TIMES = [igso3.T_MIN, 0.2, 0.5, 1.0, 4.0, igso3.T_IMAGE, 8.5, 50.0]
 
 
-def per_column_tables(ts, cfg=CFG):
-    """Tables built the straightforward way: one matrix product, then a loop per time.
-
-    The weights are not flushed of subnormals; flushing must not change a bit.
-    """
+def per_time_tables(ts, cfg=CFG):
+    """Tables built the straightforward way: the direct f and df on the grid,
+    then the trapezoidal CDF, one time after another."""
     grid = np.linspace(0.0, np.pi, cfg.angle_grid)
-    n_terms = igso3._term_count(cfg)
-    f_basis, df_basis = igso3._series_basis(grid, n_terms, cfg.omega_eps)
-    ls = np.arange(n_terms)[:, None]
-    weights = (2 * ls + 1) * np.exp(-(ls * (ls + 1)) * np.asarray(ts)[None, :] / 2.0)
-    f_all, df_all = f_basis @ weights, df_basis @ weights
     tables = []
-    for j, t in enumerate(ts):
-        clamped = np.clip(f_all[:, j], 0.0, None)
-        pdf = clamped * (1.0 - np.cos(grid)) / np.pi
+    for t in ts:
+        f = igso3.f_igso3(grid, t, cfg)
+        pdf = f * (1.0 - np.cos(grid)) / np.pi
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
-        tables.append((t, clamped, df_all[:, j], cdf / cdf[-1], cdf[-1]))
+        tables.append((t, f, igso3.df_igso3_domega(grid, t, cfg), cdf / cdf[-1], cdf[-1]))
     return tables
 
 
@@ -401,8 +377,21 @@ class TestTable:
 
     def test_single_and_batched_builds_are_bit_identical_to_loop(self):
         for t in TABLE_TIMES:
-            assert_tables_equal([igso3.build_table(t)], per_column_tables([t]))
-        assert_tables_equal(igso3.build_tables(TABLE_TIMES), per_column_tables(TABLE_TIMES))
+            assert_tables_equal([igso3.build_table(t)], per_time_tables([t]))
+        assert_tables_equal(igso3.build_tables(TABLE_TIMES), per_time_tables(TABLE_TIMES))
+
+    @pytest.mark.parametrize("block", [1, 8, 16, 33])
+    def test_toy_grid_bits_do_not_depend_on_block_split(self, block):
+        # A table must not depend on the other times built with it, as the
+        # rounding of a matrix product over all times would (up to 5.7e-13).
+        ts = np.linspace(0.0, 4.0, 100)[1:]
+        whole = igso3.build_tables(ts)
+        blocked = [tab for i in range(0, len(ts), block)
+                   for tab in igso3.build_tables(ts[i:i + block])]
+        assert_tables_equal(blocked, [
+            (tab.t, tab.f_vals, tab.df_vals, tab.cdf_vals, tab.raw_mass) for tab in whole])
+        for i in (0, 48, 98):
+            assert_tables_equal([whole[i]], per_time_tables([ts[i]]))
 
     def test_series_weights_have_no_subnormals(self):
         ts = np.geomspace(igso3.T_MIN, 1e4, 200)
@@ -425,14 +414,30 @@ class TestTable:
         assert np.array_equal(weights[:, 3], weights[:, 2])
         assert weights[1, 0] > 0.0 and not weights[1:, 1:].any()
 
-    def test_negative_mass_guard_names_first_bad_time(self):
-        # Four terms leave negative lobes at small t; t = 1 is healthy.
-        cfg = igso3.TruncationConfig(series_terms=4)
-        igso3.build_table(1.0, cfg)
-        with pytest.raises(igso3.NumericalDomainError, match="negative mass.*t=0.05"):
-            igso3.build_table(0.05, cfg)
-        with pytest.raises(igso3.NumericalDomainError, match="negative mass.*t=0.3"):
-            igso3.build_tables([1.0, 0.3, 0.05], cfg)
+    @pytest.mark.parametrize("terms", [1, 2, 2000])
+    def test_density_positive_at_every_cap(self, terms):
+        # The image sum is positive, and the series above it is at least
+        # 1 - 3 exp(-8) under any cap.
+        cfg = igso3.TruncationConfig(series_terms=terms)
+        for table in igso3.build_tables(TABLE_TIMES, cfg):
+            assert (table.f_vals > 0.0).all() and np.isfinite(table.f_vals).all()
+
+    @pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
+    def test_density_check_names_first_bad_time(self, monkeypatch, bad):
+        image_sum = igso3._image_sum
+
+        def broken(omega, t, omega_eps):  # spoils one angle at t = 0.3 and 0.05
+            f, df = image_sum(omega, t, omega_eps)
+            if t in (0.3, 0.05):
+                f[-2] = bad
+            return f, df
+
+        monkeypatch.setattr(igso3, "_image_sum", broken)
+        igso3.build_table(1.0)
+        with pytest.raises(igso3.NumericalDomainError, match="not finite at t=0.05"):
+            igso3.build_table(0.05)
+        with pytest.raises(igso3.NumericalDomainError, match="not finite at t=0.3"):
+            igso3.build_tables([1.0, 0.3, 0.05])
 
     def test_batch_builder_matches_single(self):
         single = igso3.build_table(0.8)

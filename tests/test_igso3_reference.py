@@ -74,3 +74,28 @@ def test_image_sum_is_periodic_and_even_like_the_series(t):
         assert np.allclose(igso3.f_igso3(shifted, t), f, rtol=1e-12, atol=0.0)
         assert np.allclose(igso3.df_igso3_domega(shifted, t), sign * df,
                            rtol=1e-10, atol=1e-12 * np.abs(df).max())
+
+
+@pytest.mark.parametrize("t", [igso3.T_MIN, 1.0, 2.25])
+def test_tables_match_high_precision_series(t):
+    # Tables hold the image sum's values: f keeps its relative precision
+    # past the series' roundoff floor, and the score its relative
+    # precision at small angles, where the termwise series cancels.
+    table = igso3.build_table(t)
+    idx = np.unique(np.geomspace(1, len(table.omega_grid) - 1, 25).astype(int))
+    for w, f, df in zip(table.omega_grid[idx], table.f_vals[idx], table.df_vals[idx]):
+        f_ref, s_ref = reference(float(w), t)
+        assert abs(f - f_ref) <= 1e-12 * f_ref, (w, f, f_ref)
+        assert abs(df / f - s_ref) <= 1e-14 * abs(s_ref), (w, df / f, s_ref)
+
+
+@pytest.mark.parametrize("t", [8.5, 10.0, 20.0])
+def test_series_small_angle_score_keeps_relative_precision(t):
+    # The cosine sum's terms all have one sign at small angles, so nothing
+    # cancels; the termwise derivative of sin((l + 1/2) w) / sin(w/2) loses
+    # 1.5e-9 of the score here.
+    omega = np.geomspace(1e-4, 1e-2, 9)
+    score = igso3.df_igso3_domega(omega, t) / igso3.f_igso3(omega, t)
+    for w, s in zip(omega, score):
+        s_ref = reference(float(w), t)[1]
+        assert abs(s - s_ref) <= 1e-15 * abs(s_ref), (w, s, s_ref)

@@ -177,12 +177,17 @@ class TestMixtureScore:
             single = toy.score_t(target, rts[0], 0.6, table=table)
             assert np.abs(single - batched[0]).max() <= 1e-12 * max(1.0, np.abs(single).max())
 
-    def test_single_atom_table_raises_where_density_vanishes(self):
+    @pytest.mark.parametrize("omega", [1.15, 1.2, 1.5, 2.0])
+    def test_single_atom_table_score_follows_small_time_expansion(self, omega):
+        # Tables hold the image sum's values, so past where the series'
+        # f is roundoff the table score is the direct one up to the
+        # interpolation error of about 1e-4 of the score.
         t = float(schedules.rot_variance(0.01, schedules.RotationSchedule()))
-        rt = so3.exp_so3(so3.hat(np.array([2.0, 0.0, 0.0])))
+        rt = so3.exp_so3(so3.hat(np.array([omega, 0.0, 0.0])))
         single = toy.DiscreteTarget(np.eye(3)[None], np.array([1.0]))
-        with pytest.raises(igso3.NumericalDomainError):
-            toy.score_t(single, rt, t, table=igso3.build_table(t))
+        score = so3.vee(rt.T @ toy.score_t(single, rt, t, table=igso3.build_table(t)))
+        expected = -omega / t + 1.0 / omega - 0.5 / np.tan(0.5 * omega)
+        assert abs(score[0] - expected) <= 1e-3 * abs(expected)
 
     @pytest.mark.parametrize("omega", [1.15, 1.2, 1.5, 2.0])
     def test_single_atom_direct_score_follows_small_time_expansion(self, omega):
@@ -223,12 +228,8 @@ def reference_forward(target, cfg, rng):
 
 
 def reference_reverse(target, cfg, rng):
-    times = cfg.times()
-    tables = dict(zip(times[1:].tolist(), igso3.build_tables(times[1:])))
     init = so3.sample_uniform_so3(rng, cfg.n_paths)
-    return reference_walk(
-        init, times[::-1], lambda r, t: -toy.score_t(target, r, t, table=tables[t]), rng
-    )
+    return reference_walk(init, cfg.times()[::-1], lambda r, t: -toy.score_t(target, r, t), rng)
 
 
 def assert_same_runs(a, b, atol=0.0):
