@@ -29,8 +29,8 @@ from . import UsageError
 # The flag is --key with "_" written as "-", and --config files take the
 # keys themselves. A default of None marks a required option.
 OPTIONS = {
-    "igso3": {"t": (float, None), "terms": (int, 2000), "grid": (int, 1000),
-              "n": (int, 10000, 0), "seed": (int, 0, 0), "out": (str, None)},
+    "igso3": {"t": (float, None), "grid": (int, 1000), "n": (int, 10000, 0),
+              "seed": (int, 0, 0), "out": (str, None)},
     "schedule": {"beta_min": (float, 0.1), "beta_max": (float, 20.0),
                  "sigma_min": (float, 0.1), "sigma_max": (float, 1.5),
                  "points": (int, 101, 0),

@@ -114,7 +114,7 @@ def _csv_rows(values, lead=None) -> str:
 # ---------------------------------------------------------------- igso3
 
 def cmd_igso3(action: str, v: argparse.Namespace, config: dict) -> list[str]:
-    trunc = _from_flags(igso3.TruncationConfig, series_terms=v.terms, angle_grid=v.grid)
+    trunc = _from_flags(igso3.TruncationConfig, angle_grid=v.grid)
     if action == "eval":
         grid = np.linspace(0.0, np.pi, trunc.angle_grid)
         header = "omega,f,df"
@@ -240,22 +240,26 @@ def _toy_compare(run_a: str, run_b: str) -> dict:
     """KS statistic of angle-to-nearest-atom between two runs, per time.
 
     ``max_ks`` leaves out t = 0, where a forward run is exact point masses.
-    A run file that does not parse is a usage error naming the file.
+    Runs of different targets or time grids are a usage error, as is a run
+    file that does not parse, named in the message.
     """
     def load_run(d):
         path = os.path.join(d, "manifest.json")
         try:
             with open(path) as fh:
-                times = [float(t) for t in json.load(fh)["config"]["grid_times"]]
+                config = json.load(fh)["config"]
+            times, atoms = [float(t) for t in config["grid_times"]], config["atom_quaternions"]
             path = os.path.join(d, "t_0000.csv")
             with open(path) as fh:
                 n_cols = len(fh.readline().split(","))
         except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"malformed run file {path}: {exc!r}") from exc
-        return times, n_cols
+        return times, atoms, n_cols
 
-    times_a, cols_a = load_run(run_a)
-    times_b, cols_b = load_run(run_b)
+    times_a, atoms_a, cols_a = load_run(run_a)
+    times_b, atoms_b, cols_b = load_run(run_b)
+    if atoms_a != atoms_b:
+        raise UsageError("runs were recorded for different atoms")
     if len(times_a) != len(times_b) or np.max(
         np.abs(np.array(times_a) - np.array(times_b)), initial=0.0
     ) > 1e-12:

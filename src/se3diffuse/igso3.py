@@ -27,25 +27,16 @@ Two branches give f and df/dw at given angles:
   can reach exp(-80) at the largest angle given: none at small t and
   small angles, three at t = 2.25 (the variance at the end of the default
   rotation schedule), six at T_IMAGE.
-- ``t > T_IMAGE``: the truncated series, summed as cosines of m w with
-  the tail sums of its weights (:func:`_series`), so nothing cancels at
-  small angles. Against a high-precision reference at 40 angles from 1e-4
+- ``t > T_IMAGE``: the character series, cut after l = 3
+  (:data:`_SERIES_TERMS`), where every later weight is below machine
+  epsilon times the l = 1 weight, and summed as cosines of m w with the
+  tail sums of its weights (:func:`_series`), so nothing cancels at small
+  angles. Against a high-precision reference at 40 angles from 1e-4
   to pi, the image sum's d log f/dw is within 8e-16 max(1, |score|) from
   t_min to t = 10, and within 4e-15 of the score itself up to t = 4 and
   1e-11 at t = 10, as its alternating pairs grow. The series is within
-  5e-16 of the score itself from t = 2.25 on and within 2e-15 max(1,
-  |score|) at t = 1. f from either is within 1e-15 relative above t = 1.
-
-Truncation rule of the series: a configuration sums the first L terms,
-where L is the smallest count such that every weight (2l+1)
-exp(-l(l+1) t_min / 2) with l >= L is below machine epsilon times the
-largest weight at t_min = :data:`T_MIN`, the smallest time either branch
-accepts. The weights decay faster at larger t, so later terms cannot
-change a double at any t >= t_min (L = 88). ``series_terms`` (the CLI's
-``--terms``) is an upper cap on L, not the count summed; it reaches only
-the series, above T_IMAGE, where a cap of 3 or more moves the score by
-under 1e-18. Of the L weights, those below the smallest normal double are
-flushed to zero and end the sums: above T_IMAGE at most 13 are left.
+  5e-16 of the score itself from T_IMAGE to t = 100. f from either is
+  within 1e-15 relative above t = 1.
 
 Tables (:func:`build_tables`) hold the values of the two branches on a
 uniform angle grid, built one time at a time, so a table's bits do not
@@ -70,22 +61,18 @@ class NumericalDomainError(ValueError):
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Truncation and discretization knobs for the series and its tables.
+    """Discretization knobs of the density evaluators and their tables.
 
-    series_terms: upper cap on the series terms summed, for tables and t > T_IMAGE.
     angle_grid: points of the uniform angle grid for tables and CDFs.
     omega_eps: below this angle the analytic w -> 0 limits are used.
 
     Every configuration shares the smallest trusted time :data:`T_MIN`.
     """
 
-    series_terms: int = 2000
     angle_grid: int = 1000
     omega_eps: float = 1e-4
 
     def __post_init__(self):
-        if self.series_terms < 1:
-            raise ValueError("series_terms must be >= 1")
         if self.angle_grid < 2:
             raise ValueError("angle_grid must be >= 2")
         if not 0.0 < self.omega_eps < 1e-3:
@@ -94,63 +81,38 @@ class TruncationConfig:
 
 DEFAULT_CONFIG = TruncationConfig()
 
-T_MIN = 0.01  # smallest trusted diffusion time: below it the partial sums oscillate
+T_MIN = 0.01  # smallest accepted diffusion time: sigma_min^2 of the default rotation schedule
 T_IMAGE = 8.0  # largest time evaluated by the image sum; the series takes over above
+# Series weights l = 0..3. The next, 9 exp(-10 t), is below eps times the
+# l = 1 weight 3 exp(-t) for every t > T_IMAGE.
+_SERIES_TERMS = 4
 
 
 def _check_time(t: float) -> float:
     t = float(t)
     if not T_MIN <= t < np.inf:
-        raise NumericalDomainError(
-            f"diffusion time {t} outside [t_min={T_MIN}, inf); series unreliable"
-        )
+        raise NumericalDomainError(f"diffusion time {t} outside [t_min={T_MIN}, inf)")
     return t
 
 
-# From t = 710 on, 3 exp(-t) and every later weight are below the smallest
-# normal double, so all weights but the first are zero.
-_T_FLUSHED = 710.0
-
-
-def _series_weights(ts, n_terms: int) -> np.ndarray:
-    """(n_terms, len(ts)) weights (2l+1) exp(-l(l+1) t / 2), one column per time.
-
-    Subnormal weights are zero: see the truncation rule in the module docstring.
-    Times are capped at :data:`_T_FLUSHED`, which leaves every weight as it
-    is and keeps l(l+1) t finite.
-    """
-    ls = np.arange(n_terms)
-    ts = np.minimum(np.atleast_1d(ts), _T_FLUSHED)
-    weights = (2 * ls + 1)[:, None] * np.exp(-(ls * (ls + 1))[:, None] * ts[None, :] / 2.0)
-    weights[weights < np.finfo(float).tiny] = 0.0
-    return weights
-
-
-@lru_cache(maxsize=16)
-def _term_count(cfg: TruncationConfig) -> int:
-    """Terms summed under ``cfg``: see the truncation rule in the module docstring."""
-    weights = _series_weights(T_MIN, cfg.series_terms)[:, 0]
-    above = np.flatnonzero(weights >= np.finfo(float).eps * weights.max())
-    return int(above[-1]) + 1
-
-
-def _series(omega: np.ndarray, t: float, cfg: TruncationConfig):
-    """f and df/dw at angles ``omega`` by the series, summed as cosines.
+def _series(omega: np.ndarray, t: float, omega_eps: float):
+    """f and df/dw at angles ``omega`` by the series' first four terms, as cosines.
 
     sin((l + 1/2) w) / sin(w/2) = 1 + 2 sum_{m=1}^{l} cos(m w), so with the
     tail weights W_m = sum_{l >= m} w_l, f = W_0 + 2 sum_{m>=1} W_m cos(m w)
     and df/dw = -2 sum_{m>=1} m W_m sin(m w): no division by sin(w/2), and
     at small angles the terms of each sum share one sign, so nothing
-    cancels. df is 0 below ``cfg.omega_eps``, as in the image sum.
+    cancels. df is 0 below ``omega_eps``, as in the image sum.
     """
-    weights = _series_weights(t, _term_count(cfg))[:, 0]
+    # Python floats: at huge t, l(l+1) t is inf and its weight exp(-inf) = 0,
+    # where numpy would raise on the overflow inside the CLI's errstate.
+    weights = [(2 * l + 1) * math.exp(-(l * (l + 1)) * t / 2.0) for l in range(_SERIES_TERMS)]
     tail = np.cumsum(weights[::-1])[::-1]
-    tail = tail[: np.count_nonzero(tail)]  # flushed weights end the sums
-    m = np.arange(1.0, len(tail))
+    m = np.arange(1.0, _SERIES_TERMS)
     mw = np.multiply.outer(omega, m)
     f = tail[0] + np.cos(mw) @ (2.0 * tail[1:])
     df = np.sin(mw, out=mw) @ (-2.0 * m * tail[1:])
-    df[omega < cfg.omega_eps] = 0.0
+    df[omega < omega_eps] = 0.0
     return f, df
 
 
@@ -296,7 +258,7 @@ def _f_df(omega, t: float, cfg: TruncationConfig, table):
         return table.interp_f(omega), table.interp_df(omega)
     t = _check_time(t)
     w = np.atleast_1d(np.asarray(omega, dtype=float)).ravel()
-    f, df = _image_sum(w, t, cfg.omega_eps) if t <= T_IMAGE else _series(w, t, cfg)
+    f, df = (_image_sum if t <= T_IMAGE else _series)(w, t, cfg.omega_eps)
     return _shaped(f, omega), _shaped(df, omega)
 
 
@@ -321,7 +283,7 @@ def _mixture(centers, rt, t, cfg, table, weights):
     weighted = f if weights is None else np.reshape(weights, (-1,) + (1,) * (f.ndim - 1)) * f
     total = weighted.sum(axis=0)
     if np.any(total <= 0.0):
-        raise NumericalDomainError("density not positive; increase t or series_terms")
+        raise NumericalDomainError("density not positive; increase t")
     return rel, parts, f, df, weighted / total, total
 
 
@@ -414,12 +376,6 @@ def build_tables(ts, cfg: TruncationConfig = DEFAULT_CONFIG) -> list[IGSO3Table]
         raw_mass = cdf[-1]
         tables.append(IGSO3Table(float(t), grid, f, df, cdf / raw_mass, float(raw_mass)))
     return tables
-
-
-@lru_cache(maxsize=512)
-def cached_table(t: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> IGSO3Table:
-    """Memoized :func:`build_table` keyed by (t, cfg), for callers revisiting a time."""
-    return build_table(t, cfg)
 
 
 def sample_igso3(

@@ -100,7 +100,7 @@ def forward_sample(
     """One draw of the forward marginal at time ``t`` from a centered input."""
     if not t0.centered:
         raise ValueError("forward_sample needs a centered frame set")
-    table = igso3.cached_table(float(schedules.rot_variance(t, rot_sched)), cfg)
+    table = igso3.build_table(float(schedules.rot_variance(t, rot_sched)), cfg)
     rotations = igso3.sample_igso3(t0.rotations, table, rng)
     marg = schedules.trans_marginal(t0.translations, t, trans_sched)
     translations = marg.mean + np.sqrt(marg.variance) * rng.standard_normal(

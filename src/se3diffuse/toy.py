@@ -85,8 +85,8 @@ def score_t(
 ) -> np.ndarray:
     """Stein score of the noised mixture at ``rt``: :func:`igso3.mixture_score` over the atoms.
 
-    Passing a precomputed ``table`` for time ``t`` switches evaluation to
-    the fast interpolated path used by the simulators.
+    A ``table`` for time ``t`` replaces the direct evaluation by its
+    interpolation; the walks score directly.
     """
     return igso3.mixture_score(_centers(target, rt), rt, t, cfg, table, target.weights)
 

@@ -37,7 +37,7 @@ def test_c02_score_gradient_consistency():
     times = [0.1, 0.5, 1.0]
     for i in range(50):
         t = times[i % 3]
-        table = igso3.cached_table(t)
+        table = igso3.build_table(t)
         r0 = so3.sample_uniform_so3(rng)
         rt = igso3.sample_igso3(r0, table, rng)
         score = igso3.conditional_score(r0, rt, t)
@@ -175,7 +175,7 @@ def test_c09_dsm_trivial_prediction():
     for t in (0.1, 0.5, 1.0):
         var = float(schedules.rot_variance(t, RS))
         lam = 1.0 / igso3.expected_score_norm_sq(var)
-        table = igso3.cached_table(var)
+        table = igso3.build_table(var)
         angles = table.sample_angles(rng, 100_000)
         # Trivial denoiser predicts the noisy rotation itself: its score
         # prediction is zero, so the weighted loss is lambda E|score|^2.
@@ -195,7 +195,7 @@ def test_c10_centered_process_invariance():
     rotated = FrameSet(g @ base.rotations, base.translations @ g.T, centered=True)
 
     def forward_batch(fs, rng):
-        table = igso3.cached_table(float(schedules.rot_variance(t, RS)))
+        table = igso3.build_table(float(schedules.rot_variance(t, RS)))
         rot = igso3.sample_igso3(
             np.broadcast_to(fs.rotations, (draws, n, 3, 3)), table, rng
         )

@@ -46,6 +46,24 @@ class TestIGSO3Commands:
         assert run(["igso3", "eval", "--grid", "100", "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_series_terms_are_not_an_option(self, tmp_path, capsys):
+        # The series above t = 8 sums a fixed number of terms.
+        out = tmp_path / "never.csv"
+        assert run(["igso3", "eval", "--t", "10", "--terms", "5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: unrecognized arguments")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"terms": 5}))
+        assert run(["igso3", "eval", "--t", "10", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: unknown config keys: ['terms']\n"
+        assert not out.exists()
+
+    def test_huge_time_is_the_flat_density(self, tmp_path):
+        # l(l+1) t overflows for l >= 1 here; the CLI raises on any overflow.
+        out = tmp_path / "eval.csv"
+        assert run(["igso3", "eval", "--t", "1e308", "--grid", "50", "--out", str(out)]) == 0
+        data = read_csv(out)
+        assert (data[:, 1] == 1.0).all() and (data[:, 2] == 0.0).all()
+
     def test_score_output_schema(self, tmp_path):
         out = tmp_path / "score.csv"
         assert run(["igso3", "score", "--t", "0.5", "--n", "100",
@@ -139,6 +157,19 @@ class TestToyCommands:
         assert run(["toy", "compare", "--run-a", str(a), "--run-b", str(b),
                     "--out", str(tmp_path / "no.json")]) == 1
 
+    @pytest.mark.parametrize("other", [["--atoms", "2"], ["--atom-seed", "1"]])
+    def test_different_atoms_error(self, tmp_path, capsys, other):
+        a, b = tmp_path / "a", tmp_path / "b"
+        base = ["--paths", "20", "--T", "1.0", "--steps", "5", "--seed", "1"]
+        assert run(["toy", "forward", *base, "--out-dir", str(a)]) == 0
+        assert run(["toy", "forward", *base, *other, "--out-dir", str(b)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "no.json"
+        assert run(["toy", "compare", "--run-a", str(a), "--run-b", str(b),
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: runs were recorded for different atoms\n"
+        assert not out.exists()
+
 
 class TestRejectedValues:
     @pytest.mark.parametrize("args", [
@@ -149,7 +180,6 @@ class TestRejectedValues:
         ["sample-backbones", "--n-steps", "1", "--out", "OUT/bb"],
         ["sample-backbones", "--zeta", "2", "--out", "OUT/bb"],
         ["igso3", "eval", "--t", "0.5", "--grid", "1", "--out", "OUT/e.csv"],
-        ["igso3", "sample", "--t", "0.5", "--terms", "0", "--out", "OUT/q.csv"],
         ["schedule", "--beta-min", "5", "--beta-max", "1", "--out", "OUT/s.csv"],
         ["schedule", "--beta-max", "inf", "--out", "OUT/s.csv"],
         ["schedule", "--points", "-1", "--out", "OUT/s.csv"],
@@ -246,8 +276,7 @@ class TestRejectedValues:
 
 _INT = ("-1", "0")
 _FLOAT = ("-1", "0", "nan", "inf", "1e308")
-_IGSO3_FLAGS = {"--t": _FLOAT, "--terms": _INT, "--grid": _INT, "--n": _INT,
-                "--seed": _INT}
+_IGSO3_FLAGS = {"--t": _FLOAT, "--grid": _INT, "--n": _INT, "--seed": _INT}
 _TOY_FLAGS = {"--atoms": _INT, "--paths": _INT, "--T": _FLOAT, "--steps": _INT,
               "--seed": _INT, "--atom-seed": _INT}
 _TOY_BASE = ["--atoms", "2", "--paths", "5", "--T", "1", "--steps", "3",
@@ -331,6 +360,14 @@ class TestMalformedRun:
         bad = runs / "b" / "manifest.json"
         manifest = json.loads(bad.read_text())
         del manifest["config"]["grid_times"]
+        bad.write_text(json.dumps(manifest))
+        assert self.compare(runs) == 1
+        self.assert_one_line_naming(capsys, bad)
+
+    def test_manifest_without_atoms(self, runs, capsys):
+        bad = runs / "a" / "manifest.json"
+        manifest = json.loads(bad.read_text())
+        del manifest["config"]["atom_quaternions"]
         bad.write_text(json.dumps(manifest))
         assert self.compare(runs) == 1
         self.assert_one_line_naming(capsys, bad)

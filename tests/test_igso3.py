@@ -57,6 +57,15 @@ def angle_marginal_integral(t, n_points=10_000, cfg=CFG):
 
 
 class TestSeries:
+    @pytest.mark.parametrize("t", [720.0, 1e4, 1e308])
+    def test_huge_time_leaves_the_flat_density(self, t):
+        # The l = 1 weight is subnormal at t = 720, and l(l+1) t overflows at 1e308.
+        omega = np.linspace(0.0, np.pi, 7)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            f, df = igso3.f_igso3(omega, t), igso3.df_igso3_domega(omega, t)
+        assert (f == 1.0).all()
+        assert (np.abs(df) < np.finfo(float).tiny).all()
+
     def test_flat_limit_values(self):
         for omega in (0.5, 1.5, 3.0):
             assert abs(igso3.f_igso3(omega, 50.0) - 1.0) < 1e-6
@@ -68,9 +77,6 @@ class TestSeries:
 
     def test_generic_point_matches_brute_force(self):
         assert abs(igso3.f_igso3(0.9, 0.5) - brute_force_f(0.9, 0.5, 400)) < 1e-10
-
-    def test_default_truncation(self):
-        assert igso3.TruncationConfig().series_terms == 2000
 
     @pytest.mark.parametrize("t", [0.05, 1.0, 20.0])
     def test_nan_angle_leaves_the_others_alone(self, t):
@@ -89,13 +95,10 @@ class TestSeries:
         with pytest.raises(ValueError):
             igso3.TruncationConfig(omega_eps=0.1)
         with pytest.raises(ValueError):
-            igso3.TruncationConfig(series_terms=0)
+            igso3.TruncationConfig(angle_grid=1)
 
 
 class TestTruncation:
-    def test_default_term_count(self):
-        assert igso3._term_count(CFG) == 88
-
     def test_accepts_t_min(self):
         assert np.isfinite(igso3.f_igso3(1.0, igso3.T_MIN))
 
@@ -127,29 +130,15 @@ class TestTruncation:
             expected = brute_force_f(omega, igso3.T_MIN, 2000)
             assert abs(igso3.f_igso3(omega, igso3.T_MIN) - expected) <= tol
 
-    @pytest.mark.parametrize("terms", [1, 2])
-    def test_cap_sums_exactly_that_many_terms(self, terms):
-        # Above the image sum the cap reaches the tables; one or two terms
-        # leave a visible gap to the converged series there. Up to T_IMAGE
-        # it changes no bit of a table.
-        cfg = igso3.TruncationConfig(series_terms=terms)
-        assert igso3._term_count(cfg) == terms
-        t = 8.5
-        table = igso3.build_table(t, cfg)
-        f_cap, df_cap = dirichlet_series(table.omega_grid, t, terms)
-        assert np.abs(table.f_vals - f_cap).max() <= 1e-15 * np.abs(f_cap).max()
-        assert np.abs(table.df_vals - df_cap).max() <= 1e-15 * np.abs(df_cap).max()
-        assert np.abs(table.df_vals - igso3.build_table(t).df_vals).max() > 1e-12
-        for below in (igso3.T_MIN, 1.0, igso3.T_IMAGE):
-            assert_tables_equal([igso3.build_table(below, cfg)], per_time_tables([below]))
-
-    def test_cap_reaches_the_series_above_the_image_sum(self):
-        t = np.nextafter(igso3.T_IMAGE, np.inf)
-        cfg = igso3.TruncationConfig(series_terms=2)
+    @pytest.mark.parametrize("t", [float(np.nextafter(igso3.T_IMAGE, np.inf)), 8.5, 20.0])
+    def test_series_matches_full_sum_above_the_image_sum(self, t):
+        # Above T_IMAGE the series sums _SERIES_TERMS terms; the other terms
+        # of the 2000 change f and df by roundoff only.
         grid = np.linspace(0.0, np.pi, 50)
-        f2, df2 = dirichlet_series(grid, t, 2)
-        assert np.abs(igso3.f_igso3(grid, t, cfg) - f2).max() <= 1e-15 * np.abs(f2).max()
-        assert np.abs(igso3.df_igso3_domega(grid, t, cfg) - df2).max() <= 1e-15 * np.abs(df2).max()
+        f_exact, df_exact = dirichlet_series(grid, t, 2000)
+        assert np.abs(igso3.f_igso3(grid, t) - f_exact).max() <= 1e-15 * np.abs(f_exact).max()
+        assert (np.abs(igso3.df_igso3_domega(grid, t) - df_exact).max()
+                <= 1e-15 * np.abs(df_exact).max())
 
 
 class TestDerivative:
@@ -393,33 +382,10 @@ class TestTable:
         for i in (0, 48, 98):
             assert_tables_equal([whole[i]], per_time_tables([ts[i]]))
 
-    def test_series_weights_have_no_subnormals(self):
-        ts = np.geomspace(igso3.T_MIN, 1e4, 200)
-        weights = igso3._series_weights(ts, CFG.series_terms)
-        tiny = np.finfo(float).tiny
-        assert np.all((weights == 0.0) | (weights >= tiny))
-        # Without the flush some of these would be subnormal.
-        ls = np.arange(CFG.series_terms)[:, None]
-        raw = (2 * ls + 1) * np.exp(-ls * (ls + 1) * ts[None, :] / 2.0)
-        assert np.any((raw > 0.0) & (raw < tiny))
-
-    def test_series_weights_unchanged_by_time_cap(self):
-        ts = np.array([709.0, 710.0, 1e4, 1e308])  # 1e308 would overflow l(l+1) t
-        with np.errstate(over="raise"):
-            weights = igso3._series_weights(ts, CFG.series_terms)
-        ls = np.arange(CFG.series_terms)[:, None]
-        raw = (2 * ls + 1) * np.exp(-ls * (ls + 1) * ts[None, :3] / 2.0)
-        raw[raw < np.finfo(float).tiny] = 0.0
-        assert np.array_equal(weights[:, :3], raw)
-        assert np.array_equal(weights[:, 3], weights[:, 2])
-        assert weights[1, 0] > 0.0 and not weights[1:, 1:].any()
-
-    @pytest.mark.parametrize("terms", [1, 2, 2000])
-    def test_density_positive_at_every_cap(self, terms):
+    def test_density_positive(self):
         # The image sum is positive, and the series above it is at least
-        # 1 - 3 exp(-8) under any cap.
-        cfg = igso3.TruncationConfig(series_terms=terms)
-        for table in igso3.build_tables(TABLE_TIMES, cfg):
+        # 1 - 3 exp(-8).
+        for table in igso3.build_tables(TABLE_TIMES):
             assert (table.f_vals > 0.0).all() and np.isfinite(table.f_vals).all()
 
     @pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])

@@ -11,9 +11,10 @@ mpmath = pytest.importorskip("mpmath")
 
 ANGLES = [0.0, 1e-4, 1e-3, 0.01, 0.3, 1.0, 1.15, 1.5, 2.0, 2.9, 3.1,
           np.pi - 1e-2, np.pi - 3e-3, np.pi - 1e-3, np.pi - 1e-6, np.pi]
-# Both sides of the crossover between the image sum and the series.
+# Both sides of the crossover between the image sum and the series, and
+# the series out to times where its l >= 1 weights are subnormal or zero.
 TIMES = [igso3.T_MIN, 0.0169, 0.1, 0.5, 1.0, 2.25, 4.0, igso3.T_IMAGE,
-         float(np.nextafter(igso3.T_IMAGE, np.inf)), 10.0, 50.0]
+         float(np.nextafter(igso3.T_IMAGE, np.inf)), 10.0, 20.0, 50.0, 100.0, 709.0, 1e4]
 
 
 def reference(omega: float, t: float) -> tuple[float, float]:
@@ -52,6 +53,17 @@ def test_density_and_score_match_high_precision_series(t):
         assert abs(score[i] - s_ref) <= 1e-12 * max(1.0, abs(s_ref)), (w, score[i], s_ref)
         if t <= 4.0:  # the image sum also keeps small scores, near 0 and pi, to roundoff
             assert abs(score[i] - s_ref) <= 1e-14 * abs(s_ref), (w, score[i], s_ref)
+        if igso3.T_IMAGE < t <= 100.0:  # and so does the series above it
+            assert abs(score[i] - s_ref) <= 1e-15 * abs(s_ref), (w, score[i], s_ref)
+
+
+def test_series_terms_cover_every_time_above_the_image_sum():
+    # Weights decay faster at larger t, so the first weight left out is
+    # largest against the l = 1 weight at T_IMAGE.
+    def weight(ell):
+        return (2 * ell + 1) * math.exp(-ell * (ell + 1) * igso3.T_IMAGE / 2.0)
+
+    assert weight(igso3._SERIES_TERMS) < np.finfo(float).eps * weight(1)
 
 
 def test_branches_meet_at_the_crossover():

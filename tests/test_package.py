@@ -120,3 +120,41 @@ def test_readme_scan_finds_missing_names():
         "## Install and test\n`not_a_name`\n"
     )
     assert unresolved_readme_names(text) == ["no_such_name"]
+
+
+def readme_option_rows(text: str) -> list[tuple[str, ...]]:
+    """Cells of the README's option table, one tuple per flag row."""
+    return [tuple(cell.strip() for cell in line.strip("|").split("|"))
+            for line in text.splitlines() if line.startswith("| `")]
+
+
+def test_readme_option_rows_are_the_flag_rows():
+    text = ("| command | flag | type | default | lowest value or choices |\n|---|---|---|---|---|\n"
+            "| `igso3` | `--t` | float | required |  |\n"
+            "| `toy compare` | `--out` | str | required |  |\n\n`igso3` takes `--grid`.\n")
+    assert readme_option_rows(text) == [("`igso3`", "`--t`", "float", "required", ""),
+                                        ("`toy compare`", "`--out`", "str", "required", "")]
+
+
+def test_readme_option_table_matches_cli_options():
+    from se3diffuse import cli
+
+    expected = []
+    for table, options in cli.OPTIONS.items():
+        command = "`toy forward`, `toy reverse`" if table == "toy" else f"`{table}`"
+        for key, (kind, default, *bound) in options.items():
+            if default is None:
+                shown = "required"
+            elif kind is bool:
+                shown = "on" if default else "off"
+            else:
+                shown = f"`{default}`"
+            if not bound:
+                lowest = ""
+            elif isinstance(bound[0], tuple):
+                lowest = " or ".join(f"`{choice}`" for choice in bound[0])
+            else:
+                lowest = str(bound[0])
+            flag = "`--" + key.replace("_", "-") + "`"
+            expected.append((command, flag, kind.__name__, shown, lowest))
+    assert readme_option_rows(README.read_text()) == expected

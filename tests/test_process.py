@@ -166,7 +166,7 @@ class TestForwardSample:
         assert np.abs(var - expected).max() < 3 * se
         # Rotation angles follow the IGSO3 law at variance 2.25.
         assert schedules.rot_variance(1.0, RS) == 2.25
-        table = igso3.cached_table(2.25, CFG)
+        table = igso3.build_table(2.25, CFG)
         ref = igso3.sample_igso3(np.broadcast_to(np.eye(3), (draws, 3, 3)), table, rng)
         rel = so3.rotation_angle(
             so3.transpose(np.broadcast_to(fs.rotations, rot.shape)) @ rot
@@ -248,7 +248,7 @@ class TestReverseWalk:
         final = process.reverse_walk(init, score, TS, RS, sim, rng, record=False)[-1][1]
         var_eps = float(schedules.rot_variance(sim.eps, RS))
         fwd = igso3.sample_igso3(
-            np.broadcast_to(target_rot, (n, 3, 3)), igso3.cached_table(var_eps), rng
+            np.broadcast_to(target_rot, (n, 3, 3)), igso3.build_table(var_eps), rng
         )
         base = np.broadcast_to(target_rot, (n, 3, 3))
         ks = stats.ks_2samp(
@@ -276,13 +276,6 @@ class TestReverseWalk:
         assert walks[0][0][1] is init and len(walks[0]) == sim.n_steps
         assert bits(walks[0]) == bits(walks[1])
         assert bits(ends) == bits([walks[0][0], walks[0][-1]])
-
-    def test_walk_leaves_table_cache_alone(self, rng):
-        before = igso3.cached_table.cache_info()
-        score = process.fixed_target_score(make_frameset(rng, 3), TS, RS)
-        sim = process.SimConfig(n_steps=20, eps=0.01)
-        process.reverse_walk(make_frameset(rng, 3), score, TS, RS, sim, rng)
-        assert igso3.cached_table.cache_info() == before
 
     def test_walk_builds_no_table(self, rng, monkeypatch):
         def refuse(*args, **kwargs):
