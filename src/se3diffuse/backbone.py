@@ -154,22 +154,24 @@ def dsm_loss(
 ) -> tuple[float, float]:
     """Denoising score-matching losses (rotation, translation).
 
-    ``score_pred`` is (rot (N, 3, 3), trans (N, 3)), the form that
-    :func:`process.score_from_denoised` returns; each rotation part must
-    lie in the tangent space at its frame. The rotation term is the
-    lambda_r-weighted mean squared deviation from the true conditional
-    score in the tr(u v^T)/2 metric. The
-    translation term is evaluated in the denoised parameterization: the
-    predicted score is inverted for the implied time-zero coordinates and
-    compared to the truth by plain MSE.
+    ``score_pred`` is (rot (N, 3), trans (N, 3)), the form that
+    :func:`process.score_from_denoised` returns: each rotation row is a
+    coefficient vector in the frame of its ``fs_t`` rotation. The rotation
+    term is the lambda_r-weighted mean squared deviation from the true
+    conditional score in the tr(u v^T)/2 metric, the Euclidean norm of the
+    coefficients. The translation term is evaluated in the denoised
+    parameterization: the predicted score is inverted for the implied
+    time-zero coordinates and compared to the truth by plain MSE.
     """
     pred_rot, pred_trans = score_pred
     if not (len(pred_rot) == len(pred_trans) == len(fs0) == len(fs_t)):
         raise ValueError("frame counts differ")
+    if np.shape(pred_rot) != (len(fs_t), 3):
+        raise ValueError(f"rotation score has shape {np.shape(pred_rot)}, "
+                         f"expected {(len(fs_t), 3)}")
     lambda_r, _ = schedules.dsm_weights(t, trans_sched, rot_sched, cfg)
     true_rot, _ = process.score_from_denoised(fs_t, fs0, t, trans_sched, rot_sched, cfg)
-    coeffs = so3.vee(so3.transpose(fs_t.rotations) @ (pred_rot - true_rot))
-    loss_r = lambda_r * float((coeffs**2).sum(axis=-1).mean())
+    loss_r = lambda_r * float(((pred_rot - true_rot) ** 2).sum(axis=-1).mean())
 
     x0_hat = schedules.denoised_from_trans_score(
         pred_trans, fs_t.translations, t, trans_sched

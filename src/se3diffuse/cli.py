@@ -7,7 +7,8 @@ Subcommands:
   sample-backbones                 reverse walk on SE(3)^N, PDB output
 
 Every command writes a run-manifest JSON alongside its outputs. Exit
-codes: 0 success, 1 usage error, 2 numerical-domain error, 3 I/O error.
+codes: 0 success, 1 usage error or an allocation refused for lack of
+memory, 2 numerical-domain error, 3 I/O error.
 
 This module imports only the standard library. ``main`` checks every
 option, bound and ``--config`` value before it imports numpy and the
@@ -164,6 +165,9 @@ def main(argv=None) -> int:
                                time.monotonic() - start)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. --grid or --points too large to allocate
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     except domain_errors as exc:
         print(f"numerical-domain error: {exc}", file=sys.stderr)

@@ -128,8 +128,7 @@ def cmd_igso3(action: str, v: argparse.Namespace, config: dict) -> list[str]:
         if action == "sample":
             header, rows = "a,b,c,d", so3.quat_from_rotation(samples)
         else:
-            scores = igso3.conditional_score(base, samples, v.t, trunc)
-            coeffs = so3.vee(so3.transpose(samples) @ scores)
+            coeffs = igso3.conditional_score(base, samples, v.t, trunc)
             header = "omega,s1,s2,s3"
             rows = np.column_stack([so3.rotation_angle(samples), coeffs])
     with open(v.out, "w") as fh:

@@ -13,8 +13,10 @@ images):
     f(w, t) = exp(t/8) sqrt(2 pi) t^(-3/2) / sin(w/2)
               * sum_k (-1)^k (w + 2 pi k) exp(-(w + 2 pi k)^2 / (2t)).
 
-The angle marginal under Haar is f(w, t) (1 - cos w) / pi. Scores are
-tangent matrices at the evaluation point under the tr(u v^T)/2 metric.
+The angle marginal under Haar is f(w, t) (1 - cos w) / pi. A score at a
+rotation r is a coefficient vector v (..., 3) in the frame of r: it stands
+for the tangent matrix r hat(v), and the tr(u v^T)/2 metric is the
+Euclidean norm of v.
 
 Two branches give f and df/dw at given angles:
 
@@ -121,7 +123,7 @@ def _shaped(values: np.ndarray, omega):
 
 
 def _log_coeff(omega, ratio, omega_eps: float):
-    """(df/dw)/f over w: the score is rt log(rel) times this; 0 for w < omega_eps."""
+    """(df/dw)/f over w: the score is log_rotvec(rel) times this; 0 for w < omega_eps."""
     return np.where(omega >= omega_eps, ratio / np.where(omega > 0, omega, 1.0), 0.0)
 
 
@@ -301,14 +303,14 @@ def mixture_density(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weigh
 def mixture_score(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weights=None):
     """Riemannian gradient at ``rt`` of log :func:`mixture_density` (same arguments).
 
-    ``rt hat(sum_k v_k post_k (df/dw)/f / w)`` with ``v_k`` the rotation
-    vector of ``centers[k]^T rt`` and posteriors ``post_k = w_k f_k / sum w f``;
-    a center within ``omega_eps`` of ``rt`` contributes the zero tangent.
+    The coefficient vector (..., 3) in the frame of ``rt``:
+    ``sum_k v_k post_k (df/dw)/f / w`` with ``v_k`` the rotation vector of
+    ``centers[k]^T rt`` and posteriors ``post_k = w_k f_k / sum w f``; a
+    center within ``omega_eps`` of ``rt`` contributes zero.
     """
-    rt = np.asarray(rt, dtype=float)
     rel, parts, f, df, post, _ = _mixture(centers, rt, t, cfg, table, weights)
     coef = _log_coeff(parts.angle, df / np.where(f > 0, f, 1.0), cfg.omega_eps)
-    return rt @ so3.hat((so3.log_rotvec(rel, parts) * (post * coef)[..., None]).sum(axis=0))
+    return (so3.log_rotvec(rel, parts) * (post * coef)[..., None]).sum(axis=0)
 
 
 def igso3_density(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
@@ -317,10 +319,10 @@ def igso3_density(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
 
 
 def conditional_score(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
-    """Riemannian gradient at ``rt`` of log IGSO3(rt; r0, t).
+    """Riemannian gradient at ``rt`` of log IGSO3(rt; r0, t), as coefficients.
 
-    Equals ``(rt / w) log(r0^T rt) (df/dw) / f`` with w the relative
-    rotation angle; returns the zero tangent when w < omega_eps.
+    Equals ``log_rotvec(r0^T rt) (df/dw) / (f w)`` (..., 3) with w the
+    relative rotation angle; zero when w < omega_eps.
     """
     return mixture_score(np.asarray(r0, dtype=float)[None], rt, t, cfg)
 
@@ -405,8 +407,9 @@ def riemannian_gradient_fd(
 ) -> np.ndarray:
     """Central-difference Riemannian gradient of a scalar function at ``r``.
 
-    Differentiates ``t -> fn(expmap(r, r hat(t e_i)))`` at t = 0 along the
-    three orthonormal tangent directions and reassembles ``r hat(coeffs)``.
+    Differentiates ``t -> fn(r exp_so3(hat(t e_i)))`` at t = 0 along the
+    three orthonormal tangent directions and returns the tangent matrix
+    ``r hat(coeffs)``.
     """
     if h <= 0:
         raise ValueError("h must be positive")

@@ -52,8 +52,8 @@ def _off_center(x: np.ndarray) -> bool:
 
 
 # A score field maps (forward time t, FrameSet) to the score as arrays:
-# rot (N, 3, 3), each in the tangent space at its frame's rotation, and
-# trans shaped like the state's translations.
+# rot (N, 3), each row a coefficient vector v in the frame of its rotation r
+# (the tangent matrix r hat(v)), and trans shaped like the state's translations.
 ScoreField = Callable[[float, FrameSet], tuple[np.ndarray, np.ndarray]]
 
 
@@ -146,14 +146,15 @@ def iter_walk(
 ) -> Iterator[tuple[float, FrameSet]]:
     """Euler-Maruyama geodesic random walk through ``grid``, in either direction.
 
-    Step i applies the product exponential to drift(grid[i], state) * h plus
-    zeta * [g_r Z_r, g_x Z_x] * sqrt(h), h = |grid[i+1] - grid[i]|, with
-    tangent-space standard normals and ``diffusion`` = (g_r, g_x) on the
-    grid. The frame set is re-centered after every step and rotations are
+    Step i takes v = drift(grid[i], state) * h + zeta * [g_r Z_r, g_x Z_x]
+    * sqrt(h), h = |grid[i+1] - grid[i]|, with standard normal coefficient
+    vectors Z_r (N, 3) and ``diffusion`` = (g_r, g_x) on the grid, and moves
+    each rotation r to r exp(hat(v_r)) and the translations by v_x. The
+    frame set is re-centered after every step and rotations are
     re-orthonormalized every 100 steps. Yields a (t, state) pair per grid
     point as the walk goes, starting with (grid[0], init). Raises ValueError
-    when the drift's rotation part leaves the tangent space and
-    FloatingPointError when the state stops being finite.
+    when the drift's rotation part is not (N, 3) and FloatingPointError
+    when the state stops being finite.
     """
     g_r, g_x = diffusion
     state = init
@@ -161,11 +162,14 @@ def iter_walk(
     for i in range(len(grid) - 1):
         h = abs(grid[i + 1] - grid[i])
         drift_rot, drift_trans = drift(float(grid[i]), state)
-        noise_rot = g_r[i] * so3.sample_tangent_gaussian(state.rotations, rng)
+        if np.shape(drift_rot) != (len(state), 3):
+            raise ValueError(f"rotation drift has shape {np.shape(drift_rot)}, "
+                             f"expected {(len(state), 3)}")
+        noise_rot = g_r[i] * rng.standard_normal((len(state), 3))
         noise_trans = g_x[i] * rng.standard_normal(state.translations.shape)
-        rot_tangent = drift_rot * h + zeta * np.sqrt(h) * noise_rot
+        rot_step = drift_rot * h + zeta * np.sqrt(h) * noise_rot
         trans_step = drift_trans * h + zeta * np.sqrt(h) * noise_trans
-        rotations = so3.expmap(state.rotations, rot_tangent)
+        rotations = state.rotations @ so3.exp_so3(so3.hat(rot_step))
         if (i + 1) % 100 == 0:
             rotations = so3.renormalize(rotations)
         state = center(FrameSet(rotations, state.translations + trans_step))
@@ -211,9 +215,9 @@ def score_from_denoised(
     """Score (rot, trans) implied by a denoised prediction of the time-zero frames.
 
     Per frame, the rotation score is the conditional IGSO3 score at
-    variance sigma_r(t)^2 around the predicted rotation, and the
-    translation score the Gaussian conditional score around the predicted
-    translation.
+    variance sigma_r(t)^2 around the predicted rotation, a coefficient
+    vector (N, 3) in the frame of ``fs_t``'s rotation, and the translation
+    score the Gaussian conditional score around the predicted translation.
     """
     if len(fs_t) != len(pred0):
         raise ValueError("frame counts differ")
@@ -244,4 +248,4 @@ def fixed_target_score(
 
 def zero_score(t: float, fs: FrameSet) -> tuple[np.ndarray, np.ndarray]:
     """ScoreField of the pure reference walk (no data term)."""
-    return np.zeros((len(fs), 3, 3)), np.zeros_like(fs.translations)
+    return np.zeros((len(fs), 3)), np.zeros_like(fs.translations)

@@ -1,4 +1,4 @@
-"""Exact SO(3) primitives: hat/vee, exp/log, angles, tangent sampling.
+"""Exact SO(3) primitives: hat/vee, exp/log, angles, uniform sampling.
 
 All functions are vectorized over leading batch dimensions: rotations are
 ``(..., 3, 3)`` arrays, coefficient vectors ``(..., 3)``. The Lie-algebra
@@ -55,7 +55,7 @@ def exp_so3(a: np.ndarray) -> np.ndarray:
     """Rodrigues exponential of skew matrices (..., 3, 3).
 
     Fills the nine entries of ``cos(w) I + (sin(w)/w) a + c(w) v v^T``
-    elementwise, with ``v = vee(a)``, ``w = |v|`` and
+    elementwise, with ``v`` the coefficient vector of ``a``, ``w = |v|`` and
     ``c = (1 - cos w) / w^2``, both coefficients written through
     ``sin(w/2) / (w/2)`` so nothing cancels. For angles below 1e-8 they
     take their limits 1 and 1/2 (the expansion ``I + a + a^2/2``).
@@ -152,30 +152,6 @@ def rotation_angle(r: np.ndarray) -> np.ndarray:
     up to about 5e-8 near 0 and pi, the square root of the trace's roundoff.
     """
     return skew_trace(r).angle
-
-
-def expmap(r0: np.ndarray, tangent: np.ndarray, tol: float = _SKEW_TOL) -> np.ndarray:
-    """Exponential map from the tangent space at ``r0``.
-
-    ``tangent`` must lie in Tan_{r0}SO(3), i.e. ``r0^T tangent`` is skew.
-    The asymmetry allowed is ``tol`` times the largest entry of
-    ``r0^T tangent`` when that exceeds 1, since the product's roundoff
-    grows with its size.
-    """
-    r0 = np.asarray(r0, dtype=float)
-    local = transpose(r0) @ np.asarray(tangent, dtype=float)
-    asym = np.abs(local + transpose(local)).max()
-    if asym > tol and asym > tol * np.abs(local).max():  # tol * max(1, |local|)
-        raise ValueError(
-            f"tangent is not in the tangent space at r0 (asymmetry {asym:.3e})"
-        )
-    return r0 @ exp_so3(0.5 * (local - transpose(local)))
-
-
-def sample_tangent_gaussian(r0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Standard normal in Tan_{r0}SO(3): ``r0 @ hat(delta)``, delta ~ N(0, I3)."""
-    r0 = np.asarray(r0, dtype=float)
-    return r0 @ hat(rng.standard_normal(r0.shape[:-2] + (3,)))
 
 
 def rotations_about_random_axes(angles: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -85,7 +85,8 @@ def score_t(
 ) -> np.ndarray:
     """Stein score of the noised mixture at ``rt``: :func:`igso3.mixture_score` over the atoms.
 
-    A ``table`` for time ``t`` replaces the direct evaluation by its
+    The score is a coefficient vector (..., 3) in the frame of ``rt``. A
+    ``table`` for time ``t`` replaces the direct evaluation by its
     interpolation; the walks score directly.
     """
     return igso3.mixture_score(_centers(target, rt), rt, t, cfg, table, target.weights)

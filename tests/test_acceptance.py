@@ -40,7 +40,7 @@ def test_c02_score_gradient_consistency():
         table = igso3.build_table(t)
         r0 = so3.sample_uniform_so3(rng)
         rt = igso3.sample_igso3(r0, table, rng)
-        score = igso3.conditional_score(r0, rt, t)
+        score = rt @ so3.hat(igso3.conditional_score(r0, rt, t))
         fd = igso3.riemannian_gradient_fd(
             lambda r: np.log(igso3.igso3_density(r0, r, t)), rt, h=1e-4
         )

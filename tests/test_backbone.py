@@ -280,7 +280,7 @@ class TestDsmLoss:
             rot, trans = process.score_from_denoised(fs_t, fs0, t, TS, RS)
             bump_r = rng.standard_normal(3)
             bump_x = rng.standard_normal(3)
-            worse = (rot + fs_t.rotations @ so3.hat(bump_r), trans + bump_x)
+            worse = (rot + bump_r, trans + bump_x)
             base = backbone.dsm_loss((rot, trans), fs0, fs_t, t, TS, RS)
             bumped = backbone.dsm_loss(worse, fs0, fs_t, t, TS, RS)
             assert bumped[0] > base[0]
@@ -306,6 +306,14 @@ class TestDsmLoss:
         rot, trans = process.score_from_denoised(fs_t, fs0, 0.5, TS, RS)
         with pytest.raises(ValueError, match="frame counts"):
             backbone.dsm_loss((rot[:2], trans[:2]), fs0, fs_t, 0.5, TS, RS)
+
+    def test_rejects_matrix_rotation_score(self, rng):
+        # The tangent matrices r hat(v) are not the (N, 3) coefficients v.
+        fs0, fs_t = self.make_pair(rng, n=3)
+        rot, trans = process.score_from_denoised(fs_t, fs0, 0.5, TS, RS)
+        matrices = fs_t.rotations @ so3.hat(rot)
+        with pytest.raises(ValueError, match=r"\(3, 3, 3\), expected \(3, 3\)"):
+            backbone.dsm_loss((matrices, trans), fs0, fs_t, 0.5, TS, RS)
 
     def test_trivial_prediction_small_sample(self, rng):
         # Full 1e5-draw calibration lives in the acceptance suite; this is

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from se3diffuse import backbone, cli, commands, process, schedules, so3, toy
+from se3diffuse import backbone, cli, commands, igso3, process, schedules, so3, toy
 
 
 def run(args):
@@ -71,6 +71,16 @@ class TestIGSO3Commands:
         data = read_csv(out)
         assert data.shape == (100, 4)
         assert np.all(data[:, 0] >= 0) and np.all(data[:, 0] <= np.pi)
+
+    def test_score_rows_are_library_coefficients(self, tmp_path):
+        out = tmp_path / "score.csv"
+        assert run(["igso3", "score", "--t", "0.5", "--n", "100",
+                    "--seed", "1", "--out", str(out)]) == 0
+        rng = np.random.default_rng(1)
+        base = np.broadcast_to(np.eye(3), (100, 3, 3))
+        samples = igso3.sample_igso3(base, igso3.build_table(0.5), rng)
+        coeffs = igso3.conditional_score(base, samples, 0.5)
+        assert np.array_equal(read_csv(out)[:, 1:], coeffs)
 
     def test_below_t_min_is_domain_error(self, tmp_path):
         out = tmp_path / "bad.csv"
@@ -201,6 +211,18 @@ class TestRejectedValues:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ["igso3", "eval", "--t", "0.5", "--grid", "100000000000000000", "--out", "OUT/e.csv"],
+        ["schedule", "--points", "100000000000000000", "--out", "OUT/s.csv"],
+    ])
+    def test_refused_allocation_is_one_line(self, tmp_path, capsys, args):
+        # 8e17 bytes, past any x86-64 address space: refused at once under
+        # every overcommit policy.
+        assert run([a.replace("OUT", str(tmp_path)) for a in args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("t", ["nan", "inf"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -97,7 +99,7 @@ class TestRotationOnly:
     def test_zero_score_matches_translation_shape(self, rng, width):
         fs = process.FrameSet(so3.sample_uniform_so3(rng, 5), np.ones((5, width)))
         rot, trans = process.zero_score(0.5, fs)
-        assert rot.shape == (5, 3, 3) and not rot.any()
+        assert rot.shape == (5, 3) and not rot.any()
         assert trans.shape == (5, width) and not trans.any()
 
     def test_walk_step_draws_n_by_3_normals(self, rng):
@@ -112,6 +114,68 @@ class TestRotationOnly:
         ref_rng.standard_normal((n, 3))
         assert t == 0.1 and first is init and last.translations.shape == (n, 0)
         assert walk_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_step_is_right_multiplied_exponential(self, rng):
+        # Without noise, a constant coefficient drift v moves r to r exp(hat(h v)).
+        n = 6
+        init = make_frameset(rng, n)
+        v = rng.standard_normal((n, 3))
+        grid = np.array([0.7, 0.4])
+        unit = np.ones(2)
+        walk = process.iter_walk(init, grid, lambda t, fs: (v, np.zeros((n, 3))),
+                                 (unit, unit), 0.0, rng)
+        (_, first), (_, last) = walk
+        h = abs(grid[1] - grid[0])
+        assert first is init
+        assert np.array_equal(last.rotations, init.rotations @ so3.exp_so3(so3.hat(h * v)))
+
+    def test_huge_step_stays_a_rotation(self, rng):
+        # Steps of norm 1e8, as in toy forward --T 1e14, wrap around the group.
+        n = 100
+        init = make_frameset(rng, n)
+        v = rng.standard_normal((n, 3))
+        v *= 1e8 / np.linalg.norm(v, axis=-1, keepdims=True)
+        unit = np.ones(2)
+        walk = process.iter_walk(init, np.array([0.0, 1.0]),
+                                 lambda t, fs: (v, np.zeros((n, 3))), (unit, unit), 0.0, rng)
+        last = list(walk)[-1][1].rotations
+        assert np.abs(so3.transpose(last) @ last - np.eye(3)).max() < 1e-12
+        assert np.array_equal(last, init.rotations @ so3.exp_so3(so3.hat(v)))
+
+
+def noise_step(r, rng, h=0.01):
+    """Rotations after one zero-drift unit-rate walk step of size ``h`` from ``r``."""
+    unit = np.ones(2)
+    init = process.center(process.FrameSet(r, np.empty((len(r), 0))))
+    walk = process.iter_walk(init, np.array([0.0, h]), process.zero_score,
+                             (unit, unit), 1.0, rng)
+    return list(walk)[-1][1].rotations
+
+
+class TestWalkNoise:
+    """The walk's noise: standard normal coefficient vectors in each frame."""
+
+    H = 0.01  # steps stay far below angle pi, where the log inverts the exponential
+
+    def test_moments(self, rng):
+        r0 = np.broadcast_to(so3.sample_uniform_so3(rng), (100_000, 3, 3))
+        coeffs = so3.log_rotvec(so3.transpose(r0) @ noise_step(r0, rng, self.H))
+        coeffs /= np.sqrt(self.H)
+        assert np.abs(coeffs.mean(axis=0)).max() < 0.02
+        cov = np.cov(coeffs.T)
+        assert np.abs(cov - np.eye(3)).max() < 0.02
+
+    def test_isotropy_under_left_shift(self, rng):
+        # Law of g . step(r0) matches law of step(g r0): matched moments.
+        r0 = so3.sample_uniform_so3(rng)
+        g = so3.sample_uniform_so3(rng)
+        n = 100_000
+        a = g @ noise_step(np.broadcast_to(r0, (n, 3, 3)), rng, self.H)
+        b = noise_step(np.broadcast_to(g @ r0, (n, 3, 3)), rng, self.H)
+        ca = so3.log_rotvec(so3.transpose(g @ r0) @ a) / np.sqrt(self.H)
+        cb = so3.log_rotvec(so3.transpose(g @ r0) @ b) / np.sqrt(self.H)
+        assert np.abs(ca.mean(0) - cb.mean(0)).max() < 0.02
+        assert np.abs(np.cov(ca.T) - np.cov(cb.T)).max() < 0.02
 
 
 class TestForwardSample:
@@ -187,7 +251,7 @@ class TestReverseDrift:
             np.broadcast_to(np.eye(3), (2, 3, 3)), np.zeros((2, 3)), centered=True
         )
         rot, trans = process.reverse_drift(fs, 0.5, process.zero_score, TS, RS)
-        assert rot.shape == (2, 3, 3) and trans.shape == (2, 3)
+        assert rot.shape == (2, 3) and trans.shape == (2, 3)
         assert np.abs(rot).max() == 0.0
         assert np.abs(trans).max() == 0.0
 
@@ -201,11 +265,11 @@ class TestReverseDrift:
         assert np.allclose(trans, [[0.05, 0.0, 0.0]])
 
     def test_rotation_drift_in_tangent_space(self, rng):
-        fs = make_frameset(rng, 3)
-        score = process.fixed_target_score(make_frameset(rng, 3), TS, RS)
+        # One coefficient vector per frame is a tangent vector at each rotation.
+        fs = make_frameset(rng, 4)
+        score = process.fixed_target_score(make_frameset(rng, 4), TS, RS)
         rot, _ = process.reverse_drift(fs, 0.6, score, TS, RS)
-        local = so3.transpose(fs.rotations) @ rot
-        assert np.abs(local + so3.transpose(local)).max() < 1e-10
+        assert rot.shape == (4, 3) and np.isfinite(rot).all()
 
     def test_scales_score_by_squared_diffusion(self, rng):
         fs = make_frameset(rng, 3)
@@ -301,15 +365,18 @@ class TestReverseWalk:
         )
         assert worst < 1e-8
 
-    def test_rejects_score_outside_tangent_space(self, rng):
-        init = make_frameset(rng, 3)
-
-        def bad_score(t, fs):
-            return np.broadcast_to(np.eye(3), (len(fs), 3, 3)), np.zeros((len(fs), 3))
-
+    @pytest.mark.parametrize("rot", [
+        lambda fs: fs.rotations @ so3.hat(np.ones(3)),  # tangent matrices r hat(v)
+        lambda fs: np.ones(3),  # one vector for all frames would broadcast
+        lambda fs: np.ones((1, 3)),
+    ], ids=["matrices", "vector", "row"])
+    def test_rejects_rotation_score_not_n_by_3(self, rng, rot):
+        init = make_frameset(rng, 4)
         sim = process.SimConfig(n_steps=3)
-        with pytest.raises(ValueError, match="tangent"):
-            process.reverse_walk(init, bad_score, TS, RS, sim, rng)
+        message = f"rotation drift has shape {np.shape(rot(init))}, expected (4, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            process.reverse_walk(init, lambda t, fs: (rot(fs), np.zeros((4, 3))),
+                                 TS, RS, sim, rng)
 
     def test_states_stay_centered(self, rng):
         init = make_frameset(rng, 6)
@@ -368,9 +435,9 @@ class TestScoreFromDenoised:
         rot, trans = process.score_from_denoised(fs_t, fs0, 0.6, TS, RS)
         var = float(schedules.rot_variance(0.6, RS))
         direct = igso3.conditional_score(fs0.rotations, fs_t.rotations, var)
-        scale = np.maximum(1.0, np.abs(direct).max(axis=(-2, -1)))
+        scale = np.maximum(1.0, np.abs(direct).max(axis=-1))
         # Table interpolation bounds the fast path's accuracy.
-        assert (np.abs(rot - direct).max(axis=(-2, -1)) / scale).max() < 1e-3
+        assert (np.abs(rot - direct).max(axis=-1) / scale).max() < 1e-3
         direct_x = schedules.trans_conditional_score(
             fs0.translations, fs_t.translations, 0.6, TS
         )

@@ -200,69 +200,6 @@ class TestSkewTrace:
         assert np.array_equal(so3.rotation_angle(r), parts.angle)
 
 
-class TestExpmap:
-    def test_identity_base(self, rng):
-        v = rng.standard_normal(3)
-        assert np.allclose(
-            so3.expmap(np.eye(3), so3.hat(v)), so3.exp_so3(so3.hat(v))
-        )
-
-    def test_zero_tangent(self, rng):
-        r0 = random_rotations(rng, 1)[0]
-        assert np.allclose(so3.expmap(r0, np.zeros((3, 3))), r0)
-
-    def test_definition_unrolled(self, rng):
-        r0 = random_rotations(rng, 100)
-        v = rng.standard_normal((100, 3))
-        lhs = so3.expmap(r0, r0 @ so3.hat(v))
-        rhs = r0 @ so3.exp_so3(so3.hat(v))
-        assert np.abs(lhs - rhs).max() < 1e-12
-
-    def test_rejects_non_tangent(self, rng):
-        r0 = random_rotations(rng, 1)[0]
-        with pytest.raises(ValueError):
-            so3.expmap(r0, np.eye(3))
-
-    def test_large_tangent_within_scaled_tolerance(self, rng):
-        # Roundoff in r0^T tangent grows with its size: near 1e-8 at norm 1e8.
-        r0 = random_rotations(rng, 100)
-        v = rng.standard_normal((100, 3))
-        v *= 1e8 / np.linalg.norm(v, axis=-1, keepdims=True)
-        out = so3.expmap(r0, r0 @ so3.hat(v))
-        assert np.abs(so3.transpose(out) @ out - np.eye(3)).max() < 1e-12
-        assert np.abs(out - r0 @ so3.exp_so3(so3.hat(v))).max() < 1e-6
-        with pytest.raises(ValueError):
-            so3.expmap(r0, r0 @ (so3.hat(v) + 100.0 * np.eye(3)))  # symmetric part 1e-6
-
-
-class TestTangentGaussian:
-    def test_lives_in_tangent_space(self, rng):
-        r0 = random_rotations(rng, 1000)
-        out = so3.sample_tangent_gaussian(r0, rng)
-        local = so3.transpose(r0) @ out
-        assert np.abs(local + so3.transpose(local)).max() < 1e-12
-
-    def test_moments(self, rng):
-        r0 = random_rotations(rng, 1)[0]
-        out = so3.sample_tangent_gaussian(np.broadcast_to(r0, (100_000, 3, 3)), rng)
-        coeffs = so3.vee(so3.transpose(r0) @ out)
-        assert np.abs(coeffs.mean(axis=0)).max() < 0.02
-        cov = np.cov(coeffs.T)
-        assert np.abs(cov - np.eye(3)).max() < 0.02
-
-    def test_isotropy_under_left_shift(self, rng):
-        # Law of g . sample(r0) matches law of sample(g r0): matched moments.
-        r0 = random_rotations(rng, 1)[0]
-        g = random_rotations(rng, 1)[0]
-        n = 100_000
-        a = g @ so3.sample_tangent_gaussian(np.broadcast_to(r0, (n, 3, 3)), rng)
-        b = so3.sample_tangent_gaussian(np.broadcast_to(g @ r0, (n, 3, 3)), rng)
-        ca = so3.vee(so3.transpose(g @ r0) @ a)
-        cb = so3.vee(so3.transpose(g @ r0) @ b)
-        assert np.abs(ca.mean(0) - cb.mean(0)).max() < 0.02
-        assert np.abs(np.cov(ca.T) - np.cov(cb.T)).max() < 0.02
-
-
 class TestUniformSampler:
     def test_mean_angle(self, rng):
         r = so3.sample_uniform_so3(rng, 100_000)

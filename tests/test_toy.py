@@ -128,7 +128,7 @@ class TestMixtureScore:
             for _ in range(10):
                 atom = target.atoms[rng.integers(3)]
                 rt = igso3.sample_igso3(atom, table, rng)
-                analytic = toy.score_t(target, rt, t)
+                analytic = rt @ so3.hat(toy.score_t(target, rt, t))
                 fd = igso3.riemannian_gradient_fd(
                     lambda r: np.log(igso3.mixture_density(target.atoms, r, t,
                                                            weights=target.weights)),
@@ -149,8 +149,7 @@ class TestMixtureScore:
         atoms = so3.exp_so3(so3.hat(np.stack([theta * u1, theta * u2])))
         target = toy.DiscreteTarget(atoms, np.array([0.5, 0.5]))
         rt = np.eye(3)
-        score = toy.score_t(target, rt, 0.4)
-        coeffs = so3.vee(rt.T @ score)
+        coeffs = toy.score_t(target, rt, 0.4)
         assert abs(coeffs[1]) < 1e-6 and abs(coeffs[2]) < 1e-6
         fd = igso3.riemannian_gradient_fd(
             lambda r: np.log(igso3.mixture_density(target.atoms, r, 0.4,
@@ -185,7 +184,7 @@ class TestMixtureScore:
         t = float(schedules.rot_variance(0.01, schedules.RotationSchedule()))
         rt = so3.exp_so3(so3.hat(np.array([omega, 0.0, 0.0])))
         single = toy.DiscreteTarget(np.eye(3)[None], np.array([1.0]))
-        score = so3.vee(rt.T @ toy.score_t(single, rt, t, table=igso3.build_table(t)))
+        score = toy.score_t(single, rt, t, table=igso3.build_table(t))
         expected = -omega / t + 1.0 / omega - 0.5 / np.tan(0.5 * omega)
         assert abs(score[0] - expected) <= 1e-3 * abs(expected)
 
@@ -196,7 +195,7 @@ class TestMixtureScore:
         t = float(schedules.rot_variance(0.01, schedules.RotationSchedule()))
         rt = so3.exp_so3(so3.hat(np.array([omega, 0.0, 0.0])))
         single = toy.DiscreteTarget(np.eye(3)[None], np.array([1.0]))
-        score = so3.vee(rt.T @ toy.score_t(single, rt, t))
+        score = toy.score_t(single, rt, t)
         expected = -omega / t + 1.0 / omega - 0.5 / np.tan(0.5 * omega)
         assert abs(score[0] - expected) <= 1e-12 * abs(expected)
 
@@ -204,20 +203,20 @@ class TestMixtureScore:
         g = so3.sample_uniform_so3(rng)
         rt = so3.sample_uniform_so3(rng)
         rotated = toy.DiscreteTarget(g @ target.atoms, target.weights)
-        lhs = toy.score_t(rotated, g @ rt, 0.6)
-        rhs = g @ toy.score_t(target, rt, 0.6)
+        lhs = (g @ rt) @ so3.hat(toy.score_t(rotated, g @ rt, 0.6))
+        rhs = g @ (rt @ so3.hat(toy.score_t(target, rt, 0.6)))
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def reference_walk(initial, times, drift, rng):
-    """The toy's stepping loop from before it ran through process.iter_walk."""
+    """The toy's stepping loop by hand: r exp(hat(drift dt + sqrt|dt| z)), z ~ N(0, I3)."""
     state = initial
     out = {float(times[0]): state}
     for i in range(1, len(times)):
         dt = times[i] - times[i - 1]
-        tangent = drift(state, float(times[i - 1])) * dt
-        tangent = tangent + np.sqrt(abs(dt)) * so3.sample_tangent_gaussian(state, rng)
-        state = so3.expmap(state, tangent)
+        step = drift(state, float(times[i - 1])) * dt
+        step = step + np.sqrt(abs(dt)) * rng.standard_normal((len(state), 3))
+        state = state @ so3.exp_so3(so3.hat(step))
         out[float(times[i])] = state
     return out
 
