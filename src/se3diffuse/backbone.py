@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import igso3, process, schedules, so3
+from . import process, schedules, so3
 from .process import FrameSet
 
 ATOM_NAMES = ("N", "CA", "C", "O")
@@ -150,7 +150,6 @@ def dsm_loss(
     t: float,
     trans_sched: schedules.TranslationSchedule,
     rot_sched: schedules.RotationSchedule,
-    cfg: igso3.TruncationConfig = igso3.DEFAULT_CONFIG,
 ) -> tuple[float, float]:
     """Denoising score-matching losses (rotation, translation).
 
@@ -169,8 +168,8 @@ def dsm_loss(
     if np.shape(pred_rot) != (len(fs_t), 3):
         raise ValueError(f"rotation score has shape {np.shape(pred_rot)}, "
                          f"expected {(len(fs_t), 3)}")
-    lambda_r, _ = schedules.dsm_weights(t, trans_sched, rot_sched, cfg)
-    true_rot, _ = process.score_from_denoised(fs_t, fs0, t, trans_sched, rot_sched, cfg)
+    lambda_r, _ = schedules.dsm_weights(t, trans_sched, rot_sched)
+    true_rot, _ = process.score_from_denoised(fs_t, fs0, t, trans_sched, rot_sched)
     loss_r = lambda_r * float(((pred_rot - true_rot) ** 2).sum(axis=-1).mean())
 
     x0_hat = schedules.denoised_from_trans_score(

@@ -7,8 +7,9 @@ Subcommands:
   sample-backbones                 reverse walk on SE(3)^N, PDB output
 
 Every command writes a run-manifest JSON alongside its outputs. Exit
-codes: 0 success, 1 usage error or an allocation refused for lack of
-memory, 2 numerical-domain error, 3 I/O error.
+codes: 0 success, 1 usage error (a count above ``MAX_COUNT`` is one) or
+an allocation refused for lack of memory, 2 numerical-domain error, 3 I/O
+error.
 
 This module imports only the standard library. ``main`` checks every
 option, bound and ``--config`` value before it imports numpy and the
@@ -49,6 +50,13 @@ OPTIONS = {
 }
 
 
+# The largest count (every int option but the seeds) a command accepts. An
+# array of up to 72 bytes per count then stays below the 2**63 bytes that
+# numpy can index, so a count too large for the machine ends as a refused
+# allocation, not as numpy's ValueError.
+MAX_COUNT = 10**17
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems must exit 1, not argparse's 2
         raise UsageError(message)
@@ -79,7 +87,8 @@ def _resolve(args: argparse.Namespace, command: str):
     of them converted to their declared types, for the command body. A
     required option given nowhere is a usage error, as is a value of
     another JSON type (null is one; an int is accepted where a float is),
-    one below its lowest value or one outside its choices.
+    one below its lowest value or one outside its choices, and a count
+    above :data:`MAX_COUNT`.
     """
     options = OPTIONS[command]
     config = {key: spec[1] for key, spec in options.items() if spec[1] is not None}
@@ -112,6 +121,8 @@ def _resolve(args: argparse.Namespace, command: str):
             raise UsageError(f"{key} must be one of {list(bound[0])}, got {value!r}")
         if bound and not isinstance(bound[0], tuple) and value < bound[0]:
             raise UsageError(f"{key} must be >= {bound[0]}, got {value}")
+        if kind is int and not key.endswith("seed") and value > MAX_COUNT:
+            raise UsageError(f"{key} must be <= {MAX_COUNT}, got {value}")
         setattr(checked, key, kind(value))
     return config, checked
 

@@ -3,9 +3,11 @@
 A frame set carries N rigid transforms (rotation, translation-in-nm). The
 forward process noises rotations by Brownian motion on SO(3) (variance
 sigma_r(t)^2) and translations by a variance-preserving OU process, then
-re-centers. Both run on one geodesic random walk, :func:`iter_walk`, on the
-product metric, with the center-of-mass projection applied after every
-step and a noise scale zeta on the diffusion term.
+re-centers. The time-reversed process runs on one geodesic random walk,
+:func:`iter_walk`, on the product metric: it applies the squared diffusion
+coefficients to a score field to form the reverse drift, projects out the
+center of mass after every step and scales the diffusion term by a noise
+scale zeta.
 """
 
 from __future__ import annotations
@@ -94,43 +96,18 @@ def forward_sample(
     t: float,
     trans_sched: schedules.TranslationSchedule,
     rot_sched: schedules.RotationSchedule,
-    cfg: igso3.TruncationConfig,
     rng: np.random.Generator,
 ) -> FrameSet:
     """One draw of the forward marginal at time ``t`` from a centered input."""
     if not t0.centered:
         raise ValueError("forward_sample needs a centered frame set")
-    table = igso3.build_table(float(schedules.rot_variance(t, rot_sched)), cfg)
+    table = igso3.build_table(float(schedules.rot_variance(t, rot_sched)))
     rotations = igso3.sample_igso3(t0.rotations, table, rng)
     marg = schedules.trans_marginal(t0.translations, t, trans_sched)
     translations = marg.mean + np.sqrt(marg.variance) * rng.standard_normal(
         t0.translations.shape
     )
     return center(FrameSet(rotations, translations))
-
-
-def _diffusion(t, trans_sched, rot_sched):
-    """Diffusion coefficients (g_r, g_x = sqrt(beta)) at forward time(s) ``t``."""
-    return schedules.g_r(t, rot_sched), np.sqrt(schedules.beta(t, trans_sched))
-
-
-def reverse_drift(
-    fs: FrameSet,
-    t: float,
-    score: ScoreField,
-    trans_sched: schedules.TranslationSchedule,
-    rot_sched: schedules.RotationSchedule,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drift (rot, trans) of the time-reversed process at forward time ``t``.
-
-    Rotations: g_r(t)^2 times the score. Translations: g_x(t)^2 times the
-    score minus f_x(t) x, with f_x = -beta/2 and g_x^2 = beta.
-    """
-    gr, gx = _diffusion(t, trans_sched, rot_sched)
-    rot, trans = score(t, fs)
-    # gx**2 rather than beta: the two can differ in the last bit, and
-    # sampled frames are pinned to this form.
-    return gr**2 * rot, gx**2 * trans + 0.5 * gx**2 * fs.translations
 
 
 def reference_sample(n: int, rng: np.random.Generator) -> FrameSet:
@@ -141,30 +118,38 @@ def reference_sample(n: int, rng: np.random.Generator) -> FrameSet:
 
 
 def iter_walk(
-    init: FrameSet, grid: np.ndarray, drift: ScoreField,
+    init: FrameSet, grid: np.ndarray, score: ScoreField,
     diffusion: tuple[np.ndarray, np.ndarray], zeta: float, rng: np.random.Generator,
 ) -> Iterator[tuple[float, FrameSet]]:
     """Euler-Maruyama geodesic random walk through ``grid``, in either direction.
 
-    Step i takes v = drift(grid[i], state) * h + zeta * [g_r Z_r, g_x Z_x]
-    * sqrt(h), h = |grid[i+1] - grid[i]|, with standard normal coefficient
-    vectors Z_r (N, 3) and ``diffusion`` = (g_r, g_x) on the grid, and moves
-    each rotation r to r exp(hat(v_r)) and the translations by v_x. The
-    frame set is re-centered after every step and rotations are
-    re-orthonormalized every 100 steps. Yields a (t, state) pair per grid
-    point as the walk goes, starting with (grid[0], init). Raises ValueError
-    when the drift's rotation part is not (N, 3) and FloatingPointError
-    when the state stops being finite.
+    With ``diffusion`` = (g_r, g_x) on the grid and (s_r, s_x) =
+    score(grid[i], state), step i moves along the reverse-time drift
+    [g_r^2 s_r, g_x^2 (s_x + x / 2)] of the frame set's SDE: it takes
+    v = drift * h + zeta * [g_r Z_r, g_x Z_x] * sqrt(h), h = |grid[i+1] -
+    grid[i]|, with standard normal coefficient vectors Z_r (N, 3), and
+    moves each rotation r to r exp(hat(v_r)) and the translations by v_x.
+    At g = 1 the drift of rotation-only frames is the score itself, and a
+    zero score walks them forward as Brownian motion. The frame set is
+    re-centered after every step and rotations are re-orthonormalized
+    every 100 steps. Yields a (t, state) pair per grid point as the walk
+    goes, starting with (grid[0], init). Raises ValueError when the
+    score's rotation part is not (N, 3) and FloatingPointError when the
+    state stops being finite.
     """
     g_r, g_x = diffusion
     state = init
     yield float(grid[0]), state
     for i in range(len(grid) - 1):
         h = abs(grid[i + 1] - grid[i])
-        drift_rot, drift_trans = drift(float(grid[i]), state)
-        if np.shape(drift_rot) != (len(state), 3):
-            raise ValueError(f"rotation drift has shape {np.shape(drift_rot)}, "
+        s_rot, s_trans = score(float(grid[i]), state)
+        if np.shape(s_rot) != (len(state), 3):
+            raise ValueError(f"rotation score has shape {np.shape(s_rot)}, "
                              f"expected {(len(state), 3)}")
+        # g_x**2 rather than beta: the two can differ in the last bit, and
+        # sampled frames are pinned to this form.
+        drift_rot = g_r[i] ** 2 * s_rot
+        drift_trans = g_x[i] ** 2 * s_trans + 0.5 * g_x[i] ** 2 * state.translations
         noise_rot = g_r[i] * rng.standard_normal((len(state), 3))
         noise_trans = g_x[i] * rng.standard_normal(state.translations.shape)
         rot_step = drift_rot * h + zeta * np.sqrt(h) * noise_rot
@@ -183,14 +168,13 @@ def iter_reverse_walk(
     init: FrameSet, score: ScoreField, trans_sched: schedules.TranslationSchedule,
     rot_sched: schedules.RotationSchedule, cfg: SimConfig, rng: np.random.Generator,
 ) -> Iterator[tuple[float, FrameSet]]:
-    """:func:`iter_walk` stepping with :func:`reverse_drift` on ``cfg.n_steps``
-    uniform times from t = 1 down to t = eps."""
+    """:func:`iter_walk` of ``score`` on ``cfg.n_steps`` uniform times from
+    t = 1 down to t = eps, at g_r(t) and g_x(t) = sqrt(beta(t))."""
     if not init.centered:
         raise ValueError("reverse_walk needs a centered initial frame set")
     grid = np.linspace(1.0, cfg.eps, cfg.n_steps)
-    yield from iter_walk(
-        init, grid, lambda t, fs: reverse_drift(fs, t, score, trans_sched, rot_sched),
-        _diffusion(grid, trans_sched, rot_sched), cfg.noise_scale, rng)
+    diffusion = schedules.g_r(grid, rot_sched), np.sqrt(schedules.beta(grid, trans_sched))
+    yield from iter_walk(init, grid, score, diffusion, cfg.noise_scale, rng)
 
 
 def reverse_walk(
@@ -210,7 +194,6 @@ def score_from_denoised(
     t: float,
     trans_sched: schedules.TranslationSchedule,
     rot_sched: schedules.RotationSchedule,
-    cfg: igso3.TruncationConfig = igso3.DEFAULT_CONFIG,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score (rot, trans) implied by a denoised prediction of the time-zero frames.
 
@@ -224,7 +207,7 @@ def score_from_denoised(
     # Scores at the walk's own angles: a walk visits each time once, so a
     # table of the time would be built for one read.
     rot_scores = igso3.conditional_score(
-        pred0.rotations, fs_t.rotations, float(schedules.rot_variance(t, rot_sched)), cfg
+        pred0.rotations, fs_t.rotations, float(schedules.rot_variance(t, rot_sched))
     )
     trans_scores = schedules.trans_conditional_score(
         pred0.translations, fs_t.translations, t, trans_sched
@@ -236,12 +219,11 @@ def fixed_target_score(
     pred0: FrameSet,
     trans_sched: schedules.TranslationSchedule,
     rot_sched: schedules.RotationSchedule,
-    cfg: igso3.TruncationConfig = igso3.DEFAULT_CONFIG,
 ) -> ScoreField:
     """ScoreField that always denoises toward the fixed frame set ``pred0``."""
 
     def score(t: float, fs: FrameSet) -> tuple[np.ndarray, np.ndarray]:
-        return score_from_denoised(fs, pred0, t, trans_sched, rot_sched, cfg)
+        return score_from_denoised(fs, pred0, t, trans_sched, rot_sched)
 
     return score
 

@@ -135,7 +135,6 @@ def dsm_weights(
     t: float,
     ts: TranslationSchedule = TranslationSchedule(),
     rs: RotationSchedule = RotationSchedule(),
-    cfg: igso3.TruncationConfig = igso3.DEFAULT_CONFIG,
 ) -> tuple[float, float]:
     """Per-time DSM weights (lambda_r, lambda_x).
 
@@ -145,7 +144,7 @@ def dsm_weights(
     into a plain MSE on the denoised coordinates.
     """
     var = float(rot_variance(t, rs))
-    lambda_r = 1.0 / igso3.expected_score_norm_sq(var, cfg)
+    lambda_r = 1.0 / igso3.expected_score_norm_sq(var)
     g = float(G_x(t, ts))
     lambda_x = (1.0 - np.exp(-g)) / np.exp(-0.5 * g)
     return lambda_r, float(lambda_x)

@@ -80,7 +80,6 @@ def score_t(
     target: DiscreteTarget,
     rt: np.ndarray,
     t: float,
-    cfg: igso3.TruncationConfig = igso3.DEFAULT_CONFIG,
     table: igso3.IGSO3Table | None = None,
 ) -> np.ndarray:
     """Stein score of the noised mixture at ``rt``: :func:`igso3.mixture_score` over the atoms.
@@ -89,13 +88,16 @@ def score_t(
     ``table`` for time ``t`` replaces the direct evaluation by its
     interpolation; the walks score directly.
     """
-    return igso3.mixture_score(_centers(target, rt), rt, t, cfg, table, target.weights)
+    return igso3.mixture_score(_centers(target, rt), rt, t, table=table,
+                               weights=target.weights)
 
 
 def _unit_rate_walk(init, times, score, rng) -> Iterator[tuple[float, np.ndarray]]:
     """:func:`process.iter_walk` of rotation-only frames at g = zeta = 1.
 
-    Yields (grid time, rotations) pairs as the walk goes.
+    At g = 1 the walk's drift g^2 s is the score field s itself, and a zero
+    score walks the frames forward as Brownian motion. Yields (grid time,
+    rotations) pairs as the walk goes.
     """
     frames = process.center(process.FrameSet(init, np.empty((len(init), 0))))
     unit = np.ones(len(times))
@@ -112,19 +114,16 @@ def iter_forward(
 
 
 def iter_reverse(
-    target: DiscreteTarget,
-    cfg: ToyRunConfig,
-    rng: np.random.Generator,
-    trunc: igso3.TruncationConfig = igso3.DEFAULT_CONFIG,
+    target: DiscreteTarget, cfg: ToyRunConfig, rng: np.random.Generator
 ) -> Iterator[tuple[float, np.ndarray]]:
     """Score-ascent walk from uniform down the reversed grid; (t, rotations) pairs.
 
-    At unit rate the reverse drift is the score itself, evaluated at the
-    walk's angles by :func:`score_t` without a table.
+    The score field is :func:`score_t` at the walk's angles, without a
+    table; at unit rate the walk's drift is this score itself.
     """
 
     def score(t: float, fs: process.FrameSet) -> tuple[np.ndarray, np.ndarray]:
-        return score_t(target, fs.rotations, t, trunc), np.zeros_like(fs.translations)
+        return score_t(target, fs.rotations, t), np.zeros_like(fs.translations)
 
     init = so3.sample_uniform_so3(rng, cfg.n_paths)
     return _unit_rate_walk(init, cfg.times()[::-1], score, rng)
@@ -138,13 +137,10 @@ def run_forward(
 
 
 def run_reverse(
-    target: DiscreteTarget,
-    cfg: ToyRunConfig,
-    rng: np.random.Generator,
-    trunc: igso3.TruncationConfig = igso3.DEFAULT_CONFIG,
+    target: DiscreteTarget, cfg: ToyRunConfig, rng: np.random.Generator
 ) -> dict[float, np.ndarray]:
     """:func:`iter_reverse`'s marginals keyed by grid time."""
-    return dict(iter_reverse(target, cfg, rng, trunc))
+    return dict(iter_reverse(target, cfg, rng))
 
 
 def ks_2samp_statistic(a, b) -> float:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from se3diffuse import backbone, igso3, process, schedules, so3
+from se3diffuse import backbone, process, schedules, so3
 from se3diffuse.process import FrameSet
 
 TS = schedules.TranslationSchedule()
@@ -262,7 +262,7 @@ class TestDsmLoss:
         fs0 = process.center(
             FrameSet(so3.sample_uniform_so3(rng, n), 0.5 * rng.standard_normal((n, 3)))
         )
-        fs_t = process.forward_sample(fs0, t, TS, RS, igso3.DEFAULT_CONFIG, rng)
+        fs_t = process.forward_sample(fs0, t, TS, RS, rng)
         return fs0, fs_t
 
     def test_exact_score_gives_zero(self, rng):
@@ -285,21 +285,6 @@ class TestDsmLoss:
             bumped = backbone.dsm_loss(worse, fs0, fs_t, t, TS, RS)
             assert bumped[0] > base[0]
             assert bumped[1] > base[1]
-
-    def test_exact_score_gives_zero_with_callers_omega_eps(self, rng):
-        # 5e-5 rad from the truth: inside the default omega_eps (1e-4), so
-        # only a loss that gates on the caller's 1e-5 sees the same score.
-        cfg = igso3.TruncationConfig(omega_eps=1e-5)
-        t = 0.5
-        fs0 = process.center(FrameSet(so3.sample_uniform_so3(rng, 4),
-                                      rng.standard_normal((4, 3))))
-        axes = rng.standard_normal((4, 3))
-        axes *= 5e-5 / np.linalg.norm(axes, axis=-1, keepdims=True)
-        fs_t = FrameSet(fs0.rotations @ so3.exp_so3(so3.hat(axes)), fs0.translations)
-        pred = process.score_from_denoised(fs_t, fs0, t, TS, RS, cfg)
-        assert np.abs(pred[0]).max() > 0.0
-        loss_r, _ = backbone.dsm_loss(pred, fs0, fs_t, t, TS, RS, cfg)
-        assert loss_r == 0.0
 
     def test_rejects_frame_count_mismatch(self, rng):
         fs0, fs_t = self.make_pair(rng, n=3)

@@ -205,6 +205,16 @@ class TestRejectedValues:
         ["sample-backbones", "--n-residues", "0", "--out", "OUT/bb"],
         ["sample-backbones", "--n-residues", "-3", "--out", "OUT/bb"],
         ["sample-backbones", "--init-seed", "-1", "--out", "OUT/bb"],
+        # Counts above cli.MAX_COUNT, refused before numpy could raise on an
+        # array past 2**63 bytes.
+        ["schedule", "--points", "9223372036854775808", "--out", "OUT/s.csv"],
+        ["igso3", "eval", "--t", "0.5", "--grid", "100000000000000001", "--out", "OUT/e.csv"],
+        ["igso3", "score", "--t", "0.5", "--n", "1152921504606846976", "--out", "OUT/g.csv"],
+        ["toy", "forward", "--paths", "1152921504606846976", "--out-dir", "OUT/toy"],
+        ["toy", "reverse", "--paths", "9223372036854775808", "--out-dir", "OUT/toy"],
+        ["toy", "forward", "--steps", "1152921504606846976", "--out-dir", "OUT/toy"],
+        ["sample-backbones", "--n-residues", "1152921504606846976", "--out", "OUT/bb"],
+        ["sample-backbones", "--n-steps", "9223372036854775808", "--out", "OUT/bb"],
     ])
     def test_value_rejected_by_config_is_usage_error(self, tmp_path, capsys, args):
         assert run([a.replace("OUT", str(tmp_path)) for a in args]) == 1
@@ -224,6 +234,14 @@ class TestRejectedValues:
         err = capsys.readouterr().err
         assert err.startswith("out of memory: ") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
+
+    def test_count_ceiling_holds_in_config_file(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"points": 2**63}))
+        assert run(["schedule", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: points must be <= {cli.MAX_COUNT}, got {2**63}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_non_finite_time_is_domain_error(self, tmp_path, capsys, t):
@@ -296,7 +314,7 @@ class TestRejectedValues:
         assert list(tmp_path.iterdir()) == []  # no partial trajectory, no PDB
 
 
-_INT = ("-1", "0")
+_INT = ("-1", "0", "1152921504606846976", "9223372036854775808")
 _FLOAT = ("-1", "0", "nan", "inf", "1e308")
 _IGSO3_FLAGS = {"--t": _FLOAT, "--grid": _INT, "--n": _INT, "--seed": _INT}
 _TOY_FLAGS = {"--atoms": _INT, "--paths": _INT, "--T": _FLOAT, "--steps": _INT,

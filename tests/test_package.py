@@ -80,6 +80,15 @@ def test_scan_finds_private_reads(tmp_path):
     assert private_reads(module) == ["mod.py:2 so3._hidden", "mod.py:3 igso3._log_coeff"]
 
 
+def test_only_igso3_commands_and_init_name_the_truncation_config():
+    # The IGSO3 functions take a config; every other caller uses the default.
+    # commands.py builds one for --grid, __init__.py re-exports the class.
+    naming = re.compile(r"\b(TruncationConfig|DEFAULT_CONFIG)\b")
+    found = sorted(path.name for path in PACKAGE.glob("*.py")
+                   if naming.search(path.read_text()))
+    assert found == ["__init__.py", "commands.py", "igso3.py"]
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 _SPAN = re.compile(r"`([^`]+)`")
 _IDENTIFIER = re.compile(r"([A-Za-z_]\w*)(\(.*\))?", re.S)

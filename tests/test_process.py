@@ -10,7 +10,6 @@ from se3diffuse import igso3, process, schedules, so3
 
 TS = schedules.TranslationSchedule()
 RS = schedules.RotationSchedule()
-CFG = igso3.DEFAULT_CONFIG
 
 
 def make_frameset(rng, n, spread=1.0):
@@ -184,7 +183,7 @@ class TestForwardSample:
             so3.sample_uniform_so3(rng, 3), rng.standard_normal((3, 3))
         )
         with pytest.raises(ValueError):
-            process.forward_sample(fs, 0.5, TS, RS, CFG, rng)
+            process.forward_sample(fs, 0.5, TS, RS, rng)
 
     def test_small_time_stays_close(self, rng):
         # The schedule's variance floor sigma_min^2 = 0.01 bounds how tight
@@ -196,7 +195,7 @@ class TestForwardSample:
         for t in (0.02, 0.2):
             angles, shifts = [], []
             for _ in range(2500):
-                out = process.forward_sample(fs, t, TS, RS, CFG, rng)
+                out = process.forward_sample(fs, t, TS, RS, rng)
                 angles.append(
                     so3.rotation_angle(so3.transpose(fs.rotations) @ out.rotations)
                 )
@@ -220,7 +219,7 @@ class TestForwardSample:
         n = 8
         fs = make_frameset(rng, n, spread=0.5)
         draws = 12_500
-        outs = [process.forward_sample(fs, 1.0, TS, RS, CFG, rng) for _ in range(draws)]
+        outs = [process.forward_sample(fs, 1.0, TS, RS, rng) for _ in range(draws)]
         trans = np.stack([o.translations for o in outs])
         rot = np.stack([o.rotations for o in outs])
         # Per-coordinate variance shrinks to (n-1)/n under centering.
@@ -230,7 +229,7 @@ class TestForwardSample:
         assert np.abs(var - expected).max() < 3 * se
         # Rotation angles follow the IGSO3 law at variance 2.25.
         assert schedules.rot_variance(1.0, RS) == 2.25
-        table = igso3.build_table(2.25, CFG)
+        table = igso3.build_table(2.25)
         ref = igso3.sample_igso3(np.broadcast_to(np.eye(3), (draws, 3, 3)), table, rng)
         rel = so3.rotation_angle(
             so3.transpose(np.broadcast_to(fs.rotations, rot.shape)) @ rot
@@ -240,46 +239,70 @@ class TestForwardSample:
 
     def test_output_centered(self, rng):
         fs = make_frameset(rng, 5)
-        out = process.forward_sample(fs, 0.7, TS, RS, CFG, rng)
+        out = process.forward_sample(fs, 0.7, TS, RS, rng)
         assert out.centered
         assert np.abs(out.translations.mean(axis=0)).max() < 1e-12
 
 
-class TestReverseDrift:
-    def test_zero_score_zero_state(self):
-        fs = process.FrameSet(
+def one_step(init, score, grid):
+    """The state after one noise-free walk step over the two times of ``grid``,
+    at the schedules' (g_r, g_x) there."""
+    diffusion = schedules.g_r(grid, RS), np.sqrt(schedules.beta(grid, TS))
+    walk = process.iter_walk(init, grid, score, diffusion, 0.0, np.random.default_rng(0))
+    return list(walk)[-1][1]
+
+
+def assert_step(moved, expected, x):
+    """``moved`` is ``expected`` to rtol 1e-14, up to the few ulps of ``x`` that
+    adding the step to ``x`` and centering the sum round off."""
+    assert np.allclose(moved, expected, rtol=1e-14,
+                       atol=4 * np.finfo(float).eps * np.abs(x).max())
+
+
+class TestWalkDrift:
+    """One zeta = 0 walk step moves along the reverse drift [g_r^2 s, g_x^2 (s + x/2)]."""
+
+    def test_zero_score_zero_state_stays(self):
+        init = process.FrameSet(
             np.broadcast_to(np.eye(3), (2, 3, 3)), np.zeros((2, 3)), centered=True
         )
-        rot, trans = process.reverse_drift(fs, 0.5, process.zero_score, TS, RS)
-        assert rot.shape == (2, 3) and trans.shape == (2, 3)
-        assert np.abs(rot).max() == 0.0
-        assert np.abs(trans).max() == 0.0
+        out = one_step(init, process.zero_score, np.array([0.5, 0.49]))
+        assert np.array_equal(out.rotations, init.rotations)
+        assert np.array_equal(out.translations, init.translations)
 
-    def test_translation_drift_at_terminal_reverse_time(self):
-        fs = process.FrameSet(
-            np.broadcast_to(np.eye(3), (1, 3, 3)),
-            np.array([[1.0, 0.0, 0.0]]),
-        )
-        # The end of the reverse walk is forward time t = 0: beta(0) / 2 x.
-        _, trans = process.reverse_drift(fs, 0.0, process.zero_score, TS, RS)
-        assert np.allclose(trans, [[0.05, 0.0, 0.0]])
-
-    def test_rotation_drift_in_tangent_space(self, rng):
-        # One coefficient vector per frame is a tangent vector at each rotation.
-        fs = make_frameset(rng, 4)
+    def test_rotation_step_is_squared_diffusion_times_score(self, rng):
+        init = make_frameset(rng, 4)
         score = process.fixed_target_score(make_frameset(rng, 4), TS, RS)
-        rot, _ = process.reverse_drift(fs, 0.6, score, TS, RS)
-        assert rot.shape == (4, 3) and np.isfinite(rot).all()
+        grid = np.array([0.6, 0.59])
+        out = one_step(init, score, grid)
+        s, _ = score(0.6, init)
+        g_r, h = schedules.g_r(grid, RS), abs(grid[1] - grid[0])
+        step = (g_r[0] ** 2 * s) * h
+        assert np.array_equal(out.rotations, init.rotations @ so3.exp_so3(so3.hat(step)))
 
-    def test_scales_score_by_squared_diffusion(self, rng):
-        fs = make_frameset(rng, 3)
+    def test_translation_step_is_squared_diffusion_times_score_plus_half_x(self, rng):
+        init = make_frameset(rng, 3)
         score = process.fixed_target_score(make_frameset(rng, 3), TS, RS)
-        t = 0.3
-        rot, trans = process.reverse_drift(fs, t, score, TS, RS)
-        s_rot, s_trans = score(t, fs)
-        b = float(schedules.beta(t, TS))
-        assert np.allclose(rot, float(schedules.g_r(t, RS)) ** 2 * s_rot, rtol=1e-14)
-        assert np.allclose(trans, b * s_trans + 0.5 * b * fs.translations, rtol=1e-14)
+        grid = np.array([0.3, 0.29])
+        out = one_step(init, score, grid)
+        _, s_x = score(0.3, init)
+        g_x, h = np.sqrt(schedules.beta(grid, TS)), abs(grid[1] - grid[0])
+        x = init.translations
+        expected = h * (g_x[0] ** 2 * s_x + 0.5 * g_x[0] ** 2 * x)
+        assert_step(out.translations - x, expected, x)
+
+    def test_zero_score_at_forward_time_zero_moves_x_by_half_beta(self):
+        # The end of the reverse walk is forward time t = 0: drift beta(0) / 2 x.
+        init = process.FrameSet(
+            np.broadcast_to(np.eye(3), (2, 3, 3)),
+            np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), centered=True,
+        )
+        grid = np.array([0.0, 0.01])
+        out = one_step(init, process.zero_score, grid)
+        h = abs(grid[1] - grid[0])
+        expected = h * float(schedules.beta(0.0, TS)) / 2 * init.translations
+        assert_step(out.translations - init.translations, expected, init.translations)
+        assert np.allclose(expected, [[5e-4, 0.0, 0.0], [-5e-4, 0.0, 0.0]])
 
 
 class TestReverseWalk:
@@ -373,7 +396,7 @@ class TestReverseWalk:
     def test_rejects_rotation_score_not_n_by_3(self, rng, rot):
         init = make_frameset(rng, 4)
         sim = process.SimConfig(n_steps=3)
-        message = f"rotation drift has shape {np.shape(rot(init))}, expected (4, 3)"
+        message = f"rotation score has shape {np.shape(rot(init))}, expected (4, 3)"
         with pytest.raises(ValueError, match=re.escape(message)):
             process.reverse_walk(init, lambda t, fs: (rot(fs), np.zeros((4, 3))),
                                  TS, RS, sim, rng)
@@ -406,9 +429,7 @@ class TestLargeWalks:
         score = process.fixed_target_score(make_frameset(rng, n, spread), TS, RS)
         grid = np.linspace(1.0, 0.5, 4)
         diffusion = schedules.g_r(grid, RS), np.sqrt(schedules.beta(grid, TS))
-        walk = process.iter_walk(
-            init, grid, lambda t, fs: process.reverse_drift(fs, t, score, TS, RS),
-            diffusion, zeta, rng)
+        walk = process.iter_walk(init, grid, score, diffusion, zeta, rng)
         for _, state in walk:
             assert np.isfinite(state.rotations).all()
             assert np.isfinite(state.translations).all()
@@ -431,13 +452,11 @@ class TestScoreFromDenoised:
 
     def test_equals_conditional_score_at_truth(self, rng):
         fs0 = make_frameset(rng, 3)
-        fs_t = process.forward_sample(fs0, 0.6, TS, RS, CFG, rng)
+        fs_t = process.forward_sample(fs0, 0.6, TS, RS, rng)
         rot, trans = process.score_from_denoised(fs_t, fs0, 0.6, TS, RS)
         var = float(schedules.rot_variance(0.6, RS))
         direct = igso3.conditional_score(fs0.rotations, fs_t.rotations, var)
-        scale = np.maximum(1.0, np.abs(direct).max(axis=-1))
-        # Table interpolation bounds the fast path's accuracy.
-        assert (np.abs(rot - direct).max(axis=-1) / scale).max() < 1e-3
+        assert np.array_equal(rot, direct)
         direct_x = schedules.trans_conditional_score(
             fs0.translations, fs_t.translations, 0.6, TS
         )
