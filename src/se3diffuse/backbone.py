@@ -17,6 +17,7 @@ from importlib import resources
 import numpy as np
 
 from . import process, schedules, so3
+from .igso3 import NumericalDomainError
 from .process import FrameSet
 
 ATOM_NAMES = ("N", "CA", "C", "O")
@@ -187,6 +188,21 @@ def total_loss(components: LossTerms, t: float, w: float = 0.25) -> float:
     if t < 0.25:
         out += w * (components.bb + components.two_d)
     return float(out)
+
+
+def check_pdb_columns(atoms) -> None:
+    """Raises :class:`NumericalDomainError` unless :func:`write_pdb`'s fixed
+    columns hold ``atoms``: every residue number fits ``%4d`` (so every
+    serial, at most 4 * 9999, fits ``%5d``) and every coordinate, in A,
+    fits ``%8.3f``."""
+    atoms = _as_atoms(atoms)
+    if len(atoms) > 9999:
+        raise NumericalDomainError(f"{len(atoms)} residues need residue numbers past "
+                                   "the PDB's 9999")
+    for x in (10.0 * atoms.min(initial=0.0), 10.0 * atoms.max(initial=0.0)):
+        if len(f"{x:8.3f}") > 8:
+            raise NumericalDomainError(f"coordinate {x:.3f} A does not fit the PDB's "
+                                       "8-column field (-999.999 to 9999.999)")
 
 
 def write_pdb(path: str, atoms) -> None:

@@ -111,29 +111,60 @@ def _csv_rows(values, lead=None) -> str:
     return "".join(f"{first},{row}\n" for first, row in zip(lead, rows))
 
 
+# Rows of CSV computed, formatted and written at a time: a writer holds one
+# block's values and text, so its memory does not grow with the file.
+_BLOCK_ROWS = 2048
+
+
+def _write_csv(path: str, header: str, n_rows: int, rows, ids: bool = False) -> None:
+    """Writes ``header``, then ``n_rows`` CSV rows, :data:`_BLOCK_ROWS` at a time.
+
+    ``rows(lo, hi)`` gives rows lo..hi-1 as a 2-d float array; with ``ids``
+    each line starts with its row number. The first block is computed
+    before ``path`` is opened, so a command that fails on it leaves
+    ``path`` as it was.
+    """
+    def text(lo: int) -> str:
+        hi = min(lo + _BLOCK_ROWS, n_rows)
+        return _csv_rows(rows(lo, hi), map(str, range(lo, hi)) if ids else None)
+
+    first = text(0) if n_rows else ""
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + first)
+        for lo in range(_BLOCK_ROWS, n_rows, _BLOCK_ROWS):
+            fh.write(text(lo))
+
+
 # ---------------------------------------------------------------- igso3
 
 def cmd_igso3(action: str, v: argparse.Namespace, config: dict) -> list[str]:
     trunc = _from_flags(igso3.TruncationConfig, angle_grid=v.grid)
     if action == "eval":
         grid = np.linspace(0.0, np.pi, trunc.angle_grid)
-        header = "omega,f,df"
-        rows = np.column_stack([grid, igso3.f_igso3(grid, v.t, trunc),
-                                igso3.df_igso3_domega(grid, v.t, trunc)])
+
+        def rows(lo, hi):
+            # Each block keeps the image-sum terms of the grid's largest angle.
+            f, df = igso3.f_df(grid[lo:hi], v.t, trunc, top=grid[-1])
+            return np.column_stack([grid[lo:hi], f, df])
+
+        _write_csv(v.out, "omega,f,df", len(grid), rows)
+        return [v.out]
+    rng = np.random.default_rng(v.seed)
+    table = igso3.build_table(v.t, trunc)
+    base = np.broadcast_to(np.eye(3), (v.n, 3, 3))
+    samples = igso3.sample_igso3(base, table, rng)
+    if action == "sample":
+        header = "a,b,c,d"
+
+        def rows(lo, hi):
+            return so3.quat_from_rotation(samples[lo:hi])
     else:
-        rng = np.random.default_rng(v.seed)
-        table = igso3.build_table(v.t, trunc)
-        base = np.broadcast_to(np.eye(3), (v.n, 3, 3))
-        samples = igso3.sample_igso3(base, table, rng)
-        if action == "sample":
-            header, rows = "a,b,c,d", so3.quat_from_rotation(samples)
-        else:
-            coeffs = igso3.conditional_score(base, samples, v.t, trunc)
-            header = "omega,s1,s2,s3"
-            rows = np.column_stack([so3.rotation_angle(samples), coeffs])
-    with open(v.out, "w") as fh:
-        fh.write(header + "\n")
-        fh.write(_csv_rows(rows))
+        coeffs = igso3.conditional_score(base, samples, v.t, trunc)
+        header = "omega,s1,s2,s3"
+
+        def rows(lo, hi):
+            return np.column_stack([so3.rotation_angle(samples[lo:hi]), coeffs[lo:hi]])
+    _write_csv(v.out, header, v.n, rows)
     return [v.out]
 
 
@@ -145,18 +176,21 @@ def cmd_schedule(action: str, v: argparse.Namespace, config: dict) -> list[str]:
     rs = _from_flags(schedules.RotationSchedule, sigma_min=v.sigma_min,
                      sigma_max=v.sigma_max, kind=v.kind)
     s = np.linspace(0.0, 1.0, v.points)
-    columns = [
-        s,
-        schedules.beta(s, ts),
-        schedules.G_x(s, ts),
-        1.0 - np.exp(-schedules.G_x(s, ts)),
-        schedules.sigma_r(s, rs),
-        schedules.rot_variance(s, rs),
-        schedules.g_r(s, rs),
-    ]
-    with open(v.out, "w") as fh:
-        fh.write("s,beta,G_x,trans_var,sigma_r,rot_var,g_r\n")
-        fh.write(_csv_rows(np.column_stack(columns)))
+
+    def rows(lo, hi):
+        block = s[lo:hi]
+        g_x = schedules.G_x(block, ts)
+        return np.column_stack([
+            block,
+            schedules.beta(block, ts),
+            g_x,
+            1.0 - np.exp(-g_x),
+            schedules.sigma_r(block, rs),
+            schedules.rot_variance(block, rs),
+            schedules.g_r(block, rs),
+        ])
+
+    _write_csv(v.out, "s,beta,G_x,trans_var,sigma_r,rot_var,g_r", v.points, rows)
     return [v.out]
 
 
@@ -185,12 +219,13 @@ def _toy_run_dir_write(
 
     def write(job) -> None:
         path, samples = job
-        quats = so3.quat_from_rotation(samples)
-        angles = toy.atom_angles(target, samples)
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            fh.write(_csv_rows(np.column_stack([quats, angles.T]),
-                               map(str, range(len(samples)))))
+
+        def rows(lo, hi):
+            block = samples[lo:hi]
+            return np.column_stack([so3.quat_from_rotation(block),
+                                    toy.atom_angles(target, block).T])
+
+        _write_csv(path, header, len(samples), rows, ids=True)
 
     handed = []
 
@@ -299,9 +334,6 @@ def _extended_chain(n_residues: int) -> process.FrameSet:
     return process.center(process.FrameSet(rotations, translations))
 
 
-_TRAJECTORY_BLOCK = 32  # states per quat_from_rotation call; one per state is slower
-
-
 def _trajectory_rows(block) -> str:
     """CSV rows of a block (times, rotations (B, N, 3, 3), translations (B, N, 3))."""
     times, rotations, x = block
@@ -314,16 +346,18 @@ def _trajectory_rows(block) -> str:
 def _write_trajectory(path: str, traj) -> process.FrameSet:
     """One CSV row per (time, residue): quaternion, then translation.
 
-    Stacks the (t, state) pairs of ``traj`` a block at a time, has workers
-    format the blocks while the walk goes on, and returns the last state.
-    A walk that raises leaves no file at ``path``.
+    Stacks the (t, state) pairs of ``traj`` into blocks of whole states,
+    as many as fit in :data:`_BLOCK_ROWS` rows and at least one, has
+    workers format the blocks while the walk goes on, and returns the last
+    state. A walk that raises leaves no file at ``path``.
     """
     traj, part, final = iter(traj), path + ".part", None
 
     def blocks():
         nonlocal final
-        while block := list(itertools.islice(traj, _TRAJECTORY_BLOCK)):
-            times, states = zip(*block)
+        for first in traj:
+            size = max(1, _BLOCK_ROWS // len(first[1]))
+            times, states = zip(first, *itertools.islice(traj, size - 1))
             final = states[-1]
             yield (times, np.stack([s.rotations for s in states]),
                    np.stack([s.translations for s in states]))
@@ -356,5 +390,12 @@ def cmd_sample_backbones(action: str, v: argparse.Namespace, config: dict) -> li
         final = _write_trajectory(outputs[1], walk)
     else:
         final = deque(walk, maxlen=1)[0][1]
-    backbone.write_pdb(outputs[0], backbone.frameset_to_atoms(final))
+    atoms = backbone.frameset_to_atoms(final)
+    try:
+        backbone.check_pdb_columns(atoms)
+    except igso3.NumericalDomainError:
+        if v.trajectory:  # as a failed toy run removes its time files
+            os.remove(outputs[1])
+        raise
+    backbone.write_pdb(outputs[0], atoms)
     return outputs

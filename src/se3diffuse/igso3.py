@@ -90,7 +90,8 @@ T_IMAGE = 8.0  # largest time evaluated by the image sum; the series takes over 
 _SERIES_TERMS = 4
 
 
-def _check_time(t: float) -> float:
+def check_time(t: float) -> float:
+    """``t`` as a float; raises :class:`NumericalDomainError` outside [T_MIN, inf)."""
     t = float(t)
     if not T_MIN <= t < np.inf:
         raise NumericalDomainError(f"diffusion time {t} outside [t_min={T_MIN}, inf)")
@@ -187,7 +188,7 @@ def _inv_minus_half_cot(w, top: float, t: float):
     return np.where(w < cut, series, 1.0 / w - 0.5 / np.tan(0.5 * w))
 
 
-def _image_sum(omega: np.ndarray, t: float, omega_eps: float):
+def _image_sum(omega: np.ndarray, t: float, omega_eps: float, top: float | None = None):
     """f and df/dw at angles ``omega`` by the image sum.
 
     About 0, with y = w and each pair center c = 2 pi j, a = 2cy/t and
@@ -202,8 +203,13 @@ def _image_sum(omega: np.ndarray, t: float, omega_eps: float):
     c = (2j + 1) pi sum to E (c (2 - m) - y m), E = exp(-(c - y)^2 / 2t), and
     the score is -(dS/dy) / S - tan(y/2)/2. Below ``omega_eps`` f is its
     w -> 0 limit and df is 0, as in the series.
+
+    The pairs kept and the terms of 1/y - cot(y/2)/2 depend on the largest
+    angle. When ``omega`` is one block of angles in [0, pi], ``top`` is
+    the largest of them all, so the block gets the bits of one evaluation.
     """
-    top = np.fmax.reduce(omega, initial=0.0)  # a nan angle gives nan alone
+    if top is None:
+        top = np.fmax.reduce(omega, initial=0.0)  # a nan angle gives nan alone
     if top > np.pi:  # f is even and 2 pi-periodic in w, so df is odd about pi
         omega = np.remainder(omega, 2.0 * np.pi)
         flip = omega > np.pi
@@ -253,40 +259,99 @@ def _image_sum(omega: np.ndarray, t: float, omega_eps: float):
     return f, f * score
 
 
-def _f_df(omega, t: float, cfg: TruncationConfig, table):
-    """f(w, t) and df/dw shaped like ``omega``: the image sum, the series, or
-    ``table``'s interpolation."""
+def f_df(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG, table=None,
+         top: float | None = None):
+    """f(w, t) and df/dw shaped like ``omega``: the image sum up to
+    :data:`T_IMAGE`, the series above, or ``table``'s interpolation.
+
+    When ``omega`` is one block of a larger set of angles in [0, pi],
+    ``top``, the largest angle of the set, gives the block the bits of one
+    evaluation of the set: the image sum keeps terms for its largest angle.
+    """
     if table is not None:
         return table.interp_f(omega), table.interp_df(omega)
-    t = _check_time(t)
+    t = check_time(t)
     w = np.atleast_1d(np.asarray(omega, dtype=float)).ravel()
-    f, df = (_image_sum if t <= T_IMAGE else _series)(w, t, cfg.omega_eps)
+    if t > T_IMAGE:
+        f, df = _series(w, t, cfg.omega_eps)
+    else:
+        f, df = _image_sum(w, t, cfg.omega_eps, top)
     return _shaped(f, omega), _shaped(df, omega)
 
 
 def f_igso3(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
     """Heat kernel f(w, t), vectorized over ``omega``: the image sum up to
     :data:`T_IMAGE`, the truncated series above."""
-    return _f_df(omega, t, cfg, None)[0]
+    return f_df(omega, t, cfg)[0]
 
 
 def df_igso3_domega(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
     """Analytic df/dw of :func:`f_igso3`; odd, so 0 below ``cfg.omega_eps``."""
-    return _f_df(omega, t, cfg, None)[1]
+    return f_df(omega, t, cfg)[1]
 
 
-def _mixture(centers, rt, t, cfg, table, weights):
-    """Relative rotations, their skew/trace parts, f and df/dw per center,
-    posteriors and density."""
-    # rt[None]: a center shared by a batch of rt must not broadcast over the batch.
-    rel = so3.transpose(np.asarray(centers, dtype=float)) @ np.asarray(rt, dtype=float)[None]
+# (center, rotation) pairs of a mixture evaluated at a time, so that its
+# arrays keep one size whatever the batch.
+_MIXTURE_PAIRS = 2048
+
+
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices of ``width`` rows covering ``rows``. A last block of one row
+    joins the one before: numpy sums the centers of a single row pairwise,
+    in another order than those of a wider block."""
+    edges = list(range(0, rows, width)) + [rows]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _mixture_block(rel, t, cfg, table, weights, top):
+    """Skew/trace parts of the relative rotations ``rel`` (K, ...), f and
+    df/dw per center, posteriors and density."""
     parts = so3.skew_trace(rel)
-    f, df = _f_df(parts.angle, t, cfg, table)
+    f, df = f_df(parts.angle, t, cfg, table, top)
     weighted = f if weights is None else np.reshape(weights, (-1,) + (1,) * (f.ndim - 1)) * f
     total = weighted.sum(axis=0)
     if np.any(total <= 0.0):
         raise NumericalDomainError("density not positive; increase t")
-    return rel, parts, f, df, weighted / total, total
+    return parts, f, df, weighted / total, total
+
+
+def _mixture(centers, rt, t, cfg, table, weights, result):
+    """``result(rel, parts, f, df, post, total)`` of :func:`_mixture_block`,
+    evaluated a block of about :data:`_MIXTURE_PAIRS` pairs at a time along
+    the batch's first axis and stacked.
+
+    A block's image sum uses the largest angle of the whole batch, found
+    by a first pass over the blocks, so every block gets the bits of one
+    evaluation of the batch.
+    """
+    centers, rt = np.asarray(centers, dtype=float), np.asarray(rt, dtype=float)
+    batch = np.broadcast_shapes(centers.shape[1:-2], rt.shape[:-2])
+    per_row = len(centers) * math.prod(batch[1:])
+    blocks = _row_blocks(batch[0], max(1, _MIXTURE_PAIRS // max(per_row, 1))) if batch else []
+    if len(blocks) < 2:
+        # rt[None]: a center shared by a batch of rt must not broadcast over the batch.
+        rel = so3.transpose(centers) @ rt[None]
+        return result(rel, *_mixture_block(rel, t, cfg, table, weights, None))
+    inv = so3.transpose(np.broadcast_to(centers, centers.shape[:1] + batch + (3, 3)))
+    rt = np.broadcast_to(rt, batch + (3, 3))[None]
+    top = None
+    if table is None and check_time(t) <= T_IMAGE:
+        top = max(np.fmax.reduce(so3.rotation_angle(inv[:, b] @ rt[:, b]), axis=None,
+                                 initial=0.0) for b in blocks)
+    out = None
+    for b in blocks:
+        rel = inv[:, b] @ rt[:, b]
+        part = result(rel, *_mixture_block(rel, t, cfg, table, weights, top))
+        if out is None:
+            out = np.empty(batch + part.shape[len(batch):])
+        out[b] = part
+    return out
+
+
+def _density(rel, parts, f, df, post, total):
+    return total
 
 
 def mixture_density(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weights=None):
@@ -297,7 +362,7 @@ def mixture_density(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weigh
     ``table`` for time ``t`` replaces :func:`f_igso3` by interpolation. Raises
     :class:`NumericalDomainError` where the density is not positive.
     """
-    return _mixture(centers, rt, t, cfg, table, weights)[-1]
+    return _mixture(centers, rt, t, cfg, table, weights, _density)
 
 
 def mixture_score(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weights=None):
@@ -308,9 +373,11 @@ def mixture_score(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weights
     ``centers[k]^T rt`` and posteriors ``post_k = w_k f_k / sum w f``; a
     center within ``omega_eps`` of ``rt`` contributes zero.
     """
-    rel, parts, f, df, post, _ = _mixture(centers, rt, t, cfg, table, weights)
-    coef = _log_coeff(parts.angle, df / np.where(f > 0, f, 1.0), cfg.omega_eps)
-    return (so3.log_rotvec(rel, parts) * (post * coef)[..., None]).sum(axis=0)
+    def score(rel, parts, f, df, post, total):
+        coef = _log_coeff(parts.angle, df / np.where(f > 0, f, 1.0), cfg.omega_eps)
+        return (so3.log_rotvec(rel, parts) * (post * coef)[..., None]).sum(axis=0)
+
+    return _mixture(centers, rt, t, cfg, table, weights, score)
 
 
 def igso3_density(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
@@ -369,7 +436,7 @@ def build_tables(ts, cfg: TruncationConfig = DEFAULT_CONFIG) -> list[IGSO3Table]
     haar, steps = 1.0 - np.cos(grid), np.diff(grid)
     tables = []
     for t in ts:
-        f, df = _f_df(grid, t, cfg, None)
+        f, df = f_df(grid, t, cfg)
         if not ((f >= 0.0) & (f < np.inf)).all():
             raise NumericalDomainError(f"density negative or not finite at t={float(t)}")
         pdf = f * haar / np.pi
@@ -431,6 +498,6 @@ def expected_score_norm_sq(t: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> 
     metric, so this is the integral of (df/f)^2 f (1-cos w)/pi.
     """
     grid = np.linspace(0.0, np.pi, cfg.angle_grid)
-    f, df = _f_df(grid, t, cfg, None)
+    f, df = f_df(grid, t, cfg)
     return float(np.trapezoid(df**2 / f * (1.0 - np.cos(grid)) / np.pi, grid))
 

@@ -119,14 +119,18 @@ def iter_reverse(
     """Score-ascent walk from uniform down the reversed grid; (t, rotations) pairs.
 
     The score field is :func:`score_t` at the walk's angles, without a
-    table; at unit rate the walk's drift is this score itself.
+    table; at unit rate the walk's drift is this score itself. Its last
+    evaluation, at the second grid time, is checked against
+    :data:`igso3.T_MIN` before anything is drawn.
     """
 
     def score(t: float, fs: process.FrameSet) -> tuple[np.ndarray, np.ndarray]:
         return score_t(target, fs.rotations, t), np.zeros_like(fs.translations)
 
+    times = cfg.times()
+    igso3.check_time(times[1])
     init = so3.sample_uniform_so3(rng, cfg.n_paths)
-    return _unit_rate_walk(init, cfg.times()[::-1], score, rng)
+    return _unit_rate_walk(init, times[::-1], score, rng)
 
 
 def run_forward(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from se3diffuse import backbone, process, schedules, so3
+from se3diffuse import backbone, igso3, process, schedules, so3
 from se3diffuse.process import FrameSet
 
 TS = schedules.TranslationSchedule()
@@ -355,6 +355,26 @@ class TestPdbIO:
             10.0 * atoms[0, N, 0], abs=1e-3
         )
         assert line[76:78].strip() == "N"
+
+    @pytest.mark.parametrize("extreme", [-999.999, 9999.999])
+    def test_widest_coordinates_fit(self, tmp_path, extreme):
+        atoms = np.zeros((2, 4, 3))
+        atoms[1, 3, 2] = extreme / 10.0
+        backbone.check_pdb_columns(atoms)
+        path = tmp_path / "edge.pdb"
+        backbone.write_pdb(str(path), atoms)
+        assert backbone.read_pdb(str(path))[1, 3, 2] == pytest.approx(extreme / 10.0)
+
+    @pytest.mark.parametrize("n,coordinate,message", [
+        (2, -1000.0, "coordinate -1000.000 A"),
+        (2, 10000.0, "coordinate 10000.000 A"),
+        (10000, 0.0, "10000 residues"),
+    ])
+    def test_overflowing_columns_are_refused(self, n, coordinate, message):
+        atoms = np.zeros((n, 4, 3))
+        atoms[-1, 0, 0] = coordinate / 10.0
+        with pytest.raises(igso3.NumericalDomainError, match=message):
+            backbone.check_pdb_columns(atoms)
 
     def test_parse_back_frames(self, rng, tmp_path):
         frames = random_frames(rng, 8)

@@ -16,6 +16,11 @@ def run(args):
     return cli.main(args)
 
 
+# Residues of the trajectory-writer tests, and the whole states of one block.
+_TRAJ_RESIDUES = 300
+_TRAJ_BLOCK = commands._BLOCK_ROWS // _TRAJ_RESIDUES
+
+
 def read_csv(path):
     return np.loadtxt(path, delimiter=",", skiprows=1)
 
@@ -85,6 +90,7 @@ class TestIGSO3Commands:
     def test_below_t_min_is_domain_error(self, tmp_path):
         out = tmp_path / "bad.csv"
         assert run(["igso3", "eval", "--t", "0.001", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestScheduleCommand:
@@ -147,6 +153,16 @@ class TestToyCommands:
         report = json.loads(out.read_text())
         assert len(report["ks"]) == 8
         assert report["max_ks"] == max(report["ks"][1:])  # t = 0 left out
+
+    def test_reverse_below_t_min_fails_before_walking(self, tmp_path, capsys):
+        # Its last score evaluation would be at T / (steps - 1) = 4 / 401.
+        grid = ["--paths", "5", "--T", "4", "--steps", "402"]
+        assert run(["toy", "reverse", *grid, "--out-dir", str(tmp_path / "rev")]) == 2
+        assert capsys.readouterr().err == (
+            f"numerical-domain error: diffusion time {4 / 401} outside [t_min=0.01, inf)\n")
+        assert list(tmp_path.iterdir()) == []
+        # The forward walk evaluates no IGSO3 and takes the same grid.
+        assert run(["toy", "forward", *grid, "--out-dir", str(tmp_path / "fwd")]) == 0
 
     def test_compare_with_itself_is_zero(self, tmp_path):
         fwd = tmp_path / "fwd"
@@ -294,7 +310,7 @@ class TestRejectedValues:
     def test_non_finite_walk_is_domain_error(self, tmp_path, capsys, monkeypatch,
                                              trajectory):
         # The walk diverges after the trajectory writer's first block.
-        fail_at = commands._TRAJECTORY_BLOCK + 5
+        fail_at = _TRAJ_BLOCK + 5
         target_score = process.fixed_target_score
 
         def diverging_score(*args):
@@ -307,7 +323,7 @@ class TestRejectedValues:
             return field
 
         monkeypatch.setattr(process, "fixed_target_score", diverging_score)
-        assert run(["sample-backbones", "--n-residues", "3", "--n-steps",
+        assert run(["sample-backbones", "--n-residues", str(_TRAJ_RESIDUES), "--n-steps",
                     str(2 * fail_at), "--out", str(tmp_path / "bb"), *trajectory]) == 2
         err = capsys.readouterr().err
         assert err == f"numerical-domain error: non-finite state at step {fail_at}\n"
@@ -450,13 +466,13 @@ class TestSampleBackbones:
 
     @pytest.mark.parametrize("n_steps", [
         2,
-        commands._TRAJECTORY_BLOCK - 1,
-        commands._TRAJECTORY_BLOCK,
-        commands._TRAJECTORY_BLOCK + 1,
-        2 * commands._TRAJECTORY_BLOCK + 3,
+        _TRAJ_BLOCK - 1,
+        _TRAJ_BLOCK,
+        _TRAJ_BLOCK + 1,
+        2 * _TRAJ_BLOCK + 3,
     ])
     def test_streamed_trajectory_matches_recorded_walk(self, tmp_path, n_steps):
-        n, seed, zeta = 3, 5, 0.3
+        n, seed, zeta = _TRAJ_RESIDUES, 5, 0.3
         assert run(["sample-backbones", "--n-residues", str(n), "--n-steps",
                     str(n_steps), "--zeta", str(zeta), "--seed", str(seed),
                     "--init-seed", str(seed), "--out", str(tmp_path / "bb"),
@@ -471,6 +487,15 @@ class TestSampleBackbones:
         assert streamed == (tmp_path / "oracle.csv").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "bb.manifest.json", "bb.pdb", "bb_trajectory.csv", "oracle.csv"]
+
+    def test_pdb_column_overflow_is_refused(self, tmp_path, capsys):
+        # The extended chain of 2048 residues spans about 780 nm, past %8.3f in A.
+        out = tmp_path / "wide"
+        assert run(["sample-backbones", "--n-residues", "2048", "--n-steps", "5",
+                    "--out", str(out), "--trajectory"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical-domain error: coordinate ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []  # no PDB, and this run's trajectory removed
 
     def test_prior_only_runs(self, tmp_path):
         out = tmp_path / "prior"
@@ -601,12 +626,35 @@ class TestArtifactWriters:
         assert commands._csv_rows(values, ["id0", "id1"]) == expected
         assert "-0.0," in expected and "5e-324" in expected
 
-    def test_trajectory_bytes_unchanged(self, tmp_path, rng):
+    def test_blocked_rows_match_per_value_format(self, tmp_path, rng):
+        n = 2 * commands._BLOCK_ROWS + 1
+        values = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-320, 300, (n, 3))
+        values[0] = [-0.0, 5e-324, -2.2250738585072014e-308]
+        values[-1] = [1e-310, 1 / 3, 0.1 + 0.2]
+        blocks = []
+
+        def rows(lo, hi):
+            blocks.append((lo, hi))
+            return values[lo:hi]
+
+        path = tmp_path / "rows.csv"
+        commands._write_csv(str(path), "id,x,y,z", n, rows, ids=True)
+        expected = "id,x,y,z\n" + "".join(
+            f"{i}," + ",".join(commands._fmt(v) for v in row) + "\n"
+            for i, row in enumerate(values)
+        )
+        assert path.read_text() == expected
+        b = commands._BLOCK_ROWS
+        assert blocks == [(0, b), (b, 2 * b), (2 * b, n)]
+
+    @pytest.mark.parametrize("n", [5, commands._BLOCK_ROWS + 1],
+                             ids=["states-per-block", "one-state-per-block"])
+    def test_trajectory_bytes_unchanged(self, tmp_path, rng, n):
         traj = []
         for t in (1.0, 0.5, 0.01):
-            translations = rng.standard_normal((5, 3))
+            translations = rng.standard_normal((n, 3))
             translations[0] = [-0.0, 5e-324, -1e-310]
-            traj.append((t, process.FrameSet(_edge_rotations(rng, 5), translations)))
+            traj.append((t, process.FrameSet(_edge_rotations(rng, n), translations)))
         last = commands._write_trajectory(str(tmp_path / "new.csv"), iter(traj))
         _per_value_trajectory(str(tmp_path / "old.csv"), traj)
         new = (tmp_path / "new.csv").read_bytes()
@@ -818,8 +866,8 @@ class TestPmap:
             assert run(["toy", "reverse", *base, "--out-dir", str(root / "rev")]) == 0
             assert run(["toy", "compare", "--run-a", str(root / "fwd"), "--run-b",
                         str(root / "rev"), "--out", str(root / "ks.json")]) == 0
-            assert run(["sample-backbones", "--n-residues", "4", "--n-steps",
-                        str(3 * commands._TRAJECTORY_BLOCK + 5), "--zeta", "0.3",
+            assert run(["sample-backbones", "--n-residues", str(_TRAJ_RESIDUES), "--n-steps",
+                        str(3 * _TRAJ_BLOCK + 5), "--zeta", "0.3",
                         "--seed", "3", "--out", str(root / "bb"), "--trajectory"]) == 0
         one, two = tmp_path / "1", tmp_path / "2"
         for name in ("bb.pdb", "bb_trajectory.csv"):
@@ -922,6 +970,25 @@ class TestPeakMemory:
             for steps in (50, 400)
         ]
         assert peaks[1] - peaks[0] < 3.0, peaks
+
+    def row_slope_kb(self, tmp_path, args, counts):
+        """Peak growth per CSV row, in KB, between ``counts`` rows."""
+        peaks = [_peak_rss_mb([*args, str(n), "--out", str(tmp_path / f"{n}.csv")])
+                 for n in counts]
+        return (peaks[1] - peaks[0]) * 1024 / (counts[1] - counts[0]), peaks
+
+    def test_schedule_rows(self, tmp_path):
+        # Its one state array is s, 8 bytes a row; the whole file's text and
+        # columns held at once took about 0.66 KB a row.
+        slope, peaks = self.row_slope_kb(tmp_path, ["schedule", "--points"], (20000, 200000))
+        assert slope < 0.1, peaks
+
+    def test_igso3_sample_rows(self, tmp_path):
+        # The draws and the drawn rotations stay, about 0.3 KB a row; the
+        # quaternions and text of every row at once added about 0.5 KB more.
+        slope, peaks = self.row_slope_kb(tmp_path, ["igso3", "sample", "--t", "0.8", "--n"],
+                                         (20000, 200000))
+        assert slope < 0.45, peaks
 
     def test_sample_backbones_trajectory(self, tmp_path):
         peaks = [

@@ -392,8 +392,8 @@ class TestTable:
     def test_density_check_names_first_bad_time(self, monkeypatch, bad):
         image_sum = igso3._image_sum
 
-        def broken(omega, t, omega_eps):  # spoils one angle at t = 0.3 and 0.05
-            f, df = image_sum(omega, t, omega_eps)
+        def broken(omega, t, omega_eps, top=None):  # spoils one angle at t = 0.3 and 0.05
+            f, df = image_sum(omega, t, omega_eps, top)
             if t in (0.3, 0.05):
                 f[-2] = bad
             return f, df
@@ -514,3 +514,43 @@ class TestSemigroup:
             so3.rotation_angle(chained), so3.rotation_angle(single)
         ).statistic
         assert ks < 0.02
+
+
+class TestBlockedMixture:
+    def test_blocks_match_one_evaluation_bit_for_bit(self, monkeypatch):
+        # Nine centers, so that a block of one row would sum them in another
+        # order; the first block lies within 0.5 of them all, so that its own
+        # largest angle would keep fewer image pairs than the whole batch's.
+        # At this seed, scoring the block by its own largest angle changes
+        # the last bit of some of its scores.
+        rng = np.random.default_rng(5)
+        t, k = 8.0, 9
+        centers = so3.exp_so3(so3.hat(0.01 * rng.standard_normal((k, 3))))[:, None]
+        width = igso3._MIXTURE_PAIRS // k
+        rt = so3.sample_uniform_so3(rng, 3 * width + 1)
+        near = rng.standard_normal((width, 3))
+        near *= rng.uniform(0.0, 0.45, (width, 1)) / np.linalg.norm(near, axis=1, keepdims=True)
+        rt[:width] = so3.exp_so3(so3.hat(near))
+        weights = rng.dirichlet(np.ones(k))
+        angles = so3.rotation_angle(so3.transpose(centers) @ rt)
+        assert igso3._image_pairs(t, angles[:, :width].max()) < igso3._image_pairs(t, angles.max())
+
+        sizes, f_df = [], igso3.f_df
+
+        def spy(omega, *args):
+            sizes.append(np.size(omega))
+            return f_df(omega, *args)
+
+        def evaluate():
+            return (igso3.mixture_score(centers, rt, t, weights=weights),
+                    igso3.mixture_density(centers, rt, t, weights=weights))
+
+        monkeypatch.setattr(igso3, "f_df", spy)
+        blocked = evaluate()
+        # Three blocks each: the last row joins the block before it.
+        assert sizes == 2 * [k * width, k * width, k * (width + 1)]
+        monkeypatch.setattr(igso3, "_MIXTURE_PAIRS", 10**9)
+        whole = evaluate()
+        assert sizes[6:] == [k * len(rt)] * 2
+        for got, expected in zip(blocked, whole):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()

@@ -314,6 +314,19 @@ class TestWalks:
         assert rev_mean < fwd_mean + 0.05
 
 
+class TestReverseTimeCheck:
+    def test_last_score_time_is_checked_before_any_draw(self, target):
+        # The score's last evaluation is at the second grid time, 4 / 401.
+        cfg = toy.ToyRunConfig(n_paths=5, final_time=4.0, n_steps=402)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(igso3.NumericalDomainError,
+                           match=r"diffusion time 0\.00997.* outside \[t_min=0\.01"):
+            toy.iter_reverse(target, cfg, rng)
+        assert rng.bit_generator.state == state
+        assert len(toy.run_forward(target, cfg, rng)) == 402
+
+
 class TestKSStatistic:
     @pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 7), (50, 50), (137, 9999),
                                          (2000, 2000), (3000, 4500), (10000, 10000)])
