@@ -143,8 +143,7 @@ def cmd_igso3(action: str, v: argparse.Namespace, config: dict) -> list[str]:
         grid = np.linspace(0.0, np.pi, trunc.angle_grid)
 
         def rows(lo, hi):
-            # Each block keeps the image-sum terms of the grid's largest angle.
-            f, df = igso3.f_df(grid[lo:hi], v.t, trunc, top=grid[-1])
+            f, df = igso3.f_df(grid[lo:hi], v.t, trunc)
             return np.column_stack([grid[lo:hi], f, df])
 
         _write_csv(v.out, "omega,f,df", len(grid), rows)

@@ -26,9 +26,9 @@ Two branches give f and df/dw at given angles:
   cancels as w -> 0 or w -> pi, and f keeps its relative precision out to
   f(pi, t_min) ~ 1e-211, far past the series' roundoff floor of about
   eps * f(0, t). A pair is kept while its weight against the k = 0 image
-  can reach exp(-80) at the largest angle given: none at small t and
-  small angles, three at t = 2.25 (the variance at the end of the default
-  rotation schedule), six at T_IMAGE.
+  can reach exp(-80) at w = pi: one pair below t ~ 0.49, three at
+  t = 2.25 (the variance at the end of the default rotation schedule),
+  six at T_IMAGE.
 - ``t > T_IMAGE``: the character series, cut after l = 3
   (:data:`_SERIES_TERMS`), where every later weight is below machine
   epsilon times the l = 1 weight, and summed as cosines of m w with the
@@ -39,6 +39,10 @@ Two branches give f and df/dw at given angles:
   1e-11 at t = 10, as its alternating pairs grow. The series is within
   5e-16 of the score itself from T_IMAGE to t = 100. f from either is
   within 1e-15 relative above t = 1.
+
+Both branches keep a number of terms fixed by t alone and add them up
+elementwise, so the bits of f and df/dw at an angle depend on that angle
+and t, not on the other angles evaluated with it.
 
 Tables (:func:`build_tables`) hold the values of the two branches on a
 uniform angle grid, built one time at a time, so a table's bits do not
@@ -111,11 +115,12 @@ def _series(omega: np.ndarray, t: float, omega_eps: float):
     # where numpy would raise on the overflow inside the CLI's errstate.
     weights = [(2 * l + 1) * math.exp(-(l * (l + 1)) * t / 2.0) for l in range(_SERIES_TERMS)]
     tail = np.cumsum(weights[::-1])[::-1]
-    m = np.arange(1.0, _SERIES_TERMS)
-    mw = np.multiply.outer(omega, m)
-    f = tail[0] + np.cos(mw) @ (2.0 * tail[1:])
-    df = np.sin(mw, out=mw) @ (-2.0 * m * tail[1:])
-    df[omega < omega_eps] = 0.0
+    f, df = 0.0, 0.0
+    for m in range(1, _SERIES_TERMS):
+        f = f + 2.0 * tail[m] * np.cos(m * omega)
+        df = df - 2.0 * m * tail[m] * np.sin(m * omega)
+    f = tail[0] + f
+    df[np.abs(omega) < omega_eps] = 0.0
     return f, df
 
 
@@ -141,15 +146,16 @@ _BERNOULLI = (1 / 6, 1 / 30, 1 / 42, 1 / 30, 5 / 66, 691 / 2730, 7 / 6, 3617 / 5
 _COT_COEFFS = tuple(b / math.factorial(2 * n + 2) for n, b in reversed(list(enumerate(_BERNOULLI))))
 
 
-def _image_pairs(t: float, top: float) -> int:
-    """Image pairs about 2 pi j, j >= 1, kept at time ``t`` for angles up to ``top``.
+def _image_pairs(t: float) -> int:
+    """Image pairs about 2 pi j, j >= 1, kept at time ``t``.
 
-    The pair about 2 pi j weighs at most exp(-2 pi j (pi j - top) / t)
-    against the k = 0 image; the first one below exp(-_IMAGE_DROP) is dropped.
-    Angles near pi, paired about (2j + 1) pi, need one pair more.
+    The pair about 2 pi j weighs at most exp(-2 pi^2 j (j - 1) / t) against
+    the k = 0 image, its weight at w = pi; the first one below
+    exp(-_IMAGE_DROP) is dropped. Angles near pi, paired about (2j + 1) pi,
+    need one pair more.
     """
     n = 0
-    while 2.0 * np.pi * (n + 1) * (np.pi * (n + 1) - top) < _IMAGE_DROP * t:
+    while 2.0 * np.pi**2 * (n + 1) * n < _IMAGE_DROP * t:
         n += 1
     return n
 
@@ -164,8 +170,8 @@ def _pair_centers(n: int):
     return 2.0 * np.pi * j[1:], 2.0 * _PI_LO * j[1:], signs[1:], (2 * j + 1) * np.pi, signs
 
 
-def _inv_minus_half_cot(w, top: float, t: float):
-    """1/w - cot(w/2)/2 for 0 < w <= ``top`` <= pi, without the cancellation near 0.
+def _inv_minus_half_cot(w, t: float):
+    """1/w - cot(w/2)/2 for 0 < w <= pi, without the cancellation near 0.
 
     Below w = min(1, sqrt(t)) the series, with the terms that can change a
     double there: the n-th is about (w / 2 pi)^(2n - 2) of the first. Above,
@@ -173,9 +179,8 @@ def _inv_minus_half_cot(w, top: float, t: float):
     of the score, about w / t in size.
     """
     cut = min(1.0, math.sqrt(t))
-    x = np.minimum(w, cut) if top > cut else w
-    kept = math.ceil(20.0 / math.log(2.0 * np.pi / min(max(top, 1e-3), cut)))
-    coeffs = _COT_COEFFS[-kept:]
+    x = np.minimum(w, cut)
+    coeffs = _COT_COEFFS[-math.ceil(20.0 / math.log(2.0 * np.pi / cut)):]
     x2 = x * x
     series = coeffs[0] * x2
     for coeff in coeffs[1:-1]:
@@ -183,12 +188,12 @@ def _inv_minus_half_cot(w, top: float, t: float):
         series *= x2
     series += coeffs[-1]
     series *= x
-    if top <= cut:
+    if np.fmax.reduce(w, initial=0.0) < cut:  # no angle needs the direct form
         return series
     return np.where(w < cut, series, 1.0 / w - 0.5 / np.tan(0.5 * w))
 
 
-def _image_sum(omega: np.ndarray, t: float, omega_eps: float, top: float | None = None):
+def _image_sum(omega: np.ndarray, t: float, omega_eps: float):
     """f and df/dw at angles ``omega`` by the image sum.
 
     About 0, with y = w and each pair center c = 2 pi j, a = 2cy/t and
@@ -202,43 +207,37 @@ def _image_sum(omega: np.ndarray, t: float, omega_eps: float, top: float | None 
     a = 0.1. Within t / (2 pi) of pi, with y = pi - w, the pairs about
     c = (2j + 1) pi sum to E (c (2 - m) - y m), E = exp(-(c - y)^2 / 2t), and
     the score is -(dS/dy) / S - tan(y/2)/2. Below ``omega_eps`` f is its
-    w -> 0 limit and df is 0, as in the series.
-
-    The pairs kept and the terms of 1/y - cot(y/2)/2 depend on the largest
-    angle. When ``omega`` is one block of angles in [0, pi], ``top`` is
-    the largest of them all, so the block gets the bits of one evaluation.
+    w -> 0 limit and df is 0, as in the series. The smallest and largest
+    angles only decide which of the wrap into [0, pi], the small-angle
+    limit and the branch about pi have any work.
     """
-    if top is None:
-        top = np.fmax.reduce(omega, initial=0.0)  # a nan angle gives nan alone
-    if top > np.pi:  # f is even and 2 pi-periodic in w, so df is odd about pi
+    # fmin/fmax: a nan angle gives nan alone
+    bottom, top = np.fmin.reduce(omega, initial=np.inf), np.fmax.reduce(omega, initial=0.0)
+    if bottom < 0.0 or top > np.pi:  # f is even and 2 pi-periodic in w, so df is odd
         omega = np.remainder(omega, 2.0 * np.pi)
         flip = omega > np.pi
         f, df = _image_sum(np.where(flip, 2.0 * np.pi - omega, omega), t, omega_eps)
         return f, np.where(flip, -df, df)
-    n = _image_pairs(t, top)
-    c, c_lo, signs, c_pi, signs_pi = _pair_centers(n)
-    bottom = np.fmin.reduce(omega, initial=np.inf)
+    c, c_lo, signs, c_pi, signs_pi = _pair_centers(_image_pairs(t))
     small = omega < omega_eps if bottom < omega_eps else None
     y = omega if small is None else np.where(small, 1.0, omega)
     cube = y * y
     e0 = np.exp(cube * (-0.5 / t))
     cube *= y / t
-    s, z = y, -cube
-    if n:
-        a = (2.0 / t) * c * y
-        q = np.expm1(-a)  # -m
-        r = signs * np.exp(c * ((c - 2.0 * y) + c_lo) * (-0.5 / t))
-        two_m = 2.0 + q
-        s = s + (r * (y * two_m + c * q)).sum(axis=0)
-        chi = -2.0 * q - a * two_m
-        if bottom < 0.05 * t / c[0, 0]:  # some a < 0.1
-            low = a < 0.1  # chi = -4 exp(-a/2) sum_k 2k (a/2)^(2k+1) / (2k+1)!
-            a_low = a[low]
-            b2 = 0.25 * a_low * a_low
-            chi[low] = (-2.0 * a_low * b2) * np.sqrt(1.0 + q[low]) * (
-                1 / 3 + b2 * (1 / 30 + b2 * (1 / 840 + b2 / 45360)))
-        z = z + (r * (0.5 * c * chi - (a * q * y + cube * two_m))).sum(axis=0)
-    score = z / (y * s) + _inv_minus_half_cot(y, top, t)
+    a = (2.0 / t) * c * y
+    q = np.expm1(-a)  # -m
+    r = signs * np.exp(c * ((c - 2.0 * y) + c_lo) * (-0.5 / t))
+    two_m = 2.0 + q
+    s = y + (r * (y * two_m + c * q)).sum(axis=0)
+    chi = -2.0 * q - a * two_m
+    if bottom < 0.05 * t / c[0, 0]:  # some a < 0.1
+        low = a < 0.1  # chi = -4 exp(-a/2) sum_k 2k (a/2)^(2k+1) / (2k+1)!
+        a_low = a[low]
+        b2 = 0.25 * a_low * a_low
+        chi[low] = (-2.0 * a_low * b2) * np.sqrt(1.0 + q[low]) * (
+            1 / 3 + b2 * (1 / 30 + b2 * (1 / 840 + b2 / 45360)))
+    z = (r * (0.5 * c * chi - (a * q * y + cube * two_m))).sum(axis=0) - cube
+    score = z / (y * s) + _inv_minus_half_cot(y, t)
     s = s * e0
     if top > np.pi - t / (2.0 * np.pi):
         about_pi = omega > np.pi - t / (2.0 * np.pi)
@@ -259,23 +258,14 @@ def _image_sum(omega: np.ndarray, t: float, omega_eps: float, top: float | None 
     return f, f * score
 
 
-def f_df(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG, table=None,
-         top: float | None = None):
+def f_df(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG, table=None):
     """f(w, t) and df/dw shaped like ``omega``: the image sum up to
-    :data:`T_IMAGE`, the series above, or ``table``'s interpolation.
-
-    When ``omega`` is one block of a larger set of angles in [0, pi],
-    ``top``, the largest angle of the set, gives the block the bits of one
-    evaluation of the set: the image sum keeps terms for its largest angle.
-    """
+    :data:`T_IMAGE`, the series above, or ``table``'s interpolation."""
     if table is not None:
         return table.interp_f(omega), table.interp_df(omega)
     t = check_time(t)
     w = np.atleast_1d(np.asarray(omega, dtype=float)).ravel()
-    if t > T_IMAGE:
-        f, df = _series(w, t, cfg.omega_eps)
-    else:
-        f, df = _image_sum(w, t, cfg.omega_eps, top)
+    f, df = (_image_sum if t <= T_IMAGE else _series)(w, t, cfg.omega_eps)
     return _shaped(f, omega), _shaped(df, omega)
 
 
@@ -290,8 +280,8 @@ def df_igso3_domega(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
     return f_df(omega, t, cfg)[1]
 
 
-# (center, rotation) pairs of a mixture evaluated at a time, so that its
-# arrays keep one size whatever the batch.
+# (center, rotation) pairs of a mixture, or rows of a draw, evaluated at a
+# time, so that their arrays keep one size whatever the batch.
 _MIXTURE_PAIRS = 2048
 
 
@@ -305,11 +295,11 @@ def _row_blocks(rows: int, width: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _mixture_block(rel, t, cfg, table, weights, top):
+def _mixture_block(rel, t, cfg, table, weights):
     """Skew/trace parts of the relative rotations ``rel`` (K, ...), f and
     df/dw per center, posteriors and density."""
     parts = so3.skew_trace(rel)
-    f, df = f_df(parts.angle, t, cfg, table, top)
+    f, df = f_df(parts.angle, t, cfg, table)
     weighted = f if weights is None else np.reshape(weights, (-1,) + (1,) * (f.ndim - 1)) * f
     total = weighted.sum(axis=0)
     if np.any(total <= 0.0):
@@ -321,10 +311,6 @@ def _mixture(centers, rt, t, cfg, table, weights, result):
     """``result(rel, parts, f, df, post, total)`` of :func:`_mixture_block`,
     evaluated a block of about :data:`_MIXTURE_PAIRS` pairs at a time along
     the batch's first axis and stacked.
-
-    A block's image sum uses the largest angle of the whole batch, found
-    by a first pass over the blocks, so every block gets the bits of one
-    evaluation of the batch.
     """
     centers, rt = np.asarray(centers, dtype=float), np.asarray(rt, dtype=float)
     batch = np.broadcast_shapes(centers.shape[1:-2], rt.shape[:-2])
@@ -333,17 +319,13 @@ def _mixture(centers, rt, t, cfg, table, weights, result):
     if len(blocks) < 2:
         # rt[None]: a center shared by a batch of rt must not broadcast over the batch.
         rel = so3.transpose(centers) @ rt[None]
-        return result(rel, *_mixture_block(rel, t, cfg, table, weights, None))
+        return result(rel, *_mixture_block(rel, t, cfg, table, weights))
     inv = so3.transpose(np.broadcast_to(centers, centers.shape[:1] + batch + (3, 3)))
     rt = np.broadcast_to(rt, batch + (3, 3))[None]
-    top = None
-    if table is None and check_time(t) <= T_IMAGE:
-        top = max(np.fmax.reduce(so3.rotation_angle(inv[:, b] @ rt[:, b]), axis=None,
-                                 initial=0.0) for b in blocks)
     out = None
     for b in blocks:
         rel = inv[:, b] @ rt[:, b]
-        part = result(rel, *_mixture_block(rel, t, cfg, table, weights, top))
+        part = result(rel, *_mixture_block(rel, t, cfg, table, weights))
         if out is None:
             out = np.empty(batch + part.shape[len(batch):])
         out[b] = part
@@ -453,10 +435,19 @@ def sample_igso3(
     """Draw from IGSO3(.; r0, table.t), one sample per base rotation.
 
     The angle comes from inverse transform sampling on the tabulated CDF
-    with linear interpolation; the axis is uniform on the sphere.
+    with linear interpolation; the axis is uniform on the sphere. Every
+    angle is drawn, then every axis; the rotations are then built
+    :data:`_MIXTURE_PAIRS` rows at a time, so only the draws and the result
+    grow with the rows.
     """
     r0 = np.asarray(r0, dtype=float)
-    return r0 @ so3.rotations_about_random_axes(table.sample_angles(rng, r0.shape[:-2]), rng)
+    rotvecs = so3.random_rotvecs(table.sample_angles(rng, r0.shape[:-2]), rng)
+    if r0.ndim == 2:
+        return r0 @ so3.exp_so3(so3.hat(rotvecs))
+    out = np.empty(r0.shape)
+    for b in _row_blocks(len(r0), _MIXTURE_PAIRS):
+        out[b] = r0[b] @ so3.exp_so3(so3.hat(rotvecs[b]))
+    return out
 
 
 def score_from_table(

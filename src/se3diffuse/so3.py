@@ -154,11 +154,11 @@ def rotation_angle(r: np.ndarray) -> np.ndarray:
     return skew_trace(r).angle
 
 
-def rotations_about_random_axes(angles: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Rotations by ``angles`` about uniform random axes, drawn after the angles."""
+def random_rotvecs(angles: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Rotation vectors (..., 3) by ``angles`` about uniform random axes drawn after them."""
     axes = rng.standard_normal(np.shape(angles) + (3,))
     axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
-    return exp_so3(hat(angles[..., None] * axes))
+    return angles[..., None] * axes
 
 
 def sample_uniform_so3(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -176,7 +176,7 @@ def sample_uniform_so3(rng: np.random.Generator, n: int | None = None) -> np.nda
         [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))]
     )
     cdf /= cdf[-1]
-    return rotations_about_random_axes(np.interp(rng.random(shape), cdf, grid), rng)
+    return exp_so3(hat(random_rotvecs(np.interp(rng.random(shape), cdf, grid), rng)))
 
 
 def quat_from_rotation(r: np.ndarray) -> np.ndarray:

@@ -46,6 +46,16 @@ class TestIGSO3Commands:
         ref = so3.rotation_angle(so3.sample_uniform_so3(rng, 100_000))
         assert stats.ks_2samp(angles, ref).statistic < 0.02
 
+    @pytest.mark.parametrize("t", [2.25, 8.5])
+    def test_eval_rows_are_one_evaluation(self, tmp_path, t):
+        # 2049 rows: the last block of the writer is a single row.
+        out = tmp_path / "eval.csv"
+        assert run(["igso3", "eval", "--t", str(t), "--grid", "2049", "--out", str(out)]) == 0
+        grid = np.linspace(0.0, np.pi, 2049)
+        f, df = igso3.f_df(grid, t)
+        rows = zip(grid.tolist(), f.tolist(), df.tolist())
+        assert out.read_text().splitlines()[1:] == [",".join(map(repr, row)) for row in rows]
+
     def test_missing_t_is_usage_error(self, tmp_path):
         out = tmp_path / "never.csv"
         assert run(["igso3", "eval", "--grid", "100", "--out", str(out)]) == 1
@@ -984,11 +994,12 @@ class TestPeakMemory:
         assert slope < 0.1, peaks
 
     def test_igso3_sample_rows(self, tmp_path):
-        # The draws and the drawn rotations stay, about 0.3 KB a row; the
-        # quaternions and text of every row at once added about 0.5 KB more.
+        # The drawn rotations (72 bytes a row) and rotation vectors (24)
+        # stay, 0.094 KB a row measured, plus a margin of 0.026 KB; building
+        # every row's rotation at once took about 0.3 KB a row.
         slope, peaks = self.row_slope_kb(tmp_path, ["igso3", "sample", "--t", "0.8", "--n"],
                                          (20000, 200000))
-        assert slope < 0.45, peaks
+        assert slope < 0.12, peaks
 
     def test_sample_backbones_trajectory(self, tmp_path):
         peaks = [

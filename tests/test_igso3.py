@@ -392,8 +392,8 @@ class TestTable:
     def test_density_check_names_first_bad_time(self, monkeypatch, bad):
         image_sum = igso3._image_sum
 
-        def broken(omega, t, omega_eps, top=None):  # spoils one angle at t = 0.3 and 0.05
-            f, df = image_sum(omega, t, omega_eps, top)
+        def broken(omega, t, omega_eps):  # spoils one angle at t = 0.3 and 0.05
+            f, df = image_sum(omega, t, omega_eps)
             if t in (0.3, 0.05):
                 f[-2] = bad
             return f, df
@@ -516,13 +516,27 @@ class TestSemigroup:
         assert ks < 0.02
 
 
+class TestAngleAlone:
+    @pytest.mark.parametrize("t", [0.01, 0.3, 2.25, 4.0, 8.0, 8.5, 50.0])
+    def test_each_angle_alone_gives_the_bits_of_one_call(self, t):
+        # The small-angle gate, the series' cut of 1/w - cot(w/2)/2 at
+        # min(1, sqrt(t)), the branch about pi and a uniform spread.
+        omega = np.concatenate([
+            [0.0, 5e-5, 1e-4, np.pi], np.geomspace(1e-6, 1.0, 60),
+            np.pi - np.geomspace(1e-12, 1.0, 36), np.linspace(0.0, np.pi, 100)])
+        f, df = igso3.f_df(omega, t)
+        for w, f_w, df_w in zip(omega, f, df):
+            assert igso3.f_df(float(w), t) == (f_w, df_w), w
+            alone = igso3.f_df(np.array([w]), t)
+            assert (alone[0][0], alone[1][0]) == (f_w, df_w), w
+
+
 class TestBlockedMixture:
     def test_blocks_match_one_evaluation_bit_for_bit(self, monkeypatch):
         # Nine centers, so that a block of one row would sum them in another
-        # order; the first block lies within 0.5 of them all, so that its own
-        # largest angle would keep fewer image pairs than the whole batch's.
-        # At this seed, scoring the block by its own largest angle changes
-        # the last bit of some of its scores.
+        # order; the first block lies within 0.5 of them all, so that a term
+        # count taken from a block's own largest angle would differ between
+        # blocks.
         rng = np.random.default_rng(5)
         t, k = 8.0, 9
         centers = so3.exp_so3(so3.hat(0.01 * rng.standard_normal((k, 3))))[:, None]
@@ -533,7 +547,7 @@ class TestBlockedMixture:
         rt[:width] = so3.exp_so3(so3.hat(near))
         weights = rng.dirichlet(np.ones(k))
         angles = so3.rotation_angle(so3.transpose(centers) @ rt)
-        assert igso3._image_pairs(t, angles[:, :width].max()) < igso3._image_pairs(t, angles.max())
+        assert angles[:, :width].max() < 0.5 < angles[:, width:].max()
 
         sizes, f_df = [], igso3.f_df
 

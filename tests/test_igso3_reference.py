@@ -78,11 +78,12 @@ def test_branches_meet_at_the_crossover():
     assert np.abs(df_above - df_below).max() < 1e-14 * f_below.max()
 
 
-@pytest.mark.parametrize("t", [0.05, 1.0, 2.0])
+@pytest.mark.parametrize("t", [0.05, 1.0, 2.0, 10.0])
 def test_image_sum_is_periodic_and_even_like_the_series(t):
     omega = np.array([0.3, 1.7, 3.0])
     f, df = igso3.f_igso3(omega, t), igso3.df_igso3_domega(omega, t)
-    for shifted, sign in ((2.0 * np.pi - omega, -1.0), (omega + 2.0 * np.pi, 1.0)):
+    for shifted, sign in ((2.0 * np.pi - omega, -1.0), (omega + 2.0 * np.pi, 1.0),
+                          (-omega, -1.0)):
         assert np.allclose(igso3.f_igso3(shifted, t), f, rtol=1e-12, atol=0.0)
         assert np.allclose(igso3.df_igso3_domega(shifted, t), sign * df,
                            rtol=1e-10, atol=1e-12 * np.abs(df).max())
