@@ -5,6 +5,7 @@ it numpy and the library, only once a command line has been checked.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -116,23 +117,32 @@ def _csv_rows(values, lead=None) -> str:
 _BLOCK_ROWS = 2048
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """``path + ".part"`` open for writing; renamed to ``path`` when the block
+    ends, removed when it raises, so ``path`` is written whole or left as it was."""
+    part = path + ".part"
+    try:
+        with open(part, "w") as fh:
+            yield fh
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
+
+
 def _write_csv(path: str, header: str, n_rows: int, rows, ids: bool = False) -> None:
-    """Writes ``header``, then ``n_rows`` CSV rows, :data:`_BLOCK_ROWS` at a time.
+    """Writes ``header``, then ``n_rows`` CSV rows, :data:`_BLOCK_ROWS` at a
+    time, through :func:`_replacing`.
 
     ``rows(lo, hi)`` gives rows lo..hi-1 as a 2-d float array; with ``ids``
-    each line starts with its row number. The first block is computed
-    before ``path`` is opened, so a command that fails on it leaves
-    ``path`` as it was.
+    each line starts with its row number.
     """
-    def text(lo: int) -> str:
-        hi = min(lo + _BLOCK_ROWS, n_rows)
-        return _csv_rows(rows(lo, hi), map(str, range(lo, hi)) if ids else None)
-
-    first = text(0) if n_rows else ""
-    with open(path, "w") as fh:
-        fh.write(header + "\n" + first)
-        for lo in range(_BLOCK_ROWS, n_rows, _BLOCK_ROWS):
-            fh.write(text(lo))
+    with _replacing(path) as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n_rows, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n_rows)
+            fh.write(_csv_rows(rows(lo, hi), map(str, range(lo, hi)) if ids else None))
 
 
 # ---------------------------------------------------------------- igso3
@@ -202,8 +212,8 @@ def _toy_run_dir_write(
 
     ``run`` yields (t, rotations) pairs at the times of the ascending grid
     ``times``, in either order; a file's number is its time's rank. When
-    the run or a write fails, the files handed out and the directories
-    this call created are removed.
+    the run or a write fails, the files handed out, the ``.part`` files a
+    killed worker leaves, and the directories this call created are removed.
     """
     created, parent = [], os.path.abspath(out_dir)
     while not os.path.exists(parent):
@@ -236,7 +246,7 @@ def _toy_run_dir_write(
     try:
         deque(_pmap(write, jobs()), maxlen=0)
     except BaseException:
-        for path in handed:
+        for path in handed + [p + ".part" for p in handed]:
             if os.path.isfile(path):
                 os.remove(path)
         for d in created:
@@ -248,7 +258,7 @@ def _toy_run_dir_write(
 def cmd_toy(action: str, v: argparse.Namespace, config: dict) -> list[str]:
     if action == "compare":
         report = _toy_compare(v.run_a, v.run_b)
-        with open(v.out, "w") as fh:
+        with _replacing(v.out) as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return [v.out]
@@ -350,7 +360,7 @@ def _write_trajectory(path: str, traj) -> process.FrameSet:
     workers format the blocks while the walk goes on, and returns the last
     state. A walk that raises leaves no file at ``path``.
     """
-    traj, part, final = iter(traj), path + ".part", None
+    traj, final = iter(traj), None
 
     def blocks():
         nonlocal final
@@ -361,14 +371,9 @@ def _write_trajectory(path: str, traj) -> process.FrameSet:
             yield (times, np.stack([s.rotations for s in states]),
                    np.stack([s.translations for s in states]))
 
-    try:
-        with open(part, "w") as fh:
-            fh.write("t,chain_id,residue_index,a,b,c,d,x,y,z\n")
-            fh.writelines(_pmap(_trajectory_rows, blocks()))
-        os.replace(part, path)
-    finally:
-        if os.path.exists(part):  # the walk or a write failed
-            os.remove(part)
+    with _replacing(path) as fh:
+        fh.write("t,chain_id,residue_index,a,b,c,d,x,y,z\n")
+        fh.writelines(_pmap(_trajectory_rows, blocks()))
     return final
 
 

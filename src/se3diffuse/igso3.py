@@ -285,66 +285,61 @@ def df_igso3_domega(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
 _MIXTURE_PAIRS = 2048
 
 
-def _row_blocks(rows: int, width: int) -> list[slice]:
-    """Slices of ``width`` rows covering ``rows``. A last block of one row
-    joins the one before: numpy sums the centers of a single row pairwise,
-    in another order than those of a wider block."""
-    edges = list(range(0, rows, width)) + [rows]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+def _center_sum(x):
+    """Sum of ``x`` (K, ...) over its centers, added one after another onto
+    0.0: the order numpy takes along a first axis of more than one row, here
+    for every row count, so a row's bits do not depend on its batch."""
+    total = 0.0
+    for part in x:
+        total = total + part
+    return total
 
 
-def _mixture_block(rel, t, cfg, table, weights):
-    """Skew/trace parts of the relative rotations ``rel`` (K, ...), f and
-    df/dw per center, posteriors and density."""
-    parts = so3.skew_trace(rel)
-    f, df = f_df(parts.angle, t, cfg, table)
-    weighted = f if weights is None else np.reshape(weights, (-1,) + (1,) * (f.ndim - 1)) * f
-    total = weighted.sum(axis=0)
-    if np.any(total <= 0.0):
-        raise NumericalDomainError("density not positive; increase t")
-    return parts, f, df, weighted / total, total
-
-
-def _mixture(centers, rt, t, cfg, table, weights, result):
-    """``result(rel, parts, f, df, post, total)`` of :func:`_mixture_block`,
+def _mixture(centers, rt, t, cfg, table, weights, score):
+    """The density (``score`` false) or score coefficients of the mixture,
     evaluated a block of about :data:`_MIXTURE_PAIRS` pairs at a time along
-    the batch's first axis and stacked.
+    the batch's first axis. A single rotation is a batch of one.
     """
     centers, rt = np.asarray(centers, dtype=float), np.asarray(rt, dtype=float)
     batch = np.broadcast_shapes(centers.shape[1:-2], rt.shape[:-2])
-    per_row = len(centers) * math.prod(batch[1:])
-    blocks = _row_blocks(batch[0], max(1, _MIXTURE_PAIRS // max(per_row, 1))) if batch else []
-    if len(blocks) < 2:
-        # rt[None]: a center shared by a batch of rt must not broadcast over the batch.
-        rel = so3.transpose(centers) @ rt[None]
-        return result(rel, *_mixture_block(rel, t, cfg, table, weights))
+    single = not batch
+    if single:
+        centers, rt, batch = centers[:, None], rt[None], (1,)
+    # Batch axes padded on the left, so that each center broadcasts against rt.
+    pad = (1,) * (len(batch) + 3 - centers.ndim)
+    centers = centers.reshape(centers.shape[:1] + pad + centers.shape[1:])
     inv = so3.transpose(np.broadcast_to(centers, centers.shape[:1] + batch + (3, 3)))
-    rt = np.broadcast_to(rt, batch + (3, 3))[None]
-    out = None
-    for b in blocks:
-        rel = inv[:, b] @ rt[:, b]
-        part = result(rel, *_mixture_block(rel, t, cfg, table, weights))
-        if out is None:
-            out = np.empty(batch + part.shape[len(batch):])
-        out[b] = part
-    return out
-
-
-def _density(rel, parts, f, df, post, total):
-    return total
+    rt = np.broadcast_to(rt, batch + (3, 3))
+    width = max(1, _MIXTURE_PAIRS // max(len(inv) * math.prod(batch[1:]), 1))
+    out = np.empty(batch + ((3,) if score else ()))
+    for lo in range(0, batch[0], width):
+        rows = slice(lo, lo + width)
+        rel = inv[:, rows] @ rt[rows]
+        parts = so3.skew_trace(rel)
+        f, df = f_df(parts.angle, t, cfg, table)
+        weighted = f if weights is None else np.reshape(weights, (-1,) + (1,) * (f.ndim - 1)) * f
+        total = _center_sum(weighted)
+        if np.any(total <= 0.0):
+            raise NumericalDomainError("density not positive; increase t")
+        if not score:
+            out[rows] = total
+            continue
+        coef = _log_coeff(parts.angle, df / np.where(f > 0, f, 1.0), cfg.omega_eps)
+        out[rows] = _center_sum(so3.log_rotvec(rel, parts) * (weighted / total * coef)[..., None])
+    return out[0] if single else out
 
 
 def mixture_density(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weights=None):
     """Density at ``rt`` of sum_k w_k IGSO3(.; centers[k], t) w.r.t. normalized Haar measure.
 
     ``centers`` is (K, ..., 3, 3), each ``centers[k]`` broadcasting against
-    ``rt``; ``weights`` (K,) default to a single center of weight 1. A
+    ``rt`` with their batch axes aligned on the right: K atoms (K, 3, 3)
+    against P rotations (P, 3, 3) give the P densities of the K-atom
+    mixture. ``weights`` (K,) default to a single center of weight 1. A
     ``table`` for time ``t`` replaces :func:`f_igso3` by interpolation. Raises
     :class:`NumericalDomainError` where the density is not positive.
     """
-    return _mixture(centers, rt, t, cfg, table, weights, _density)
+    return _mixture(centers, rt, t, cfg, table, weights, False)
 
 
 def mixture_score(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weights=None):
@@ -355,11 +350,7 @@ def mixture_score(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weights
     ``centers[k]^T rt`` and posteriors ``post_k = w_k f_k / sum w f``; a
     center within ``omega_eps`` of ``rt`` contributes zero.
     """
-    def score(rel, parts, f, df, post, total):
-        coef = _log_coeff(parts.angle, df / np.where(f > 0, f, 1.0), cfg.omega_eps)
-        return (so3.log_rotvec(rel, parts) * (post * coef)[..., None]).sum(axis=0)
-
-    return _mixture(centers, rt, t, cfg, table, weights, score)
+    return _mixture(centers, rt, t, cfg, table, weights, True)
 
 
 def igso3_density(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
@@ -445,7 +436,8 @@ def sample_igso3(
     if r0.ndim == 2:
         return r0 @ so3.exp_so3(so3.hat(rotvecs))
     out = np.empty(r0.shape)
-    for b in _row_blocks(len(r0), _MIXTURE_PAIRS):
+    for lo in range(0, len(r0), _MIXTURE_PAIRS):
+        b = slice(lo, lo + _MIXTURE_PAIRS)
         out[b] = r0[b] @ so3.exp_so3(so3.hat(rotvecs[b]))
     return out
 

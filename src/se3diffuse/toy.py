@@ -71,11 +71,6 @@ def sample_p0(
     return target.atoms[idx]
 
 
-def _centers(target: DiscreteTarget, rt) -> np.ndarray:
-    """Atoms as (K, 1, ..., 3, 3) so that each one broadcasts over ``rt``."""
-    return target.atoms.reshape((-1,) + (1,) * (np.ndim(rt) - 2) + (3, 3))
-
-
 def score_t(
     target: DiscreteTarget,
     rt: np.ndarray,
@@ -88,8 +83,7 @@ def score_t(
     ``table`` for time ``t`` replaces the direct evaluation by its
     interpolation; the walks score directly.
     """
-    return igso3.mixture_score(_centers(target, rt), rt, t, table=table,
-                               weights=target.weights)
+    return igso3.mixture_score(target.atoms, rt, t, table=table, weights=target.weights)
 
 
 def _unit_rate_walk(init, times, score, rng) -> Iterator[tuple[float, np.ndarray]]:

@@ -56,6 +56,21 @@ class TestIGSO3Commands:
         rows = zip(grid.tolist(), f.tolist(), df.tolist())
         assert out.read_text().splitlines()[1:] == [",".join(map(repr, row)) for row in rows]
 
+    def test_write_failing_after_a_block_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        quats, calls = so3.quat_from_rotation, []
+
+        def disk_full(r):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return quats(r)
+
+        monkeypatch.setattr(so3, "quat_from_rotation", disk_full)
+        out = tmp_path / "sample.csv"
+        assert run(["igso3", "sample", "--t", "0.5", "--n", "5000", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert len(calls) == 2 and list(tmp_path.iterdir()) == []
+
     def test_missing_t_is_usage_error(self, tmp_path):
         out = tmp_path / "never.csv"
         assert run(["igso3", "eval", "--grid", "100", "--out", str(out)]) == 1
@@ -947,6 +962,32 @@ class TestToyRunFailure:
             assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
         else:
             assert list(tmp_path.iterdir()) == []
+
+    def test_killed_worker_leaves_no_part_file(self, tmp_path):
+        # Each worker is killed with its time file open; the directory this
+        # call created can only be removed once those files are.
+        out = tmp_path / "run"
+        code = (
+            "import os, signal, sys\n"
+            "import numpy as np\n"
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "from se3diffuse import commands, so3, toy\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "parent = os.getpid()\n"
+            "def angles(target, samples):\n"
+            "    if os.getpid() != parent:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "toy.atom_angles = angles\n"
+            "rng = np.random.default_rng(0)\n"
+            "run = ((t, so3.sample_uniform_so3(rng, 5)) for t in (0.0, 1.0))\n"
+            "try:\n"
+            f"    commands._toy_run_dir_write({str(out)!r}, run, [0.0, 1.0],\n"
+            "                                toy.random_target(3))\n"
+            "except BrokenProcessPool:\n"
+            "    sys.exit(7)\n"
+        )
+        assert _python(code) == 7
+        assert list(tmp_path.iterdir()) == []
 
 
 def _peak_rss_mb(args):

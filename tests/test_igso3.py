@@ -533,10 +533,10 @@ class TestAngleAlone:
 
 class TestBlockedMixture:
     def test_blocks_match_one_evaluation_bit_for_bit(self, monkeypatch):
-        # Nine centers, so that a block of one row would sum them in another
-        # order; the first block lies within 0.5 of them all, so that a term
-        # count taken from a block's own largest angle would differ between
-        # blocks.
+        # Nine centers, which numpy would sum in another order for the last
+        # block, a single row; the first block lies within 0.5 of them all,
+        # so that a term count taken from a block's own largest angle would
+        # differ between blocks.
         rng = np.random.default_rng(5)
         t, k = 8.0, 9
         centers = so3.exp_so3(so3.hat(0.01 * rng.standard_normal((k, 3))))[:, None]
@@ -561,10 +561,25 @@ class TestBlockedMixture:
 
         monkeypatch.setattr(igso3, "f_df", spy)
         blocked = evaluate()
-        # Three blocks each: the last row joins the block before it.
-        assert sizes == 2 * [k * width, k * width, k * (width + 1)]
+        assert sizes == 2 * [k * width, k * width, k * width, k]
         monkeypatch.setattr(igso3, "_MIXTURE_PAIRS", 10**9)
         whole = evaluate()
-        assert sizes[6:] == [k * len(rt)] * 2
+        assert sizes[8:] == [k * len(rt)] * 2
         for got, expected in zip(blocked, whole):
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+class TestSingleRotation:
+    @pytest.mark.parametrize("k", [3, 12])
+    @pytest.mark.parametrize("t", [0.05, 0.5, 2.25, 8.5])
+    def test_alone_gives_the_bits_of_its_row(self, k, t):
+        # Eight centers or more is where numpy would sum a single row pairwise.
+        rng = np.random.default_rng(k)
+        centers = so3.sample_uniform_so3(rng, k)
+        weights = rng.dirichlet(np.ones(k))
+        rt = so3.sample_uniform_so3(rng, 40)
+        for fn in (igso3.mixture_density, igso3.mixture_score):
+            batch = fn(centers[:, None], rt, t, weights=weights)
+            for row, r in zip(batch, rt):
+                alone = fn(centers, r, t, weights=weights)
+                assert np.shape(alone) == row.shape and alone.tobytes() == row.tobytes()

@@ -50,6 +50,13 @@ class TestMixtureDensity:
         vals = igso3.mixture_density(target.atoms[:, None], rts, 50.0, weights=target.weights)
         assert np.abs(vals - 1.0).max() < 1e-3
 
+    def test_atoms_broadcast_against_a_batch(self, rng, target):
+        rts = so3.sample_uniform_so3(rng, 30)
+        for fn in (igso3.mixture_density, igso3.mixture_score):
+            flat = fn(target.atoms, rts, 0.5, weights=target.weights)
+            padded = fn(target.atoms[:, None], rts, 0.5, weights=target.weights)
+            assert flat.shape == padded.shape and flat.tobytes() == padded.tobytes()
+
     def test_integrates_to_one_haar(self, rng, target):
         table = igso3.build_table(0.5)
         total, n = 0.0, 0
