@@ -6,10 +6,11 @@ Subcommands:
   toy {forward,reverse,compare}    the discrete-target SO(3) experiment
   sample-backbones                 reverse walk on SE(3)^N, PDB output
 
-Every command writes a run-manifest JSON alongside its outputs. Exit
-codes: 0 success, 1 usage error (a count above ``MAX_COUNT`` is one) or
-an allocation refused for lack of memory, 2 numerical-domain error, 3 I/O
-error.
+Every command writes a run-manifest JSON that lists its outputs, and
+:func:`se3diffuse.commands.run` commits the outputs and the manifest all
+together or none of them. Exit codes: 0 success, 1 usage error (a count
+above ``MAX_COUNT`` is one) or an allocation refused for lack of memory,
+2 numerical-domain error, 3 I/O error.
 
 This module imports only the standard library. ``main`` checks every
 option, bound and ``--config`` value before it imports numpy and the
@@ -23,7 +24,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 
 from . import UsageError
 
@@ -31,18 +31,18 @@ from . import UsageError
 # The flag is --key with "_" written as "-", and --config files take the
 # keys themselves. A default of None marks a required option.
 OPTIONS = {
-    "igso3": {"t": (float, None), "grid": (int, 1000), "n": (int, 10000, 0),
+    "igso3": {"t": (float, None), "grid": (int, 1000, 2), "n": (int, 10000, 0),
               "seed": (int, 0, 0), "out": (str, None)},
     "schedule": {"beta_min": (float, 0.1), "beta_max": (float, 20.0),
                  "sigma_min": (float, 0.1), "sigma_max": (float, 1.5),
                  "points": (int, 101, 0),
                  "kind": (str, "logarithmic", ("logarithmic", "linear")),
                  "out": (str, None)},
-    "toy": {"atoms": (int, 3), "paths": (int, 5000), "T": (float, 4.0),
-            "steps": (int, 200), "seed": (int, 0, 0), "atom_seed": (int, 0, 0),
+    "toy": {"atoms": (int, 3, 1), "paths": (int, 5000, 1), "T": (float, 4.0),
+            "steps": (int, 200, 2), "seed": (int, 0, 0), "atom_seed": (int, 0, 0),
             "out_dir": (str, None)},
     "toy compare": {"run_a": (str, None), "run_b": (str, None), "out": (str, None)},
-    "sample-backbones": {"n_residues": (int, 32, 1), "n_steps": (int, 500),
+    "sample-backbones": {"n_residues": (int, 32, 1), "n_steps": (int, 500, 2),
                          "eps": (float, 0.01), "zeta": (float, 0.1),
                          "seed": (int, 0, 0), "init_seed": (int, 0, 0),
                          "score": (str, "fixed-target", ("prior-only", "fixed-target")),
@@ -60,23 +60,6 @@ MAX_COUNT = 10**17
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems must exit 1, not argparse's 2
         raise UsageError(message)
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every command's outputs."""
-
-    command: str
-    config: dict
-    seed: int | None
-    outputs: list[str] = field(default_factory=list)
-    duration_s: float = 0.0
-
-
-def _write_manifest(manifest: RunManifest, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _resolve(args: argparse.Namespace, command: str):
@@ -171,9 +154,17 @@ def main(argv=None) -> int:
 
         domain_errors += (NumericalDomainError,)
         start = time.monotonic()
-        outputs = commands.run(command, values, config)
-        manifest = RunManifest(command, config, getattr(values, "seed", None), outputs,
-                               time.monotonic() - start)
+
+        def manifest(outputs: list[str]) -> tuple[str, str]:
+            """The path and JSON text of the run's reproducibility record."""
+            record = {"command": command, "config": config, "outputs": outputs,
+                      "seed": getattr(values, "seed", None),
+                      "duration_s": time.monotonic() - start}
+            path = (os.path.join(config["out_dir"], "manifest.json") if "out_dir" in config
+                    else config["out"] + ".manifest.json")
+            return path, json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+        commands.run(command, values, config, manifest)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -183,18 +174,6 @@ def main(argv=None) -> int:
     except domain_errors as exc:
         print(f"numerical-domain error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-
-    if manifest.command in ("toy forward", "toy reverse"):
-        manifest_path = os.path.join(manifest.config["out_dir"], "manifest.json")
-    elif manifest.command == "sample-backbones":
-        manifest_path = manifest.config["out"] + ".manifest.json"
-    else:
-        manifest_path = manifest.outputs[0] + ".manifest.json"
-    try:
-        _write_manifest(manifest, manifest_path)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

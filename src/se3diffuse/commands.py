@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import json
 import os
+import re
 import threading
 import warnings
 from collections import deque
@@ -18,8 +20,10 @@ import numpy as np
 from . import UsageError, backbone, igso3, process, schedules, so3, toy
 
 
-def run(command: str, v: argparse.Namespace, config: dict) -> list[str]:
-    """Runs ``command`` (``"toy forward"``, ``"schedule"``, ...) on checked values.
+def run(command: str, v: argparse.Namespace, config: dict, manifest) -> None:
+    """Runs ``command`` (``"toy forward"``, ``"schedule"``, ...) on checked
+    values, then commits its outputs and last the manifest, whose path and
+    text ``manifest(outputs)`` gives, all together or none of them.
 
     ``v`` holds the values of the command's options. A toy walk adds its
     time grid and atoms to ``config``, the manifest's record of the run.
@@ -28,8 +32,59 @@ def run(command: str, v: argparse.Namespace, config: dict) -> list[str]:
     name, _, action = command.partition(" ")
     body = {"igso3": cmd_igso3, "schedule": cmd_schedule, "toy": cmd_toy,
             "sample-backbones": cmd_sample_backbones}[name]
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        return body(action, v, config)
+    with _Commit() as commit:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            body(action, v, config, commit)
+        path, text = manifest(list(commit.outputs))
+        with open(commit.stage(path), "w") as fh:
+            fh.write(text)
+        commit.publish()
+
+
+class _Commit:
+    """A command's outputs, each written to ``path + ".part"`` until
+    :meth:`publish` puts them all in place. When the ``with`` block
+    raises, every part and every directory :meth:`makedirs` created are
+    removed, so files already at the output paths stay as they were."""
+
+    def __init__(self):
+        self.outputs, self.stale, self._made = [], [], []
+
+    def stage(self, path: str) -> str:
+        """Adds ``path`` to the outputs; returns the part file to write it to."""
+        self.outputs.append(path)
+        return path + ".part"
+
+    def makedirs(self, path: str) -> None:
+        """``os.makedirs(path, exist_ok=True)``, recording what it creates."""
+        missing = os.path.abspath(path)
+        while not os.path.exists(missing):
+            self._made.append(missing)
+            missing = os.path.dirname(missing)
+        os.makedirs(path, exist_ok=True)
+
+    def publish(self) -> None:
+        """Renames every part over its path, unless one of the paths is a
+        directory, then removes the ``stale`` files that are not outputs."""
+        for path in self.outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for path in self.outputs:
+            os.replace(path + ".part", path)
+        for path in set(self.stale) - set(self.outputs):
+            os.remove(path)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *_):
+        if kind is not None:
+            for path in self.outputs:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path + ".part")
+            for d in self._made:  # deepest first
+                with contextlib.suppress(OSError):  # not empty: another process wrote there
+                    os.rmdir(d)
 
 
 def _from_flags(build, **values):
@@ -117,28 +172,14 @@ def _csv_rows(values, lead=None) -> str:
 _BLOCK_ROWS = 2048
 
 
-@contextlib.contextmanager
-def _replacing(path: str):
-    """``path + ".part"`` open for writing; renamed to ``path`` when the block
-    ends, removed when it raises, so ``path`` is written whole or left as it was."""
-    part = path + ".part"
-    try:
-        with open(part, "w") as fh:
-            yield fh
-        os.replace(part, path)
-    finally:
-        if os.path.exists(part):
-            os.remove(part)
-
-
 def _write_csv(path: str, header: str, n_rows: int, rows, ids: bool = False) -> None:
     """Writes ``header``, then ``n_rows`` CSV rows, :data:`_BLOCK_ROWS` at a
-    time, through :func:`_replacing`.
+    time, to ``path``.
 
     ``rows(lo, hi)`` gives rows lo..hi-1 as a 2-d float array; with ``ids``
     each line starts with its row number.
     """
-    with _replacing(path) as fh:
+    with open(path, "w") as fh:
         fh.write(header + "\n")
         for lo in range(0, n_rows, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, n_rows)
@@ -147,7 +188,7 @@ def _write_csv(path: str, header: str, n_rows: int, rows, ids: bool = False) -> 
 
 # ---------------------------------------------------------------- igso3
 
-def cmd_igso3(action: str, v: argparse.Namespace, config: dict) -> list[str]:
+def cmd_igso3(action: str, v: argparse.Namespace, config: dict, commit: _Commit) -> None:
     trunc = _from_flags(igso3.TruncationConfig, angle_grid=v.grid)
     if action == "eval":
         grid = np.linspace(0.0, np.pi, trunc.angle_grid)
@@ -156,8 +197,8 @@ def cmd_igso3(action: str, v: argparse.Namespace, config: dict) -> list[str]:
             f, df = igso3.f_df(grid[lo:hi], v.t, trunc)
             return np.column_stack([grid[lo:hi], f, df])
 
-        _write_csv(v.out, "omega,f,df", len(grid), rows)
-        return [v.out]
+        _write_csv(commit.stage(v.out), "omega,f,df", len(grid), rows)
+        return
     rng = np.random.default_rng(v.seed)
     table = igso3.build_table(v.t, trunc)
     base = np.broadcast_to(np.eye(3), (v.n, 3, 3))
@@ -173,13 +214,12 @@ def cmd_igso3(action: str, v: argparse.Namespace, config: dict) -> list[str]:
 
         def rows(lo, hi):
             return np.column_stack([so3.rotation_angle(samples[lo:hi]), coeffs[lo:hi]])
-    _write_csv(v.out, header, v.n, rows)
-    return [v.out]
+    _write_csv(commit.stage(v.out), header, v.n, rows)
 
 
 # ------------------------------------------------------------- schedule
 
-def cmd_schedule(action: str, v: argparse.Namespace, config: dict) -> list[str]:
+def cmd_schedule(action: str, v: argparse.Namespace, config: dict, commit: _Commit) -> None:
     ts = _from_flags(schedules.TranslationSchedule, beta_min=v.beta_min,
                      beta_max=v.beta_max)
     rs = _from_flags(schedules.RotationSchedule, sigma_min=v.sigma_min,
@@ -199,29 +239,28 @@ def cmd_schedule(action: str, v: argparse.Namespace, config: dict) -> list[str]:
             schedules.g_r(block, rs),
         ])
 
-    _write_csv(v.out, "s,beta,G_x,trans_var,sigma_r,rot_var,g_r", v.points, rows)
-    return [v.out]
+    _write_csv(commit.stage(v.out), "s,beta,G_x,trans_var,sigma_r,rot_var,g_r", v.points,
+               rows)
 
 
 # ------------------------------------------------------------------ toy
 
 def _toy_run_dir_write(
-    out_dir: str, run, times: list[float], target: toy.DiscreteTarget
-) -> list[str]:
-    """One ``t_XXXX.csv`` per recorded time, written by workers as the run goes.
+    commit: _Commit, out_dir: str, run, times: list[float], target: toy.DiscreteTarget
+) -> None:
+    """One ``t_XXXX.csv`` per recorded time, staged with ``commit`` and
+    written by workers as the run goes.
 
     ``run`` yields (t, rotations) pairs at the times of the ascending grid
-    ``times``, in either order; a file's number is its time's rank. When
-    the run or a write fails, the files handed out, the ``.part`` files a
-    killed worker leaves, and the directories this call created are removed.
+    ``times``, in either order; a file's number is its time's rank. The
+    ``t_XXXX.csv`` files of an earlier run in ``out_dir`` are stale: the
+    commit removes those this run does not write, and only if it succeeds.
     """
-    created, parent = [], os.path.abspath(out_dir)
-    while not os.path.exists(parent):
-        created.append(parent)
-        parent = os.path.dirname(parent)
-    os.makedirs(out_dir, exist_ok=True)
-    paths = [os.path.join(out_dir, f"t_{idx:04d}.csv") for idx in range(len(times))]
-    rank = {t: idx for idx, t in enumerate(times)}
+    commit.makedirs(out_dir)
+    commit.stale += [os.path.join(out_dir, name) for name in os.listdir(out_dir)
+                     if re.fullmatch(r"t_[0-9]{4}\.csv", name)]
+    parts = {t: commit.stage(os.path.join(out_dir, f"t_{idx:04d}.csv"))
+             for idx, t in enumerate(times)}
     header = "path_id,a,b,c,d," + ",".join(
         f"angle_to_atom_{k}" for k in range(len(target.weights))
     )
@@ -236,32 +275,17 @@ def _toy_run_dir_write(
 
         _write_csv(path, header, len(samples), rows, ids=True)
 
-    handed = []
-
-    def jobs():
-        for t, samples in run:
-            handed.append(paths[rank[t]])
-            yield handed[-1], samples
-
-    try:
-        deque(_pmap(write, jobs()), maxlen=0)
-    except BaseException:
-        for path in handed + [p + ".part" for p in handed]:
-            if os.path.isfile(path):
-                os.remove(path)
-        for d in created:
-            os.rmdir(d)
-        raise
-    return paths
+    jobs = ((parts[t], samples) for t, samples in run)
+    deque(_pmap(write, jobs), maxlen=0)
 
 
-def cmd_toy(action: str, v: argparse.Namespace, config: dict) -> list[str]:
+def cmd_toy(action: str, v: argparse.Namespace, config: dict, commit: _Commit) -> None:
     if action == "compare":
         report = _toy_compare(v.run_a, v.run_b)
-        with _replacing(v.out) as fh:
+        with open(commit.stage(v.out), "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return [v.out]
+        return
 
     target = _from_flags(toy.random_target, k=v.atoms, seed=v.atom_seed)
     run_cfg = _from_flags(toy.ToyRunConfig, n_paths=v.paths, final_time=v.T,
@@ -269,14 +293,13 @@ def cmd_toy(action: str, v: argparse.Namespace, config: dict) -> list[str]:
     walk = toy.iter_forward if action == "forward" else toy.iter_reverse
     times = run_cfg.times().tolist()
     run = walk(target, run_cfg, np.random.default_rng(v.seed))
-    outputs = _toy_run_dir_write(v.out_dir, run, times, target)
+    _toy_run_dir_write(commit, v.out_dir, run, times, target)
     config.update(
         grid_times=[_fmt(t) for t in times],
         atom_quaternions=[
             [_fmt(x) for x in q] for q in so3.quat_from_rotation(target.atoms)
         ],
     )
-    return outputs
 
 
 def _toy_compare(run_a: str, run_b: str) -> dict:
@@ -357,8 +380,8 @@ def _write_trajectory(path: str, traj) -> process.FrameSet:
 
     Stacks the (t, state) pairs of ``traj`` into blocks of whole states,
     as many as fit in :data:`_BLOCK_ROWS` rows and at least one, has
-    workers format the blocks while the walk goes on, and returns the last
-    state. A walk that raises leaves no file at ``path``.
+    workers format the blocks while the walk goes on, writes them to
+    ``path`` and returns the last state.
     """
     traj, final = iter(traj), None
 
@@ -371,13 +394,14 @@ def _write_trajectory(path: str, traj) -> process.FrameSet:
             yield (times, np.stack([s.rotations for s in states]),
                    np.stack([s.translations for s in states]))
 
-    with _replacing(path) as fh:
+    with open(path, "w") as fh:
         fh.write("t,chain_id,residue_index,a,b,c,d,x,y,z\n")
         fh.writelines(_pmap(_trajectory_rows, blocks()))
     return final
 
 
-def cmd_sample_backbones(action: str, v: argparse.Namespace, config: dict) -> list[str]:
+def cmd_sample_backbones(action: str, v: argparse.Namespace, config: dict,
+                         commit: _Commit) -> None:
     trans_sched = schedules.TranslationSchedule()
     rot_sched = schedules.RotationSchedule()
     sim = _from_flags(process.SimConfig, n_steps=v.n_steps, eps=v.eps, noise_scale=v.zeta)
@@ -389,17 +413,11 @@ def cmd_sample_backbones(action: str, v: argparse.Namespace, config: dict) -> li
         score = process.zero_score
     rng = np.random.default_rng(v.seed)
     walk = process.iter_reverse_walk(init, score, trans_sched, rot_sched, sim, rng)
-    outputs = [v.out + ".pdb"] + ([v.out + "_trajectory.csv"] if v.trajectory else [])
+    pdb = commit.stage(v.out + ".pdb")
     if v.trajectory:
-        final = _write_trajectory(outputs[1], walk)
+        final = _write_trajectory(commit.stage(v.out + "_trajectory.csv"), walk)
     else:
         final = deque(walk, maxlen=1)[0][1]
     atoms = backbone.frameset_to_atoms(final)
-    try:
-        backbone.check_pdb_columns(atoms)
-    except igso3.NumericalDomainError:
-        if v.trajectory:  # as a failed toy run removes its time files
-            os.remove(outputs[1])
-        raise
-    backbone.write_pdb(outputs[0], atoms)
-    return outputs
+    backbone.check_pdb_columns(atoms)
+    backbone.write_pdb(pdb, atoms)

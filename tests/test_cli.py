@@ -522,6 +522,27 @@ class TestSampleBackbones:
         assert err.startswith("numerical-domain error: coordinate ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []  # no PDB, and this run's trajectory removed
 
+    @pytest.mark.parametrize("failure", ["columns", "pdb-write"])
+    def test_failed_rerun_leaves_earlier_run_unchanged(self, tmp_path, capsys, monkeypatch,
+                                                       failure):
+        out = str(tmp_path / "bb")
+        assert run(["sample-backbones", "--n-residues", "8", "--n-steps", "3",
+                    "--trajectory", "--out", out]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        if failure == "columns":
+            argv, code = ["--n-residues", "2048", "--n-steps", "20"], 2
+        else:
+            def disk_full(path, atoms):
+                with open(path, "w") as fh:
+                    fh.write("ATOM      1  N  ")
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(backbone, "write_pdb", disk_full)
+            argv, code = ["--n-residues", "8", "--n-steps", "4"], 3
+        assert run(["sample-backbones", *argv, "--trajectory", "--out", out]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # no .part
+
     def test_prior_only_runs(self, tmp_path):
         out = tmp_path / "prior"
         assert run(["sample-backbones", "--n-residues", "4", "--n-steps", "10",
@@ -693,9 +714,11 @@ class TestArtifactWriters:
         marginals[0.0][2] = target.atoms[1]  # angle 0 to one atom
         times = sorted(marginals)
         run = ((t, marginals[t]) for t in reversed(times))  # a reverse run's order
-        outputs = commands._toy_run_dir_write(str(tmp_path / "new"), run, times, target)
+        with commands._Commit() as commit:
+            commands._toy_run_dir_write(commit, str(tmp_path / "new"), run, times, target)
+            commit.publish()
         _per_value_run_dir(str(tmp_path / "old"), marginals, target)
-        assert outputs == [str(tmp_path / "new" / f"t_{i:04d}.csv") for i in range(3)]
+        assert commit.outputs == [str(tmp_path / "new" / f"t_{i:04d}.csv") for i in range(3)]
         for idx in range(3):
             name = f"t_{idx:04d}.csv"
             new = (tmp_path / "new" / name).read_bytes()
@@ -773,6 +796,9 @@ def _fresh_run(tmp_path, code):
                  id="config-wrong-type"),
     pytest.param(["sample-backbones", "--n-residues", "0", "--out", "OUT/bb"], 1,
                  id="n-residues-0"),
+    pytest.param(["igso3", "eval", "--t", "0.5", "--grid", "1", "--out", "OUT/e.csv"], 1,
+                 id="grid-1"),
+    pytest.param(["toy", "forward", "--steps", "1", "--out-dir", "OUT/run"], 1, id="steps-1"),
     pytest.param(["schedule", "--config", "OUT/none.json", "--out", "OUT/s.csv"], 3,
                  id="config-missing"),
 ])
@@ -935,7 +961,7 @@ class TestToyRunFailure:
         if out_exists:
             out.mkdir(parents=True)
             (out / "keep.txt").write_text("not this run's\n")
-        # The drift turns non-finite at the fifth step, once a time file is written.
+        # The drift turns non-finite at the fifth step, once a time file is staged.
         forward = direction == "forward"
         module, name = (process, "zero_score") if forward else (toy, "score_t")
         drift, calls = getattr(module, name), []
@@ -946,9 +972,9 @@ class TestToyRunFailure:
             if len(calls) < 5:
                 return result
             deadline = time.monotonic() + 30
-            while not list(out.glob("t_*.csv")) and time.monotonic() < deadline:
+            while not list(out.glob("t_*.csv.part")) and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert list(out.glob("t_*.csv"))
+            assert list(out.glob("t_*.csv.part"))
             if forward:  # a ScoreField's (rot, trans)
                 return result[0] * np.nan, result[1]
             return result * np.nan
@@ -962,6 +988,31 @@ class TestToyRunFailure:
             assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
         else:
             assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_rerun_leaves_earlier_run_unchanged(self, tmp_path, capsys, monkeypatch,
+                                                       cpus):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / "run"
+        base = ["toy", "forward", "--paths", "10", "--out-dir", str(out)]
+        assert run(base + ["--T", "1.0", "--steps", "5"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # The first step overflows, once t = 0 is staged; t_0003.csv and
+        # t_0004.csv are stale only to a run that succeeds.
+        assert run(base + ["--T", "1e308", "--steps", "3"]) == 2
+        assert capsys.readouterr().err.startswith("numerical-domain error: ")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_rerun_removes_stale_time_files(self, tmp_path):
+        out = tmp_path / "run"
+        base = ["toy", "forward", "--paths", "10", "--T", "1.0", "--out-dir", str(out)]
+        assert run(base + ["--steps", "5"]) == 0
+        for name in ("keep.txt", "t_00001.csv", "t_0001.csv.bak"):
+            (out / name).write_text("not this run's\n")
+        assert run(base + ["--steps", "3"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "keep.txt", "manifest.json", "t_0000.csv", "t_00001.csv", "t_0001.csv",
+            "t_0001.csv.bak", "t_0002.csv"]
 
     def test_killed_worker_leaves_no_part_file(self, tmp_path):
         # Each worker is killed with its time file open; the directory this
@@ -981,13 +1032,30 @@ class TestToyRunFailure:
             "rng = np.random.default_rng(0)\n"
             "run = ((t, so3.sample_uniform_so3(rng, 5)) for t in (0.0, 1.0))\n"
             "try:\n"
-            f"    commands._toy_run_dir_write({str(out)!r}, run, [0.0, 1.0],\n"
-            "                                toy.random_target(3))\n"
+            "    with commands._Commit() as commit:\n"
+            f"        commands._toy_run_dir_write(commit, {str(out)!r}, run, [0.0, 1.0],\n"
+            "                                    toy.random_target(3))\n"
             "except BrokenProcessPool:\n"
             "    sys.exit(7)\n"
         )
         assert _python(code) == 7
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,manifest", [
+    (["schedule", "--points", "3", "--out", "OUT/s.csv"], "s.csv.manifest.json"),
+    (["toy", "forward", "--paths", "5", "--steps", "3", "--out-dir", "OUT/run"],
+     "run/manifest.json"),
+    (["sample-backbones", "--n-residues", "4", "--n-steps", "3", "--trajectory",
+      "--out", "OUT/bb"], "bb.manifest.json"),
+])
+def test_manifest_path_taken_by_a_directory_commits_nothing(tmp_path, capsys, argv,
+                                                            manifest):
+    (tmp_path / manifest).mkdir(parents=True)
+    assert run([a.replace("OUT", str(tmp_path)) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
 
 
 def _peak_rss_mb(args):
