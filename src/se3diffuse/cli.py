@@ -27,20 +27,24 @@ import time
 
 from . import UsageError
 
-# Each command's options: key -> (type, default[, lowest value or choices]).
-# The flag is --key with "_" written as "-", and --config files take the
-# keys themselves. A default of None marks a required option.
+# Each command line's options, the only flags it accepts: key -> (type,
+# default[, lowest value or choices]). The flag is --key with "_" written as
+# "-"; --config files take the keys. A default of None marks a required
+# option. A new option goes in the table of the one line that reads it.
 OPTIONS = {
-    "igso3": {"t": (float, None), "grid": (int, 1000, 2), "n": (int, 10000, 0),
-              "seed": (int, 0, 0), "out": (str, None)},
+    "igso3 eval": {"t": (float, None), "grid": (int, 1000, 2), "out": (str, None)},
+    **dict.fromkeys(["igso3 sample", "igso3 score"], {
+        "t": (float, None), "grid": (int, 1000, 2), "n": (int, 10000, 0),
+        "seed": (int, 0, 0), "out": (str, None)}),
     "schedule": {"beta_min": (float, 0.1), "beta_max": (float, 20.0),
                  "sigma_min": (float, 0.1), "sigma_max": (float, 1.5),
                  "points": (int, 101, 0),
                  "kind": (str, "logarithmic", ("logarithmic", "linear")),
                  "out": (str, None)},
-    "toy": {"atoms": (int, 3, 1), "paths": (int, 5000, 1), "T": (float, 4.0),
-            "steps": (int, 200, 2), "seed": (int, 0, 0), "atom_seed": (int, 0, 0),
-            "out_dir": (str, None)},
+    **dict.fromkeys(["toy forward", "toy reverse"], {
+        "atoms": (int, 3, 1), "paths": (int, 5000, 1), "T": (float, 4.0),
+        "steps": (int, 200, 2), "seed": (int, 0, 0), "atom_seed": (int, 0, 0),
+        "out_dir": (str, None)}),
     "toy compare": {"run_a": (str, None), "run_b": (str, None), "out": (str, None)},
     "sample-backbones": {"n_residues": (int, 32, 1), "n_steps": (int, 500, 2),
                          "eps": (float, 0.01), "zeta": (float, 0.1),
@@ -62,10 +66,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _resolve(args: argparse.Namespace, command: str):
-    """Merged and checked ``OPTIONS[command]`` values.
+def _resolve(args: argparse.Namespace, line: str):
+    """``OPTIONS[line]`` values, merged (defaults < --config file < flags) and checked.
 
-    Merge precedence: builtin defaults < --config file < explicit flags.
     Returns the merged values as given, for the manifest, and a namespace
     of them converted to their declared types, for the command body. A
     required option given nowhere is a usage error, as is a value of
@@ -73,9 +76,9 @@ def _resolve(args: argparse.Namespace, command: str):
     one below its lowest value or one outside its choices, and a count
     above :data:`MAX_COUNT`.
     """
-    options = OPTIONS[command]
+    options = OPTIONS[line]
     config = {key: spec[1] for key, spec in options.items() if spec[1] is not None}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             try:
                 loaded = json.load(fh)
@@ -87,10 +90,8 @@ def _resolve(args: argparse.Namespace, command: str):
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         config.update(loaded)
-    for key in options:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
+    flags = vars(args)  # the line's parser has a flag for each option
+    config.update({key: flags[key] for key in options if flags[key] is not None})
     missing = sorted(set(options) - set(config))
     if missing:
         raise UsageError(f"missing required options: {missing}")
@@ -112,33 +113,35 @@ def _resolve(args: argparse.Namespace, command: str):
 
 # ----------------------------------------------------------------- main
 
-# Subcommand -> (help, actions, the OPTIONS tables of its flags).
+# Subcommand -> (help, actions); each action is a command line of OPTIONS.
 COMMANDS = {
-    "igso3": ("heat-kernel series utilities", ("eval", "sample", "score"), ("igso3",)),
-    "schedule": ("dump schedule curves as CSV", (), ("schedule",)),
-    "toy": ("discrete-target SO(3) experiment", ("forward", "reverse", "compare"),
-            ("toy", "toy compare")),
-    "sample-backbones": ("reverse walk to a PDB file", (), ("sample-backbones",)),
+    "igso3": ("heat-kernel series utilities", ("eval", "sample", "score")),
+    "schedule": ("dump schedule curves as CSV", ()),
+    "toy": ("discrete-target SO(3) experiment", ("forward", "reverse", "compare")),
+    "sample-backbones": ("reverse walk to a PDB file", ()),
 }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="se3diffuse")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, actions, tables) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+    for command, (help_text, actions) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)  # --out is not --out-dir
+        lines = {command: p}
         if actions:
-            p.add_argument(f"{command}_cmd", choices=actions)
-        for table in tables:
-            for key, (kind, _, *bound) in OPTIONS[table].items():
+            nested = p.add_subparsers(dest="action", required=True)
+            lines = {f"{command} {a}": nested.add_parser(a, allow_abbrev=False) for a in actions}
+        for line, leaf in lines.items():
+            leaf.set_defaults(line=line)
+            for key, (kind, _, *bound) in OPTIONS[line].items():
                 flag = "--" + key.replace("_", "-")
                 if kind is bool:
-                    p.add_argument(flag, action="store_true", default=None)
+                    leaf.add_argument(flag, action="store_true", default=None)
                 elif bound and isinstance(bound[0], tuple):
-                    p.add_argument(flag, choices=bound[0])
+                    leaf.add_argument(flag, choices=bound[0])
                 else:
-                    p.add_argument(flag, type=kind)
-        p.add_argument("--config")
+                    leaf.add_argument(flag, type=kind)
+            leaf.add_argument("--config")
     return parser
 
 
@@ -146,9 +149,7 @@ def main(argv=None) -> int:
     domain_errors = (FloatingPointError,)  # igso3's joins once the library loads
     try:
         args = build_parser().parse_args(argv)
-        action = getattr(args, f"{args.command}_cmd", None)
-        command = f"{args.command} {action}" if action else args.command
-        config, values = _resolve(args, command if command in OPTIONS else args.command)
+        config, values = _resolve(args, args.line)
         from . import commands  # numpy and the library: only for a valid command line
         from .igso3 import NumericalDomainError
 
@@ -157,14 +158,14 @@ def main(argv=None) -> int:
 
         def manifest(outputs: list[str]) -> tuple[str, str]:
             """The path and JSON text of the run's reproducibility record."""
-            record = {"command": command, "config": config, "outputs": outputs,
+            record = {"command": args.line, "config": config, "outputs": outputs,
                       "seed": getattr(values, "seed", None),
                       "duration_s": time.monotonic() - start}
             path = (os.path.join(config["out_dir"], "manifest.json") if "out_dir" in config
                     else config["out"] + ".manifest.json")
             return path, json.dumps(record, indent=2, sort_keys=True) + "\n"
 
-        commands.run(command, values, config, manifest)
+        commands.run(args.line, values, config, manifest)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

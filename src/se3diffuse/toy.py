@@ -58,6 +58,8 @@ class ToyRunConfig:
             raise ValueError("need n_paths >= 1 and n_steps >= 2")
         if not 0.0 < self.final_time < np.inf:
             raise ValueError("final_time must be positive and finite")
+        if not np.all(np.diff(self.times()) > 0):
+            raise ValueError("grid times must strictly increase: final_time too small for n_steps")
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.final_time, self.n_steps)

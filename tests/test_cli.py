@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -157,10 +158,10 @@ class TestScheduleCommand:
 
 class TestToyCommands:
     def test_reference_defaults(self):
-        assert cli.OPTIONS["toy"]["paths"][1] == 5000
-        assert cli.OPTIONS["toy"]["T"][1] == 4.0
-        assert cli.OPTIONS["toy"]["steps"][1] == 200
-        assert cli.OPTIONS["toy"]["atoms"][1] == 3
+        assert cli.OPTIONS["toy forward"]["paths"][1] == 5000
+        assert cli.OPTIONS["toy forward"]["T"][1] == 4.0
+        assert cli.OPTIONS["toy forward"]["steps"][1] == 200
+        assert cli.OPTIONS["toy forward"]["atoms"][1] == 3
 
     def test_forward_reverse_compare(self, tmp_path):
         fwd, rev = tmp_path / "fwd", tmp_path / "rev"
@@ -236,8 +237,11 @@ class TestRejectedValues:
         ["schedule", "--points", "-1", "--out", "OUT/s.csv"],
         ["schedule", "--sigma-max", "1000", "--out", "OUT/s.csv"],
         ["igso3", "sample", "--t", "0.5", "--n", "-1", "--out", "OUT/q.csv"],
-        ["igso3", "eval", "--t", "0.5", "--seed", "-1", "--out", "OUT/e.csv"],
+        ["igso3", "sample", "--t", "0.5", "--seed", "-1", "--out", "OUT/q.csv"],
         ["toy", "forward", "--T", "nan", "--paths", "5", "--steps", "3",
+         "--out-dir", "OUT/toy"],
+        # T / (steps - 1) is subnormal: the grid would hold t = 0 twice.
+        ["toy", "forward", "--T", "5e-324", "--paths", "5", "--steps", "3",
          "--out-dir", "OUT/toy"],
         ["toy", "forward", "--T", "inf", "--paths", "5", "--steps", "3",
          "--out-dir", "OUT/toy"],
@@ -358,15 +362,18 @@ class TestRejectedValues:
 _INT = ("-1", "0", "1152921504606846976", "9223372036854775808")
 _FLOAT = ("-1", "0", "nan", "inf", "1e308")
 _IGSO3_FLAGS = {"--t": _FLOAT, "--grid": _INT, "--n": _INT, "--seed": _INT}
+_EVAL_FLAGS = {"--t": _FLOAT, "--grid": _INT}
 _TOY_FLAGS = {"--atoms": _INT, "--paths": _INT, "--T": _FLOAT, "--steps": _INT,
               "--seed": _INT, "--atom-seed": _INT}
 _TOY_BASE = ["--atoms", "2", "--paths", "5", "--T", "1", "--steps", "3",
              "--out-dir", "OUT/run"]
 # Each command at a tiny size, with the flags it takes and their boundary values.
 _FUZZ = [
+    (["igso3", "eval", "--t", "0.5", "--grid", "20", "--out", "OUT/o.csv"], _EVAL_FLAGS)
+] + [
     (["igso3", cmd, "--t", "0.5", "--grid", "20", "--n", "4", "--out", "OUT/o.csv"],
      _IGSO3_FLAGS)
-    for cmd in ("eval", "sample", "score")
+    for cmd in ("sample", "score")
 ] + [
     (["schedule", *kind, "--points", "5", "--out", "OUT/s.csv"],
      {"--beta-min": _FLOAT, "--beta-max": _FLOAT, "--sigma-min": _FLOAT,
@@ -799,6 +806,15 @@ def _fresh_run(tmp_path, code):
     pytest.param(["igso3", "eval", "--t", "0.5", "--grid", "1", "--out", "OUT/e.csv"], 1,
                  id="grid-1"),
     pytest.param(["toy", "forward", "--steps", "1", "--out-dir", "OUT/run"], 1, id="steps-1"),
+    # A flag of another line of the same subcommand.
+    pytest.param(["toy", "forward", "--run-a", "x", "--out-dir", "OUT/run"], 1,
+                 id="forward-run-a"),
+    pytest.param(["toy", "reverse", "--out", "x", "--out-dir", "OUT/run"], 1,
+                 id="reverse-out"),
+    pytest.param(["toy", "compare", "--run-a", "OUT/a", "--run-b", "OUT/b", "--paths", "7",
+                  "--out", "OUT/k.json"], 1, id="compare-paths"),
+    pytest.param(["igso3", "eval", "--t", "0.5", "--seed", "3", "--out", "OUT/e.csv"], 1,
+                 id="eval-seed"),
     pytest.param(["schedule", "--config", "OUT/none.json", "--out", "OUT/s.csv"], 3,
                  id="config-missing"),
 ])
@@ -808,6 +824,24 @@ def test_command_line_checked_before_numpy_loads(tmp_path, code, exit_code):
     assert (returncode, loaded) == (exit_code, "[]")
     assert err.count("\n") == (exit_code != 0) and "Traceback" not in err
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+def _line_parsers(parser, words=()):
+    """Command line -> its parser, for every parser without subcommands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(words): parser}
+    return {line: leaf for word, p in subs[0].choices.items()
+            for line, leaf in _line_parsers(p, (*words, word)).items()}
+
+
+def test_every_command_line_has_its_table_of_flags():
+    parsers = _line_parsers(cli.build_parser())
+    assert sorted(parsers) == sorted(cli.OPTIONS)
+    for line, options in cli.OPTIONS.items():
+        strings = {s for action in parsers[line]._actions for s in action.option_strings}
+        flags = {"--" + key.replace("_", "-") for key in options}
+        assert strings == flags | {"--config", "-h", "--help"}, line
 
 
 def test_command_loads_numpy(tmp_path):

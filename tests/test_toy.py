@@ -288,6 +288,15 @@ class TestWalks:
         assert cfg.final_time == 4.0
         assert cfg.n_steps == 200
 
+    @pytest.mark.parametrize("final_time,n_steps", [(5e-324, 3), (1e-320, 3000)])
+    def test_grid_with_a_repeated_time_is_rejected(self, final_time, n_steps):
+        # final_time / (n_steps - 1) is subnormal: neighbouring times round alike.
+        assert len(set(np.linspace(0.0, final_time, n_steps).tolist())) < n_steps
+        with pytest.raises(ValueError, match="grid times must strictly increase"):
+            toy.ToyRunConfig(n_paths=5, final_time=final_time, n_steps=n_steps)
+        cfg = toy.ToyRunConfig(n_paths=5, final_time=1e-300, n_steps=3000)
+        assert np.all(np.diff(cfg.times()) > 0)
+
     def test_reverse_terminal_concentrates(self, rng, target):
         # 400 steps puts the last positive grid time at T/399 ~ 0.01, the
         # smallest the series supports; the exact marginal there keeps
