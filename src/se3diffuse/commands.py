@@ -233,7 +233,7 @@ def cmd_schedule(action: str, v: argparse.Namespace, config: dict, commit: _Comm
             block,
             schedules.beta(block, ts),
             g_x,
-            1.0 - np.exp(-g_x),
+            schedules.ou_coefficients(g_x)[1],
             schedules.sigma_r(block, rs),
             schedules.rot_variance(block, rs),
             schedules.g_r(block, rs),

@@ -77,15 +77,18 @@ def G_x(s, ts: TranslationSchedule = TranslationSchedule()):
     return s * ts.beta_min + 0.5 * s * s * (ts.beta_max - ts.beta_min)
 
 
+def ou_coefficients(g):
+    """Mean scale e^{-G/2} and variance 1 - e^{-G} of the OU marginal after
+    accumulated rate ``g`` (:func:`G_x`), elementwise."""
+    return np.exp(-0.5 * g), 1.0 - np.exp(-g)
+
+
 def trans_marginal(
     x0, s: float, ts: TranslationSchedule = TranslationSchedule()
 ) -> TransMarginal:
     """p_{s|0}: Gaussian with mean e^{-G/2} x0 and variance 1 - e^{-G}."""
-    g = float(G_x(s, ts))
-    return TransMarginal(
-        mean=np.exp(-0.5 * g) * np.asarray(x0, dtype=float),
-        variance=1.0 - np.exp(-g),
-    )
+    scale, variance = ou_coefficients(float(G_x(s, ts)))
+    return TransMarginal(mean=scale * np.asarray(x0, dtype=float), variance=variance)
 
 
 def trans_conditional_score(x0, xt, s: float, ts: TranslationSchedule = TranslationSchedule()):
@@ -96,9 +99,8 @@ def trans_conditional_score(x0, xt, s: float, ts: TranslationSchedule = Translat
 
 def denoised_from_trans_score(score, xt, s: float, ts: TranslationSchedule = TranslationSchedule()):
     """Invert :func:`trans_conditional_score` for the implied x0."""
-    g = float(G_x(s, ts))
-    variance = 1.0 - np.exp(-g)
-    return (np.asarray(xt, float) + variance * np.asarray(score, float)) * np.exp(0.5 * g)
+    scale, variance = ou_coefficients(float(G_x(s, ts)))
+    return (np.asarray(xt, float) + variance * np.asarray(score, float)) / scale
 
 
 def sigma_r(s, rs: RotationSchedule = RotationSchedule()):
@@ -145,6 +147,5 @@ def dsm_weights(
     """
     var = float(rot_variance(t, rs))
     lambda_r = 1.0 / igso3.expected_score_norm_sq(var)
-    g = float(G_x(t, ts))
-    lambda_x = (1.0 - np.exp(-g)) / np.exp(-0.5 * g)
-    return lambda_r, float(lambda_x)
+    scale, variance = ou_coefficients(float(G_x(t, ts)))
+    return lambda_r, float(variance / scale)

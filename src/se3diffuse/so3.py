@@ -20,8 +20,6 @@ _LOG_SMALL = 1e-6
 # Above this angle the log reads the axis from the symmetric part.
 _LOG_WIDE = 3.0
 _SKEW_TOL = 1e-8
-# Points of the angle CDF that sample_uniform_so3 inverts.
-_UNIFORM_GRID = 1000
 
 
 def hat(v: np.ndarray) -> np.ndarray:
@@ -162,21 +160,12 @@ def random_rotvecs(angles: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_uniform_so3(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Haar-uniform rotations via inverse transform on the angle CDF.
-
-    The angle density (1 - cos w)/pi is tabulated on a uniform
-    ``_UNIFORM_GRID``-point grid by trapezoidal integration and inverted
-    with linear interpolation; the axis is uniform on the sphere. Returns a
-    single (3, 3) matrix when ``n`` is None, else (n, 3, 3).
+    """Haar-uniform rotations: the direction of a standard normal 4-vector
+    is uniform on the unit quaternions (Shoemake 1992), so the draws are
+    exact. Returns a single (3, 3) matrix when ``n`` is None, else (n, 3, 3).
     """
     shape = () if n is None else (int(n),)
-    grid = np.linspace(0.0, np.pi, _UNIFORM_GRID)
-    pdf = (1.0 - np.cos(grid)) / np.pi
-    cdf = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))]
-    )
-    cdf /= cdf[-1]
-    return exp_so3(hat(random_rotvecs(np.interp(rng.random(shape), cdf, grid), rng)))
+    return rotation_from_quat(rng.standard_normal(shape + (4,)))
 
 
 def quat_from_rotation(r: np.ndarray) -> np.ndarray:

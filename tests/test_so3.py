@@ -211,8 +211,15 @@ class TestUniformSampler:
         for col in range(3):
             assert np.linalg.norm(r[..., :, col].mean(axis=0)) < 0.01
 
-    def test_default_grid_size(self):
-        assert so3._UNIFORM_GRID == 1000
+    def test_exact_haar_angle_law(self, rng):
+        # The Haar angle has density (1 - cos w) / pi, so CDF (w - sin w) / pi;
+        # 1.36 / sqrt(n) is the one-sample KS bound at the 95 % level.
+        n = 100_000
+        r = so3.sample_uniform_so3(rng, n)
+        ks = stats.kstest(so3.rotation_angle(r), lambda w: (w - np.sin(w)) / np.pi)
+        assert ks.statistic < 1.36 / np.sqrt(n)
+        assert np.abs(np.linalg.det(r) - 1.0).max() < 1e-12
+        assert np.abs(so3.transpose(r) @ r - np.eye(3)).max() < 1e-12
 
     def test_left_invariance_ks(self, rng):
         g = so3.sample_uniform_so3(rng)
