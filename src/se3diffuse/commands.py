@@ -77,11 +77,13 @@ class _Commit:
     def __enter__(self):
         return self
 
-    def __exit__(self, kind, *_):
+    def __exit__(self, kind, exc, _):
         if kind is not None:
             for path in self.outputs:
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(path + ".part")
+                if isinstance(exc, OSError) and exc.filename == path + ".part":
+                    exc.filename = path  # name the path as given
             for d in self._made:  # deepest first
                 with contextlib.suppress(OSError):  # not empty: another process wrote there
                     os.rmdir(d)
@@ -410,7 +412,7 @@ def cmd_sample_backbones(action: str, v: argparse.Namespace, config: dict,
         score = process.fixed_target_score(_extended_chain(v.n_residues), trans_sched,
                                            rot_sched)
     else:
-        score = process.zero_score
+        score = process.reference_score
     rng = np.random.default_rng(v.seed)
     walk = process.iter_reverse_walk(init, score, trans_sched, rot_sched, sim, rng)
     pdb = commit.stage(v.out + ".pdb")

@@ -228,6 +228,7 @@ def fixed_target_score(
     return score
 
 
-def zero_score(t: float, fs: FrameSet) -> tuple[np.ndarray, np.ndarray]:
-    """ScoreField of the pure reference walk (no data term)."""
-    return np.zeros((len(fs), 3)), np.zeros_like(fs.translations)
+def reference_score(t: float, fs: FrameSet) -> tuple[np.ndarray, np.ndarray]:
+    """ScoreField of the reference law (no data term): (0, -x), the scores of
+    uniform rotations and of standard normal translations."""
+    return np.zeros((len(fs), 3)), -fs.translations

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Taylor fallbacks: exp below 1e-8, log below 1e-6 (keeps the error under
-# the roundoff floor without hitting 0/0).
+# Taylor fallbacks: exp and quaternions below 1e-8, log below 1e-6 (keeps
+# the error under the roundoff floor without hitting 0/0).
 _EXP_SMALL = 1e-8
 _LOG_SMALL = 1e-6
 # Above this angle the log reads the axis from the symmetric part.
@@ -103,8 +103,9 @@ class SkewTrace(NamedTuple):
 
 
 def skew_trace(r: np.ndarray) -> SkewTrace:
-    """Skew part, trace and angle of rotations, shared by :func:`rotation_angle`
-    and :func:`log_rotvec`; compute it once when both are needed."""
+    """Skew part, trace and angle of rotations, shared by :func:`rotation_angle`,
+    :func:`log_rotvec` and :func:`quat_from_rotation`; compute it once when
+    more than one is needed."""
     r = np.asarray(r, dtype=float)
     x = r[..., 2, 1] - r[..., 1, 2]
     y = r[..., 0, 2] - r[..., 2, 0]
@@ -169,53 +170,20 @@ def sample_uniform_so3(rng: np.random.Generator, n: int | None = None) -> np.nda
 
 
 def quat_from_rotation(r: np.ndarray) -> np.ndarray:
-    """Unit quaternion (a, b, c, d) with a >= 0 for rotations (..., 3, 3).
+    """Unit quaternion (a, b, c, d) with a > 0 of rotations (..., 3, 3).
 
-    Uses the largest of the four squared components for the stable branch
-    (Shepperd's method); the sign is canonicalized so the scalar part is
-    nonnegative, and at a = 0 (half turns) so the first nonzero imaginary
-    component is positive.
+    The half-angle form of the log: with w the angle of :func:`skew_trace`
+    and :func:`log_rotvec` w times the unit axis u, the quaternion is
+    ``(cos(w/2), sin(w/2) u)``, the vector part the log scaled by
+    ``sin(w/2) / w`` (its limit 1/2 below w = 1e-8). ``atan2`` gives
+    w <= float(pi) < pi, so the scalar part is positive, half turns too.
     """
-    r = np.asarray(r, dtype=float)
-    m00, m11, m22 = r[..., 0, 0], r[..., 1, 1], r[..., 2, 2]
-    cand = np.stack(
-        [
-            1.0 + m00 + m11 + m22,
-            1.0 + m00 - m11 - m22,
-            1.0 - m00 + m11 - m22,
-            1.0 - m00 - m11 + m22,
-        ],
-        axis=-1,
-    )
-    best = np.argmax(cand, axis=-1)
-    s = np.sqrt(np.clip(np.take_along_axis(cand, best[..., None], axis=-1), 0.0, None))[
-        ..., 0
-    ]
-    inv = 0.5 / s
-
-    r21_12 = r[..., 2, 1] - r[..., 1, 2]
-    r02_20 = r[..., 0, 2] - r[..., 2, 0]
-    r10_01 = r[..., 1, 0] - r[..., 0, 1]
-    r21_12p = r[..., 2, 1] + r[..., 1, 2]
-    r02_20p = r[..., 0, 2] + r[..., 2, 0]
-    r10_01p = r[..., 1, 0] + r[..., 0, 1]
-
-    q0 = np.stack([0.5 * s, r21_12 * inv, r02_20 * inv, r10_01 * inv], axis=-1)
-    q1 = np.stack([r21_12 * inv, 0.5 * s, r10_01p * inv, r02_20p * inv], axis=-1)
-    q2 = np.stack([r02_20 * inv, r10_01p * inv, 0.5 * s, r21_12p * inv], axis=-1)
-    q3 = np.stack([r10_01 * inv, r02_20p * inv, r21_12p * inv, 0.5 * s], axis=-1)
-
-    sel = best[..., None]
-    q = np.where(sel == 0, q0, np.where(sel == 1, q1, np.where(sel == 2, q2, q3)))
-    q /= np.linalg.norm(q, axis=-1, keepdims=True)
-
-    # Canonical sign: a > 0; on the a = 0 slice, first nonzero of (b, c, d) > 0.
-    flip = q[..., 0] < 0
-    tie = np.abs(q[..., 0]) < 1e-15
-    for i in (1, 2, 3):
-        lead_zero = np.all(np.abs(q[..., 1:i]) < 1e-15, axis=-1) if i > 1 else True
-        flip = flip | (tie & lead_zero & (q[..., i] < -1e-15))
-    return np.where(flip[..., None], -q, q)
+    parts = skew_trace(r)
+    w = parts.angle
+    small = w < _EXP_SMALL
+    ratio = np.where(small, 0.5, np.sin(0.5 * w) / np.where(small, 1.0, w))
+    vec = log_rotvec(r, parts) * ratio[..., None]
+    return np.concatenate([np.cos(0.5 * w)[..., None], vec], axis=-1)
 
 
 def rotation_from_quat(q: np.ndarray) -> np.ndarray:

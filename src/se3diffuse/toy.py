@@ -106,7 +106,7 @@ def iter_forward(
 ) -> Iterator[tuple[float, np.ndarray]]:
     """Zero-drift unit-rate walk from p_0, up the grid; (t, rotations) pairs."""
     init = sample_p0(target, rng, cfg.n_paths)
-    return _unit_rate_walk(init, cfg.times(), process.zero_score, rng)
+    return _unit_rate_walk(init, cfg.times(), process.reference_score, rng)
 
 
 def iter_reverse(

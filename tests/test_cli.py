@@ -997,7 +997,7 @@ class TestToyRunFailure:
             (out / "keep.txt").write_text("not this run's\n")
         # The drift turns non-finite at the fifth step, once a time file is staged.
         forward = direction == "forward"
-        module, name = (process, "zero_score") if forward else (toy, "score_t")
+        module, name = (process, "reference_score") if forward else (toy, "score_t")
         drift, calls = getattr(module, name), []
 
         def diverging(*args, **kwargs):
@@ -1090,6 +1090,23 @@ def test_manifest_path_taken_by_a_directory_commits_nothing(tmp_path, capsys, ar
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and err.count("\n") == 1
     assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["igso3", "eval", "--t", "0.5", "--out", "OUT/missing/x.csv"],
+    ["schedule", "--points", "3", "--out", "OUT/missing/x.csv"],
+    ["toy", "compare", "--run-a", "OUT/run", "--run-b", "OUT/run", "--out", "OUT/missing/x.csv"],
+])
+def test_io_error_names_the_output_path(tmp_path, capsys, argv):
+    # The message names the path the user gave, not the file staged for it.
+    if argv[0] == "toy":
+        assert run(["toy", "forward", "--paths", "5", "--steps", "3",
+                    "--out-dir", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+    assert run([a.replace("OUT", str(tmp_path)) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert err.endswith(f": {str(tmp_path / 'missing' / 'x.csv')!r}\n")
 
 
 def _peak_rss_mb(args):

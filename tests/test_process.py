@@ -95,11 +95,11 @@ class TestRotationOnly:
             process.FrameSet(so3.sample_uniform_so3(rng, 4), np.zeros((4, width)))
 
     @pytest.mark.parametrize("width", [0, 3])
-    def test_zero_score_matches_translation_shape(self, rng, width):
+    def test_reference_score_matches_translation_shape(self, rng, width):
         fs = process.FrameSet(so3.sample_uniform_so3(rng, 5), np.ones((5, width)))
-        rot, trans = process.zero_score(0.5, fs)
+        rot, trans = process.reference_score(0.5, fs)
         assert rot.shape == (5, 3) and not rot.any()
-        assert trans.shape == (5, width) and not trans.any()
+        assert np.array_equal(trans, -fs.translations)
 
     def test_walk_step_draws_n_by_3_normals(self, rng):
         n = 7
@@ -107,7 +107,7 @@ class TestRotationOnly:
                                                np.empty((n, 0))))
         unit = np.ones(2)
         walk_rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        walk = process.iter_walk(init, np.array([0.0, 0.1]), process.zero_score,
+        walk = process.iter_walk(init, np.array([0.0, 0.1]), process.reference_score,
                                  (unit, unit), 1.0, walk_rng)
         (_, first), (t, last) = walk
         ref_rng.standard_normal((n, 3))
@@ -146,7 +146,7 @@ def noise_step(r, rng, h=0.01):
     """Rotations after one zero-drift unit-rate walk step of size ``h`` from ``r``."""
     unit = np.ones(2)
     init = process.center(process.FrameSet(r, np.empty((len(r), 0))))
-    walk = process.iter_walk(init, np.array([0.0, h]), process.zero_score,
+    walk = process.iter_walk(init, np.array([0.0, h]), process.reference_score,
                              (unit, unit), 1.0, rng)
     return list(walk)[-1][1].rotations
 
@@ -262,11 +262,11 @@ def assert_step(moved, expected, x):
 class TestWalkDrift:
     """One zeta = 0 walk step moves along the reverse drift [g_r^2 s, g_x^2 (s + x/2)]."""
 
-    def test_zero_score_zero_state_stays(self):
+    def test_reference_score_zero_state_stays(self):
         init = process.FrameSet(
             np.broadcast_to(np.eye(3), (2, 3, 3)), np.zeros((2, 3)), centered=True
         )
-        out = one_step(init, process.zero_score, np.array([0.5, 0.49]))
+        out = one_step(init, process.reference_score, np.array([0.5, 0.49]))
         assert np.array_equal(out.rotations, init.rotations)
         assert np.array_equal(out.translations, init.translations)
 
@@ -291,18 +291,19 @@ class TestWalkDrift:
         expected = h * (g_x[0] ** 2 * s_x + 0.5 * g_x[0] ** 2 * x)
         assert_step(out.translations - x, expected, x)
 
-    def test_zero_score_at_forward_time_zero_moves_x_by_half_beta(self):
-        # The end of the reverse walk is forward time t = 0: drift beta(0) / 2 x.
+    def test_reference_score_at_forward_time_zero_moves_x_by_minus_half_beta(self):
+        # The end of the reverse walk is forward time t = 0, and the reference
+        # score is -x: drift beta(0) (-x + x / 2) = -beta(0) / 2 x.
         init = process.FrameSet(
             np.broadcast_to(np.eye(3), (2, 3, 3)),
             np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), centered=True,
         )
         grid = np.array([0.0, 0.01])
-        out = one_step(init, process.zero_score, grid)
+        out = one_step(init, process.reference_score, grid)
         h = abs(grid[1] - grid[0])
-        expected = h * float(schedules.beta(0.0, TS)) / 2 * init.translations
+        expected = -h * float(schedules.beta(0.0, TS)) / 2 * init.translations
         assert_step(out.translations - init.translations, expected, init.translations)
-        assert np.allclose(expected, [[5e-4, 0.0, 0.0], [-5e-4, 0.0, 0.0]])
+        assert np.allclose(expected, [[-5e-4, 0.0, 0.0], [5e-4, 0.0, 0.0]])
 
 
 class TestReverseWalk:

@@ -228,6 +228,25 @@ class TestUniformSampler:
         assert stats.ks_2samp(a, b).statistic < 0.02
 
 
+def _closed_form_cases(rng):
+    """(rotation, angle, unit axis) at the numerical edges of the log."""
+    axes = list(np.eye(3)) + [rng.standard_normal(3)]
+    cases = []
+    for u in axes:
+        u = u / np.linalg.norm(u)
+        for w in (0.0, 1e-9, 1e-6, np.pi - 1e-6):
+            cases.append((so3.exp_so3(so3.hat(w * u)), w, u))
+        # A quaternion with a = 0 gives a matrix with no skew part: angle float(pi).
+        cases.append((so3.rotation_from_quat(np.concatenate([[0.0], u])), np.pi, u))
+    # Rotations whose quaternions hold subnormals and -0.0.
+    v = np.array([1e-310, -3e-320, 0.0])  # |v| underflows: w and u written out
+    cases.append((so3.exp_so3(so3.hat(v)), 1e-310, np.array([1.0, -3e-10, 0.0])))
+    r = np.eye(3)
+    r[1, 0] = -0.0
+    cases.append((r, 0.0, np.array([1.0, 0.0, 0.0])))
+    return cases
+
+
 class TestQuaternions:
     def test_identity(self):
         assert np.allclose(so3.quat_from_rotation(np.eye(3)), [1, 0, 0, 0])
@@ -248,6 +267,18 @@ class TestQuaternions:
     def test_unit_norm(self, rng):
         q = so3.quat_from_rotation(random_rotations(rng, 200))
         assert np.abs(np.linalg.norm(q, axis=-1) - 1.0).max() < 1e-12
+
+    def test_closed_form_at_the_edges(self, rng):
+        for r, w, u in _closed_form_cases(rng):
+            q = so3.quat_from_rotation(r)
+            expected = np.concatenate([[np.cos(w / 2)], np.sin(w / 2) * u])
+            err = np.abs(q - expected).max()
+            if w == np.pi:  # u and -u name the same half turn
+                err = min(err, np.abs(q - expected * [1, -1, -1, -1]).max())
+            assert err < 1e-15, (w, u, q)
+            assert q[0] > 0.0
+            assert abs(np.linalg.norm(q) - 1.0) < 1e-15
+            assert np.abs(so3.rotation_from_quat(q) - r).max() < 1e-15
 
 
 class TestGroupClosure:
