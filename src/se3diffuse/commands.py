@@ -196,7 +196,7 @@ def cmd_igso3(action: str, v: argparse.Namespace, config: dict, commit: _Commit)
         grid = np.linspace(0.0, np.pi, trunc.angle_grid)
 
         def rows(lo, hi):
-            f, df = igso3.f_df(grid[lo:hi], v.t, trunc)
+            f, df = igso3.f_df(grid[lo:hi], v.t)
             return np.column_stack([grid[lo:hi], f, df])
 
         _write_csv(commit.stage(v.out), "omega,f,df", len(grid), rows)

@@ -18,7 +18,9 @@ rotation r is a coefficient vector v (..., 3) in the frame of r: it stands
 for the tangent matrix r hat(v), and the tr(u v^T)/2 metric is the
 Euclidean norm of v.
 
-Two branches give f and df/dw at given angles:
+Two branches give f and q = (d log f/dw) / w at given angles; q is even
+and finite at w = 0, so the score at a rotation vector v is v q at every
+angle:
 
 - ``t <= T_IMAGE``: the image sum. Images are taken in pairs about the
   nearer of 0 and pi (k and -k about 0, k and -k-1 about pi), each pair
@@ -33,20 +35,21 @@ Two branches give f and df/dw at given angles:
   (:data:`_SERIES_TERMS`), where every later weight is below machine
   epsilon times the l = 1 weight, and summed as cosines of m w with the
   tail sums of its weights (:func:`_series`), so nothing cancels at small
-  angles. Against a high-precision reference at 40 angles from 1e-4
-  to pi, the image sum's d log f/dw is within 8e-16 max(1, |score|) from
-  t_min to t = 10, and within 4e-15 of the score itself up to t = 4 and
-  1e-11 at t = 10, as its alternating pairs grow. The series is within
-  5e-16 of the score itself from T_IMAGE to t = 100. f from either is
-  within 1e-15 relative above t = 1.
+  angles.
+
+Against a high-precision reference at 0, 1e-8 and 38 angles from 1e-4 to
+pi, q is within 6e-16 relative up to t = 1 and from T_IMAGE to t = 100;
+the image sum's alternating pairs take that to 1e-13 at t = 4 and 2e-12
+at T_IMAGE, where its score w q is within 1.1e-15 max(1, |score|). f is
+within 1e-15 relative above t = 0.5 and 3e-14 at t_min.
 
 Both branches keep a number of terms fixed by t alone and add them up
-elementwise, so the bits of f and df/dw at an angle depend on that angle
-and t, not on the other angles evaluated with it.
+elementwise, so the bits of f and q at an angle depend on that angle and
+t, not on the other angles evaluated with it.
 
-Tables (:func:`build_tables`) hold the values of the two branches on a
-uniform angle grid, built one time at a time, so a table's bits do not
-depend on the other times built with it.
+Tables (:func:`build_tables`) hold f and df/dw = f q w on a uniform angle
+grid, built one time at a time, so a table's bits do not depend on the
+other times built with it.
 """
 
 from __future__ import annotations
@@ -67,22 +70,19 @@ class NumericalDomainError(ValueError):
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Discretization knobs of the density evaluators and their tables.
+    """Discretization of the IGSO3 tables and CDFs.
 
     angle_grid: points of the uniform angle grid for tables and CDFs.
-    omega_eps: below this angle the analytic w -> 0 limits are used.
 
+    The evaluators at given angles take one too but read nothing from it.
     Every configuration shares the smallest trusted time :data:`T_MIN`.
     """
 
     angle_grid: int = 1000
-    omega_eps: float = 1e-4
 
     def __post_init__(self):
         if self.angle_grid < 2:
             raise ValueError("angle_grid must be >= 2")
-        if not 0.0 < self.omega_eps < 1e-3:
-            raise ValueError("omega_eps must be in (0, 1e-3)")
 
 
 DEFAULT_CONFIG = TruncationConfig()
@@ -92,6 +92,9 @@ T_IMAGE = 8.0  # largest time evaluated by the image sum; the series takes over 
 # Series weights l = 0..3. The next, 9 exp(-10 t), is below eps times the
 # l = 1 weight 3 exp(-t) for every t > T_IMAGE.
 _SERIES_TERMS = 4
+# Angles below are evaluated here, where f and q are their w -> 0 limits to
+# a double and w / sin(w/2), (1 - exp(-a)) / a have no 0/0 or underflow.
+_W_MIN = 1e-100
 
 
 def check_time(t: float) -> float:
@@ -102,35 +105,29 @@ def check_time(t: float) -> float:
     return t
 
 
-def _series(omega: np.ndarray, t: float, omega_eps: float):
-    """f and df/dw at angles ``omega`` by the series' first four terms, as cosines.
+def _series(omega: np.ndarray, t: float):
+    """f and q at angles ``omega`` > 0 by the series' first four terms, as cosines.
 
     sin((l + 1/2) w) / sin(w/2) = 1 + 2 sum_{m=1}^{l} cos(m w), so with the
     tail weights W_m = sum_{l >= m} w_l, f = W_0 + 2 sum_{m>=1} W_m cos(m w)
-    and df/dw = -2 sum_{m>=1} m W_m sin(m w): no division by sin(w/2), and
-    at small angles the terms of each sum share one sign, so nothing
-    cancels. df is 0 below ``omega_eps``, as in the image sum.
+    and q = -2 sum_{m>=1} m W_m (sin(m w) / w) / f: no division by
+    sin(w/2), and at small angles the terms of each sum share one sign, so
+    nothing cancels.
     """
     # Python floats: at huge t, l(l+1) t is inf and its weight exp(-inf) = 0,
     # where numpy would raise on the overflow inside the CLI's errstate.
     weights = [(2 * l + 1) * math.exp(-(l * (l + 1)) * t / 2.0) for l in range(_SERIES_TERMS)]
     tail = np.cumsum(weights[::-1])[::-1]
-    f, df = 0.0, 0.0
+    f, d = 0.0, 0.0
     for m in range(1, _SERIES_TERMS):
         f = f + 2.0 * tail[m] * np.cos(m * omega)
-        df = df - 2.0 * m * tail[m] * np.sin(m * omega)
+        d = d - 2.0 * m * tail[m] * (np.sin(m * omega) / omega)
     f = tail[0] + f
-    df[np.abs(omega) < omega_eps] = 0.0
-    return f, df
+    return f, d / f
 
 
 def _shaped(values: np.ndarray, omega):
     return values.reshape(np.shape(omega)) if np.ndim(omega) else float(values[0])
-
-
-def _log_coeff(omega, ratio, omega_eps: float):
-    """(df/dw)/f over w: the score is log_rotvec(rel) times this; 0 for w < omega_eps."""
-    return np.where(omega >= omega_eps, ratio / np.where(omega > 0, omega, 1.0), 0.0)
 
 
 # pi - float(pi): the rounding of pi, so pi - w is exact to a double near pi.
@@ -139,8 +136,8 @@ _PI_LO = 1.2246467991473532e-16
 # of the sum; the margin covers the factors up to 4 c^4 / t^2 by which a pair's
 # part of the score can exceed its part of f.
 _IMAGE_DROP = 80.0
-# |B_2n| / (2n)! for n = 1..12, highest first: 1/w - cot(w/2)/2 is
-# sum_n |B_2n| w^(2n-1) / (2n)!, which these terms give to a double below w = 1.
+# |B_2n| / (2n)! for n = 1..12, highest first: (1/w - cot(w/2)/2) / w is
+# sum_n |B_2n| w^(2n-2) / (2n)!, which these terms give to a double below w = 1.
 _BERNOULLI = (1 / 6, 1 / 30, 1 / 42, 1 / 30, 5 / 66, 691 / 2730, 7 / 6, 3617 / 510,
               43867 / 798, 174611 / 330, 854513 / 138, 236364091 / 2730)
 _COT_COEFFS = tuple(b / math.factorial(2 * n + 2) for n, b in reversed(list(enumerate(_BERNOULLI))))
@@ -171,12 +168,12 @@ def _pair_centers(n: int):
 
 
 def _inv_minus_half_cot(w, t: float):
-    """1/w - cot(w/2)/2 for 0 < w <= pi, without the cancellation near 0.
+    """(1/w - cot(w/2)/2) / w for 0 < w <= pi, without the cancellation near 0.
 
     Below w = min(1, sqrt(t)) the series, with the terms that can change a
     double there: the n-th is about (w / 2 pi)^(2n - 2) of the first. Above,
-    the direct form, whose rounding of about 2 eps / w is within a few eps
-    of the score, about w / t in size.
+    the direct form, whose rounding of about 2 eps / w^2 is within a few eps
+    of q, about 1 / t in size.
     """
     cut = min(1.0, math.sqrt(t))
     x = np.minimum(w, cut)
@@ -187,97 +184,101 @@ def _inv_minus_half_cot(w, t: float):
         series += coeff
         series *= x2
     series += coeffs[-1]
-    series *= x
     if np.fmax.reduce(w, initial=0.0) < cut:  # no angle needs the direct form
         return series
-    return np.where(w < cut, series, 1.0 / w - 0.5 / np.tan(0.5 * w))
+    return np.where(w < cut, series, (1.0 / w - 0.5 / np.tan(0.5 * w)) / w)
 
 
-def _image_sum(omega: np.ndarray, t: float, omega_eps: float):
-    """f and df/dw at angles ``omega`` by the image sum.
+def _image_sum(y: np.ndarray, t: float):
+    """f and q at angles ``y`` > 0 by the image sum.
 
-    About 0, with y = w and each pair center c = 2 pi j, a = 2cy/t and
-    m = 1 - exp(-a), the sum over images divided by the k = 0 weight
-    exp(-y^2 / 2t) is S = y + sum_j (-1)^j r_j (y (2 - m) - c m), where
-    r_j = exp(-c (c - 2y) / 2t) is the pair's weight relative to it, and
-    f = scale exp(-y^2 / 2t) S / sin(y/2). The score d log f/dw is
-    Z / (y S) + 1/y - cot(y/2)/2 with Z = y dS/dy - S = -y^3/t +
-    sum_j (-1)^j r_j (c chi(a) / 2 + a y m - y^3 (2 - m) / t), where
+    About 0, with each pair center c = 2 pi j, a = 2cy/t,
+    m = 1 - exp(-a) and u = 2c^2/t, the sum over images divided by the
+    k = 0 weight exp(-y^2 / 2t) is y S, S = 1 + sum_j (-1)^j r_j
+    (2 - m - u m/a), where r_j = exp(-c (c - 2y) / 2t) is the pair's weight
+    relative to it, and f = scale exp(-y^2 / 2t) y S / sin(y/2). Then
+    q = Z / (t S) + (1/y - cot(y/2)/2) / y with Z = t (dS/dy) / y - S
+    = -1 + sum_j (-1)^j r_j (u^2 chi(a) / a^3 + 2u m/a - (2 - m)), where
     chi(a) = 2 - a - (2 + a) exp(-a) = O(a^3) comes from its series below
-    a = 0.1. Within t / (2 pi) of pi, with y = pi - w, the pairs about
-    c = (2j + 1) pi sum to E (c (2 - m) - y m), E = exp(-(c - y)^2 / 2t), and
-    the score is -(dS/dy) / S - tan(y/2)/2. Below ``omega_eps`` f is its
-    w -> 0 limit and df is 0, as in the series. The smallest and largest
-    angles only decide which of the wrap into [0, pi], the small-angle
-    limit and the branch about pi have any work.
+    a = 0.1: every term is finite as y -> 0. A call whose pair weights are
+    all exactly 0 skips them, as each would add exactly 0. Within t / (2 pi)
+    of pi, with v = pi - y and a = 2cv/t, the pairs about c = (2j + 1) pi
+    sum to S = E (c (2 - m) - v m), E = exp(-(c - v)^2 / 2t), and
+    d log f/dy is -(dS/dv) / S - tan(v/2)/2. The smallest and largest angles only decide
+    which of the wrap into [0, pi], the series of chi and the branch about
+    pi have any work.
     """
     # fmin/fmax: a nan angle gives nan alone
-    bottom, top = np.fmin.reduce(omega, initial=np.inf), np.fmax.reduce(omega, initial=0.0)
-    if bottom < 0.0 or top > np.pi:  # f is even and 2 pi-periodic in w, so df is odd
-        omega = np.remainder(omega, 2.0 * np.pi)
-        flip = omega > np.pi
-        f, df = _image_sum(np.where(flip, 2.0 * np.pi - omega, omega), t, omega_eps)
-        return f, np.where(flip, -df, df)
+    bottom, top = np.fmin.reduce(y, initial=np.inf), np.fmax.reduce(y, initial=0.0)
+    if top > np.pi:  # f is even and 2 pi-periodic in w, so w q is odd and 2 pi-periodic
+        w = np.remainder(y, 2.0 * np.pi)
+        flip = w > np.pi
+        w = np.where(flip, 2.0 * np.pi - w, w)
+        f, q = _image_sum(np.maximum(w, _W_MIN), t)
+        return f, np.where(w == y, q, np.where(flip, -q, q) * w / y)
     c, c_lo, signs, c_pi, signs_pi = _pair_centers(_image_pairs(t))
-    small = omega < omega_eps if bottom < omega_eps else None
-    y = omega if small is None else np.where(small, 1.0, omega)
-    cube = y * y
-    e0 = np.exp(cube * (-0.5 / t))
-    cube *= y / t
-    a = (2.0 / t) * c * y
-    q = np.expm1(-a)  # -m
-    r = signs * np.exp(c * ((c - 2.0 * y) + c_lo) * (-0.5 / t))
-    two_m = 2.0 + q
-    s = y + (r * (y * two_m + c * q)).sum(axis=0)
-    chi = -2.0 * q - a * two_m
-    if bottom < 0.05 * t / c[0, 0]:  # some a < 0.1
-        low = a < 0.1  # chi = -4 exp(-a/2) sum_k 2k (a/2)^(2k+1) / (2k+1)!
-        a_low = a[low]
-        b2 = 0.25 * a_low * a_low
-        chi[low] = (-2.0 * a_low * b2) * np.sqrt(1.0 + q[low]) * (
-            1 / 3 + b2 * (1 / 30 + b2 * (1 / 840 + b2 / 45360)))
-    z = (r * (0.5 * c * chi - (a * q * y + cube * two_m))).sum(axis=0) - cube
-    score = z / (y * s) + _inv_minus_half_cot(y, t)
-    s = s * e0
+    s, z = 1.0, -1.0  # the k = 0 image's parts of S and Z
+    exponent = c * ((c - 2.0 * y) + c_lo) * (-0.5 / t)
+    if (exponent > -746.0).any():  # else every exp(exponent) is exactly 0.0
+        r = signs * np.exp(exponent)
+        a = (2.0 / t) * c * y
+        neg_m = np.expm1(-a)
+        two_m = 2.0 + neg_m
+        m_a = neg_m / -a
+        # chi(a) / a^3; the series replaces it below a = 0.1
+        chi = (-2.0 * neg_m - a * two_m) / np.maximum(a, 0.1) ** 3
+        if bottom < 0.05 * t / c[0, 0]:  # some a < 0.1
+            low = a < 0.1  # chi = -4 exp(-a/2) sum_k 2k (a/2)^(2k+1) / (2k+1)!
+            b2 = 0.25 * a[low] ** 2
+            chi[low] = -0.5 * np.sqrt(1.0 + neg_m[low]) * (
+                1 / 3 + b2 * (1 / 30 + b2 * (1 / 840 + b2 / 45360)))
+        u = (2.0 / t) * c * c
+        s = s + (r * (two_m - u * m_a)).sum(axis=0)
+        z = z + (r * (u * (u * chi + 2.0 * m_a) - two_m)).sum(axis=0)
+    q = z / (t * s) + _inv_minus_half_cot(y, t)
+    s = s * y * np.exp(y * y * (-0.5 / t))
     if top > np.pi - t / (2.0 * np.pi):
-        about_pi = omega > np.pi - t / (2.0 * np.pi)
-        v = (np.pi - omega[about_pi]) + _PI_LO
+        about_pi = y > np.pi - t / (2.0 * np.pi)
+        v = (np.pi - y[about_pi]) + _PI_LO
         a = (2.0 / t) * c_pi * v
-        q = np.expm1(-a)  # -m
+        neg_m = np.expm1(-a)
         e = signs_pi * np.exp((c_pi - v) ** 2 * (-0.5 / t))
-        s[about_pi] = s_pi = (e * (c_pi * (2.0 + q) + v * q)).sum(axis=0)
-        ds = (e * (2.0 * a - q * (1.0 - (c_pi + v) ** 2 / t))).sum(axis=0)
-        score[about_pi] = ds / s_pi - 0.5 * np.tan(0.5 * v)
+        s[about_pi] = s_pi = (e * (c_pi * (2.0 + neg_m) + v * neg_m)).sum(axis=0)
+        ds = (e * (2.0 * a - neg_m * (1.0 - (c_pi + v) ** 2 / t))).sum(axis=0)
+        q[about_pi] = (ds / s_pi - 0.5 * np.tan(0.5 * v)) / y[about_pi]
     scale = math.exp(t / 8.0) * math.sqrt(2.0 * np.pi) * t**-1.5
     f = s * scale
     f /= np.sin(0.5 * y)
-    if small is not None:  # S / y -> 1 + sum_j (-1)^j exp(-c^2 / 2t) (2 - 2 c^2 / t)
-        limit = 1.0 + (signs * np.exp(c * c / (-2.0 * t)) * (2.0 - 2.0 * c * c / t)).sum()
-        f[small] = 2.0 * scale * limit
-        score[small] = 0.0
-    return f, f * score
+    return f, q
 
 
-def f_df(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG, table=None):
-    """f(w, t) and df/dw shaped like ``omega``: the image sum up to
-    :data:`T_IMAGE`, the series above, or ``table``'s interpolation."""
+def f_q(omega, t: float, table=None):
+    """f(w, t) and q = (d log f/dw) / w, which is f''(0) / f(0) at w = 0, shaped
+    like ``omega``: the image sum up to :data:`T_IMAGE`, the series above, or
+    from ``table`` the interpolated df/dw over the interpolated f and w."""
+    w = np.maximum(np.abs(np.asarray(omega, dtype=float)), _W_MIN)
     if table is not None:
-        return table.interp_f(omega), table.interp_df(omega)
+        f = table.interp_f(w)
+        return f, table.interp_df(w) / f / w
     t = check_time(t)
-    w = np.atleast_1d(np.asarray(omega, dtype=float)).ravel()
-    f, df = (_image_sum if t <= T_IMAGE else _series)(w, t, cfg.omega_eps)
-    return _shaped(f, omega), _shaped(df, omega)
+    f, q = (_image_sum if t <= T_IMAGE else _series)(np.atleast_1d(w).ravel(), t)
+    return _shaped(f, omega), _shaped(q, omega)
+
+
+def f_df(omega, t: float):
+    """f(w, t) and df/dw = f q w shaped like ``omega`` (see :func:`f_q`)."""
+    f, q = f_q(omega, t)
+    return f, f * q * np.asarray(omega, dtype=float)
 
 
 def f_igso3(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
-    """Heat kernel f(w, t), vectorized over ``omega``: the image sum up to
-    :data:`T_IMAGE`, the truncated series above."""
-    return f_df(omega, t, cfg)[0]
+    """Heat kernel f(w, t) of :func:`f_q`, vectorized over ``omega``."""
+    return f_q(omega, t)[0]
 
 
 def df_igso3_domega(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
-    """Analytic df/dw of :func:`f_igso3`; odd, so 0 below ``cfg.omega_eps``."""
-    return f_df(omega, t, cfg)[1]
+    """Analytic df/dw of :func:`f_igso3`, f q w; odd in w."""
+    return f_df(omega, t)[1]
 
 
 # (center, rotation) pairs of a mixture, or rows of a draw, evaluated at a
@@ -295,7 +296,7 @@ def _center_sum(x):
     return total
 
 
-def _mixture(centers, rt, t, cfg, table, weights, score):
+def _mixture(centers, rt, t, table, weights, score):
     """The density (``score`` false) or score coefficients of the mixture,
     evaluated a block of about :data:`_MIXTURE_PAIRS` pairs at a time along
     the batch's first axis. A single rotation is a batch of one.
@@ -316,7 +317,7 @@ def _mixture(centers, rt, t, cfg, table, weights, score):
         rows = slice(lo, lo + width)
         rel = inv[:, rows] @ rt[rows]
         parts = so3.skew_trace(rel)
-        f, df = f_df(parts.angle, t, cfg, table)
+        f, q = f_q(parts.angle, t, table)
         weighted = f if weights is None else np.reshape(weights, (-1,) + (1,) * (f.ndim - 1)) * f
         total = _center_sum(weighted)
         if np.any(total <= 0.0):
@@ -324,8 +325,7 @@ def _mixture(centers, rt, t, cfg, table, weights, score):
         if not score:
             out[rows] = total
             continue
-        coef = _log_coeff(parts.angle, df / np.where(f > 0, f, 1.0), cfg.omega_eps)
-        out[rows] = _center_sum(so3.log_rotvec(rel, parts) * (weighted / total * coef)[..., None])
+        out[rows] = _center_sum(so3.log_rotvec(rel, parts) * (weighted / total * q)[..., None])
     return out[0] if single else out
 
 
@@ -339,18 +339,18 @@ def mixture_density(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weigh
     ``table`` for time ``t`` replaces :func:`f_igso3` by interpolation. Raises
     :class:`NumericalDomainError` where the density is not positive.
     """
-    return _mixture(centers, rt, t, cfg, table, weights, False)
+    return _mixture(centers, rt, t, table, weights, False)
 
 
 def mixture_score(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weights=None):
     """Riemannian gradient at ``rt`` of log :func:`mixture_density` (same arguments).
 
     The coefficient vector (..., 3) in the frame of ``rt``:
-    ``sum_k v_k post_k (df/dw)/f / w`` with ``v_k`` the rotation vector of
-    ``centers[k]^T rt`` and posteriors ``post_k = w_k f_k / sum w f``; a
-    center within ``omega_eps`` of ``rt`` contributes zero.
+    ``sum_k v_k post_k q_k`` with ``v_k`` the rotation vector of
+    ``centers[k]^T rt``, q from :func:`f_q` and posteriors
+    ``post_k = w_k f_k / sum w f``; a center at ``rt`` adds exactly 0.
     """
-    return _mixture(centers, rt, t, cfg, table, weights, True)
+    return _mixture(centers, rt, t, table, weights, True)
 
 
 def igso3_density(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
@@ -361,8 +361,8 @@ def igso3_density(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
 def conditional_score(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
     """Riemannian gradient at ``rt`` of log IGSO3(rt; r0, t), as coefficients.
 
-    Equals ``log_rotvec(r0^T rt) (df/dw) / (f w)`` (..., 3) with w the
-    relative rotation angle; zero when w < omega_eps.
+    Equals ``log_rotvec(r0^T rt) q`` (..., 3) with q from :func:`f_q` at the
+    relative angle: near the identity, about -(1/t - 1/12) log_rotvec at small t.
     """
     return mixture_score(np.asarray(r0, dtype=float)[None], rt, t, cfg)
 
@@ -409,7 +409,7 @@ def build_tables(ts, cfg: TruncationConfig = DEFAULT_CONFIG) -> list[IGSO3Table]
     haar, steps = 1.0 - np.cos(grid), np.diff(grid)
     tables = []
     for t in ts:
-        f, df = f_df(grid, t, cfg)
+        f, df = f_df(grid, t)
         if not ((f >= 0.0) & (f < np.inf)).all():
             raise NumericalDomainError(f"density negative or not finite at t={float(t)}")
         pdf = f * haar / np.pi
@@ -445,10 +445,7 @@ def sample_igso3(
 def score_from_table(
     r0, rt, table: IGSO3Table, cfg: TruncationConfig = DEFAULT_CONFIG
 ):
-    """:func:`conditional_score` interpolated from a table of time ``table.t``.
-
-    Uses the same w < ``cfg.omega_eps`` zero gate as the direct path.
-    """
+    """:func:`conditional_score` from a table of time ``table.t`` (see :func:`f_q`)."""
     return mixture_score(np.asarray(r0, dtype=float)[None], rt, table.t, cfg, table)
 
 
@@ -477,10 +474,10 @@ def riemannian_gradient_fd(
 def expected_score_norm_sq(t: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> float:
     """E[|grad log p_{t|0}|^2] under the angle marginal, by trapezoid.
 
-    The squared score norm at angle w is ((df/dw)/f)^2 in the tr(u v^T)/2
-    metric, so this is the integral of (df/f)^2 f (1-cos w)/pi.
+    The squared score norm at angle w is (w q)^2 in the tr(u v^T)/2
+    metric, so this is the integral of (w q)^2 f (1-cos w)/pi.
     """
     grid = np.linspace(0.0, np.pi, cfg.angle_grid)
-    f, df = f_df(grid, t, cfg)
-    return float(np.trapezoid(df**2 / f * (1.0 - np.cos(grid)) / np.pi, grid))
+    f, q = f_q(grid, t)
+    return float(np.trapezoid((grid * q) ** 2 * f * (1.0 - np.cos(grid)) / np.pi, grid))
 

@@ -93,8 +93,6 @@ class TestSeries:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            igso3.TruncationConfig(omega_eps=0.1)
-        with pytest.raises(ValueError):
             igso3.TruncationConfig(angle_grid=1)
 
 
@@ -143,8 +141,10 @@ class TestTruncation:
 
 class TestDerivative:
     def test_zero_at_origin(self):
+        # and linear next to it: df/dw = f(0) q(0) w, with no cut to 0
         assert igso3.df_igso3_domega(0.0, 0.5) == 0.0
-        assert igso3.df_igso3_domega(1e-8, 0.5) == 0.0
+        f0, q0 = igso3.f_q(0.0, 0.5)
+        assert igso3.df_igso3_domega(1e-8, 0.5) == pytest.approx(f0 * q0 * 1e-8, rel=1e-15)
 
     @pytest.mark.parametrize("omega,t", [(0.7, 0.3), (2.0, 1.0)])
     def test_matches_finite_differences(self, omega, t):
@@ -187,6 +187,21 @@ class TestConditionalScore:
     def test_zero_at_center(self, rng):
         r = so3.sample_uniform_so3(rng)
         assert np.abs(igso3.conditional_score(r, r, 0.5)).max() == 0.0
+
+    @pytest.mark.parametrize("t", [igso3.T_MIN, 1.0, igso3.T_IMAGE, 20.0])
+    def test_center_at_rt_scores_exactly_zero_with_no_floating_point_error(self, t):
+        # q is finite at w = 0, so nothing divides 0 by 0 there, on either
+        # branch; a mixture center at rt adds exactly 0 to the other's term.
+        eye, other = np.eye(3), so3.exp_so3(so3.hat(np.array([0.0, 0.0, 1.0])))
+        with np.errstate(all="raise"):
+            alone = igso3.conditional_score(eye, eye, t)
+            mixed = igso3.mixture_score(np.stack([eye, other]), eye, t,
+                                        weights=np.array([0.3, 0.7]))
+            (f0, f1), (_, q1) = igso3.f_q(np.array([0.0, 1.0]), t)
+        assert np.isfinite(alone).all() and np.abs(alone).max() == 0.0
+        post = 0.7 * f1 / (0.3 * f0 + 0.7 * f1)
+        assert np.isfinite(mixed).all()
+        assert np.allclose(mixed, [0.0, 0.0, -post * q1], rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
     def test_matches_fd_gradient_of_log_density(self, rng, t):
@@ -232,6 +247,15 @@ def small_time_score(omega, t):
     return -omega / t + 1.0 / omega - 0.5 / np.tan(0.5 * omega)
 
 
+def q_at_zero(t, n_terms=400):
+    """q(0, t) = f''(0) / f(0) from the character series: near 0 each
+    sin((l + 1/2) w) / sin(w/2) is (2l + 1) (1 - l(l + 1) w^2 / 6)."""
+    weights = [(2 * ell + 1) ** 2 * math.exp(-ell * (ell + 1) * t / 2.0)
+               for ell in range(n_terms)]
+    second = math.fsum(w * ell * (ell + 1) / 3.0 for ell, w in enumerate(weights))
+    return -second / math.fsum(weights)
+
+
 class TestVanishingDensity:
     """At the rotation variance of eps = 0.01, w = 2 is past where the
     series' f is positive, and from about w = 1.15 on its f is roundoff."""
@@ -272,26 +296,22 @@ class TestVanishingDensity:
 
 class TestScoreFromTable:
     @pytest.mark.parametrize("t", [0.5, 1.0])
-    def test_small_angle_gate_matches_series(self, rng, t):
+    def test_small_angle_score_is_the_limit(self, rng, t):
+        # Near the identity the score is w q(0, t) along the axis, on both
+        # sides of 1e-4, where it used to be cut to 0; the table is within
+        # its interpolation error of that.
         table = igso3.build_table(t)
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         r0 = so3.sample_uniform_so3(rng)
-        for omega in (2e-8, 1e-6, 5e-5, 0.99e-4):
+        for omega in (2e-8, 1e-6, 5e-5, 0.99e-4, 1.01e-4):
             rt = r0 @ so3.exp_so3(so3.hat(omega * axis))
+            limit = omega * q_at_zero(t) * axis
             series = igso3.conditional_score(r0, rt, t)
             tabled = igso3.score_from_table(r0, rt, table)
-            assert np.abs(series).max() == 0.0
-            assert np.abs(tabled).max() == 0.0
-
-    def test_gate_follows_config(self):
-        cfg = igso3.TruncationConfig(omega_eps=1e-7)
-        table = igso3.build_table(0.5, cfg)
-        rt = so3.exp_so3(so3.hat(np.array([1e-6, 0.0, 0.0])))
-        series = igso3.conditional_score(np.eye(3), rt, 0.5, cfg)
-        tabled = igso3.score_from_table(np.eye(3), rt, table, cfg)
-        assert np.abs(series).max() > 0.0
-        assert np.abs(tabled - series).max() <= 1e-4 * np.abs(series).max()
+            assert np.abs(series - limit).max() <= 1e-8 * np.abs(limit).max()
+            assert np.abs(tabled - limit).max() <= 1e-4 * np.abs(limit).max()
+        assert igso3.f_q(0.0, t)[1] == pytest.approx(q_at_zero(t), rel=1e-14)
 
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_agrees_with_series_near_pi(self, rng, t):
@@ -392,11 +412,11 @@ class TestTable:
     def test_density_check_names_first_bad_time(self, monkeypatch, bad):
         image_sum = igso3._image_sum
 
-        def broken(omega, t, omega_eps):  # spoils one angle at t = 0.3 and 0.05
-            f, df = image_sum(omega, t, omega_eps)
+        def broken(omega, t):  # spoils one angle at t = 0.3 and 0.05
+            f, q = image_sum(omega, t)
             if t in (0.3, 0.05):
                 f[-2] = bad
-            return f, df
+            return f, q
 
         monkeypatch.setattr(igso3, "_image_sum", broken)
         igso3.build_table(1.0)
@@ -519,16 +539,20 @@ class TestSemigroup:
 class TestAngleAlone:
     @pytest.mark.parametrize("t", [0.01, 0.3, 2.25, 4.0, 8.0, 8.5, 50.0])
     def test_each_angle_alone_gives_the_bits_of_one_call(self, t):
-        # The small-angle gate, the series' cut of 1/w - cot(w/2)/2 at
-        # min(1, sqrt(t)), the branch about pi and a uniform spread.
+        # Angles at and near 0, where q is finite and not 0, the series' cut
+        # of 1/w - cot(w/2)/2 at min(1, sqrt(t)), the branch about pi and a
+        # uniform spread.
         omega = np.concatenate([
             [0.0, 5e-5, 1e-4, np.pi], np.geomspace(1e-6, 1.0, 60),
             np.pi - np.geomspace(1e-12, 1.0, 36), np.linspace(0.0, np.pi, 100)])
-        f, df = igso3.f_df(omega, t)
-        for w, f_w, df_w in zip(omega, f, df):
+        f, q = igso3.f_q(omega, t)
+        assert np.isfinite(q[:3]).all() and (q[:3] < 0.0).all()
+        df = igso3.f_df(omega, t)[1]
+        for w, f_w, q_w, df_w in zip(omega, f, q, df):
+            assert igso3.f_q(float(w), t) == (f_w, q_w), w
             assert igso3.f_df(float(w), t) == (f_w, df_w), w
-            alone = igso3.f_df(np.array([w]), t)
-            assert (alone[0][0], alone[1][0]) == (f_w, df_w), w
+            alone = igso3.f_q(np.array([w]), t)
+            assert (alone[0][0], alone[1][0]) == (f_w, q_w), w
 
 
 class TestBlockedMixture:
@@ -549,17 +573,17 @@ class TestBlockedMixture:
         angles = so3.rotation_angle(so3.transpose(centers) @ rt)
         assert angles[:, :width].max() < 0.5 < angles[:, width:].max()
 
-        sizes, f_df = [], igso3.f_df
+        sizes, f_q = [], igso3.f_q
 
         def spy(omega, *args):
             sizes.append(np.size(omega))
-            return f_df(omega, *args)
+            return f_q(omega, *args)
 
         def evaluate():
             return (igso3.mixture_score(centers, rt, t, weights=weights),
                     igso3.mixture_density(centers, rt, t, weights=weights))
 
-        monkeypatch.setattr(igso3, "f_df", spy)
+        monkeypatch.setattr(igso3, "f_q", spy)
         blocked = evaluate()
         assert sizes == 2 * [k * width, k * width, k * width, k]
         monkeypatch.setattr(igso3, "_MIXTURE_PAIRS", 10**9)

@@ -75,9 +75,9 @@ def test_modules_read_no_private_name_of_another_module():
 def test_scan_finds_private_reads(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text(
-        "from . import igso3\nfrom .so3 import _hidden\nx = igso3._log_coeff\ny = igso3.__name__\n"
+        "from . import igso3\nfrom .so3 import _hidden\nx = igso3._image_sum\ny = igso3.__name__\n"
     )
-    assert private_reads(module) == ["mod.py:2 so3._hidden", "mod.py:3 igso3._log_coeff"]
+    assert private_reads(module) == ["mod.py:2 so3._hidden", "mod.py:3 igso3._image_sum"]
 
 
 def test_only_igso3_commands_and_init_name_the_truncation_config():
