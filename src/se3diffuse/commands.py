@@ -89,10 +89,10 @@ class _Commit:
                     os.rmdir(d)
 
 
-def _from_flags(build, **values):
-    """``build(**values)``; a value the constructor rejects is a usage error."""
+def _from_flags(build, *args, **values):
+    """``build(*args, **values)``; a value the constructor rejects is a usage error."""
     try:
-        return build(**values)
+        return build(*args, **values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -407,14 +407,14 @@ def cmd_sample_backbones(action: str, v: argparse.Namespace, config: dict,
     trans_sched = schedules.TranslationSchedule()
     rot_sched = schedules.RotationSchedule()
     sim = _from_flags(process.SimConfig, n_steps=v.n_steps, eps=v.eps, noise_scale=v.zeta)
+    plan = _from_flags(process.reverse_plan, trans_sched, rot_sched, sim)
     init = process.reference_sample(v.n_residues, np.random.default_rng(v.init_seed))
     if v.score == "fixed-target":
         score = process.fixed_target_score(_extended_chain(v.n_residues), trans_sched,
                                            rot_sched)
     else:
         score = process.reference_score
-    rng = np.random.default_rng(v.seed)
-    walk = process.iter_reverse_walk(init, score, trans_sched, rot_sched, sim, rng)
+    walk = process.iter_walk(init, plan, score, np.random.default_rng(v.seed))
     pdb = commit.stage(v.out + ".pdb")
     if v.trajectory:
         final = _write_trajectory(commit.stage(v.out + "_trajectory.csv"), walk)

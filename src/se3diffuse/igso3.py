@@ -38,8 +38,8 @@ angle:
   angles.
 
 Against a high-precision reference at 0, 1e-8 and 38 angles from 1e-4 to
-pi, q is within 6e-16 relative up to t = 1 and from T_IMAGE to t = 100;
-the image sum's alternating pairs take that to 1e-13 at t = 4 and 2e-12
+pi, q is within 6e-16 relative up to t = 2.25 and from T_IMAGE to t = 100;
+the image sum's alternating pairs take that to 1.7e-15 at t = 4 and 9.3e-14
 at T_IMAGE, where its score w q is within 1.1e-15 max(1, |score|). f is
 within 1e-15 relative above t = 0.5 and 3e-14 at t_min.
 
@@ -141,6 +141,8 @@ _IMAGE_DROP = 80.0
 _BERNOULLI = (1 / 6, 1 / 30, 1 / 42, 1 / 30, 5 / 66, 691 / 2730, 7 / 6, 3617 / 510,
               43867 / 798, 174611 / 330, 854513 / 138, 236364091 / 2730)
 _COT_COEFFS = tuple(b / math.factorial(2 * n + 2) for n, b in reversed(list(enumerate(_BERNOULLI))))
+# 2k / (2k + 1)! for k = 8..1, highest first: chi(a) / a^3 to a double below a = 1.
+_CHI_COEFFS = tuple(2 * k / math.factorial(2 * k + 1) for k in range(8, 0, -1))
 
 
 def _image_pairs(t: float) -> int:
@@ -200,7 +202,7 @@ def _image_sum(y: np.ndarray, t: float):
     q = Z / (t S) + (1/y - cot(y/2)/2) / y with Z = t (dS/dy) / y - S
     = -1 + sum_j (-1)^j r_j (u^2 chi(a) / a^3 + 2u m/a - (2 - m)), where
     chi(a) = 2 - a - (2 + a) exp(-a) = O(a^3) comes from its series below
-    a = 0.1: every term is finite as y -> 0. A call whose pair weights are
+    a = 1: every term is finite as y -> 0. A call whose pair weights are
     all exactly 0 skips them, as each would add exactly 0. Within t / (2 pi)
     of pi, with v = pi - y and a = 2cv/t, the pairs about c = (2j + 1) pi
     sum to S = E (c (2 - m) - v m), E = exp(-(c - v)^2 / 2t), and
@@ -225,13 +227,12 @@ def _image_sum(y: np.ndarray, t: float):
         neg_m = np.expm1(-a)
         two_m = 2.0 + neg_m
         m_a = neg_m / -a
-        # chi(a) / a^3; the series replaces it below a = 0.1
-        chi = (-2.0 * neg_m - a * two_m) / np.maximum(a, 0.1) ** 3
-        if bottom < 0.05 * t / c[0, 0]:  # some a < 0.1
-            low = a < 0.1  # chi = -4 exp(-a/2) sum_k 2k (a/2)^(2k+1) / (2k+1)!
+        # chi(a) / a^3; the series replaces it below a = 1, where this form cancels
+        chi = (-2.0 * neg_m - a * two_m) / np.maximum(a, 1.0) ** 3
+        if bottom < 0.5 * t / c[0, 0]:  # some a < 1
+            low = a < 1.0  # chi = -4 exp(-a/2) sum_k 2k (a/2)^(2k+1) / (2k+1)!
             b2 = 0.25 * a[low] ** 2
-            chi[low] = -0.5 * np.sqrt(1.0 + neg_m[low]) * (
-                1 / 3 + b2 * (1 / 30 + b2 * (1 / 840 + b2 / 45360)))
+            chi[low] = -0.5 * np.sqrt(1.0 + neg_m[low]) * np.polyval(_CHI_COEFFS, b2)
         u = (2.0 / t) * c * c
         s = s + (r * (two_m - u * m_a)).sum(axis=0)
         z = z + (r * (u * (u * chi + 2.0 * m_a) - two_m)).sum(axis=0)

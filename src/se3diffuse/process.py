@@ -4,10 +4,10 @@ A frame set carries N rigid transforms (rotation, translation-in-nm). The
 forward process noises rotations by Brownian motion on SO(3) (variance
 sigma_r(t)^2) and translations by a variance-preserving OU process, then
 re-centers. The time-reversed process runs on one geodesic random walk,
-:func:`iter_walk`, on the product metric: it applies the squared diffusion
-coefficients to a score field to form the reverse drift, projects out the
-center of mass after every step and scales the diffusion term by a noise
-scale zeta.
+:func:`iter_walk`, on the product metric and a :class:`WalkPlan`: it
+applies the plan's squared diffusion coefficients to a score field to form
+the reverse drift, projects out the center of mass after every step and
+scales the diffusion term by the plan's noise scale zeta.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ ScoreField = Callable[[float, FrameSet], tuple[np.ndarray, np.ndarray]]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Reverse-walk discretization: steps, truncation and noise scale.
+    """Reverse-walk discretization, checked as :func:`reverse_plan`'s plan.
 
     The walk never reads ``seed``: it draws only from the generator passed
-    to :func:`reverse_walk` or :func:`iter_reverse_walk`.
+    to :func:`reverse_walk` or :func:`iter_walk`.
     """
 
     n_steps: int = 500
@@ -73,12 +73,31 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_steps < 2:
-            raise ValueError("n_steps must be >= 2")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must be in (0, 1)")
-        if not 0.0 <= self.noise_scale <= 1.0:
-            raise ValueError("noise_scale must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class WalkPlan:
+    """What :func:`iter_walk` reads: ``times`` in walk order, g_r and g_x on
+    them (a scalar holds at every time) and zeta; the defaults are the unit plan."""
+
+    times: np.ndarray
+    g_r: np.ndarray | float = 1.0
+    g_x: np.ndarray | float = 1.0
+    zeta: float = 1.0
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
+        if times.ndim != 1 or len(times) < 2:
+            raise ValueError("a walk needs at least two times")
+        if not (np.all(np.diff(times) > 0) or np.all(np.diff(times) < 0)):
+            raise ValueError("grid times must strictly increase or decrease")
+        if not 0.0 <= self.zeta <= 1.0:
+            raise ValueError("zeta must be in [0, 1]")
+        for name in ("g_r", "g_x"):  # a g of another length than times raises ValueError
+            object.__setattr__(self, name, np.broadcast_to(getattr(self, name), times.shape))
+        object.__setattr__(self, "times", times)
 
 
 def center(fs: FrameSet) -> FrameSet:
@@ -118,26 +137,27 @@ def reference_sample(n: int, rng: np.random.Generator) -> FrameSet:
 
 
 def iter_walk(
-    init: FrameSet, grid: np.ndarray, score: ScoreField,
-    diffusion: tuple[np.ndarray, np.ndarray], zeta: float, rng: np.random.Generator,
+    init: FrameSet, plan: WalkPlan, score: ScoreField, rng: np.random.Generator,
 ) -> Iterator[tuple[float, FrameSet]]:
-    """Euler-Maruyama geodesic random walk through ``grid``, in either direction.
+    """Euler-Maruyama geodesic random walk from the centered ``init`` through ``plan``.
 
-    With ``diffusion`` = (g_r, g_x) on the grid and (s_r, s_x) =
-    score(grid[i], state), step i moves along the reverse-time drift
-    [g_r^2 s_r, g_x^2 (s_x + x / 2)] of the frame set's SDE: it takes
-    v = drift * h + zeta * [g_r Z_r, g_x Z_x] * sqrt(h), h = |grid[i+1] -
-    grid[i]|, with standard normal coefficient vectors Z_r (N, 3), and
-    moves each rotation r to r exp(hat(v_r)) and the translations by v_x.
-    At g = 1 the drift of rotation-only frames is the score itself, and a
-    zero score walks them forward as Brownian motion. The frame set is
+    With (s_r, s_x) = score(times[i], state) and the plan's g_r, g_x and
+    zeta, step i moves along the reverse-time drift [g_r^2 s_r, g_x^2
+    (s_x + x / 2)] of the frame set's SDE: it takes v = drift * h + zeta *
+    [g_r Z_r, g_x Z_x] * sqrt(h), h = |times[i+1] - times[i]|, with
+    standard normal coefficient vectors Z_r (N, 3), and moves each
+    rotation r to r exp(hat(v_r)) and the translations by v_x. At g = 1
+    the drift of rotation-only frames is the score itself, and a zero
+    score walks them forward as Brownian motion. The frame set is
     re-centered after every step and rotations are re-orthonormalized
-    every 100 steps. Yields a (t, state) pair per grid point as the walk
-    goes, starting with (grid[0], init). Raises ValueError when the
-    score's rotation part is not (N, 3) and FloatingPointError when the
-    state stops being finite.
+    every 100 steps. Yields a (t, state) pair per time as the walk goes,
+    starting with (times[0], init). Raises ValueError when the score's
+    rotation part is not (N, 3) and FloatingPointError when the state
+    stops being finite.
     """
-    g_r, g_x = diffusion
+    if not init.centered:
+        raise ValueError("the walk needs a centered initial frame set")
+    grid, g_r, g_x, zeta = plan.times, plan.g_r, plan.g_x, plan.zeta
     state = init
     yield float(grid[0]), state
     for i in range(len(grid) - 1):
@@ -164,17 +184,13 @@ def iter_walk(
         yield float(grid[i + 1]), state
 
 
-def iter_reverse_walk(
-    init: FrameSet, score: ScoreField, trans_sched: schedules.TranslationSchedule,
-    rot_sched: schedules.RotationSchedule, cfg: SimConfig, rng: np.random.Generator,
-) -> Iterator[tuple[float, FrameSet]]:
-    """:func:`iter_walk` of ``score`` on ``cfg.n_steps`` uniform times from
-    t = 1 down to t = eps, at g_r(t) and g_x(t) = sqrt(beta(t))."""
-    if not init.centered:
-        raise ValueError("reverse_walk needs a centered initial frame set")
-    grid = np.linspace(1.0, cfg.eps, cfg.n_steps)
-    diffusion = schedules.g_r(grid, rot_sched), np.sqrt(schedules.beta(grid, trans_sched))
-    yield from iter_walk(init, grid, score, diffusion, cfg.noise_scale, rng)
+def reverse_plan(trans_sched: schedules.TranslationSchedule,
+                 rot_sched: schedules.RotationSchedule, cfg: SimConfig) -> WalkPlan:
+    """FrameDiff's plan: ``cfg.n_steps`` uniform times from t = 1 down to
+    t = eps, at g_r(t) and g_x(t) = sqrt(beta(t)), with zeta = ``cfg.noise_scale``."""
+    times = np.linspace(1.0, cfg.eps, cfg.n_steps)
+    return WalkPlan(times, schedules.g_r(times, rot_sched),
+                    np.sqrt(schedules.beta(times, trans_sched)), cfg.noise_scale)
 
 
 def reverse_walk(
@@ -182,9 +198,9 @@ def reverse_walk(
     rot_sched: schedules.RotationSchedule, cfg: SimConfig, rng: np.random.Generator,
     record: bool = True,
 ) -> list[tuple[float, FrameSet]]:
-    """:func:`iter_reverse_walk` as a list: every (t, state) pair when ``record``,
-    else only the initial and final ones, holding no state in between."""
-    walk = iter_reverse_walk(init, score, trans_sched, rot_sched, cfg, rng)
+    """:func:`iter_walk` on :func:`reverse_plan` as a list: every (t, state) pair
+    when ``record``, else only the initial and final ones, holding none between."""
+    walk = iter_walk(init, reverse_plan(trans_sched, rot_sched, cfg), score, rng)
     return list(walk) if record else [next(walk), deque(walk, maxlen=1)[0]]
 
 

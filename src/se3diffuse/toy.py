@@ -5,7 +5,7 @@ unit-rate Brownian motion gives a mixture of heat kernels whose density
 and Stein score are available in closed form; the forward and reverse
 geodesic random walks should then produce matching marginals at every
 recorded time. Both walks are :func:`process.iter_walk` on rotation-only
-frame sets.
+frame sets, on the unit plan ``process.WalkPlan(times)``.
 """
 
 from __future__ import annotations
@@ -47,19 +47,21 @@ def random_target(k: int = 3, seed: int = 0) -> DiscreteTarget:
 
 @dataclass(frozen=True)
 class ToyRunConfig:
-    """Path count, final time and grid size."""
+    """Path count, final time and grid size; the grid is checked as a walk plan."""
 
     n_paths: int = 5000
     final_time: float = 4.0
     n_steps: int = 200
 
     def __post_init__(self):
-        if self.n_paths < 1 or self.n_steps < 2:
-            raise ValueError("need n_paths >= 1 and n_steps >= 2")
+        if self.n_paths < 1:
+            raise ValueError("need n_paths >= 1")
         if not 0.0 < self.final_time < np.inf:
             raise ValueError("final_time must be positive and finite")
-        if not np.all(np.diff(self.times()) > 0):
-            raise ValueError("grid times must strictly increase: final_time too small for n_steps")
+        try:
+            process.WalkPlan(self.times())
+        except ValueError as exc:
+            raise ValueError(f"{exc} (final_time={self.final_time!r}, n_steps={self.n_steps})") from exc
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.final_time, self.n_steps)
@@ -89,15 +91,12 @@ def score_t(
 
 
 def _unit_rate_walk(init, times, score, rng) -> Iterator[tuple[float, np.ndarray]]:
-    """:func:`process.iter_walk` of rotation-only frames at g = zeta = 1.
-
-    At g = 1 the walk's drift g^2 s is the score field s itself, and a zero
-    score walks the frames forward as Brownian motion. Yields (grid time,
-    rotations) pairs as the walk goes.
-    """
+    """:func:`process.iter_walk` of rotation-only frames on the unit plan of
+    ``times``: the drift g^2 s is the score field s itself, and a zero score
+    walks the frames forward as Brownian motion. Yields (grid time,
+    rotations) pairs as the walk goes."""
     frames = process.center(process.FrameSet(init, np.empty((len(init), 0))))
-    unit = np.ones(len(times))
-    walk = process.iter_walk(frames, times, score, (unit, unit), 1.0, rng)
+    walk = process.iter_walk(frames, process.WalkPlan(times), score, rng)
     return ((t, fs.rotations) for t, fs in walk)
 
 

@@ -10,9 +10,12 @@ from se3diffuse import igso3
 
 mpmath = pytest.importorskip("mpmath")
 
-# Both sides of 1e-4, below which the score used to be cut to 0.
-ANGLES = [0.0, 1e-8, 0.99e-4, 1e-4, 1.01e-4, 1e-3, 0.01, 0.3, 1.0, 1.15, 1.5, 2.0, 2.9, 3.1,
-          np.pi - 1e-2, np.pi - 3e-3, np.pi - 1e-3, np.pi - 1e-6, np.pi]
+# Both sides of 1e-4, below which the score used to be cut to 0, and
+# 0.0326 and 0.0699, where a = 4 pi w / t of the first image pair is just
+# above 0.1 at t = 4 and 8: chi's direct form, used there before its series
+# reached a = 1, cancels to about 12 / a^2 ulps.
+ANGLES = [0.0, 1e-8, 0.99e-4, 1e-4, 1.01e-4, 1e-3, 0.01, 0.0326, 0.0699, 0.3, 1.0, 1.15,
+          1.5, 2.0, 2.9, 3.1, np.pi - 1e-2, np.pi - 3e-3, np.pi - 1e-3, np.pi - 1e-6, np.pi]
 # Both sides of the crossover between the image sum and the series, and
 # the series out to times where its l >= 1 weights are subnormal or zero.
 TIMES = [igso3.T_MIN, 0.0169, 0.1, 0.5, 1.0, 2.25, 4.0, igso3.T_IMAGE,
@@ -62,6 +65,8 @@ def test_density_and_score_match_high_precision_series(t):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (w, got, want)
             if t <= 4.0:  # the image sum also keeps small scores, near 0 and pi, to roundoff
                 assert abs(got - want) <= 1e-14 * abs(want), (w, got, want)
+            elif t <= igso3.T_IMAGE:  # up to the alternating pairs' cancellation
+                assert abs(got - want) <= 1e-13 * abs(want), (w, got, want)
             if igso3.T_IMAGE < t <= 100.0:  # and so does the series above it
                 assert abs(got - want) <= 1e-15 * abs(want), (w, got, want)
 

@@ -105,10 +105,9 @@ class TestRotationOnly:
         n = 7
         init = process.center(process.FrameSet(so3.sample_uniform_so3(rng, n),
                                                np.empty((n, 0))))
-        unit = np.ones(2)
         walk_rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        walk = process.iter_walk(init, np.array([0.0, 0.1]), process.reference_score,
-                                 (unit, unit), 1.0, walk_rng)
+        walk = process.iter_walk(init, process.WalkPlan(np.array([0.0, 0.1])),
+                                 process.reference_score, walk_rng)
         (_, first), (t, last) = walk
         ref_rng.standard_normal((n, 3))
         assert t == 0.1 and first is init and last.translations.shape == (n, 0)
@@ -120,9 +119,8 @@ class TestRotationOnly:
         init = make_frameset(rng, n)
         v = rng.standard_normal((n, 3))
         grid = np.array([0.7, 0.4])
-        unit = np.ones(2)
-        walk = process.iter_walk(init, grid, lambda t, fs: (v, np.zeros((n, 3))),
-                                 (unit, unit), 0.0, rng)
+        walk = process.iter_walk(init, process.WalkPlan(grid, zeta=0.0),
+                                 lambda t, fs: (v, np.zeros((n, 3))), rng)
         (_, first), (_, last) = walk
         h = abs(grid[1] - grid[0])
         assert first is init
@@ -134,20 +132,80 @@ class TestRotationOnly:
         init = make_frameset(rng, n)
         v = rng.standard_normal((n, 3))
         v *= 1e8 / np.linalg.norm(v, axis=-1, keepdims=True)
-        unit = np.ones(2)
-        walk = process.iter_walk(init, np.array([0.0, 1.0]),
-                                 lambda t, fs: (v, np.zeros((n, 3))), (unit, unit), 0.0, rng)
+        walk = process.iter_walk(init, process.WalkPlan(np.array([0.0, 1.0]), zeta=0.0),
+                                 lambda t, fs: (v, np.zeros((n, 3))), rng)
         last = list(walk)[-1][1].rotations
         assert np.abs(so3.transpose(last) @ last - np.eye(3)).max() < 1e-12
         assert np.array_equal(last, init.rotations @ so3.exp_so3(so3.hat(v)))
 
 
+class TestWalkPlan:
+    @pytest.mark.parametrize("ts,rs", [
+        (TS, RS),
+        (schedules.TranslationSchedule(0.5, 12.0),
+         schedules.RotationSchedule(0.2, 1.2, kind="linear")),
+    ], ids=["default", "other"])
+    def test_reverse_plan_reads_the_schedules_bit_for_bit(self, ts, rs):
+        sim = process.SimConfig(n_steps=37, eps=0.02, noise_scale=0.3)
+        plan = process.reverse_plan(ts, rs, sim)
+        times = np.linspace(1.0, 0.02, 37)
+        assert plan.times.tobytes() == times.tobytes()
+        assert plan.g_r.tobytes() == schedules.g_r(times, rs).tobytes()
+        assert plan.g_x.tobytes() == np.sqrt(schedules.beta(times, ts)).tobytes()
+        assert plan.zeta == 0.3
+
+    def test_unit_plan_reads_one(self):
+        times = np.linspace(0.0, 4.0, 5)[::-1]
+        plan = process.WalkPlan(times)
+        assert plan.times.tobytes() == times.tobytes()
+        for g in (plan.g_r, plan.g_x):
+            assert g.shape == times.shape and np.all(g == 1.0)
+        assert plan.zeta == 1.0
+
+    @pytest.mark.parametrize("times,message", [
+        ([0.5], "at least two times"),
+        ([], "at least two times"),
+        ([[0.0, 1.0]], "at least two times"),
+        ([0.0, 0.5, 0.5], "strictly increase or decrease"),
+        ([1.0, 0.2, 0.2], "strictly increase or decrease"),
+        ([0.0, 1.0, 0.5], "strictly increase or decrease"),
+        ([0.0, np.nan, 1.0], "strictly increase or decrease"),
+    ])
+    def test_rejects_a_grid_that_is_not_a_walk(self, times, message):
+        with pytest.raises(ValueError, match=message):
+            process.WalkPlan(np.array(times))
+
+    def test_reverse_plan_needs_two_steps(self):
+        with pytest.raises(ValueError, match="at least two times"):
+            process.reverse_plan(TS, RS, process.SimConfig(n_steps=1))
+
+    @pytest.mark.parametrize("g", [{"g_r": np.ones(2)}, {"g_x": np.ones(4)},
+                                   {"g_r": np.ones((1, 3))}])
+    def test_rejects_g_not_shaped_like_times(self, g):
+        with pytest.raises(ValueError):
+            process.WalkPlan(np.linspace(1.0, 0.0, 3), **g)
+
+    @pytest.mark.parametrize("zeta", [-0.1, 1.5, np.nan])
+    def test_rejects_zeta_outside_unit_interval(self, zeta):
+        with pytest.raises(ValueError, match=r"zeta must be in \[0, 1\]"):
+            process.WalkPlan(np.linspace(1.0, 0.0, 3), zeta=zeta)
+        with pytest.raises(ValueError, match=r"zeta must be in \[0, 1\]"):
+            process.reverse_plan(TS, RS, process.SimConfig(n_steps=3, noise_scale=zeta))
+
+    @pytest.mark.parametrize("width", [3, 0])
+    def test_walk_rejects_an_uncentered_init(self, rng, width):
+        init = process.FrameSet(so3.sample_uniform_so3(rng, 4), np.zeros((4, width)))
+        walk = process.iter_walk(init, process.WalkPlan(np.array([0.0, 0.1])),
+                                 process.reference_score, rng)
+        with pytest.raises(ValueError, match="centered initial frame set"):
+            next(walk)
+
+
 def noise_step(r, rng, h=0.01):
     """Rotations after one zero-drift unit-rate walk step of size ``h`` from ``r``."""
-    unit = np.ones(2)
     init = process.center(process.FrameSet(r, np.empty((len(r), 0))))
-    walk = process.iter_walk(init, np.array([0.0, h]), process.reference_score,
-                             (unit, unit), 1.0, rng)
+    walk = process.iter_walk(init, process.WalkPlan(np.array([0.0, h])),
+                             process.reference_score, rng)
     return list(walk)[-1][1].rotations
 
 
@@ -244,11 +302,16 @@ class TestForwardSample:
         assert np.abs(out.translations.mean(axis=0)).max() < 1e-12
 
 
-def one_step(init, score, grid):
-    """The state after one noise-free walk step over the two times of ``grid``,
-    at the schedules' (g_r, g_x) there."""
-    diffusion = schedules.g_r(grid, RS), np.sqrt(schedules.beta(grid, TS))
-    walk = process.iter_walk(init, grid, score, diffusion, 0.0, np.random.default_rng(0))
+def schedule_plan(grid):
+    """The noise-free walk plan on ``grid`` at the schedules' (g_r, g_x) there,
+    as :func:`process.reverse_plan` builds it on its own grid."""
+    return process.WalkPlan(grid, schedules.g_r(grid, RS),
+                            np.sqrt(schedules.beta(grid, TS)), zeta=0.0)
+
+
+def one_step(init, score, plan):
+    """The state after the one step of the two-time walk ``plan``."""
+    walk = process.iter_walk(init, plan, score, np.random.default_rng(0))
     return list(walk)[-1][1]
 
 
@@ -266,27 +329,27 @@ class TestWalkDrift:
         init = process.FrameSet(
             np.broadcast_to(np.eye(3), (2, 3, 3)), np.zeros((2, 3)), centered=True
         )
-        out = one_step(init, process.reference_score, np.array([0.5, 0.49]))
+        out = one_step(init, process.reference_score, schedule_plan(np.array([0.5, 0.49])))
         assert np.array_equal(out.rotations, init.rotations)
         assert np.array_equal(out.translations, init.translations)
 
     def test_rotation_step_is_squared_diffusion_times_score(self, rng):
         init = make_frameset(rng, 4)
         score = process.fixed_target_score(make_frameset(rng, 4), TS, RS)
-        grid = np.array([0.6, 0.59])
-        out = one_step(init, score, grid)
+        plan = schedule_plan(np.array([0.6, 0.59]))
+        out = one_step(init, score, plan)
         s, _ = score(0.6, init)
-        g_r, h = schedules.g_r(grid, RS), abs(grid[1] - grid[0])
-        step = (g_r[0] ** 2 * s) * h
+        h = abs(plan.times[1] - plan.times[0])
+        step = (plan.g_r[0] ** 2 * s) * h
         assert np.array_equal(out.rotations, init.rotations @ so3.exp_so3(so3.hat(step)))
 
     def test_translation_step_is_squared_diffusion_times_score_plus_half_x(self, rng):
         init = make_frameset(rng, 3)
         score = process.fixed_target_score(make_frameset(rng, 3), TS, RS)
-        grid = np.array([0.3, 0.29])
-        out = one_step(init, score, grid)
+        plan = schedule_plan(np.array([0.3, 0.29]))
+        out = one_step(init, score, plan)
         _, s_x = score(0.3, init)
-        g_x, h = np.sqrt(schedules.beta(grid, TS)), abs(grid[1] - grid[0])
+        g_x, h = plan.g_x, abs(plan.times[1] - plan.times[0])
         x = init.translations
         expected = h * (g_x[0] ** 2 * s_x + 0.5 * g_x[0] ** 2 * x)
         assert_step(out.translations - x, expected, x)
@@ -299,7 +362,7 @@ class TestWalkDrift:
             np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), centered=True,
         )
         grid = np.array([0.0, 0.01])
-        out = one_step(init, process.reference_score, grid)
+        out = one_step(init, process.reference_score, schedule_plan(grid))
         h = abs(grid[1] - grid[0])
         expected = -h * float(schedules.beta(0.0, TS)) / 2 * init.translations
         assert_step(out.translations - init.translations, expected, init.translations)
@@ -350,8 +413,8 @@ class TestReverseWalk:
         score = process.fixed_target_score(make_frameset(rng, 5), TS, RS)
         sim = process.SimConfig(n_steps=40, eps=0.01, noise_scale=0.5)
         walks = [
-            list(process.iter_reverse_walk(init, score, TS, RS, sim,
-                                           np.random.default_rng(3))),
+            list(process.iter_walk(init, process.reverse_plan(TS, RS, sim), score,
+                                   np.random.default_rng(3))),
             process.reverse_walk(init, score, TS, RS, sim, np.random.default_rng(3)),
         ]
         ends = process.reverse_walk(init, score, TS, RS, sim, np.random.default_rng(3),
@@ -372,7 +435,8 @@ class TestReverseWalk:
         monkeypatch.setattr(igso3, "build_tables", refuse)
         score = process.fixed_target_score(make_frameset(rng, 8), TS, RS)
         sim = process.SimConfig(n_steps=20, eps=0.01)
-        walk = process.iter_reverse_walk(make_frameset(rng, 8), score, TS, RS, sim, rng)
+        walk = process.iter_walk(make_frameset(rng, 8), process.reverse_plan(TS, RS, sim),
+                                 score, rng)
         assert len(list(walk)) == 20
 
     def test_default_steps(self):
@@ -428,9 +492,8 @@ class TestLargeWalks:
             so3.sample_uniform_so3(rng, n),
             np.array(offset) + spread * rng.standard_normal((n, 3))))
         score = process.fixed_target_score(make_frameset(rng, n, spread), TS, RS)
-        grid = np.linspace(1.0, 0.5, 4)
-        diffusion = schedules.g_r(grid, RS), np.sqrt(schedules.beta(grid, TS))
-        walk = process.iter_walk(init, grid, score, diffusion, zeta, rng)
+        plan = process.reverse_plan(TS, RS, process.SimConfig(4, eps=0.5, noise_scale=zeta))
+        walk = process.iter_walk(init, plan, score, rng)
         for _, state in walk:
             assert np.isfinite(state.rotations).all()
             assert np.isfinite(state.translations).all()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -292,10 +294,15 @@ class TestWalks:
     def test_grid_with_a_repeated_time_is_rejected(self, final_time, n_steps):
         # final_time / (n_steps - 1) is subnormal: neighbouring times round alike.
         assert len(set(np.linspace(0.0, final_time, n_steps).tolist())) < n_steps
-        with pytest.raises(ValueError, match="grid times must strictly increase"):
+        message = re.escape(f"(final_time={final_time!r}, n_steps={n_steps})")
+        with pytest.raises(ValueError, match="grid times must strictly increase.*" + message):
             toy.ToyRunConfig(n_paths=5, final_time=final_time, n_steps=n_steps)
         cfg = toy.ToyRunConfig(n_paths=5, final_time=1e-300, n_steps=3000)
         assert np.all(np.diff(cfg.times()) > 0)
+
+    def test_one_time_is_not_a_walk(self):
+        with pytest.raises(ValueError, match=r"at least two times \(final_time=4\.0, n_steps=1\)"):
+            toy.ToyRunConfig(n_paths=5, n_steps=1)
 
     def test_reverse_terminal_concentrates(self, rng, target):
         # 400 steps puts the last positive grid time at T/399 ~ 0.01, the
