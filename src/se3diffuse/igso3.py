@@ -47,9 +47,11 @@ Both branches keep a number of terms fixed by t alone and add them up
 elementwise, so the bits of f and q at an angle depend on that angle and
 t, not on the other angles evaluated with it.
 
-Tables (:func:`build_tables`) hold f and df/dw = f q w on a uniform angle
-grid, built one time at a time, so a table's bits do not depend on the
-other times built with it.
+Tables (:func:`build_tables`) hold only the angle CDF that
+:func:`sample_igso3` draws from, on a uniform angle grid, built one time
+at a time, so a table's bits do not depend on the other times built with
+it. Every density and score is evaluated at its own angles; none is read
+from a table.
 """
 
 from __future__ import annotations
@@ -70,11 +72,13 @@ class NumericalDomainError(ValueError):
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Discretization of the IGSO3 tables and CDFs.
+    """Discretization of the IGSO3 sampling tables and CDFs.
 
     angle_grid: points of the uniform angle grid for tables and CDFs.
 
-    The evaluators at given angles take one too but read nothing from it.
+    Of the evaluators at given angles, :func:`f_igso3` and
+    :func:`conditional_score` still take one and read nothing from it,
+    because ``perfbench/micro.py`` passes it; it goes with ROADMAP item 6.
     Every configuration shares the smallest trusted time :data:`T_MIN`.
     """
 
@@ -169,6 +173,16 @@ def _pair_centers(n: int):
     return 2.0 * np.pi * j[1:], 2.0 * _PI_LO * j[1:], signs[1:], (2 * j + 1) * np.pi, signs
 
 
+def _horner(coeffs, x2):
+    """sum_i coeffs[i] x2^(n-1-i), highest power first, in place on one array."""
+    out = coeffs[0] * x2
+    for coeff in coeffs[1:-1]:
+        out += coeff
+        out *= x2
+    out += coeffs[-1]
+    return out
+
+
 def _inv_minus_half_cot(w, t: float):
     """(1/w - cot(w/2)/2) / w for 0 < w <= pi, without the cancellation near 0.
 
@@ -180,12 +194,7 @@ def _inv_minus_half_cot(w, t: float):
     cut = min(1.0, math.sqrt(t))
     x = np.minimum(w, cut)
     coeffs = _COT_COEFFS[-math.ceil(20.0 / math.log(2.0 * np.pi / cut)):]
-    x2 = x * x
-    series = coeffs[0] * x2
-    for coeff in coeffs[1:-1]:
-        series += coeff
-        series *= x2
-    series += coeffs[-1]
+    series = _horner(coeffs, x * x)
     if np.fmax.reduce(w, initial=0.0) < cut:  # no angle needs the direct form
         return series
     return np.where(w < cut, series, (1.0 / w - 0.5 / np.tan(0.5 * w)) / w)
@@ -232,7 +241,7 @@ def _image_sum(y: np.ndarray, t: float):
         if bottom < 0.5 * t / c[0, 0]:  # some a < 1
             low = a < 1.0  # chi = -4 exp(-a/2) sum_k 2k (a/2)^(2k+1) / (2k+1)!
             b2 = 0.25 * a[low] ** 2
-            chi[low] = -0.5 * np.sqrt(1.0 + neg_m[low]) * np.polyval(_CHI_COEFFS, b2)
+            chi[low] = -0.5 * np.sqrt(1.0 + neg_m[low]) * _horner(_CHI_COEFFS, b2)
         u = (2.0 / t) * c * c
         s = s + (r * (two_m - u * m_a)).sum(axis=0)
         z = z + (r * (u * (u * chi + 2.0 * m_a) - two_m)).sum(axis=0)
@@ -253,14 +262,10 @@ def _image_sum(y: np.ndarray, t: float):
     return f, q
 
 
-def f_q(omega, t: float, table=None):
+def f_q(omega, t: float):
     """f(w, t) and q = (d log f/dw) / w, which is f''(0) / f(0) at w = 0, shaped
-    like ``omega``: the image sum up to :data:`T_IMAGE`, the series above, or
-    from ``table`` the interpolated df/dw over the interpolated f and w."""
+    like ``omega``: the image sum up to :data:`T_IMAGE`, the series above."""
     w = np.maximum(np.abs(np.asarray(omega, dtype=float)), _W_MIN)
-    if table is not None:
-        f = table.interp_f(w)
-        return f, table.interp_df(w) / f / w
     t = check_time(t)
     f, q = (_image_sum if t <= T_IMAGE else _series)(np.atleast_1d(w).ravel(), t)
     return _shaped(f, omega), _shaped(q, omega)
@@ -273,11 +278,13 @@ def f_df(omega, t: float):
 
 
 def f_igso3(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
-    """Heat kernel f(w, t) of :func:`f_q`, vectorized over ``omega``."""
+    """Heat kernel f(w, t) of :func:`f_q`, vectorized over ``omega``.
+
+    ``cfg`` is not read: ``perfbench/micro.py`` passes it (ROADMAP item 6)."""
     return f_q(omega, t)[0]
 
 
-def df_igso3_domega(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
+def df_igso3_domega(omega, t: float):
     """Analytic df/dw of :func:`f_igso3`, f q w; odd in w."""
     return f_df(omega, t)[1]
 
@@ -297,7 +304,7 @@ def _center_sum(x):
     return total
 
 
-def _mixture(centers, rt, t, table, weights, score):
+def _mixture(centers, rt, t, weights, score):
     """The density (``score`` false) or score coefficients of the mixture,
     evaluated a block of about :data:`_MIXTURE_PAIRS` pairs at a time along
     the batch's first axis. A single rotation is a batch of one.
@@ -318,7 +325,7 @@ def _mixture(centers, rt, t, table, weights, score):
         rows = slice(lo, lo + width)
         rel = inv[:, rows] @ rt[rows]
         parts = so3.skew_trace(rel)
-        f, q = f_q(parts.angle, t, table)
+        f, q = f_q(parts.angle, t)
         weighted = f if weights is None else np.reshape(weights, (-1,) + (1,) * (f.ndim - 1)) * f
         total = _center_sum(weighted)
         if np.any(total <= 0.0):
@@ -330,20 +337,19 @@ def _mixture(centers, rt, t, table, weights, score):
     return out[0] if single else out
 
 
-def mixture_density(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weights=None):
+def mixture_density(centers, rt, t: float, weights=None):
     """Density at ``rt`` of sum_k w_k IGSO3(.; centers[k], t) w.r.t. normalized Haar measure.
 
     ``centers`` is (K, ..., 3, 3), each ``centers[k]`` broadcasting against
     ``rt`` with their batch axes aligned on the right: K atoms (K, 3, 3)
     against P rotations (P, 3, 3) give the P densities of the K-atom
-    mixture. ``weights`` (K,) default to a single center of weight 1. A
-    ``table`` for time ``t`` replaces :func:`f_igso3` by interpolation. Raises
+    mixture. ``weights`` (K,) default to a single center of weight 1. Raises
     :class:`NumericalDomainError` where the density is not positive.
     """
-    return _mixture(centers, rt, t, table, weights, False)
+    return _mixture(centers, rt, t, weights, False)
 
 
-def mixture_score(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weights=None):
+def mixture_score(centers, rt, t: float, weights=None):
     """Riemannian gradient at ``rt`` of log :func:`mixture_density` (same arguments).
 
     The coefficient vector (..., 3) in the frame of ``rt``:
@@ -351,12 +357,12 @@ def mixture_score(centers, rt, t: float, cfg=DEFAULT_CONFIG, table=None, weights
     ``centers[k]^T rt``, q from :func:`f_q` and posteriors
     ``post_k = w_k f_k / sum w f``; a center at ``rt`` adds exactly 0.
     """
-    return _mixture(centers, rt, t, table, weights, True)
+    return _mixture(centers, rt, t, weights, True)
 
 
-def igso3_density(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
+def igso3_density(r0, rt, t: float):
     """IGSO3 density of ``rt`` around ``r0`` w.r.t. normalized Haar measure."""
-    return mixture_density(np.asarray(r0, dtype=float)[None], rt, t, cfg)
+    return mixture_density(np.asarray(r0, dtype=float)[None], rt, t)
 
 
 def conditional_score(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
@@ -364,39 +370,31 @@ def conditional_score(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
 
     Equals ``log_rotvec(r0^T rt) q`` (..., 3) with q from :func:`f_q` at the
     relative angle: near the identity, about -(1/t - 1/12) log_rotvec at small t.
+    ``cfg`` is not read: ``perfbench/micro.py`` passes it (ROADMAP item 6).
     """
-    return mixture_score(np.asarray(r0, dtype=float)[None], rt, t, cfg)
+    return mixture_score(np.asarray(r0, dtype=float)[None], rt, t)
 
 
 @dataclass(frozen=True)
 class IGSO3Table:
-    """Tabulated density, angle derivative, and angle CDF for one time.
+    """Angle CDF for one time, the table :func:`sample_igso3` draws from.
 
-    The values are :func:`f_igso3` and :func:`df_igso3_domega` on the
-    uniform grid; ``cdf_vals`` is the normalized trapezoidal CDF of the
-    angle marginal f(w,t)(1-cos w)/pi there. ``raw_mass`` records the
-    integral before normalization (1 up to the trapezoid's error).
+    ``cdf_vals`` is the normalized trapezoidal CDF of the angle marginal
+    f(w,t)(1-cos w)/pi on the uniform ``omega_grid``. ``raw_mass`` records
+    the integral before normalization (1 up to the trapezoid's error).
     """
 
     t: float
     omega_grid: np.ndarray
-    f_vals: np.ndarray
-    df_vals: np.ndarray
     cdf_vals: np.ndarray
     raw_mass: float = 1.0
-
-    def interp_f(self, omega):
-        return np.interp(omega, self.omega_grid, self.f_vals)
-
-    def interp_df(self, omega):
-        return np.interp(omega, self.omega_grid, self.df_vals)
 
     def sample_angles(self, rng: np.random.Generator, shape=()):
         return np.interp(rng.random(shape), self.cdf_vals, self.omega_grid)
 
 
 def build_table(t: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> IGSO3Table:
-    """Tabulate f, df/dw, and the angle CDF on the uniform grid."""
+    """Tabulate the angle CDF on the uniform grid."""
     return build_tables([t], cfg)[0]
 
 
@@ -410,14 +408,14 @@ def build_tables(ts, cfg: TruncationConfig = DEFAULT_CONFIG) -> list[IGSO3Table]
     haar, steps = 1.0 - np.cos(grid), np.diff(grid)
     tables = []
     for t in ts:
-        f, df = f_df(grid, t)
+        f = f_q(grid, t)[0]
         if not ((f >= 0.0) & (f < np.inf)).all():
             raise NumericalDomainError(f"density negative or not finite at t={float(t)}")
         pdf = f * haar / np.pi
         cdf = np.zeros(grid.shape)
         np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * steps, out=cdf[1:])
         raw_mass = cdf[-1]
-        tables.append(IGSO3Table(float(t), grid, f, df, cdf / raw_mass, float(raw_mass)))
+        tables.append(IGSO3Table(float(t), grid, cdf / raw_mass, float(raw_mass)))
     return tables
 
 
@@ -443,11 +441,10 @@ def sample_igso3(
     return out
 
 
-def score_from_table(
-    r0, rt, table: IGSO3Table, cfg: TruncationConfig = DEFAULT_CONFIG
-):
-    """:func:`conditional_score` from a table of time ``table.t`` (see :func:`f_q`)."""
-    return mixture_score(np.asarray(r0, dtype=float)[None], rt, table.t, cfg, table)
+def score_from_table(r0, rt, table: IGSO3Table):
+    """:func:`conditional_score` at time ``table.t``; nothing else of the table
+    is read. ``perfbench/micro.py`` calls it; it goes with ROADMAP item 6."""
+    return conditional_score(r0, rt, table.t)
 
 
 def riemannian_gradient_fd(

@@ -220,8 +220,6 @@ def score_from_denoised(
     """
     if len(fs_t) != len(pred0):
         raise ValueError("frame counts differ")
-    # Scores at the walk's own angles: a walk visits each time once, so a
-    # table of the time would be built for one read.
     rot_scores = igso3.conditional_score(
         pred0.rotations, fs_t.rotations, float(schedules.rot_variance(t, rot_sched))
     )

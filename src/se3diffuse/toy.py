@@ -83,11 +83,10 @@ def score_t(
 ) -> np.ndarray:
     """Stein score of the noised mixture at ``rt``: :func:`igso3.mixture_score` over the atoms.
 
-    The score is a coefficient vector (..., 3) in the frame of ``rt``. A
-    ``table`` for time ``t`` replaces the direct evaluation by its
-    interpolation; the walks score directly.
+    The score is a coefficient vector (..., 3) in the frame of ``rt``.
+    ``table`` is not read: ``perfbench/micro.py`` passes it (ROADMAP item 6).
     """
-    return igso3.mixture_score(target.atoms, rt, t, table=table, weights=target.weights)
+    return igso3.mixture_score(target.atoms, rt, t, weights=target.weights)
 
 
 def _unit_rate_walk(init, times, score, rng) -> Iterator[tuple[float, np.ndarray]]:
@@ -113,10 +112,10 @@ def iter_reverse(
 ) -> Iterator[tuple[float, np.ndarray]]:
     """Score-ascent walk from uniform down the reversed grid; (t, rotations) pairs.
 
-    The score field is :func:`score_t` at the walk's angles, without a
-    table; at unit rate the walk's drift is this score itself. Its last
-    evaluation, at the second grid time, is checked against
-    :data:`igso3.T_MIN` before anything is drawn.
+    The score field is :func:`score_t` at the walk's angles; at unit rate
+    the walk's drift is this score itself. Its last evaluation, at the
+    second grid time, is checked against :data:`igso3.T_MIN` before
+    anything is drawn.
     """
 
     def score(t: float, fs: process.FrameSet) -> tuple[np.ndarray, np.ndarray]:

@@ -175,11 +175,11 @@ def test_c09_dsm_trivial_prediction():
     for t in (0.1, 0.5, 1.0):
         var = float(schedules.rot_variance(t, RS))
         lam = 1.0 / igso3.expected_score_norm_sq(var)
-        table = igso3.build_table(var)
-        angles = table.sample_angles(rng, 100_000)
+        angles = igso3.build_table(var).sample_angles(rng, 100_000)
         # Trivial denoiser predicts the noisy rotation itself: its score
-        # prediction is zero, so the weighted loss is lambda E|score|^2.
-        loss = lam * np.mean((table.interp_df(angles) / table.interp_f(angles)) ** 2)
+        # prediction is zero, so the weighted loss is lambda E|score|^2,
+        # and |score| at angle w is |w q|.
+        loss = lam * np.mean((angles * igso3.f_q(angles, var)[1]) ** 2)
         ok = ok and abs(loss - 1.0) < 0.03
         details.append(f"t={t}: {loss:.4f}")
     report(9, "dsm-trivial-prediction", ok, ", ".join(details))

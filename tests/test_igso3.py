@@ -107,17 +107,18 @@ class TestTruncation:
 
     @pytest.mark.parametrize("t", [igso3.T_MIN, 0.1, 1.0, 2.25])
     def test_matches_full_sum(self, t):
-        # Direct values and tables both come from the image sum.
+        # Direct values and the table's CDF both come from the image sum.
         table = igso3.build_table(t)
         grid = table.omega_grid
         f_exact, df_exact = dirichlet_series(grid, t, 2000)
         f_tol = 1e-15 * np.abs(f_exact).max()
         df_tol = 1e-15 * np.abs(df_exact).max()
-        assert np.abs(igso3.f_igso3(grid, t) - f_exact).max() <= f_tol
-        assert np.abs(igso3.df_igso3_domega(grid, t) - df_exact).max() <= df_tol
-        assert np.abs(table.f_vals - f_exact).max() <= f_tol
-        assert np.abs(table.df_vals - df_exact).max() <= df_tol
-        assert np.array_equal(table.cdf_vals, trapezoid_cdf(table.f_vals, grid))
+        f, df = igso3.f_df(grid, t)
+        assert np.abs(f - f_exact).max() <= f_tol
+        assert np.abs(df - df_exact).max() <= df_tol
+        assert np.array_equal(igso3.f_igso3(grid, t), f)
+        assert np.array_equal(igso3.df_igso3_domega(grid, t), df)
+        assert np.array_equal(table.cdf_vals, trapezoid_cdf(f, grid))
         # From w ~ 1.15 on at t_min the oracle's f is its own roundoff.
         cdf_tol = f_tol if t == igso3.T_MIN else 1e-15
         assert np.abs(table.cdf_vals - trapezoid_cdf(f_exact, grid)).max() <= cdf_tol
@@ -264,17 +265,6 @@ class TestVanishingDensity:
     RT = so3.exp_so3(so3.hat(np.array([2.0, 0.0, 0.0])))
 
     @pytest.mark.parametrize("omega", [1.15, 1.2, 1.5, 2.0])
-    def test_table_score_follows_small_time_expansion(self, omega):
-        # Linear interpolation of f and df between grid nodes leaves about
-        # 1e-4 of the score here.
-        rt = so3.exp_so3(so3.hat(np.array([omega, 0.0, 0.0])))
-        table = igso3.build_table(self.T)
-        score = igso3.score_from_table(np.eye(3), rt, table)
-        expected = small_time_score(omega, self.T)
-        assert abs(score[0] - expected) <= 1e-3 * abs(expected)
-        assert score[1] == 0.0 and score[2] == 0.0
-
-    @pytest.mark.parametrize("omega", [1.15, 1.2, 1.5, 2.0])
     def test_direct_score_follows_small_time_expansion(self, omega):
         # The other images weigh under exp(-2 pi (pi - w) / t) < 1e-180 here.
         rt = so3.exp_so3(so3.hat(np.array([omega, 0.0, 0.0])))
@@ -295,11 +285,23 @@ class TestVanishingDensity:
 
 
 class TestScoreFromTable:
+    """``score_from_table`` reads only the table's time: it is
+    ``conditional_score`` at ``table.t``, bit for bit."""
+
+    @pytest.mark.parametrize("t", [igso3.T_MIN, 0.5, igso3.T_IMAGE, 50.0])
+    def test_is_conditional_score_at_table_time(self, rng, t):
+        r0 = so3.sample_uniform_so3(rng, 300)
+        rt = so3.sample_uniform_so3(rng, 300)
+        rt[:100] = igso3.sample_igso3(r0[:100], igso3.build_table(t), rng)
+        for a, b in ((r0, rt), (r0[0], rt), (r0[7], rt[7])):
+            tabled = igso3.score_from_table(a, b, igso3.build_table(t))
+            direct = igso3.conditional_score(a, b, t)
+            assert tabled.shape == direct.shape and tabled.tobytes() == direct.tobytes()
+
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_small_angle_score_is_the_limit(self, rng, t):
         # Near the identity the score is w q(0, t) along the axis, on both
-        # sides of 1e-4, where it used to be cut to 0; the table is within
-        # its interpolation error of that.
+        # sides of 1e-4, where it used to be cut to 0.
         table = igso3.build_table(t)
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
@@ -310,7 +312,7 @@ class TestScoreFromTable:
             series = igso3.conditional_score(r0, rt, t)
             tabled = igso3.score_from_table(r0, rt, table)
             assert np.abs(series - limit).max() <= 1e-8 * np.abs(limit).max()
-            assert np.abs(tabled - limit).max() <= 1e-4 * np.abs(limit).max()
+            assert np.array_equal(tabled, series)
         assert igso3.f_q(0.0, t)[1] == pytest.approx(q_at_zero(t), rel=1e-14)
 
     @pytest.mark.parametrize("t", [0.5, 1.0])
@@ -323,31 +325,30 @@ class TestScoreFromTable:
             rt = r0 @ so3.exp_so3(so3.hat((np.pi - gap) * axis))
             series = igso3.conditional_score(r0, rt, t)
             tabled = igso3.score_from_table(r0, rt, table)
-            assert np.abs(tabled - series).max() <= 1e-4 * np.abs(series).max()
+            assert np.array_equal(tabled, series)
 
 
 TABLE_TIMES = [igso3.T_MIN, 0.2, 0.5, 1.0, 4.0, igso3.T_IMAGE, 8.5, 50.0]
 
 
 def per_time_tables(ts, cfg=CFG):
-    """Tables built the straightforward way: the direct f and df on the grid,
-    then the trapezoidal CDF, one time after another."""
+    """Tables built the straightforward way: the direct f on the grid, then
+    the trapezoidal CDF, one time after another."""
     grid = np.linspace(0.0, np.pi, cfg.angle_grid)
     tables = []
     for t in ts:
         f = igso3.f_igso3(grid, t, cfg)
         pdf = f * (1.0 - np.cos(grid)) / np.pi
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
-        tables.append((t, f, igso3.df_igso3_domega(grid, t, cfg), cdf / cdf[-1], cdf[-1]))
+        tables.append((t, grid, cdf / cdf[-1], cdf[-1]))
     return tables
 
 
 def assert_tables_equal(tables, expected):
     assert len(tables) == len(expected)
-    for table, (t, f, df, cdf, raw_mass) in zip(tables, expected):
+    for table, (t, grid, cdf, raw_mass) in zip(tables, expected):
         assert table.t == t
-        assert np.array_equal(table.f_vals, f)
-        assert np.array_equal(table.df_vals, df)
+        assert np.array_equal(table.omega_grid, grid)
         assert np.array_equal(table.cdf_vals, cdf)
         assert table.raw_mass == raw_mass
 
@@ -372,14 +373,6 @@ class TestTable:
         assert igso3.TruncationConfig().angle_grid == 1000
         assert len(igso3.build_table(0.5).omega_grid) == 1000
 
-    def test_interpolation_error(self):
-        for t in (0.5, 1.5):
-            table = igso3.build_table(t)
-            mid = 0.5 * (table.omega_grid[1:] + table.omega_grid[:-1])
-            direct = igso3.f_igso3(mid, t)
-            rel = np.abs(table.interp_f(mid) - direct) / np.abs(direct)
-            assert rel.max() < 1e-4
-
     def test_rejects_below_t_min(self):
         with pytest.raises(igso3.NumericalDomainError):
             igso3.build_table(0.005)
@@ -398,15 +391,16 @@ class TestTable:
         blocked = [tab for i in range(0, len(ts), block)
                    for tab in igso3.build_tables(ts[i:i + block])]
         assert_tables_equal(blocked, [
-            (tab.t, tab.f_vals, tab.df_vals, tab.cdf_vals, tab.raw_mass) for tab in whole])
+            (tab.t, tab.omega_grid, tab.cdf_vals, tab.raw_mass) for tab in whole])
         for i in (0, 48, 98):
             assert_tables_equal([whole[i]], per_time_tables([ts[i]]))
 
     def test_density_positive(self):
         # The image sum is positive, and the series above it is at least
-        # 1 - 3 exp(-8).
+        # 1 - 3 exp(-8), at every grid angle of the tables.
         for table in igso3.build_tables(TABLE_TIMES):
-            assert (table.f_vals > 0.0).all() and np.isfinite(table.f_vals).all()
+            f = igso3.f_df(table.omega_grid, table.t)[0]
+            assert (f > 0.0).all() and np.isfinite(f).all()
 
     @pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
     def test_density_check_names_first_bad_time(self, monkeypatch, bad):
@@ -428,8 +422,8 @@ class TestTable:
     def test_batch_builder_matches_single(self):
         single = igso3.build_table(0.8)
         batched = igso3.build_tables([0.3, 0.8])[1]
-        assert np.allclose(single.f_vals, batched.f_vals, rtol=0, atol=1e-12)
         assert np.allclose(single.cdf_vals, batched.cdf_vals, rtol=0, atol=1e-12)
+        assert single.raw_mass == pytest.approx(batched.raw_mass, rel=0, abs=1e-12)
 
 
 class TestSampling:
@@ -506,9 +500,8 @@ class TestExpectedScoreNormSq:
     def test_monte_carlo_agreement(self, rng):
         t = 0.5
         quad = igso3.expected_score_norm_sq(t)
-        table = igso3.build_table(t)
-        angles = table.sample_angles(rng, 100_000)
-        mc = np.mean((table.interp_df(angles) / table.interp_f(angles)) ** 2)
+        angles = igso3.build_table(t).sample_angles(rng, 100_000)
+        mc = np.mean((angles * igso3.f_q(angles, t)[1]) ** 2)
         assert abs(mc - quad) / quad < 0.02
 
     def test_vanishes_in_flat_limit(self):

@@ -105,12 +105,12 @@ def test_image_sum_is_periodic_and_even_like_the_series(t):
 
 @pytest.mark.parametrize("t", [igso3.T_MIN, 1.0, 2.25])
 def test_tables_match_high_precision_series(t):
-    # Tables hold the image sum's values: f keeps its relative precision
-    # past the series' roundoff floor, and the score its relative
-    # precision at small angles, where the termwise series cancels.
-    table = igso3.build_table(t)
-    idx = np.unique(np.geomspace(1, len(table.omega_grid) - 1, 25).astype(int))
-    for w, f, df in zip(table.omega_grid[idx], table.f_vals[idx], table.df_vals[idx]):
+    # At the table's grid angles the image sum's f keeps its relative
+    # precision past the series' roundoff floor, and the score its
+    # relative precision at small angles, where the termwise series cancels.
+    grid = igso3.build_table(t).omega_grid
+    idx = np.unique(np.geomspace(1, len(grid) - 1, 25).astype(int))
+    for w, f, df in zip(grid[idx], *igso3.f_df(grid[idx], t)):
         f_ref, s_ref, _ = reference(float(w), t)
         assert abs(f - f_ref) <= 1e-12 * f_ref, (w, f, f_ref)
         assert abs(df / f - s_ref) <= 1e-14 * abs(s_ref), (w, df / f, s_ref)

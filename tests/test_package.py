@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -87,6 +88,49 @@ def test_only_igso3_commands_and_init_name_the_truncation_config():
     found = sorted(path.name for path in PACKAGE.glob("*.py")
                    if naming.search(path.read_text()))
     assert found == ["__init__.py", "commands.py", "igso3.py"]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_LIBRARY = ("so3", "igso3", "process", "toy", "schedules", "backbone")
+
+
+def unbindable_calls(path: Path) -> list[str]:
+    """``module.name: reason`` for each ``module.name(...)`` call in ``path``,
+    ``module`` a library module, whose signature does not take the call's
+    positional count and keyword names."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        func = node.func if isinstance(node, ast.Call) else None
+        if not (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in _LIBRARY):
+            continue
+        name = f"{func.value.id}.{func.attr}"
+        fn = getattr(importlib.import_module(f"se3diffuse.{func.value.id}"), func.attr, None)
+        try:
+            inspect.signature(fn).bind(*node.args, **{k.arg: k for k in node.keywords})
+        except (TypeError, ValueError) as exc:
+            found.append(f"{name}: {exc}")
+    return found
+
+
+def test_benchmark_calls_bind_to_library_signatures():
+    # perfbench/ pins the names and parameters it calls; a library change
+    # that drops one fails here, not only in the benchmark's own run.
+    assert unbindable_calls(PERFBENCH / "micro.py") + unbindable_calls(PERFBENCH / "checks.py") == []
+
+
+def test_call_scan_finds_unbindable_calls(tmp_path):
+    module = tmp_path / "bench.py"
+    module.write_text(
+        "from se3diffuse import igso3, toy\nimport numpy as np\n"
+        "igso3.f_igso3(w, 0.5, cfg, 1)\ntoy.score_t(target, rt, 1.0, tabel=x)\n"
+        "igso3.conditional_score(r0, rt, 0.8, cfg)\nnp.polyval(c, x, y)\nigso3.no_such(x)\n"
+    )
+    assert unbindable_calls(module) == [
+        "igso3.f_igso3: too many positional arguments",
+        "toy.score_t: got an unexpected keyword argument 'tabel'",
+        "igso3.no_such: None is not a callable object",
+    ]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -60,23 +60,24 @@ class TestMixtureDensity:
             assert flat.shape == padded.shape and flat.tobytes() == padded.tobytes()
 
     def test_integrates_to_one_haar(self, rng, target):
-        table = igso3.build_table(0.5)
         total, n = 0.0, 0
         for _ in range(10):
             rts = so3.sample_uniform_so3(rng, 100_000)
             total += igso3.mixture_density(
-                target.atoms[:, None], rts, 0.5, table=table, weights=target.weights
+                target.atoms[:, None], rts, 0.5, weights=target.weights
             ).sum()
             n += 100_000
         assert abs(total / n - 1.0) < 0.01
 
-    def test_table_path_matches_series(self, rng, target):
-        table = igso3.build_table(0.5)
+    def test_is_the_weighted_kernel_sum_bit_for_bit(self, rng, target):
+        # The one evaluation path: f at each atom's angle, weighted and
+        # added in atom order.
         rts = so3.sample_uniform_so3(rng, 100)
-        centers = target.atoms[:, None]
-        direct = igso3.mixture_density(centers, rts, 0.5, weights=target.weights)
-        fast = igso3.mixture_density(centers, rts, 0.5, table=table, weights=target.weights)
-        assert np.abs(direct - fast).max() / direct.max() < 1e-3
+        direct = igso3.mixture_density(target.atoms[:, None], rts, 0.5, weights=target.weights)
+        expected = 0.0
+        for w, angles in zip(target.weights, toy.atom_angles(target, rts)):
+            expected = expected + w * igso3.f_igso3(angles, 0.5)
+        assert np.array_equal(direct, expected)
 
     def test_weighted_sum_of_components(self, rng):
         target = toy.DiscreteTarget(so3.sample_uniform_so3(rng, 3), np.array([0.5, 0.3, 0.2]))
@@ -174,9 +175,8 @@ class TestMixtureScore:
             target.atoms[rng.integers(3, size=50)], table, rng
         )
         direct = toy.score_t(target, rts, 0.8)
-        fast = toy.score_t(target, rts, 0.8, table=table)
-        scale = max(1.0, np.abs(direct).max())
-        assert np.abs(direct - fast).max() / scale < 1e-3
+        tabled = toy.score_t(target, rts, 0.8, table=table)
+        assert np.array_equal(tabled, direct)
 
     def test_single_rotation_equals_row_of_batch(self, rng, target):
         rts = so3.sample_uniform_so3(rng, 20)
@@ -187,15 +187,15 @@ class TestMixtureScore:
 
     @pytest.mark.parametrize("omega", [1.15, 1.2, 1.5, 2.0])
     def test_single_atom_table_score_follows_small_time_expansion(self, omega):
-        # Tables hold the image sum's values, so past where the series'
-        # f is roundoff the table score is the direct one up to the
-        # interpolation error of about 1e-4 of the score.
+        # score_t does not read a table: past where the series' f is
+        # roundoff, the score with one is the direct one, bit for bit.
         t = float(schedules.rot_variance(0.01, schedules.RotationSchedule()))
         rt = so3.exp_so3(so3.hat(np.array([omega, 0.0, 0.0])))
         single = toy.DiscreteTarget(np.eye(3)[None], np.array([1.0]))
         score = toy.score_t(single, rt, t, table=igso3.build_table(t))
+        assert np.array_equal(score, toy.score_t(single, rt, t))
         expected = -omega / t + 1.0 / omega - 0.5 / np.tan(0.5 * omega)
-        assert abs(score[0] - expected) <= 1e-3 * abs(expected)
+        assert abs(score[0] - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize("omega", [1.15, 1.2, 1.5, 2.0])
     def test_single_atom_direct_score_follows_small_time_expansion(self, omega):
