@@ -290,11 +290,12 @@ class TestScoreFromTable:
 
     @pytest.mark.parametrize("t", [igso3.T_MIN, 0.5, igso3.T_IMAGE, 50.0])
     def test_is_conditional_score_at_table_time(self, rng, t):
+        table = igso3.build_table(t)
         r0 = so3.sample_uniform_so3(rng, 300)
         rt = so3.sample_uniform_so3(rng, 300)
-        rt[:100] = igso3.sample_igso3(r0[:100], igso3.build_table(t), rng)
+        rt[:100] = igso3.sample_igso3(r0[:100], table, rng)
         for a, b in ((r0, rt), (r0[0], rt), (r0[7], rt[7])):
-            tabled = igso3.score_from_table(a, b, igso3.build_table(t))
+            tabled = igso3.score_from_table(a, b, table)
             direct = igso3.conditional_score(a, b, t)
             assert tabled.shape == direct.shape and tabled.tobytes() == direct.tobytes()
 
@@ -399,7 +400,7 @@ class TestTable:
         # The image sum is positive, and the series above it is at least
         # 1 - 3 exp(-8), at every grid angle of the tables.
         for table in igso3.build_tables(TABLE_TIMES):
-            f = igso3.f_df(table.omega_grid, table.t)[0]
+            f = igso3.f_igso3(table.omega_grid, table.t)
             assert (f > 0.0).all() and np.isfinite(f).all()
 
     @pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
