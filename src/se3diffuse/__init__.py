@@ -5,7 +5,7 @@ import importlib
 __version__ = "0.1.0"
 
 # The module that defines each re-exported class.
-_HOMES = {"FrameSet": "process", "IGSO3Table": "igso3", "NumericalDomainError": "igso3",
+_HOMES = {"FrameSet": "process", "NumericalDomainError": "igso3",
           "RotationSchedule": "schedules", "SimConfig": "process",
           "TranslationSchedule": "schedules", "TruncationConfig": "igso3"}
 __all__ = ["backbone", "cli", "igso3", "process", "schedules", "so3", "toy", *_HOMES]

@@ -25,7 +25,7 @@ import os
 import sys
 import time
 
-from . import UsageError
+from . import UsageError, __version__
 
 # Each command line's options, the only flags it accepts: key -> (type,
 # default[, lowest value or choices]). The flag is --key with "_" written as
@@ -34,8 +34,7 @@ from . import UsageError
 OPTIONS = {
     "igso3 eval": {"t": (float, None), "grid": (int, 1000, 2), "out": (str, None)},
     **dict.fromkeys(["igso3 sample", "igso3 score"], {
-        "t": (float, None), "grid": (int, 1000, 2), "n": (int, 10000, 0),
-        "seed": (int, 0, 0), "out": (str, None)}),
+        "t": (float, None), "n": (int, 10000, 0), "seed": (int, 0, 0), "out": (str, None)}),
     "schedule": {"beta_min": (float, 0.1), "beta_max": (float, 20.0),
                  "sigma_min": (float, 0.1), "sigma_max": (float, 1.5),
                  "points": (int, 101, 0),
@@ -150,6 +149,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config, values = _resolve(args, args.line)
+        import numpy
+
         from . import commands  # numpy and the library: only for a valid command line
         from .igso3 import NumericalDomainError
 
@@ -160,6 +161,8 @@ def main(argv=None) -> int:
             """The path and JSON text of the run's reproducibility record."""
             record = {"command": args.line, "config": config, "outputs": outputs,
                       "seed": getattr(values, "seed", None),
+                      "versions": {"se3diffuse": __version__, "numpy": numpy.__version__,
+                                   "python": "%d.%d.%d" % sys.version_info[:3]},
                       "duration_s": time.monotonic() - start}
             path = (os.path.join(config["out_dir"], "manifest.json") if "out_dir" in config
                     else config["out"] + ".manifest.json")

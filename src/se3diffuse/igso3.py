@@ -45,13 +45,8 @@ within 1e-15 relative above t = 0.5 and 3e-14 at t_min.
 
 Both branches keep a number of terms fixed by t alone and add them up
 elementwise, so the bits of f and q at an angle depend on that angle and
-t, not on the other angles evaluated with it.
-
-Tables (:func:`build_tables`) hold only the angle CDF that
-:func:`sample_igso3` draws from, on a uniform angle grid, built one time
-at a time, so a table's bits do not depend on the other times built with
-it. Every density and score is evaluated at its own angles; none is read
-from a table.
+t, not on the other angles evaluated with it. Nothing is tabulated:
+:func:`sample_angles` draws exactly, by rejection on f at its proposals.
 """
 
 from __future__ import annotations
@@ -72,15 +67,9 @@ class NumericalDomainError(ValueError):
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Discretization of the IGSO3 sampling tables and CDFs.
-
-    angle_grid: points of the uniform angle grid for tables and CDFs.
-
-    Of the evaluators at given angles, :func:`f_igso3` and
-    :func:`conditional_score` still take one and read nothing from it,
-    because ``perfbench/micro.py`` passes it; it goes with ROADMAP item 6.
-    Every configuration shares the smallest trusted time :data:`T_MIN`.
-    """
+    """angle_grid: points of the uniform angle grid of
+    :func:`expected_score_norm_sq` and ``igso3 eval``. :func:`f_igso3` and
+    :func:`conditional_score` take one unread, for ``perfbench/micro.py``."""
 
     angle_grid: int = 1000
 
@@ -278,9 +267,7 @@ def f_df(omega, t: float):
 
 
 def f_igso3(omega, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
-    """Heat kernel f(w, t) of :func:`f_q`, vectorized over ``omega``.
-
-    ``cfg`` is not read: ``perfbench/micro.py`` passes it (ROADMAP item 6)."""
+    """Heat kernel f(w, t) of :func:`f_q`; ``cfg`` is not read (ROADMAP item 6)."""
     return f_q(omega, t)[0]
 
 
@@ -289,8 +276,8 @@ def df_igso3_domega(omega, t: float):
     return f_df(omega, t)[1]
 
 
-# (center, rotation) pairs of a mixture, or rows of a draw, evaluated at a
-# time, so that their arrays keep one size whatever the batch.
+# (center, rotation) pairs of a mixture, rows of a draw or angle proposals
+# evaluated at a time, so that their arrays keep one size whatever the batch.
 _MIXTURE_PAIRS = 2048
 
 
@@ -375,63 +362,88 @@ def conditional_score(r0, rt, t: float, cfg: TruncationConfig = DEFAULT_CONFIG):
     return mixture_score(np.asarray(r0, dtype=float)[None], rt, t)
 
 
+def _maxwell_ratio(omega, t: float):
+    """(p/q)(w) / M = sinc(w/2) R(w) / 2 of the Maxwell proposal at w in [0, pi], with
+    R = f sin(w/2) / (e^(t/8) sqrt(2 pi) t^(-3/2) h(w)); w^2/2t is |N|^2/2 there."""
+    sinc = np.sinc(omega / (2.0 * np.pi))  # sin(w/2) / (w/2)
+    r = f_q(omega, t)[0] * sinc * np.exp(omega * omega * (0.5 / t) - t / 8.0) * t**1.5
+    return 0.5 * sinc * r / math.sqrt(8.0 * np.pi)
+
+
+def sample_angles(t: float, rng: np.random.Generator, shape=()):
+    """Exact draws of shape ``shape`` from the angle law p(w) = f(w, t)
+    (1 - cos w) / pi by rejection: of two proposals q with a proved bound M
+    on p/q, the one with the smaller M at t is taken, and a proposal w is
+    kept with probability (p/q)(w) / M, so a share 1/M of them is.
+
+    - Haar angles, 2 atan2(|v|, |a|) of a standard normal quaternion
+      (a, v), with q = (1 - cos w) / pi: p/q = f(w, t) <= f(0, t) = M, as f
+      sums characters chi_l with positive weights and |chi_l| <= chi_l(0).
+    - Maxwell, w = sqrt(t) |N(0, I3)|, draws past pi rejected: with
+      h(x) = x e^(-x^2/2t), f = e^(t/8) sqrt(2 pi) t^(-3/2) g / sin(w/2),
+      g = sum_k (-1)^k h(w + 2 pi k), so p/q = e^(t/8) sinc(w/2) R(w),
+      R = g / h(w), and M = 2 e^(t/8), as sinc <= 1 and R <= 2 for t <= 3.
+      There h and -h' fall past sqrt(3t) <= 3 < 3 pi/2, so the alternating
+      sums of image pairs below are at most their first terms. For w >= pi/2, pairs
+      about pi give g <= h(w) + h(2 pi - w), and with v = pi - w,
+      h(2 pi - w) / h(w) = ((pi + v) / (pi - v)) e^(-2 pi v/t) <= 1: the log
+      of the first factor is convex, so at most (2v/pi) log 3 <= 2 pi v/t.
+      For w < pi/2, pairs about 0 give g <= h(w) + 2w |h'(2 pi - w)|, and
+      2w |h'(2 pi - w)| / h(w) <= 2 ((2 pi - w)^2 / t) e^(-2 pi (pi - w)/t)
+      <= 8 y e^(-y) < 0.99 with y = pi^2 / t >= 3.29.
+
+    As f(0, t) falls, 2 e^(t/8) grows and f(0, 3) = 1.45 < 2 e^(3/8), Maxwell
+    is taken only below t = 3 (they cross near 1.85). A round proposes
+    m = M k + 3 sqrt(M k) for k draws missing, at most :data:`_MIXTURE_PAIRS`.
+    """
+    t = check_time(t)
+    f0 = f_q(0.0, t)[0]
+    maxwell = t < 8.0 * math.log(0.5 * f0)  # 2 e^(t/8) < f(0, t)
+    bound = 2.0 * math.exp(t / 8.0) if maxwell else f0
+    out = np.empty(shape)
+    flat, done = out.reshape(-1), 0
+    while done < flat.size:
+        need = bound * (flat.size - done)
+        m = min(_MIXTURE_PAIRS, math.ceil(need + 3.0 * math.sqrt(need)))
+        if maxwell:
+            omega = math.sqrt(t) * np.linalg.norm(rng.standard_normal((m, 3)), axis=-1)
+            omega = omega[omega <= np.pi]
+        else:
+            q = rng.standard_normal((m, 4))
+            omega = 2.0 * np.arctan2(np.linalg.norm(q[:, 1:], axis=-1), np.abs(q[:, 0]))
+        ratio = _maxwell_ratio(omega, t) if maxwell else f_q(omega, t)[0] / f0
+        kept = omega[rng.random(omega.size) < ratio][:flat.size - done]
+        flat[done:done + kept.size] = kept
+        done += kept.size
+    return out[()]
+
+
 @dataclass(frozen=True)
 class IGSO3Table:
-    """Angle CDF for one time, the table :func:`sample_igso3` draws from.
-
-    ``cdf_vals`` is the normalized trapezoidal CDF of the angle marginal
-    f(w,t)(1-cos w)/pi on the uniform ``omega_grid``. ``raw_mass`` records
-    the integral before normalization (1 up to the trapezoid's error).
-    """
+    """A time, which :func:`sample_igso3` reads through ``float``. Only
+    ``perfbench/micro.py`` builds one, by ``build_table(s)`` (ROADMAP item 6)."""
 
     t: float
-    omega_grid: np.ndarray
-    cdf_vals: np.ndarray
-    raw_mass: float = 1.0
 
-    def sample_angles(self, rng: np.random.Generator, shape=()):
-        return np.interp(rng.random(shape), self.cdf_vals, self.omega_grid)
+    def __float__(self) -> float:
+        return self.t
 
 
 def build_table(t: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> IGSO3Table:
-    """Tabulate the angle CDF on the uniform grid."""
-    return build_tables([t], cfg)[0]
+    return IGSO3Table(check_time(t))
 
 
 def build_tables(ts, cfg: TruncationConfig = DEFAULT_CONFIG) -> list[IGSO3Table]:
-    """:func:`build_table` for each time of ``ts``, one time at a time.
-
-    Raises :class:`NumericalDomainError` at the first time whose f is
-    negative or not finite on the grid.
-    """
-    grid = np.linspace(0.0, np.pi, cfg.angle_grid)
-    haar, steps = 1.0 - np.cos(grid), np.diff(grid)
-    tables = []
-    for t in ts:
-        f = f_q(grid, t)[0]
-        if not ((f >= 0.0) & (f < np.inf)).all():
-            raise NumericalDomainError(f"density negative or not finite at t={float(t)}")
-        pdf = f * haar / np.pi
-        cdf = np.zeros(grid.shape)
-        np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * steps, out=cdf[1:])
-        raw_mass = cdf[-1]
-        tables.append(IGSO3Table(float(t), grid, cdf / raw_mass, float(raw_mass)))
-    return tables
+    return [build_table(t) for t in ts]
 
 
-def sample_igso3(
-    r0: np.ndarray, table: IGSO3Table, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw from IGSO3(.; r0, table.t), one sample per base rotation.
-
-    The angle comes from inverse transform sampling on the tabulated CDF
-    with linear interpolation; the axis is uniform on the sphere. Every
-    angle is drawn, then every axis; the rotations are then built
+def sample_igso3(r0: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw from IGSO3(.; r0, t), one sample per base rotation: every angle
+    (:func:`sample_angles`), then every uniform axis, then the rotations,
     :data:`_MIXTURE_PAIRS` rows at a time, so only the draws and the result
-    grow with the rows.
-    """
+    grow with the rows."""
     r0 = np.asarray(r0, dtype=float)
-    rotvecs = so3.random_rotvecs(table.sample_angles(rng, r0.shape[:-2]), rng)
+    rotvecs = so3.random_rotvecs(sample_angles(t, rng, r0.shape[:-2]), rng)
     if r0.ndim == 2:
         return r0 @ so3.exp_so3(so3.hat(rotvecs))
     out = np.empty(r0.shape)
@@ -459,14 +471,9 @@ def riemannian_gradient_fd(
     if h <= 0:
         raise ValueError("h must be positive")
     r = np.asarray(r, dtype=float)
-    coeffs = np.empty(3)
-    for i in range(3):
-        step = np.zeros(3)
-        step[i] = h
-        plus = fn(r @ so3.exp_so3(so3.hat(step)))
-        minus = fn(r @ so3.exp_so3(so3.hat(-step)))
-        coeffs[i] = (plus - minus) / (2.0 * h)
-    return r @ so3.hat(coeffs)
+    coeffs = [fn(r @ so3.exp_so3(so3.hat(step))) - fn(r @ so3.exp_so3(so3.hat(-step)))
+              for step in h * np.eye(3)]
+    return r @ so3.hat(np.array(coeffs) / (2.0 * h))
 
 
 def expected_score_norm_sq(t: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> float:

@@ -120,13 +120,10 @@ def forward_sample(
     """One draw of the forward marginal at time ``t`` from a centered input."""
     if not t0.centered:
         raise ValueError("forward_sample needs a centered frame set")
-    table = igso3.build_table(float(schedules.rot_variance(t, rot_sched)))
-    rotations = igso3.sample_igso3(t0.rotations, table, rng)
+    rotations = igso3.sample_igso3(t0.rotations, schedules.rot_variance(t, rot_sched), rng)
     marg = schedules.trans_marginal(t0.translations, t, trans_sched)
-    translations = marg.mean + np.sqrt(marg.variance) * rng.standard_normal(
-        t0.translations.shape
-    )
-    return center(FrameSet(rotations, translations))
+    noise = rng.standard_normal(t0.translations.shape)
+    return center(FrameSet(rotations, marg.mean + np.sqrt(marg.variance) * noise))
 
 
 def reference_sample(n: int, rng: np.random.Generator) -> FrameSet:

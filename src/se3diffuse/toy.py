@@ -75,12 +75,8 @@ def sample_p0(
     return target.atoms[idx]
 
 
-def score_t(
-    target: DiscreteTarget,
-    rt: np.ndarray,
-    t: float,
-    table: igso3.IGSO3Table | None = None,
-) -> np.ndarray:
+def score_t(target: DiscreteTarget, rt: np.ndarray, t: float,
+            table: igso3.IGSO3Table | None = None) -> np.ndarray:
     """Stein score of the noised mixture at ``rt``: :func:`igso3.mixture_score` over the atoms.
 
     The score is a coefficient vector (..., 3) in the frame of ``rt``.

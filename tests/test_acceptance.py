@@ -37,9 +37,8 @@ def test_c02_score_gradient_consistency():
     times = [0.1, 0.5, 1.0]
     for i in range(50):
         t = times[i % 3]
-        table = igso3.build_table(t)
         r0 = so3.sample_uniform_so3(rng)
-        rt = igso3.sample_igso3(r0, table, rng)
+        rt = igso3.sample_igso3(r0, t, rng)
         score = rt @ so3.hat(igso3.conditional_score(r0, rt, t))
         fd = igso3.riemannian_gradient_fd(
             lambda r: np.log(igso3.igso3_density(r0, r, t)), rt, h=1e-4
@@ -64,9 +63,8 @@ def test_c04_flat_limit():
     grid = np.linspace(0.0, np.pi, 4000)
     sup = np.abs(igso3.f_igso3(grid, 16.0) - 1.0).max()
     rng = np.random.default_rng(4)
-    table = igso3.build_table(50.0)
     eye = np.broadcast_to(np.eye(3), (100_000, 3, 3))
-    a = so3.rotation_angle(igso3.sample_igso3(eye, table, rng))
+    a = so3.rotation_angle(igso3.sample_igso3(eye, 50.0, rng))
     b = so3.rotation_angle(so3.sample_uniform_so3(rng, 100_000))
     ks = stats.ks_2samp(a, b).statistic
     report(
@@ -102,9 +100,9 @@ def test_c05_toy_forward_reverse_agreement():
 def test_c06_heat_kernel_semigroup():
     rng = np.random.default_rng(6)
     eye = np.broadcast_to(np.eye(3), (100_000, 3, 3))
-    first = igso3.sample_igso3(eye, igso3.build_table(0.3), rng)
-    chained = igso3.sample_igso3(first, igso3.build_table(0.5), rng)
-    single = igso3.sample_igso3(eye, igso3.build_table(0.8), rng)
+    first = igso3.sample_igso3(eye, 0.3, rng)
+    chained = igso3.sample_igso3(first, 0.5, rng)
+    single = igso3.sample_igso3(eye, 0.8, rng)
     ks = stats.ks_2samp(
         so3.rotation_angle(chained), so3.rotation_angle(single)
     ).statistic
@@ -175,7 +173,7 @@ def test_c09_dsm_trivial_prediction():
     for t in (0.1, 0.5, 1.0):
         var = float(schedules.rot_variance(t, RS))
         lam = 1.0 / igso3.expected_score_norm_sq(var)
-        angles = igso3.build_table(var).sample_angles(rng, 100_000)
+        angles = igso3.sample_angles(var, rng, 100_000)
         # Trivial denoiser predicts the noisy rotation itself: its score
         # prediction is zero, so the weighted loss is lambda E|score|^2,
         # and |score| at angle w is |w q|.
@@ -195,10 +193,8 @@ def test_c10_centered_process_invariance():
     rotated = FrameSet(g @ base.rotations, base.translations @ g.T, centered=True)
 
     def forward_batch(fs, rng):
-        table = igso3.build_table(float(schedules.rot_variance(t, RS)))
-        rot = igso3.sample_igso3(
-            np.broadcast_to(fs.rotations, (draws, n, 3, 3)), table, rng
-        )
+        rot = igso3.sample_igso3(np.broadcast_to(fs.rotations, (draws, n, 3, 3)),
+                                 float(schedules.rot_variance(t, RS)), rng)
         marg = schedules.trans_marginal(fs.translations, t, TS)
         trans = marg.mean + np.sqrt(marg.variance) * rng.standard_normal((draws, n, 3))
         trans = trans - trans.mean(axis=1, keepdims=True)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import se3diffuse
 from se3diffuse import backbone, cli, commands, igso3, process, schedules, so3, toy
 
 
@@ -109,14 +110,15 @@ class TestIGSO3Commands:
                     "--seed", "1", "--out", str(out)]) == 0
         rng = np.random.default_rng(1)
         base = np.broadcast_to(np.eye(3), (100, 3, 3))
-        samples = igso3.sample_igso3(base, igso3.build_table(0.5), rng)
+        samples = igso3.sample_igso3(base, 0.5, rng)
         coeffs = igso3.conditional_score(base, samples, 0.5)
         assert np.array_equal(read_csv(out)[:, 1:], coeffs)
 
-    def test_below_t_min_is_domain_error(self, tmp_path):
+    @pytest.mark.parametrize("cmd", ["eval", "sample", "score"])
+    def test_below_t_min_is_domain_error(self, tmp_path, cmd):
         out = tmp_path / "bad.csv"
-        assert run(["igso3", "eval", "--t", "0.001", "--out", str(out)]) == 2
-        assert not out.exists()
+        assert run(["igso3", cmd, "--t", "0.005", "--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestScheduleCommand:
@@ -200,14 +202,31 @@ class TestToyCommands:
         report = json.loads(out.read_text())
         assert report["max_ks"] == 0.0
 
-    def test_mismatched_grids_error(self, tmp_path):
+    @pytest.mark.parametrize("t_a,t_b", [("1.0", "2.0"), ("1e-20", "2e-20"),
+                                         ("1e6", "1000000.0000000001")])
+    def test_mismatched_grids_error(self, tmp_path, capsys, t_a, t_b):
+        # Grids are compared exactly: no tolerance joins grids of tiny times,
+        # and none is lost below the spacing of large ones.
         a, b = tmp_path / "a", tmp_path / "b"
-        run(["toy", "forward", "--paths", "20", "--T", "1.0", "--steps", "5",
-             "--seed", "1", "--out-dir", str(a)])
-        run(["toy", "forward", "--paths", "20", "--T", "2.0", "--steps", "5",
-             "--seed", "1", "--out-dir", str(b)])
+        for d, t in ((a, t_a), (b, t_b)):
+            assert run(["toy", "forward", "--paths", "5", "--T", t, "--steps", "3",
+                        "--seed", "1", "--out-dir", str(d)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "no.json"
         assert run(["toy", "compare", "--run-a", str(a), "--run-b", str(b),
-                    "--out", str(tmp_path / "no.json")]) == 1
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: runs were recorded on different time grids\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", ["1e-20", "1e6"])
+    def test_same_command_line_twice_compares_cleanly(self, tmp_path, t):
+        for d in ("a", "b"):
+            assert run(["toy", "forward", "--paths", "5", "--T", t, "--steps", "3",
+                        "--seed", "1", "--out-dir", str(tmp_path / d)]) == 0
+        out = tmp_path / "ks.json"
+        assert run(["toy", "compare", "--run-a", str(tmp_path / "a"),
+                    "--run-b", str(tmp_path / "b"), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ks"] == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("other", [["--atoms", "2"], ["--atom-seed", "1"]])
     def test_different_atoms_error(self, tmp_path, capsys, other):
@@ -361,7 +380,7 @@ class TestRejectedValues:
 
 _INT = ("-1", "0", "1152921504606846976", "9223372036854775808")
 _FLOAT = ("-1", "0", "nan", "inf", "1e308")
-_IGSO3_FLAGS = {"--t": _FLOAT, "--grid": _INT, "--n": _INT, "--seed": _INT}
+_IGSO3_FLAGS = {"--t": _FLOAT, "--n": _INT, "--seed": _INT}
 _EVAL_FLAGS = {"--t": _FLOAT, "--grid": _INT}
 _TOY_FLAGS = {"--atoms": _INT, "--paths": _INT, "--T": _FLOAT, "--steps": _INT,
               "--seed": _INT, "--atom-seed": _INT}
@@ -371,7 +390,7 @@ _TOY_BASE = ["--atoms", "2", "--paths", "5", "--T", "1", "--steps", "3",
 _FUZZ = [
     (["igso3", "eval", "--t", "0.5", "--grid", "20", "--out", "OUT/o.csv"], _EVAL_FLAGS)
 ] + [
-    (["igso3", cmd, "--t", "0.5", "--grid", "20", "--n", "4", "--out", "OUT/o.csv"],
+    (["igso3", cmd, "--t", "0.5", "--n", "4", "--out", "OUT/o.csv"],
      _IGSO3_FLAGS)
     for cmd in ("sample", "score")
 ] + [
@@ -602,6 +621,9 @@ class TestReproducibility:
         assert manifest["config"]["beta_min"] == 0.1
         assert manifest["outputs"] == [str(out)]
         assert manifest["duration_s"] >= 0
+        assert manifest["versions"] == {
+            "se3diffuse": se3diffuse.__version__, "numpy": np.__version__,
+            "python": "%d.%d.%d" % sys.version_info[:3]}
 
 
 class TestSchemas:
@@ -623,7 +645,8 @@ class TestSchemas:
             assert np.isfinite(data).all()
         for manifest in tmp_path.rglob("*manifest*.json"):
             parsed = json.loads(manifest.read_text())
-            assert {"command", "config", "seed", "outputs", "duration_s"} <= set(parsed)
+            assert {"command", "config", "seed", "outputs", "versions",
+                    "duration_s"} <= set(parsed)
         parsed = backbone.read_pdb(str(tmp_path / "bb.pdb"))
         assert len(parsed) == 3
 
@@ -805,6 +828,11 @@ def _fresh_run(tmp_path, code):
                  id="n-residues-0"),
     pytest.param(["igso3", "eval", "--t", "0.5", "--grid", "1", "--out", "OUT/e.csv"], 1,
                  id="grid-1"),
+    # Draws are exact: no angle grid to set.
+    pytest.param(["igso3", "sample", "--t", "0.5", "--grid", "10", "--out", "OUT/q.csv"], 1,
+                 id="sample-grid"),
+    pytest.param(["igso3", "score", "--t", "0.5", "--grid", "10", "--out", "OUT/g.csv"], 1,
+                 id="score-grid"),
     pytest.param(["toy", "forward", "--steps", "1", "--out-dir", "OUT/run"], 1, id="steps-1"),
     # A flag of another line of the same subcommand.
     pytest.param(["toy", "forward", "--run-a", "x", "--out-dir", "OUT/run"], 1,

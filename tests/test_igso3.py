@@ -43,7 +43,7 @@ def dirichlet_series(omega, t, n_terms):
 
 
 def trapezoid_cdf(f, grid):
-    """Normalized trapezoidal angle CDF of a clamped density, as tables build it."""
+    """Normalized trapezoidal angle CDF of a clamped density on ``grid``."""
     pdf = np.clip(f, 0.0, None) * (1.0 - np.cos(grid)) / np.pi
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
     return cdf / cdf[-1]
@@ -107,9 +107,7 @@ class TestTruncation:
 
     @pytest.mark.parametrize("t", [igso3.T_MIN, 0.1, 1.0, 2.25])
     def test_matches_full_sum(self, t):
-        # Direct values and the table's CDF both come from the image sum.
-        table = igso3.build_table(t)
-        grid = table.omega_grid
+        grid = np.linspace(0.0, np.pi, 1000)
         f_exact, df_exact = dirichlet_series(grid, t, 2000)
         f_tol = 1e-15 * np.abs(f_exact).max()
         df_tol = 1e-15 * np.abs(df_exact).max()
@@ -118,10 +116,6 @@ class TestTruncation:
         assert np.abs(df - df_exact).max() <= df_tol
         assert np.array_equal(igso3.f_igso3(grid, t), f)
         assert np.array_equal(igso3.df_igso3_domega(grid, t), df)
-        assert np.array_equal(table.cdf_vals, trapezoid_cdf(f, grid))
-        # From w ~ 1.15 on at t_min the oracle's f is its own roundoff.
-        cdf_tol = f_tol if t == igso3.T_MIN else 1e-15
-        assert np.abs(table.cdf_vals - trapezoid_cdf(f_exact, grid)).max() <= cdf_tol
 
     def test_scalar_oracle_agrees(self):
         tol = 1e-15 * brute_force_f(0.0, igso3.T_MIN, 2000)  # f peaks at w = 0
@@ -208,10 +202,9 @@ class TestConditionalScore:
     def test_matches_fd_gradient_of_log_density(self, rng, t):
         # Configurations drawn from the forward marginal keep the density
         # representable; uniform pairs at t = 0.1 underflow near w = pi.
-        table = igso3.build_table(t)
         for _ in range(20):
             r0 = so3.sample_uniform_so3(rng)
-            rt = igso3.sample_igso3(r0, table, rng)
+            rt = igso3.sample_igso3(r0, t, rng)
             score = rt @ so3.hat(igso3.conditional_score(r0, rt, t))
             fd = igso3.riemannian_gradient_fd(
                 lambda r: np.log(igso3.igso3_density(r0, r, t)), rt, h=1e-4
@@ -293,7 +286,7 @@ class TestScoreFromTable:
         table = igso3.build_table(t)
         r0 = so3.sample_uniform_so3(rng, 300)
         rt = so3.sample_uniform_so3(rng, 300)
-        rt[:100] = igso3.sample_igso3(r0[:100], table, rng)
+        rt[:100] = igso3.sample_igso3(r0[:100], t, rng)
         for a, b in ((r0, rt), (r0[0], rt), (r0[7], rt[7])):
             tabled = igso3.score_from_table(a, b, table)
             direct = igso3.conditional_score(a, b, t)
@@ -332,140 +325,111 @@ class TestScoreFromTable:
 TABLE_TIMES = [igso3.T_MIN, 0.2, 0.5, 1.0, 4.0, igso3.T_IMAGE, 8.5, 50.0]
 
 
-def per_time_tables(ts, cfg=CFG):
-    """Tables built the straightforward way: the direct f on the grid, then
-    the trapezoidal CDF, one time after another."""
-    grid = np.linspace(0.0, np.pi, cfg.angle_grid)
-    tables = []
-    for t in ts:
-        f = igso3.f_igso3(grid, t, cfg)
-        pdf = f * (1.0 - np.cos(grid)) / np.pi
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
-        tables.append((t, grid, cdf / cdf[-1], cdf[-1]))
-    return tables
-
-
-def assert_tables_equal(tables, expected):
-    assert len(tables) == len(expected)
-    for table, (t, grid, cdf, raw_mass) in zip(tables, expected):
-        assert table.t == t
-        assert np.array_equal(table.omega_grid, grid)
-        assert np.array_equal(table.cdf_vals, cdf)
-        assert table.raw_mass == raw_mass
-
-
 class TestTable:
-    def test_raw_mass_is_one(self):
-        table = igso3.build_table(0.5)
-        assert abs(table.raw_mass - 1.0) < 1e-6
+    """What is left of a table: its time, for the micro benchmark's calls."""
 
-    def test_cdf_endpoints_and_monotone(self):
-        table = igso3.build_table(0.5)
-        assert table.cdf_vals[0] == 0.0
-        assert abs(table.cdf_vals[-1] - 1.0) < 1e-12
-        assert np.all(np.diff(table.cdf_vals) >= 0.0)
-
-    def test_flat_time_cdf_matches_uniform_law(self):
-        table = igso3.build_table(50.0)
-        expected = (table.omega_grid - np.sin(table.omega_grid)) / np.pi
-        assert np.abs(table.cdf_vals - expected).max() < 1e-4
+    def test_a_table_is_its_time(self, rng):
+        tables = igso3.build_tables(TABLE_TIMES)
+        assert [float(tab) for tab in tables] == [tab.t for tab in tables] == TABLE_TIMES
+        assert igso3.build_table(0.5) == igso3.IGSO3Table(0.5)
+        base = np.broadcast_to(np.eye(3), (50, 3, 3))
+        seeded = [igso3.sample_igso3(base, t, np.random.default_rng(4)) for t in (0.5, tables[2])]
+        assert seeded[0].tobytes() == seeded[1].tobytes()
 
     def test_default_grid(self):
         assert igso3.TruncationConfig().angle_grid == 1000
-        assert len(igso3.build_table(0.5).omega_grid) == 1000
 
     def test_rejects_below_t_min(self):
         with pytest.raises(igso3.NumericalDomainError):
             igso3.build_table(0.005)
 
-    def test_single_and_batched_builds_are_bit_identical_to_loop(self):
-        for t in TABLE_TIMES:
-            assert_tables_equal([igso3.build_table(t)], per_time_tables([t]))
-        assert_tables_equal(igso3.build_tables(TABLE_TIMES), per_time_tables(TABLE_TIMES))
-
-    @pytest.mark.parametrize("block", [1, 8, 16, 33])
-    def test_toy_grid_bits_do_not_depend_on_block_split(self, block):
-        # A table must not depend on the other times built with it, as the
-        # rounding of a matrix product over all times would (up to 5.7e-13).
-        ts = np.linspace(0.0, 4.0, 100)[1:]
-        whole = igso3.build_tables(ts)
-        blocked = [tab for i in range(0, len(ts), block)
-                   for tab in igso3.build_tables(ts[i:i + block])]
-        assert_tables_equal(blocked, [
-            (tab.t, tab.omega_grid, tab.cdf_vals, tab.raw_mass) for tab in whole])
-        for i in (0, 48, 98):
-            assert_tables_equal([whole[i]], per_time_tables([ts[i]]))
-
     def test_density_positive(self):
         # The image sum is positive, and the series above it is at least
-        # 1 - 3 exp(-8), at every grid angle of the tables.
-        for table in igso3.build_tables(TABLE_TIMES):
-            f = igso3.f_igso3(table.omega_grid, table.t)
+        # 1 - 3 exp(-8), at every angle.
+        grid = np.linspace(0.0, np.pi, 1000)
+        for t in TABLE_TIMES:
+            f = igso3.f_igso3(grid, t)
             assert (f > 0.0).all() and np.isfinite(f).all()
 
-    @pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
-    def test_density_check_names_first_bad_time(self, monkeypatch, bad):
-        image_sum = igso3._image_sum
 
-        def broken(omega, t):  # spoils one angle at t = 0.3 and 0.05
-            f, q = image_sum(omega, t)
-            if t in (0.3, 0.05):
-                f[-2] = bad
-            return f, q
+def fine_cdf(t, n_points=200_001):
+    """The angle CDF at t by a trapezoid of f on ``n_points`` angles: within
+    1e-7 of the exact CDF at the test times, f itself being pinned to
+    1e-12 by the high-precision test of ``test_igso3_reference.py``."""
+    grid = np.linspace(0.0, np.pi, n_points)
+    return grid, trapezoid_cdf(igso3.f_igso3(grid, t), grid)
 
-        monkeypatch.setattr(igso3, "_image_sum", broken)
-        igso3.build_table(1.0)
-        with pytest.raises(igso3.NumericalDomainError, match="not finite at t=0.05"):
-            igso3.build_table(0.05)
-        with pytest.raises(igso3.NumericalDomainError, match="not finite at t=0.3"):
-            igso3.build_tables([1.0, 0.3, 0.05])
 
-    def test_batch_builder_matches_single(self):
-        single = igso3.build_table(0.8)
-        batched = igso3.build_tables([0.3, 0.8])[1]
-        assert np.allclose(single.cdf_vals, batched.cdf_vals, rtol=0, atol=1e-12)
-        assert single.raw_mass == pytest.approx(batched.raw_mass, rel=0, abs=1e-12)
+def ks_to_cdf(draws, grid, cdf):
+    """One-sample KS distance of ``draws`` to a CDF tabulated on ``grid``."""
+    at = np.interp(np.sort(draws), grid, cdf)
+    n = at.size
+    return max((np.arange(1, n + 1) / n - at).max(), (at - np.arange(n) / n).max())
+
+
+class TestSampleAngles:
+    @pytest.mark.parametrize("t", [0.01, 0.5, 2.25, 8.0, 20.0])
+    def test_a_million_draws_follow_the_angle_law(self, t):
+        # Both proposals, on both branches of f: the Maxwell one below the
+        # crossover near t = 1.85, the Haar one above; 1.36 / sqrt(n) is the
+        # 95 % KS bound.
+        n = 1_000_000
+        draws = igso3.sample_angles(t, np.random.default_rng(35), n)
+        assert ks_to_cdf(draws, *fine_cdf(t)) < 1.36 / math.sqrt(n)
+
+    @pytest.mark.parametrize("t", np.geomspace(igso3.T_MIN, 100.0, 12).tolist())
+    def test_each_proposal_ratio_is_within_its_bound(self, t):
+        # (p/q) / M <= 1 at 10^5 angles for both proposals, also where the
+        # sampler would not take one; the Maxwell bound is proved up to
+        # t = 3, and the Haar one everywhere.
+        omega = np.linspace(0.0, np.pi, 100_000)
+        f0 = igso3.f_q(0.0, t)[0]
+        assert igso3._maxwell_ratio(omega, t).max() <= 1.0
+        assert (igso3.f_igso3(omega, t) / f0).max() <= 1.0
+
+    def test_maxwell_proposal_is_taken_only_below_t_3(self):
+        # 2 e^(t/8) grows and f(0, t) falls with t; the proposal with the
+        # smaller bound is taken.
+        assert 2.0 * math.exp(3.0 / 8.0) > igso3.f_q(0.0, 3.0)[0]
+        assert 2.0 * math.exp(1.5 / 8.0) < igso3.f_q(0.0, 1.5)[0]
+        assert 2.0 * math.exp(2.0 / 8.0) > igso3.f_q(0.0, 2.0)[0]
+
+    def test_shapes(self, rng):
+        assert np.ndim(igso3.sample_angles(0.5, rng)) == 0
+        assert igso3.sample_angles(0.5, rng, (0,)).shape == (0,)
+        assert igso3.sample_angles(3.0, rng, (3, 5000)).shape == (3, 5000)
+
+    def test_rejects_below_t_min(self, rng):
+        with pytest.raises(igso3.NumericalDomainError):
+            igso3.sample_angles(0.005, rng, 4)
 
 
 class TestSampling:
-    def test_angle_law_matches_table(self, rng):
-        table = igso3.build_table(0.8)
-        base = np.broadcast_to(np.eye(3), (100_000, 3, 3))
-        angles = so3.rotation_angle(igso3.sample_igso3(base, table, rng))
-        # One-sample KS against the tabulated CDF.
-        cdf_at = np.interp(np.sort(angles), table.omega_grid, table.cdf_vals)
-        empirical = np.arange(1, angles.size + 1) / angles.size
-        ks = np.abs(cdf_at - empirical).max()
-        assert ks < 0.01
-
     def test_flat_time_matches_uniform(self, rng):
-        table = igso3.build_table(50.0)
         base = np.broadcast_to(np.eye(3), (100_000, 3, 3))
-        a = so3.rotation_angle(igso3.sample_igso3(base, table, rng))
+        a = so3.rotation_angle(igso3.sample_igso3(base, 50.0, rng))
         b = so3.rotation_angle(so3.sample_uniform_so3(rng, 100_000))
         assert stats.ks_2samp(a, b).statistic < 0.02
 
     def test_left_shift_equivariance(self, rng):
-        table = igso3.build_table(0.6)
         g = so3.sample_uniform_so3(rng)
         r0 = so3.sample_uniform_so3(rng)
         n = 100_000
-        a = g @ igso3.sample_igso3(np.broadcast_to(r0, (n, 3, 3)), table, rng)
-        b = igso3.sample_igso3(np.broadcast_to(g @ r0, (n, 3, 3)), table, rng)
+        a = g @ igso3.sample_igso3(np.broadcast_to(r0, (n, 3, 3)), 0.6, rng)
+        b = igso3.sample_igso3(np.broadcast_to(g @ r0, (n, 3, 3)), 0.6, rng)
         rel_a = so3.rotation_angle(so3.transpose(np.broadcast_to(g @ r0, (n, 3, 3))) @ a)
         rel_b = so3.rotation_angle(so3.transpose(np.broadcast_to(g @ r0, (n, 3, 3))) @ b)
         assert stats.ks_2samp(rel_a, rel_b).statistic < 0.02
 
 
 class TestTimeRangeEnds:
-    """Table scores and sampling at the smallest trusted time and a flat one."""
+    """Scores and sampling at the smallest trusted time and a flat one."""
 
     @pytest.mark.parametrize("t", [igso3.T_MIN, 50.0])
-    def test_table_score_is_finite_and_tangent(self, rng, t):
-        table = igso3.build_table(t)
+    def test_score_of_draws_is_finite_and_tangent(self, rng, t):
         r0 = so3.sample_uniform_so3(rng, 200)
-        rt = igso3.sample_igso3(r0, table, rng)
-        score = igso3.score_from_table(r0, rt, table)
+        rt = igso3.sample_igso3(r0, t, rng)
+        score = igso3.conditional_score(r0, rt, t)
         assert np.isfinite(score).all()
         assert score.shape == (200, 3)
 
@@ -474,7 +438,7 @@ class TestTimeRangeEnds:
         grid = np.linspace(0.0, np.pi, 20_000)
         cdf = trapezoid_cdf(igso3.f_igso3(grid, t), grid)
         base = np.broadcast_to(np.eye(3), (2000, 3, 3))
-        angles = so3.rotation_angle(igso3.sample_igso3(base, igso3.build_table(t), rng))
+        angles = so3.rotation_angle(igso3.sample_igso3(base, t, rng))
         assert stats.kstest(angles, lambda w: np.interp(w, grid, cdf)).pvalue > 1e-3
 
 
@@ -501,7 +465,7 @@ class TestExpectedScoreNormSq:
     def test_monte_carlo_agreement(self, rng):
         t = 0.5
         quad = igso3.expected_score_norm_sq(t)
-        angles = igso3.build_table(t).sample_angles(rng, 100_000)
+        angles = igso3.sample_angles(t, rng, 100_000)
         mc = np.mean((angles * igso3.f_q(angles, t)[1]) ** 2)
         assert abs(mc - quad) / quad < 0.02
 
@@ -517,13 +481,10 @@ class TestExpectedScoreNormSq:
 
 class TestSemigroup:
     def test_chained_sampling_matches_single_draw(self, rng):
-        t1 = igso3.build_table(0.3)
-        t2 = igso3.build_table(0.5)
-        t3 = igso3.build_table(0.8)
         n = 100_000
         eye = np.broadcast_to(np.eye(3), (n, 3, 3))
-        chained = igso3.sample_igso3(igso3.sample_igso3(eye, t1, rng), t2, rng)
-        single = igso3.sample_igso3(eye, t3, rng)
+        chained = igso3.sample_igso3(igso3.sample_igso3(eye, 0.3, rng), 0.5, rng)
+        single = igso3.sample_igso3(eye, 0.8, rng)
         ks = stats.ks_2samp(
             so3.rotation_angle(chained), so3.rotation_angle(single)
         ).statistic

@@ -287,8 +287,7 @@ class TestForwardSample:
         assert np.abs(var - expected).max() < 3 * se
         # Rotation angles follow the IGSO3 law at variance 2.25.
         assert schedules.rot_variance(1.0, RS) == 2.25
-        table = igso3.build_table(2.25)
-        ref = igso3.sample_igso3(np.broadcast_to(np.eye(3), (draws, 3, 3)), table, rng)
+        ref = igso3.sample_igso3(np.broadcast_to(np.eye(3), (draws, 3, 3)), 2.25, rng)
         rel = so3.rotation_angle(
             so3.transpose(np.broadcast_to(fs.rotations, rot.shape)) @ rot
         )
@@ -398,9 +397,7 @@ class TestReverseWalk:
         init = process.reference_sample(n, rng)
         final = process.reverse_walk(init, score, TS, RS, sim, rng, record=False)[-1][1]
         var_eps = float(schedules.rot_variance(sim.eps, RS))
-        fwd = igso3.sample_igso3(
-            np.broadcast_to(target_rot, (n, 3, 3)), igso3.build_table(var_eps), rng
-        )
+        fwd = igso3.sample_igso3(np.broadcast_to(target_rot, (n, 3, 3)), var_eps, rng)
         base = np.broadcast_to(target_rot, (n, 3, 3))
         ks = stats.ks_2samp(
             so3.rotation_angle(so3.transpose(base) @ final.rotations),
@@ -427,17 +424,6 @@ class TestReverseWalk:
         assert walks[0][0][1] is init and len(walks[0]) == sim.n_steps
         assert bits(walks[0]) == bits(walks[1])
         assert bits(ends) == bits([walks[0][0], walks[0][-1]])
-
-    def test_walk_builds_no_table(self, rng, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the walk built an IGSO3 table")
-
-        monkeypatch.setattr(igso3, "build_tables", refuse)
-        score = process.fixed_target_score(make_frameset(rng, 8), TS, RS)
-        sim = process.SimConfig(n_steps=20, eps=0.01)
-        walk = process.iter_walk(make_frameset(rng, 8), process.reverse_plan(TS, RS, sim),
-                                 score, rng)
-        assert len(list(walk)) == 20
 
     def test_default_steps(self):
         assert process.SimConfig().n_steps == 500

@@ -115,8 +115,7 @@ class TestMixtureScore:
     def test_single_component_equals_conditional(self, rng):
         atom = so3.sample_uniform_so3(rng)
         t = toy.DiscreteTarget(atom[None], np.array([1.0]))
-        table = igso3.build_table(0.5)
-        rt = igso3.sample_igso3(atom, table, rng)
+        rt = igso3.sample_igso3(atom, 0.5, rng)
         mix = toy.score_t(t, rt, 0.5)
         cond = igso3.conditional_score(atom, rt, 0.5)
         assert np.abs(mix - cond).max() < 1e-10
@@ -134,10 +133,9 @@ class TestMixtureScore:
     def test_matches_fd_gradient(self, rng, target):
         checked = 0
         for t in (0.3, 0.8, 1.5):
-            table = igso3.build_table(t)
             for _ in range(10):
                 atom = target.atoms[rng.integers(3)]
-                rt = igso3.sample_igso3(atom, table, rng)
+                rt = igso3.sample_igso3(atom, t, rng)
                 analytic = rt @ so3.hat(toy.score_t(target, rt, t))
                 fd = igso3.riemannian_gradient_fd(
                     lambda r: np.log(igso3.mixture_density(target.atoms, r, t,
@@ -171,9 +169,7 @@ class TestMixtureScore:
 
     def test_table_backed_evaluation_matches_series(self, rng, target):
         table = igso3.build_table(0.8)
-        rts = igso3.sample_igso3(
-            target.atoms[rng.integers(3, size=50)], table, rng
-        )
+        rts = igso3.sample_igso3(target.atoms[rng.integers(3, size=50)], 0.8, rng)
         direct = toy.score_t(target, rts, 0.8)
         tabled = toy.score_t(target, rts, 0.8, table=table)
         assert np.array_equal(tabled, direct)
