@@ -148,11 +148,10 @@ def dsm_loss(
     score_pred: tuple[np.ndarray, np.ndarray],
     fs0: FrameSet,
     fs_t: FrameSet,
-    t: float,
-    trans_sched: schedules.TranslationSchedule,
-    rot_sched: schedules.RotationSchedule,
+    level: schedules.Level,
 ) -> tuple[float, float]:
-    """Denoising score-matching losses (rotation, translation).
+    """Denoising score-matching losses (rotation, translation) at the noise
+    level ``level`` of ``fs_t``.
 
     ``score_pred`` is (rot (N, 3), trans (N, 3)), the form that
     :func:`process.score_from_denoised` returns: each rotation row is a
@@ -169,13 +168,11 @@ def dsm_loss(
     if np.shape(pred_rot) != (len(fs_t), 3):
         raise ValueError(f"rotation score has shape {np.shape(pred_rot)}, "
                          f"expected {(len(fs_t), 3)}")
-    lambda_r, _ = schedules.dsm_weights(t, trans_sched, rot_sched)
-    true_rot, _ = process.score_from_denoised(fs_t, fs0, t, trans_sched, rot_sched)
+    lambda_r, _ = schedules.dsm_weights(level)
+    true_rot, _ = process.score_from_denoised(fs_t, fs0, level)
     loss_r = lambda_r * float(((pred_rot - true_rot) ** 2).sum(axis=-1).mean())
 
-    x0_hat = schedules.denoised_from_trans_score(
-        pred_trans, fs_t.translations, t, trans_sched
-    )
+    x0_hat = schedules.denoised_from_trans_score(pred_trans, fs_t.translations, level)
     loss_x = float(((fs0.translations - x0_hat) ** 2).sum(axis=-1).mean())
     return loss_r, loss_x
 

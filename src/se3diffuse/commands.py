@@ -402,12 +402,12 @@ def cmd_sample_backbones(action: str, v: argparse.Namespace, config: dict,
                          commit: _Commit) -> None:
     trans_sched = schedules.TranslationSchedule()
     rot_sched = schedules.RotationSchedule()
-    sim = _from_flags(process.SimConfig, n_steps=v.n_steps, eps=v.eps, noise_scale=v.zeta)
-    plan = _from_flags(process.reverse_plan, trans_sched, rot_sched, sim)
+    # FrameDiff's plan: n_steps uniform times from t = 1 down to t = eps.
+    plan = _from_flags(process.WalkPlan, np.linspace(1.0, v.eps, v.n_steps), trans_sched,
+                       rot_sched, v.zeta)
     init = process.reference_sample(v.n_residues, np.random.default_rng(v.init_seed))
     if v.score == "fixed-target":
-        score = process.fixed_target_score(_extended_chain(v.n_residues), trans_sched,
-                                           rot_sched)
+        score = process.fixed_target_score(_extended_chain(v.n_residues))
     else:
         score = process.reference_score
     walk = process.iter_walk(init, plan, score, np.random.default_rng(v.seed))

@@ -4,16 +4,17 @@ A frame set carries N rigid transforms (rotation, translation-in-nm). The
 forward process noises rotations by Brownian motion on SO(3) (variance
 sigma_r(t)^2) and translations by a variance-preserving OU process, then
 re-centers. The time-reversed process runs on one geodesic random walk,
-:func:`iter_walk`, on the product metric and a :class:`WalkPlan`: it
-applies the plan's squared diffusion coefficients to a score field to form
-the reverse drift, projects out the center of mass after every step and
+:func:`iter_walk`, on the product metric and a :class:`WalkPlan` built from
+the schedules: it evaluates a score field at the plan's noise level of each
+time, applies the plan's squared diffusion coefficients to it to form the
+reverse drift, projects out the center of mass after every step and
 scales the diffusion term by the plan's noise scale zeta.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -53,51 +54,55 @@ def _off_center(x: np.ndarray) -> bool:
     return np.abs(x.mean(axis=0)).max(initial=0.0) > tol
 
 
-# A score field maps (forward time t, FrameSet) to the score as arrays:
-# rot (N, 3), each row a coefficient vector v in the frame of its rotation r
-# (the tangent matrix r hat(v)), and trans shaped like the state's translations.
-ScoreField = Callable[[float, FrameSet], tuple[np.ndarray, np.ndarray]]
+# A score field maps (noise level, FrameSet) to the score as arrays: rot
+# (N, 3), each row a coefficient vector v in the frame of its rotation r (the
+# tangent matrix r hat(v)), and trans shaped like the state's translations.
+ScoreField = Callable[[schedules.Level, FrameSet], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Reverse-walk discretization, checked as :func:`reverse_plan`'s plan.
-
-    The walk never reads ``seed``: it draws only from the generator passed
-    to :func:`reverse_walk` or :func:`iter_walk`.
-    """
+    """FrameDiff's discretization as :func:`reverse_walk` reads it. The walk
+    never reads ``seed``: it draws only from the generator passed to it."""
 
     n_steps: int = 500
     eps: float = 0.01
     noise_scale: float = 1.0
     seed: int = 0
 
-    def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must be in (0, 1)")
-
 
 @dataclass(frozen=True)
 class WalkPlan:
-    """What :func:`iter_walk` reads: ``times`` in walk order, g_r and g_x on
-    them (a scalar holds at every time) and zeta; the defaults are the unit plan."""
+    """What :func:`iter_walk` reads, built from ``times`` in walk order, the
+    schedules and zeta: at each time g_r(t), g_x(t) = sqrt(beta(t)) and the
+    noise level :func:`schedules.level`. A schedule left out is the unit one
+    (g = 1, sigma_r^2 = t, beta = 1); with neither, this is the unit plan.
+    A plan with a schedule takes times in (0, 1] only."""
 
     times: np.ndarray
-    g_r: np.ndarray | float = 1.0
-    g_x: np.ndarray | float = 1.0
+    trans_sched: InitVar[schedules.TranslationSchedule | None] = None
+    rot_sched: InitVar[schedules.RotationSchedule | None] = None
     zeta: float = 1.0
+    g_r: np.ndarray = field(init=False)
+    g_x: np.ndarray = field(init=False)
+    levels: tuple[schedules.Level, ...] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, ts, rs):
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("a walk needs at least two times")
         if not (np.all(np.diff(times) > 0) or np.all(np.diff(times) < 0)):
             raise ValueError("grid times must strictly increase or decrease")
+        if (ts, rs) != (None, None) and not np.all((times > 0.0) & (times <= 1.0)):
+            raise ValueError(f"schedule times must be in (0, 1]; the grid runs from "
+                             f"{times[0]} to {times[-1]}")
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError("zeta must be in [0, 1]")
-        for name in ("g_r", "g_x"):  # a g of another length than times raises ValueError
-            object.__setattr__(self, name, np.broadcast_to(getattr(self, name), times.shape))
-        object.__setattr__(self, "times", times)
+        g_r = np.ones_like(times) if rs is None else schedules.g_r(times, rs)
+        g_x = np.ones_like(times) if ts is None else np.sqrt(schedules.beta(times, ts))
+        levels = tuple(schedules.level(t, ts, rs) for t in times.tolist())
+        for name, value in [("times", times), ("g_r", g_r), ("g_x", g_x), ("levels", levels)]:
+            object.__setattr__(self, name, value)
 
 
 def center(fs: FrameSet) -> FrameSet:
@@ -110,20 +115,15 @@ def center(fs: FrameSet) -> FrameSet:
     return FrameSet(fs.rotations, x, centered=True)
 
 
-def forward_sample(
-    t0: FrameSet,
-    t: float,
-    trans_sched: schedules.TranslationSchedule,
-    rot_sched: schedules.RotationSchedule,
-    rng: np.random.Generator,
-) -> FrameSet:
-    """One draw of the forward marginal at time ``t`` from a centered input."""
+def forward_sample(t0: FrameSet, level: schedules.Level,
+                   rng: np.random.Generator) -> FrameSet:
+    """One draw of the forward marginal at noise level ``level`` from a centered input."""
     if not t0.centered:
         raise ValueError("forward_sample needs a centered frame set")
-    rotations = igso3.sample_igso3(t0.rotations, schedules.rot_variance(t, rot_sched), rng)
-    marg = schedules.trans_marginal(t0.translations, t, trans_sched)
+    rotations = igso3.sample_igso3(t0.rotations, level.rot_var, rng)
     noise = rng.standard_normal(t0.translations.shape)
-    return center(FrameSet(rotations, marg.mean + np.sqrt(marg.variance) * noise))
+    return center(FrameSet(rotations, level.trans_scale * t0.translations
+                           + np.sqrt(level.trans_var) * noise))
 
 
 def reference_sample(n: int, rng: np.random.Generator) -> FrameSet:
@@ -138,7 +138,7 @@ def iter_walk(
 ) -> Iterator[tuple[float, FrameSet]]:
     """Euler-Maruyama geodesic random walk from the centered ``init`` through ``plan``.
 
-    With (s_r, s_x) = score(times[i], state) and the plan's g_r, g_x and
+    With (s_r, s_x) = score(levels[i], state) and the plan's g_r, g_x and
     zeta, step i moves along the reverse-time drift [g_r^2 s_r, g_x^2
     (s_x + x / 2)] of the frame set's SDE: it takes v = drift * h + zeta *
     [g_r Z_r, g_x Z_x] * sqrt(h), h = |times[i+1] - times[i]|, with
@@ -159,7 +159,7 @@ def iter_walk(
     yield float(grid[0]), state
     for i in range(len(grid) - 1):
         h = abs(grid[i + 1] - grid[i])
-        s_rot, s_trans = score(float(grid[i]), state)
+        s_rot, s_trans = score(plan.levels[i], state)
         if np.shape(s_rot) != (len(state), 3):
             raise ValueError(f"rotation score has shape {np.shape(s_rot)}, "
                              f"expected {(len(state), 3)}")
@@ -181,65 +181,51 @@ def iter_walk(
         yield float(grid[i + 1]), state
 
 
-def reverse_plan(trans_sched: schedules.TranslationSchedule,
-                 rot_sched: schedules.RotationSchedule, cfg: SimConfig) -> WalkPlan:
-    """FrameDiff's plan: ``cfg.n_steps`` uniform times from t = 1 down to
-    t = eps, at g_r(t) and g_x(t) = sqrt(beta(t)), with zeta = ``cfg.noise_scale``."""
-    times = np.linspace(1.0, cfg.eps, cfg.n_steps)
-    return WalkPlan(times, schedules.g_r(times, rot_sched),
-                    np.sqrt(schedules.beta(times, trans_sched)), cfg.noise_scale)
-
-
 def reverse_walk(
     init: FrameSet, score: ScoreField, trans_sched: schedules.TranslationSchedule,
     rot_sched: schedules.RotationSchedule, cfg: SimConfig, rng: np.random.Generator,
     record: bool = True,
 ) -> list[tuple[float, FrameSet]]:
-    """:func:`iter_walk` on :func:`reverse_plan` as a list: every (t, state) pair
-    when ``record``, else only the initial and final ones, holding none between."""
-    walk = iter_walk(init, reverse_plan(trans_sched, rot_sched, cfg), score, rng)
+    """:func:`iter_walk` on FrameDiff's plan, ``cfg.n_steps`` uniform times from
+    t = 1 down to t = eps at zeta = ``cfg.noise_scale``, as a list: every
+    (t, state) pair when ``record``, else only the initial and final ones,
+    holding none between."""
+    plan = WalkPlan(np.linspace(1.0, cfg.eps, cfg.n_steps), trans_sched, rot_sched,
+                    cfg.noise_scale)
+    walk = iter_walk(init, plan, score, rng)
     return list(walk) if record else [next(walk), deque(walk, maxlen=1)[0]]
 
 
-def score_from_denoised(
-    fs_t: FrameSet,
-    pred0: FrameSet,
-    t: float,
-    trans_sched: schedules.TranslationSchedule,
-    rot_sched: schedules.RotationSchedule,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Score (rot, trans) implied by a denoised prediction of the time-zero frames.
+def score_from_denoised(fs_t: FrameSet, pred0: FrameSet,
+                        level: schedules.Level) -> tuple[np.ndarray, np.ndarray]:
+    """Score (rot, trans) at noise level ``level`` implied by a denoised
+    prediction of the time-zero frames.
 
     Per frame, the rotation score is the conditional IGSO3 score at
-    variance sigma_r(t)^2 around the predicted rotation, a coefficient
-    vector (N, 3) in the frame of ``fs_t``'s rotation, and the translation
-    score the Gaussian conditional score around the predicted translation.
+    ``level.rot_var`` around the predicted rotation, a coefficient vector
+    (N, 3) in the frame of ``fs_t``'s rotation, and the translation score
+    -(x_t - scale x0) / variance, the Gaussian conditional score around the
+    predicted translation.
     """
     if len(fs_t) != len(pred0):
         raise ValueError("frame counts differ")
-    rot_scores = igso3.conditional_score(
-        pred0.rotations, fs_t.rotations, float(schedules.rot_variance(t, rot_sched))
-    )
-    trans_scores = schedules.trans_conditional_score(
-        pred0.translations, fs_t.translations, t, trans_sched
-    )
+    rot_scores = igso3.conditional_score(pred0.rotations, fs_t.rotations, level.rot_var)
+    mean = level.trans_scale * pred0.translations
+    trans_scores = -(fs_t.translations - mean) / level.trans_var
     return rot_scores, trans_scores
 
 
-def fixed_target_score(
-    pred0: FrameSet,
-    trans_sched: schedules.TranslationSchedule,
-    rot_sched: schedules.RotationSchedule,
-) -> ScoreField:
-    """ScoreField that always denoises toward the fixed frame set ``pred0``."""
+def fixed_target_score(pred0: FrameSet, *unread) -> ScoreField:
+    """ScoreField that always denoises toward the fixed frame set ``pred0``.
+    Further arguments are not read."""
 
-    def score(t: float, fs: FrameSet) -> tuple[np.ndarray, np.ndarray]:
-        return score_from_denoised(fs, pred0, t, trans_sched, rot_sched)
+    def score(level: schedules.Level, fs: FrameSet) -> tuple[np.ndarray, np.ndarray]:
+        return score_from_denoised(fs, pred0, level)
 
     return score
 
 
-def reference_score(t: float, fs: FrameSet) -> tuple[np.ndarray, np.ndarray]:
+def reference_score(level: schedules.Level, fs: FrameSet) -> tuple[np.ndarray, np.ndarray]:
     """ScoreField of the reference law (no data term): (0, -x), the scores of
-    uniform rotations and of standard normal translations."""
+    uniform rotations and of standard normal translations, at every level."""
     return np.zeros((len(fs), 3)), -fs.translations

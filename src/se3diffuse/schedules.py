@@ -4,12 +4,14 @@ Translations follow a variance-preserving OU process with a linear rate
 schedule: drift -beta(s)/2 x, diffusion sqrt(beta(s)). Rotations follow
 Brownian motion whose accumulated variance is sigma_r(s)^2, with the
 diffusion coefficient g_r(s) = sqrt(d/ds sigma_r^2(s)) defined implicitly
-through sigma_r.
+through sigma_r. :func:`level` is the one map from a time to the noise
+level that a score, a forward draw and the DSM loss read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +68,16 @@ class TransMarginal:
     variance: float
 
 
+class Level(NamedTuple):
+    """The noise level at one time: the IGSO3 time sigma_r^2 of the rotations,
+    and the mean scale e^{-G/2} and variance 1 - e^{-G} of the translations'
+    OU marginal."""
+
+    rot_var: float
+    trans_scale: float
+    trans_var: float
+
+
 def beta(s, ts: TranslationSchedule = TranslationSchedule()):
     """Rate beta(s); drift is -beta/2 x and diffusion sqrt(beta)."""
     return ts.beta_min + np.asarray(s, dtype=float) * (ts.beta_max - ts.beta_min)
@@ -87,20 +99,14 @@ def trans_marginal(
     x0, s: float, ts: TranslationSchedule = TranslationSchedule()
 ) -> TransMarginal:
     """p_{s|0}: Gaussian with mean e^{-G/2} x0 and variance 1 - e^{-G}."""
-    scale, variance = ou_coefficients(float(G_x(s, ts)))
-    return TransMarginal(mean=scale * np.asarray(x0, dtype=float), variance=variance)
+    lv = level(s, ts)
+    return TransMarginal(mean=lv.trans_scale * np.asarray(x0, dtype=float),
+                         variance=lv.trans_var)
 
 
-def trans_conditional_score(x0, xt, s: float, ts: TranslationSchedule = TranslationSchedule()):
-    """Gradient of log p_{s|0}(xt | x0) in xt."""
-    m = trans_marginal(x0, s, ts)
-    return -(np.asarray(xt, dtype=float) - m.mean) / m.variance
-
-
-def denoised_from_trans_score(score, xt, s: float, ts: TranslationSchedule = TranslationSchedule()):
-    """Invert :func:`trans_conditional_score` for the implied x0."""
-    scale, variance = ou_coefficients(float(G_x(s, ts)))
-    return (np.asarray(xt, float) + variance * np.asarray(score, float)) / scale
+def denoised_from_trans_score(score, xt, lv: Level):
+    """The x0 whose conditional score -(xt - scale x0) / variance at ``lv`` is ``score``."""
+    return (np.asarray(xt, float) + lv.trans_var * np.asarray(score, float)) / lv.trans_scale
 
 
 def sigma_r(s, rs: RotationSchedule = RotationSchedule()):
@@ -133,19 +139,25 @@ def g_r(s, rs: RotationSchedule = RotationSchedule()):
     return np.sqrt(2.0 * sigma_r(s, rs) * sigma_r_prime(s, rs))
 
 
-def dsm_weights(
-    t: float,
-    ts: TranslationSchedule = TranslationSchedule(),
-    rs: RotationSchedule = RotationSchedule(),
-) -> tuple[float, float]:
-    """Per-time DSM weights (lambda_r, lambda_x).
+def level(s: float, ts: TranslationSchedule | None = None,
+          rs: RotationSchedule | None = None) -> Level:
+    """The :class:`Level` at time ``s``; a schedule left out is the unit one,
+    where sigma_r^2 = s and beta = 1.
+
+    Each value is one scalar call: a vectorized :func:`rot_variance` can
+    differ from it in the last bit, and sampled frames are pinned to this form.
+    """
+    s = float(s)
+    rot_var = s if rs is None else float(rot_variance(s, rs))
+    return Level(rot_var, *ou_coefficients(s if ts is None else float(G_x(s, ts))))
+
+
+def dsm_weights(lv: Level) -> tuple[float, float]:
+    """DSM weights (lambda_r, lambda_x) at the noise level ``lv``.
 
     lambda_r normalizes the expected squared rotation score to one (the
     trivial denoiser then scores exactly 1); lambda_x is
     (1 - e^{-G}) / e^{-G/2}, which turns the weighted translation loss
     into a plain MSE on the denoised coordinates.
     """
-    var = float(rot_variance(t, rs))
-    lambda_r = 1.0 / igso3.expected_score_norm_sq(var)
-    scale, variance = ou_coefficients(float(G_x(t, ts)))
-    return lambda_r, float(variance / scale)
+    return 1.0 / igso3.expected_score_norm_sq(lv.rot_var), float(lv.trans_var / lv.trans_scale)

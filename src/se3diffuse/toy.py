@@ -5,7 +5,8 @@ unit-rate Brownian motion gives a mixture of heat kernels whose density
 and Stein score are available in closed form; the forward and reverse
 geodesic random walks should then produce matching marginals at every
 recorded time. Both walks are :func:`process.iter_walk` on rotation-only
-frame sets, on the unit plan ``process.WalkPlan(times)``.
+frame sets, on the unit plan ``process.WalkPlan(times)``, whose noise level
+sigma_r^2 is the time itself.
 """
 
 from __future__ import annotations
@@ -108,14 +109,15 @@ def iter_reverse(
 ) -> Iterator[tuple[float, np.ndarray]]:
     """Score-ascent walk from uniform down the reversed grid; (t, rotations) pairs.
 
-    The score field is :func:`score_t` at the walk's angles; at unit rate
-    the walk's drift is this score itself. Its last evaluation, at the
+    The score field is :func:`score_t` at the walk's angles and the level's
+    sigma_r^2, which is the time on the unit plan; at unit rate the walk's
+    drift is this score itself. Its last evaluation, at the
     second grid time, is checked against :data:`igso3.T_MIN` before
     anything is drawn.
     """
 
-    def score(t: float, fs: process.FrameSet) -> tuple[np.ndarray, np.ndarray]:
-        return score_t(target, fs.rotations, t), np.zeros_like(fs.translations)
+    def score(level, fs: process.FrameSet) -> tuple[np.ndarray, np.ndarray]:
+        return score_t(target, fs.rotations, level.rot_var), np.zeros_like(fs.translations)
 
     times = cfg.times()
     igso3.check_time(times[1])

@@ -262,54 +262,59 @@ class TestDsmLoss:
         fs0 = process.center(
             FrameSet(so3.sample_uniform_so3(rng, n), 0.5 * rng.standard_normal((n, 3)))
         )
-        fs_t = process.forward_sample(fs0, t, TS, RS, rng)
+        fs_t = process.forward_sample(fs0, schedules.level(t, TS, RS), rng)
         return fs0, fs_t
 
     def test_exact_score_gives_zero(self, rng):
         t = 0.5
         fs0, fs_t = self.make_pair(rng, t=t)
-        pred = process.score_from_denoised(fs_t, fs0, t, TS, RS)
-        loss_r, loss_x = backbone.dsm_loss(pred, fs0, fs_t, t, TS, RS)
+        level = schedules.level(t, TS, RS)
+        pred = process.score_from_denoised(fs_t, fs0, level)
+        loss_r, loss_x = backbone.dsm_loss(pred, fs0, fs_t, level)
         assert loss_r < 1e-20
         assert loss_x < 1e-20
 
     def test_perturbations_increase_loss(self, rng):
         t = 0.5
+        level = schedules.level(t, TS, RS)
         for _ in range(10):
             fs0, fs_t = self.make_pair(rng, t=t)
-            rot, trans = process.score_from_denoised(fs_t, fs0, t, TS, RS)
+            rot, trans = process.score_from_denoised(fs_t, fs0, level)
             bump_r = rng.standard_normal(3)
             bump_x = rng.standard_normal(3)
             worse = (rot + bump_r, trans + bump_x)
-            base = backbone.dsm_loss((rot, trans), fs0, fs_t, t, TS, RS)
-            bumped = backbone.dsm_loss(worse, fs0, fs_t, t, TS, RS)
+            base = backbone.dsm_loss((rot, trans), fs0, fs_t, level)
+            bumped = backbone.dsm_loss(worse, fs0, fs_t, level)
             assert bumped[0] > base[0]
             assert bumped[1] > base[1]
 
     def test_rejects_frame_count_mismatch(self, rng):
         fs0, fs_t = self.make_pair(rng, n=3)
-        rot, trans = process.score_from_denoised(fs_t, fs0, 0.5, TS, RS)
+        level = schedules.level(0.5, TS, RS)
+        rot, trans = process.score_from_denoised(fs_t, fs0, level)
         with pytest.raises(ValueError, match="frame counts"):
-            backbone.dsm_loss((rot[:2], trans[:2]), fs0, fs_t, 0.5, TS, RS)
+            backbone.dsm_loss((rot[:2], trans[:2]), fs0, fs_t, level)
 
     def test_rejects_matrix_rotation_score(self, rng):
         # The tangent matrices r hat(v) are not the (N, 3) coefficients v.
         fs0, fs_t = self.make_pair(rng, n=3)
-        rot, trans = process.score_from_denoised(fs_t, fs0, 0.5, TS, RS)
+        level = schedules.level(0.5, TS, RS)
+        rot, trans = process.score_from_denoised(fs_t, fs0, level)
         matrices = fs_t.rotations @ so3.hat(rot)
         with pytest.raises(ValueError, match=r"\(3, 3, 3\), expected \(3, 3\)"):
-            backbone.dsm_loss((matrices, trans), fs0, fs_t, 0.5, TS, RS)
+            backbone.dsm_loss((matrices, trans), fs0, fs_t, level)
 
     def test_trivial_prediction_small_sample(self, rng):
         # Full 1e5-draw calibration lives in the acceptance suite; this is
         # a quick coherence check at one time.
         t = 0.5
         n, draws = 50, 40
+        level = schedules.level(t, TS, RS)
         losses = []
         for _ in range(draws):
             fs0, fs_t = self.make_pair(rng, n=n, t=t)
-            pred = process.score_from_denoised(fs_t, fs_t, t, TS, RS)
-            losses.append(backbone.dsm_loss(pred, fs0, fs_t, t, TS, RS)[0])
+            pred = process.score_from_denoised(fs_t, fs_t, level)
+            losses.append(backbone.dsm_loss(pred, fs0, fs_t, level)[0])
         assert abs(np.mean(losses) - 1.0) < 0.1
 
 

@@ -250,6 +250,9 @@ class TestRejectedValues:
          "--out-dir", "OUT/toy"],
         ["sample-backbones", "--n-steps", "1", "--out", "OUT/bb"],
         ["sample-backbones", "--zeta", "2", "--out", "OUT/bb"],
+        # FrameDiff's grid runs from t = 1 down to --eps, inside (0, 1].
+        *(["sample-backbones", "--eps", eps, "--out", "OUT/bb"]
+          for eps in ("0", "1", "2", "-0.5", "nan")),
         ["igso3", "eval", "--t", "0.5", "--grid", "1", "--out", "OUT/e.csv"],
         ["schedule", "--beta-min", "5", "--beta-max", "1", "--out", "OUT/s.csv"],
         ["schedule", "--beta-max", "inf", "--out", "OUT/s.csv"],
@@ -364,9 +367,9 @@ class TestRejectedValues:
         def diverging_score(*args):
             score, calls = target_score(*args), []
 
-            def field(t, fs):
-                calls.append(t)
-                rot, trans = score(t, fs)
+            def field(level, fs):
+                calls.append(level)
+                rot, trans = score(level, fs)
                 return rot, trans * (np.nan if len(calls) >= fail_at else 1.0)
             return field
 

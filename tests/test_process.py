@@ -97,7 +97,7 @@ class TestRotationOnly:
     @pytest.mark.parametrize("width", [0, 3])
     def test_reference_score_matches_translation_shape(self, rng, width):
         fs = process.FrameSet(so3.sample_uniform_so3(rng, 5), np.ones((5, width)))
-        rot, trans = process.reference_score(0.5, fs)
+        rot, trans = process.reference_score(schedules.level(0.5), fs)
         assert rot.shape == (5, 3) and not rot.any()
         assert np.array_equal(trans, -fs.translations)
 
@@ -120,7 +120,7 @@ class TestRotationOnly:
         v = rng.standard_normal((n, 3))
         grid = np.array([0.7, 0.4])
         walk = process.iter_walk(init, process.WalkPlan(grid, zeta=0.0),
-                                 lambda t, fs: (v, np.zeros((n, 3))), rng)
+                                 lambda level, fs: (v, np.zeros((n, 3))), rng)
         (_, first), (_, last) = walk
         h = abs(grid[1] - grid[0])
         assert first is init
@@ -133,7 +133,7 @@ class TestRotationOnly:
         v = rng.standard_normal((n, 3))
         v *= 1e8 / np.linalg.norm(v, axis=-1, keepdims=True)
         walk = process.iter_walk(init, process.WalkPlan(np.array([0.0, 1.0]), zeta=0.0),
-                                 lambda t, fs: (v, np.zeros((n, 3))), rng)
+                                 lambda level, fs: (v, np.zeros((n, 3))), rng)
         last = list(walk)[-1][1].rotations
         assert np.abs(so3.transpose(last) @ last - np.eye(3)).max() < 1e-12
         assert np.array_equal(last, init.rotations @ so3.exp_so3(so3.hat(v)))
@@ -145,14 +145,19 @@ class TestWalkPlan:
         (schedules.TranslationSchedule(0.5, 12.0),
          schedules.RotationSchedule(0.2, 1.2, kind="linear")),
     ], ids=["default", "other"])
-    def test_reverse_plan_reads_the_schedules_bit_for_bit(self, ts, rs):
-        sim = process.SimConfig(n_steps=37, eps=0.02, noise_scale=0.3)
-        plan = process.reverse_plan(ts, rs, sim)
+    def test_plan_reads_the_schedules_bit_for_bit(self, ts, rs):
         times = np.linspace(1.0, 0.02, 37)
+        plan = process.WalkPlan(times, ts, rs, 0.3)
         assert plan.times.tobytes() == times.tobytes()
         assert plan.g_r.tobytes() == schedules.g_r(times, rs).tobytes()
         assert plan.g_x.tobytes() == np.sqrt(schedules.beta(times, ts)).tobytes()
         assert plan.zeta == 0.3
+        # The levels are the scalar calls a score made at each step: a
+        # vectorized rot_variance differs from them in the last bit.
+        expected = [(float(schedules.rot_variance(float(t), rs)),
+                     *schedules.ou_coefficients(float(schedules.G_x(float(t), ts))))
+                    for t in times]
+        assert np.array(plan.levels).tobytes() == np.array(expected).tobytes()
 
     def test_unit_plan_reads_one(self):
         times = np.linspace(0.0, 4.0, 5)[::-1]
@@ -161,6 +166,11 @@ class TestWalkPlan:
         for g in (plan.g_r, plan.g_x):
             assert g.shape == times.shape and np.all(g == 1.0)
         assert plan.zeta == 1.0
+        # sigma_r^2 is the time itself, so the toy's score reads the same bits.
+        rot_var = np.array([lv.rot_var for lv in plan.levels])
+        assert rot_var.tobytes() == times.tobytes()
+        expected = [schedules.ou_coefficients(float(t)) for t in times]
+        assert np.array([lv[1:] for lv in plan.levels]).tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("times,message", [
         ([0.5], "at least two times"),
@@ -175,22 +185,35 @@ class TestWalkPlan:
         with pytest.raises(ValueError, match=message):
             process.WalkPlan(np.array(times))
 
-    def test_reverse_plan_needs_two_steps(self):
+    def test_schedule_plan_needs_two_steps(self):
         with pytest.raises(ValueError, match="at least two times"):
-            process.reverse_plan(TS, RS, process.SimConfig(n_steps=1))
+            process.WalkPlan(np.linspace(1.0, 0.01, 1), TS, RS)
 
-    @pytest.mark.parametrize("g", [{"g_r": np.ones(2)}, {"g_x": np.ones(4)},
-                                   {"g_r": np.ones((1, 3))}])
-    def test_rejects_g_not_shaped_like_times(self, g):
-        with pytest.raises(ValueError):
-            process.WalkPlan(np.linspace(1.0, 0.0, 3), **g)
+    @pytest.mark.parametrize("times", [[1.0, 0.0], [1.0, 2.0], [0.5, -0.5], [-1.0, -2.0]])
+    @pytest.mark.parametrize("ts,rs", [(TS, RS), (TS, None), (None, RS)])
+    def test_rejects_schedule_times_outside_unit_interval(self, times, ts, rs):
+        with pytest.raises(ValueError, match=re.escape("schedule times must be in (0, 1]")):
+            process.WalkPlan(np.array(times), ts, rs)
+        assert process.WalkPlan(np.array(times)).times.tolist() == times
 
     @pytest.mark.parametrize("zeta", [-0.1, 1.5, np.nan])
     def test_rejects_zeta_outside_unit_interval(self, zeta):
         with pytest.raises(ValueError, match=r"zeta must be in \[0, 1\]"):
             process.WalkPlan(np.linspace(1.0, 0.0, 3), zeta=zeta)
         with pytest.raises(ValueError, match=r"zeta must be in \[0, 1\]"):
-            process.reverse_plan(TS, RS, process.SimConfig(n_steps=3, noise_scale=zeta))
+            process.WalkPlan(np.linspace(1.0, 0.01, 3), TS, RS, zeta)
+
+    def test_walk_reads_the_levels_not_the_schedules(self, rng, monkeypatch):
+        init, target = make_frameset(rng, 4), make_frameset(rng, 4)
+        plan = process.WalkPlan(np.linspace(1.0, 0.01, 6), TS, RS, 0.5)
+
+        def unreachable(*args):
+            raise AssertionError("a schedule was read after the plan was built")
+
+        for name in ("sigma_r", "G_x", "ou_coefficients"):
+            monkeypatch.setattr(schedules, name, unreachable)
+        walk = process.iter_walk(init, plan, process.fixed_target_score(target), rng)
+        assert len(list(walk)) == 6
 
     @pytest.mark.parametrize("width", [3, 0])
     def test_walk_rejects_an_uncentered_init(self, rng, width):
@@ -241,7 +264,7 @@ class TestForwardSample:
             so3.sample_uniform_so3(rng, 3), rng.standard_normal((3, 3))
         )
         with pytest.raises(ValueError):
-            process.forward_sample(fs, 0.5, TS, RS, rng)
+            process.forward_sample(fs, schedules.level(0.5, TS, RS), rng)
 
     def test_small_time_stays_close(self, rng):
         # The schedule's variance floor sigma_min^2 = 0.01 bounds how tight
@@ -253,7 +276,7 @@ class TestForwardSample:
         for t in (0.02, 0.2):
             angles, shifts = [], []
             for _ in range(2500):
-                out = process.forward_sample(fs, t, TS, RS, rng)
+                out = process.forward_sample(fs, schedules.level(t, TS, RS), rng)
                 angles.append(
                     so3.rotation_angle(so3.transpose(fs.rotations) @ out.rotations)
                 )
@@ -277,7 +300,8 @@ class TestForwardSample:
         n = 8
         fs = make_frameset(rng, n, spread=0.5)
         draws = 12_500
-        outs = [process.forward_sample(fs, 1.0, TS, RS, rng) for _ in range(draws)]
+        level = schedules.level(1.0, TS, RS)
+        outs = [process.forward_sample(fs, level, rng) for _ in range(draws)]
         trans = np.stack([o.translations for o in outs])
         rot = np.stack([o.rotations for o in outs])
         # Per-coordinate variance shrinks to (n-1)/n under centering.
@@ -296,16 +320,14 @@ class TestForwardSample:
 
     def test_output_centered(self, rng):
         fs = make_frameset(rng, 5)
-        out = process.forward_sample(fs, 0.7, TS, RS, rng)
+        out = process.forward_sample(fs, schedules.level(0.7, TS, RS), rng)
         assert out.centered
         assert np.abs(out.translations.mean(axis=0)).max() < 1e-12
 
 
 def schedule_plan(grid):
-    """The noise-free walk plan on ``grid`` at the schedules' (g_r, g_x) there,
-    as :func:`process.reverse_plan` builds it on its own grid."""
-    return process.WalkPlan(grid, schedules.g_r(grid, RS),
-                            np.sqrt(schedules.beta(grid, TS)), zeta=0.0)
+    """The noise-free walk plan on ``grid`` and the default schedules."""
+    return process.WalkPlan(grid, TS, RS, zeta=0.0)
 
 
 def one_step(init, score, plan):
@@ -334,20 +356,20 @@ class TestWalkDrift:
 
     def test_rotation_step_is_squared_diffusion_times_score(self, rng):
         init = make_frameset(rng, 4)
-        score = process.fixed_target_score(make_frameset(rng, 4), TS, RS)
+        score = process.fixed_target_score(make_frameset(rng, 4))
         plan = schedule_plan(np.array([0.6, 0.59]))
         out = one_step(init, score, plan)
-        s, _ = score(0.6, init)
+        s, _ = score(plan.levels[0], init)
         h = abs(plan.times[1] - plan.times[0])
         step = (plan.g_r[0] ** 2 * s) * h
         assert np.array_equal(out.rotations, init.rotations @ so3.exp_so3(so3.hat(step)))
 
     def test_translation_step_is_squared_diffusion_times_score_plus_half_x(self, rng):
         init = make_frameset(rng, 3)
-        score = process.fixed_target_score(make_frameset(rng, 3), TS, RS)
+        score = process.fixed_target_score(make_frameset(rng, 3))
         plan = schedule_plan(np.array([0.3, 0.29]))
         out = one_step(init, score, plan)
-        _, s_x = score(0.3, init)
+        _, s_x = score(plan.levels[0], init)
         g_x, h = plan.g_x, abs(plan.times[1] - plan.times[0])
         x = init.translations
         expected = h * (g_x[0] ** 2 * s_x + 0.5 * g_x[0] ** 2 * x)
@@ -355,12 +377,14 @@ class TestWalkDrift:
 
     def test_reference_score_at_forward_time_zero_moves_x_by_minus_half_beta(self):
         # The end of the reverse walk is forward time t = 0, and the reference
-        # score is -x: drift beta(0) (-x + x / 2) = -beta(0) / 2 x.
+        # score is -x: drift beta(0) (-x + x / 2) = -beta(0) / 2 x. A schedule
+        # plan starts above 0; at its smallest time beta is beta(0).
         init = process.FrameSet(
             np.broadcast_to(np.eye(3), (2, 3, 3)),
             np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), centered=True,
         )
-        grid = np.array([0.0, 0.01])
+        grid = np.array([np.nextafter(0.0, 1.0), 0.01])
+        assert schedules.beta(grid[0], TS) == schedules.beta(0.0, TS)
         out = one_step(init, process.reference_score, schedule_plan(grid))
         h = abs(grid[1] - grid[0])
         expected = -h * float(schedules.beta(0.0, TS)) / 2 * init.translations
@@ -372,7 +396,7 @@ class TestReverseWalk:
     def test_zero_noise_is_seed_independent(self, rng):
         init = make_frameset(rng, 4)
         target = make_frameset(np.random.default_rng(5), 4)
-        score = process.fixed_target_score(target, TS, RS)
+        score = process.fixed_target_score(target)
         sim = process.SimConfig(n_steps=50, eps=0.01, noise_scale=0.0)
         traj_a = process.reverse_walk(
             init, score, TS, RS, sim, np.random.default_rng(1)
@@ -392,7 +416,7 @@ class TestReverseWalk:
         target = process.FrameSet(
             np.broadcast_to(target_rot, (n, 3, 3)), np.zeros((n, 3)), centered=True
         )
-        score = process.fixed_target_score(target, TS, RS)
+        score = process.fixed_target_score(target)
         sim = process.SimConfig(n_steps=500, eps=0.01, noise_scale=1.0)
         init = process.reference_sample(n, rng)
         final = process.reverse_walk(init, score, TS, RS, sim, rng, record=False)[-1][1]
@@ -407,11 +431,11 @@ class TestReverseWalk:
 
     def test_generator_equals_recorded_walk(self, rng):
         init = make_frameset(rng, 5)
-        score = process.fixed_target_score(make_frameset(rng, 5), TS, RS)
+        score = process.fixed_target_score(make_frameset(rng, 5))
         sim = process.SimConfig(n_steps=40, eps=0.01, noise_scale=0.5)
+        plan = process.WalkPlan(np.linspace(1.0, sim.eps, sim.n_steps), TS, RS, sim.noise_scale)
         walks = [
-            list(process.iter_walk(init, process.reverse_plan(TS, RS, sim), score,
-                                   np.random.default_rng(3))),
+            list(process.iter_walk(init, plan, score, np.random.default_rng(3))),
             process.reverse_walk(init, score, TS, RS, sim, np.random.default_rng(3)),
         ]
         ends = process.reverse_walk(init, score, TS, RS, sim, np.random.default_rng(3),
@@ -430,7 +454,7 @@ class TestReverseWalk:
 
     def test_orthonormality_drift_bounded(self, rng):
         init = make_frameset(rng, 4)
-        score = process.fixed_target_score(make_frameset(rng, 4), TS, RS)
+        score = process.fixed_target_score(make_frameset(rng, 4))
         sim = process.SimConfig(n_steps=1000, eps=0.01, noise_scale=1.0)
         traj = process.reverse_walk(init, score, TS, RS, sim, rng)
         worst = max(
@@ -449,12 +473,12 @@ class TestReverseWalk:
         sim = process.SimConfig(n_steps=3)
         message = f"rotation score has shape {np.shape(rot(init))}, expected (4, 3)"
         with pytest.raises(ValueError, match=re.escape(message)):
-            process.reverse_walk(init, lambda t, fs: (rot(fs), np.zeros((4, 3))),
+            process.reverse_walk(init, lambda level, fs: (rot(fs), np.zeros((4, 3))),
                                  TS, RS, sim, rng)
 
     def test_states_stay_centered(self, rng):
         init = make_frameset(rng, 6)
-        score = process.fixed_target_score(make_frameset(rng, 6), TS, RS)
+        score = process.fixed_target_score(make_frameset(rng, 6))
         sim = process.SimConfig(n_steps=30, eps=0.05, noise_scale=1.0)
         traj = process.reverse_walk(init, score, TS, RS, sim, rng)
         for _, state in traj:
@@ -477,8 +501,8 @@ class TestLargeWalks:
         init = process.center(process.FrameSet(
             so3.sample_uniform_so3(rng, n),
             np.array(offset) + spread * rng.standard_normal((n, 3))))
-        score = process.fixed_target_score(make_frameset(rng, n, spread), TS, RS)
-        plan = process.reverse_plan(TS, RS, process.SimConfig(4, eps=0.5, noise_scale=zeta))
+        score = process.fixed_target_score(make_frameset(rng, n, spread))
+        plan = process.WalkPlan(np.linspace(1.0, 0.5, 4), TS, RS, zeta)
         walk = process.iter_walk(init, plan, score, rng)
         for _, state in walk:
             assert np.isfinite(state.rotations).all()
@@ -492,7 +516,7 @@ class TestScoreFromDenoised:
     def test_self_prediction_at_small_time(self, rng):
         fs = make_frameset(rng, 4)
         t = 0.05
-        rot, trans = process.score_from_denoised(fs, fs, t, TS, RS)
+        rot, trans = process.score_from_denoised(fs, fs, schedules.level(t, TS, RS))
         g = float(schedules.G_x(t, TS))
         expected = (
             -(1.0 - np.exp(-g / 2.0)) / (1.0 - np.exp(-g)) * fs.translations
@@ -502,21 +526,21 @@ class TestScoreFromDenoised:
 
     def test_equals_conditional_score_at_truth(self, rng):
         fs0 = make_frameset(rng, 3)
-        fs_t = process.forward_sample(fs0, 0.6, TS, RS, rng)
-        rot, trans = process.score_from_denoised(fs_t, fs0, 0.6, TS, RS)
+        level = schedules.level(0.6, TS, RS)
+        fs_t = process.forward_sample(fs0, level, rng)
+        rot, trans = process.score_from_denoised(fs_t, fs0, level)
         var = float(schedules.rot_variance(0.6, RS))
         direct = igso3.conditional_score(fs0.rotations, fs_t.rotations, var)
         assert np.array_equal(rot, direct)
-        direct_x = schedules.trans_conditional_score(
-            fs0.translations, fs_t.translations, 0.6, TS
-        )
+        marg = schedules.trans_marginal(fs0.translations, 0.6, TS)
+        direct_x = -(fs_t.translations - marg.mean) / marg.variance
         assert np.abs(trans - direct_x).max() < 1e-12
 
     def test_fixed_target_score_is_score_from_denoised(self, rng):
         fs, target = make_frameset(rng, 4), make_frameset(rng, 4)
-        score = process.fixed_target_score(target, TS, RS)
-        for got, want in zip(score(0.4, fs),
-                             process.score_from_denoised(fs, target, 0.4, TS, RS)):
+        score, level = process.fixed_target_score(target), schedules.level(0.4, TS, RS)
+        for got, want in zip(score(level, fs),
+                             process.score_from_denoised(fs, target, level)):
             assert np.array_equal(got, want)
 
     def test_walk_concentrates_on_fixed_target(self, rng):
@@ -525,7 +549,7 @@ class TestScoreFromDenoised:
         target = process.FrameSet(
             np.broadcast_to(target_rot, (n, 3, 3)), np.zeros((n, 3)), centered=True
         )
-        score = process.fixed_target_score(target, TS, RS)
+        score = process.fixed_target_score(target)
         sim = process.SimConfig(n_steps=100, eps=0.01, noise_scale=1.0)
         init = process.reference_sample(n, rng)
         traj = process.reverse_walk(init, score, TS, RS, sim, rng, record=False)

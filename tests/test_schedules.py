@@ -3,11 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from se3diffuse import igso3, schedules
+from se3diffuse import igso3, process, schedules
 
 TS = schedules.TranslationSchedule()
 RS_LOG = schedules.RotationSchedule()
 RS_LIN = schedules.RotationSchedule(kind="linear")
+
+
+def trans_score(x0, xt, s):
+    """Gradient of log p_{s|0}(xt | x0) in xt: the translation part of
+    :func:`process.score_from_denoised` for one frame at time ``s``."""
+    def frame(x):
+        return process.FrameSet(np.eye(3)[None], np.asarray(x, dtype=float)[None])
+
+    level = schedules.level(s, TS, RS_LOG)
+    return process.score_from_denoised(frame(xt), frame(x0), level)[1][0]
 
 
 class TestBeta:
@@ -72,7 +82,7 @@ class TestTransScore:
     def test_zero_at_mean(self):
         x0 = np.array([1.0, 2.0, 3.0])
         mean = schedules.trans_marginal(x0, 0.4, TS).mean
-        assert np.abs(schedules.trans_conditional_score(x0, mean, 0.4, TS)).max() == 0.0
+        assert np.abs(trans_score(x0, mean, 0.4)).max() == 0.0
 
     def test_matches_fd_gradient_of_log_gaussian(self):
         x0 = np.array([0.5, -1.0, 2.0])
@@ -90,19 +100,19 @@ class TestTransScore:
                 for e in np.eye(3)
             ]
         )
-        score = schedules.trans_conditional_score(x0, xt, s, TS)
+        score = trans_score(x0, xt, s)
         assert np.abs(score - fd).max() < 1e-8
 
     def test_standard_normal_limit(self):
         xt = np.array([0.3, -0.6, 0.9])
-        score = schedules.trans_conditional_score(np.zeros(3), xt, 1.0, TS)
+        score = trans_score(np.zeros(3), xt, 1.0)
         assert np.abs(score + xt).max() < 1e-4
 
     def test_denoised_inversion(self):
         x0 = np.array([0.4, 0.7, -0.2])
         xt = np.array([-0.1, 0.2, 0.3])
-        score = schedules.trans_conditional_score(x0, xt, 0.5, TS)
-        back = schedules.denoised_from_trans_score(score, xt, 0.5, TS)
+        score = trans_score(x0, xt, 0.5)
+        back = schedules.denoised_from_trans_score(score, xt, schedules.level(0.5, TS, RS_LOG))
         assert np.abs(back - x0).max() < 1e-12
 
 
@@ -174,7 +184,7 @@ class TestGr:
 
 class TestDSMWeights:
     def test_rotation_weight_inverts_expected_norm(self):
-        lam_r, _ = schedules.dsm_weights(0.5)
+        lam_r, _ = schedules.dsm_weights(schedules.level(0.5, TS, RS_LOG))
         var = float(schedules.rot_variance(0.5, RS_LOG))
         assert np.isclose(lam_r * igso3.expected_score_norm_sq(var), 1.0)
 
@@ -183,16 +193,16 @@ class TestDSMWeights:
         # (1 - e^-t) / e^(-t/2).
         near_unit = schedules.TranslationSchedule(beta_min=1.0 - 1e-9, beta_max=1.0 + 1e-9)
         for t in (0.2, 0.5, 0.9):
-            _, lam_x = schedules.dsm_weights(t, ts=near_unit)
+            _, lam_x = schedules.dsm_weights(schedules.level(t, near_unit, RS_LOG))
             expected = (1.0 - np.exp(-t)) / np.exp(-t / 2.0)
             assert abs(lam_x - expected) < 1e-8
 
     def test_translation_weight_vanishes_at_zero(self):
-        _, lam_x = schedules.dsm_weights(1e-9)
+        _, lam_x = schedules.dsm_weights(schedules.level(1e-9, TS, RS_LOG))
         assert lam_x < 1e-8
 
     @given(st.floats(0.05, 1.0))
     @settings(max_examples=20, deadline=None)
     def test_weights_positive(self, t):
-        lam_r, lam_x = schedules.dsm_weights(t)
+        lam_r, lam_x = schedules.dsm_weights(schedules.level(t, TS, RS_LOG))
         assert lam_r > 0 and lam_x > 0
