@@ -89,12 +89,12 @@ class _Commit:
                     os.rmdir(d)
 
 
-def _from_flags(build, *args, **values):
-    """``build(*args, **values)``; a value the constructor rejects is a usage error."""
+def _from_flags(build, *args, note="", **values):
+    """``build(*args, **values)``; a value it rejects is a usage error, ending in ``note``."""
     try:
         return build(*args, **values)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"{exc}{note}") from exc
 
 
 def _fmt(x) -> str:
@@ -291,7 +291,7 @@ def cmd_toy(action: str, v: argparse.Namespace, config: dict, commit: _Commit) -
     run_cfg = _from_flags(toy.ToyRunConfig, n_paths=v.paths, final_time=v.T,
                           n_steps=v.steps)
     walk = toy.iter_forward if action == "forward" else toy.iter_reverse
-    times = run_cfg.times().tolist()
+    times = run_cfg.plan.times.tolist()
     run = walk(target, run_cfg, np.random.default_rng(v.seed))
     _toy_run_dir_write(commit, v.out_dir, run, times, target)
     config.update(
@@ -404,7 +404,7 @@ def cmd_sample_backbones(action: str, v: argparse.Namespace, config: dict,
     rot_sched = schedules.RotationSchedule()
     # FrameDiff's plan: n_steps uniform times from t = 1 down to t = eps.
     plan = _from_flags(process.WalkPlan, np.linspace(1.0, v.eps, v.n_steps), trans_sched,
-                       rot_sched, v.zeta)
+                       rot_sched, v.zeta, note=f" (eps={v.eps!r}, n_steps={v.n_steps})")
     init = process.reference_sample(v.n_residues, np.random.default_rng(v.init_seed))
     if v.score == "fixed-target":
         score = process.fixed_target_score(_extended_chain(v.n_residues))

@@ -74,10 +74,10 @@ class SimConfig:
 @dataclass(frozen=True)
 class WalkPlan:
     """What :func:`iter_walk` reads, built from ``times`` in walk order, the
-    schedules and zeta: at each time g_r(t), g_x(t) = sqrt(beta(t)) and the
-    noise level :func:`schedules.level`. A schedule left out is the unit one
-    (g = 1, sigma_r^2 = t, beta = 1); with neither, this is the unit plan.
-    A plan with a schedule takes times in (0, 1] only."""
+    schedules and zeta: at each time g_r(t), g_x(t) = sqrt(beta(t)) and a row
+    of ``levels``, the floats of :func:`schedules.level`. A schedule left out
+    is the unit one (g = 1, sigma_r^2 = t, beta = 1); with neither, this is
+    the unit plan. A plan with a schedule takes times in (0, 1] only."""
 
     times: np.ndarray
     trans_sched: InitVar[schedules.TranslationSchedule | None] = None
@@ -85,7 +85,7 @@ class WalkPlan:
     zeta: float = 1.0
     g_r: np.ndarray = field(init=False)
     g_x: np.ndarray = field(init=False)
-    levels: tuple[schedules.Level, ...] = field(init=False)
+    levels: np.ndarray = field(init=False)
 
     def __post_init__(self, ts, rs):
         times = np.asarray(self.times, dtype=float)
@@ -100,7 +100,8 @@ class WalkPlan:
             raise ValueError("zeta must be in [0, 1]")
         g_r = np.ones_like(times) if rs is None else schedules.g_r(times, rs)
         g_x = np.ones_like(times) if ts is None else np.sqrt(schedules.beta(times, ts))
-        levels = tuple(schedules.level(t, ts, rs) for t in times.tolist())
+        levels = np.fromiter((schedules.level(t, ts, rs) for t in times),  # no Level is kept
+                             np.dtype((float, 3)), len(times))
         for name, value in [("times", times), ("g_r", g_r), ("g_x", g_x), ("levels", levels)]:
             object.__setattr__(self, name, value)
 
@@ -138,10 +139,10 @@ def iter_walk(
 ) -> Iterator[tuple[float, FrameSet]]:
     """Euler-Maruyama geodesic random walk from the centered ``init`` through ``plan``.
 
-    With (s_r, s_x) = score(levels[i], state) and the plan's g_r, g_x and
-    zeta, step i moves along the reverse-time drift [g_r^2 s_r, g_x^2
-    (s_x + x / 2)] of the frame set's SDE: it takes v = drift * h + zeta *
-    [g_r Z_r, g_x Z_x] * sqrt(h), h = |times[i+1] - times[i]|, with
+    With (s_r, s_x) = score(Level(*levels[i]), state) and the plan's g_r,
+    g_x and zeta, step i moves along the reverse-time drift [g_r^2 s_r,
+    g_x^2 (s_x + x / 2)] of the frame set's SDE: it takes v = drift * h +
+    zeta * [g_r Z_r, g_x Z_x] * sqrt(h), h = |times[i+1] - times[i]|, with
     standard normal coefficient vectors Z_r (N, 3), and moves each
     rotation r to r exp(hat(v_r)) and the translations by v_x. At g = 1
     the drift of rotation-only frames is the score itself, and a zero
@@ -159,7 +160,7 @@ def iter_walk(
     yield float(grid[0]), state
     for i in range(len(grid) - 1):
         h = abs(grid[i + 1] - grid[i])
-        s_rot, s_trans = score(plan.levels[i], state)
+        s_rot, s_trans = score(schedules.Level(*plan.levels[i].tolist()), state)
         if np.shape(s_rot) != (len(state), 3):
             raise ValueError(f"rotation score has shape {np.shape(s_rot)}, "
                              f"expected {(len(state), 3)}")

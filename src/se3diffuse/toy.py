@@ -12,7 +12,7 @@ sigma_r^2 is the time itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -48,11 +48,12 @@ def random_target(k: int = 3, seed: int = 0) -> DiscreteTarget:
 
 @dataclass(frozen=True)
 class ToyRunConfig:
-    """Path count, final time and grid size; the grid is checked as a walk plan."""
+    """Path count, final time and grid size; ``plan`` is the forward unit plan on them."""
 
     n_paths: int = 5000
     final_time: float = 4.0
     n_steps: int = 200
+    plan: process.WalkPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -60,12 +61,10 @@ class ToyRunConfig:
         if not 0.0 < self.final_time < np.inf:
             raise ValueError("final_time must be positive and finite")
         try:
-            process.WalkPlan(self.times())
+            plan = process.WalkPlan(np.linspace(0.0, self.final_time, self.n_steps))
         except ValueError as exc:
             raise ValueError(f"{exc} (final_time={self.final_time!r}, n_steps={self.n_steps})") from exc
-
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.final_time, self.n_steps)
+        object.__setattr__(self, "plan", plan)
 
 
 def sample_p0(
@@ -86,13 +85,13 @@ def score_t(target: DiscreteTarget, rt: np.ndarray, t: float,
     return igso3.mixture_score(target.atoms, rt, t, weights=target.weights)
 
 
-def _unit_rate_walk(init, times, score, rng) -> Iterator[tuple[float, np.ndarray]]:
-    """:func:`process.iter_walk` of rotation-only frames on the unit plan of
-    ``times``: the drift g^2 s is the score field s itself, and a zero score
+def _unit_rate_walk(init, plan, score, rng) -> Iterator[tuple[float, np.ndarray]]:
+    """:func:`process.iter_walk` of rotation-only frames on the unit plan
+    ``plan``: the drift g^2 s is the score field s itself, and a zero score
     walks the frames forward as Brownian motion. Yields (grid time,
     rotations) pairs as the walk goes."""
     frames = process.center(process.FrameSet(init, np.empty((len(init), 0))))
-    walk = process.iter_walk(frames, process.WalkPlan(times), score, rng)
+    walk = process.iter_walk(frames, plan, score, rng)
     return ((t, fs.rotations) for t, fs in walk)
 
 
@@ -101,7 +100,7 @@ def iter_forward(
 ) -> Iterator[tuple[float, np.ndarray]]:
     """Zero-drift unit-rate walk from p_0, up the grid; (t, rotations) pairs."""
     init = sample_p0(target, rng, cfg.n_paths)
-    return _unit_rate_walk(init, cfg.times(), process.reference_score, rng)
+    return _unit_rate_walk(init, cfg.plan, process.reference_score, rng)
 
 
 def iter_reverse(
@@ -119,10 +118,9 @@ def iter_reverse(
     def score(level, fs: process.FrameSet) -> tuple[np.ndarray, np.ndarray]:
         return score_t(target, fs.rotations, level.rot_var), np.zeros_like(fs.translations)
 
-    times = cfg.times()
-    igso3.check_time(times[1])
+    igso3.check_time(cfg.plan.times[1])
     init = so3.sample_uniform_so3(rng, cfg.n_paths)
-    return _unit_rate_walk(init, times[::-1], score, rng)
+    return _unit_rate_walk(init, process.WalkPlan(cfg.plan.times[::-1]), score, rng)
 
 
 def run_forward(

@@ -81,7 +81,7 @@ def test_c05_toy_forward_reverse_agreement():
     cfg = toy.ToyRunConfig(n_paths=5000, final_time=4.0, n_steps=200)
     fwd = toy.run_forward(target, cfg, rng)
     rev = toy.run_reverse(target, cfg, rng)
-    times = cfg.times()
+    times = cfg.plan.times
     # Recorded comparison times: the grid points nearest 1, 2, 3 plus the
     # recorded grid's terminal point t = 4.
     check_at = [float(times[np.argmin(np.abs(times - u))]) for u in (1.0, 2.0, 3.0)]

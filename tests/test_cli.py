@@ -289,6 +289,9 @@ class TestRejectedValues:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
+        if "--eps" in args:  # the plan's message names the flags behind its grid
+            eps = float(args[args.index("--eps") + 1])
+            assert err.endswith(f" (eps={eps!r}, n_steps=500)\n")
 
     @pytest.mark.parametrize("args", [
         ["igso3", "eval", "--t", "0.5", "--grid", "100000000000000000", "--out", "OUT/e.csv"],

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,7 +158,25 @@ class TestWalkPlan:
         expected = [(float(schedules.rot_variance(float(t), rs)),
                      *schedules.ou_coefficients(float(schedules.G_x(float(t), ts))))
                     for t in times]
-        assert np.array(plan.levels).tobytes() == np.array(expected).tobytes()
+        assert plan.levels.tobytes() == np.array(expected).tobytes()
+
+    def test_plan_holds_its_levels_as_floats(self):
+        # g_r, g_x and the levels are 5 floats, 40 bytes, a time; a Level
+        # object per time would hold about 170. Traced, the rotation
+        # schedule's scalar sigma_r is slow, so the traced plan reads the
+        # translation schedule alone; the bits are checked on both.
+        times = np.linspace(1.0, 0.01, 20_000)
+        tracemalloc.start()
+        try:
+            plan = process.WalkPlan(times, TS)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 64 * len(times)
+        assert plan.levels.shape == (len(times), 3)
+        plan = process.WalkPlan(times, TS, RS)
+        expected = [schedules.level(t, TS, RS) for t in times]
+        assert plan.levels.tobytes() == np.array(expected).tobytes()
 
     def test_unit_plan_reads_one(self):
         times = np.linspace(0.0, 4.0, 5)[::-1]
@@ -167,10 +186,9 @@ class TestWalkPlan:
             assert g.shape == times.shape and np.all(g == 1.0)
         assert plan.zeta == 1.0
         # sigma_r^2 is the time itself, so the toy's score reads the same bits.
-        rot_var = np.array([lv.rot_var for lv in plan.levels])
-        assert rot_var.tobytes() == times.tobytes()
+        assert plan.levels[:, 0].tobytes() == times.tobytes()
         expected = [schedules.ou_coefficients(float(t)) for t in times]
-        assert np.array([lv[1:] for lv in plan.levels]).tobytes() == np.array(expected).tobytes()
+        assert plan.levels[:, 1:].tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("times,message", [
         ([0.5], "at least two times"),
@@ -359,7 +377,7 @@ class TestWalkDrift:
         score = process.fixed_target_score(make_frameset(rng, 4))
         plan = schedule_plan(np.array([0.6, 0.59]))
         out = one_step(init, score, plan)
-        s, _ = score(plan.levels[0], init)
+        s, _ = score(schedules.Level(*plan.levels[0].tolist()), init)
         h = abs(plan.times[1] - plan.times[0])
         step = (plan.g_r[0] ** 2 * s) * h
         assert np.array_equal(out.rotations, init.rotations @ so3.exp_so3(so3.hat(step)))
@@ -369,7 +387,7 @@ class TestWalkDrift:
         score = process.fixed_target_score(make_frameset(rng, 3))
         plan = schedule_plan(np.array([0.3, 0.29]))
         out = one_step(init, score, plan)
-        _, s_x = score(plan.levels[0], init)
+        _, s_x = score(schedules.Level(*plan.levels[0].tolist()), init)
         g_x, h = plan.g_x, abs(plan.times[1] - plan.times[0])
         x = init.translations
         expected = h * (g_x[0] ** 2 * s_x + 0.5 * g_x[0] ** 2 * x)

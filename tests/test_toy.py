@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from se3diffuse import igso3, schedules, so3, toy
+from se3diffuse import cli, igso3, process, schedules, so3, toy
 
 
 @pytest.fixture(scope="module")
@@ -228,12 +228,12 @@ def reference_walk(initial, times, drift, rng):
 
 def reference_forward(target, cfg, rng):
     init = toy.sample_p0(target, rng, cfg.n_paths)
-    return reference_walk(init, cfg.times(), lambda r, t: 0.0, rng)
+    return reference_walk(init, cfg.plan.times, lambda r, t: 0.0, rng)
 
 
 def reference_reverse(target, cfg, rng):
     init = so3.sample_uniform_so3(rng, cfg.n_paths)
-    return reference_walk(init, cfg.times()[::-1], lambda r, t: -toy.score_t(target, r, t), rng)
+    return reference_walk(init, cfg.plan.times[::-1], lambda r, t: -toy.score_t(target, r, t), rng)
 
 
 def assert_same_runs(a, b, atol=0.0):
@@ -294,7 +294,7 @@ class TestWalks:
         with pytest.raises(ValueError, match="grid times must strictly increase.*" + message):
             toy.ToyRunConfig(n_paths=5, final_time=final_time, n_steps=n_steps)
         cfg = toy.ToyRunConfig(n_paths=5, final_time=1e-300, n_steps=3000)
-        assert np.all(np.diff(cfg.times()) > 0)
+        assert np.all(np.diff(cfg.plan.times) > 0)
 
     def test_one_time_is_not_a_walk(self):
         with pytest.raises(ValueError, match=r"at least two times \(final_time=4\.0, n_steps=1\)"):
@@ -314,7 +314,7 @@ class TestWalks:
         cfg = toy.ToyRunConfig(n_paths=4000, n_steps=200)
         fwd = toy.run_forward(target, cfg, rng)
         rev = toy.run_reverse(target, cfg, rng)
-        h = cfg.times()[1]
+        h = cfg.plan.times[1]
         ks = stats.ks_2samp(
             toy.angle_to_nearest_atom(target, rev[0.0]),
             toy.angle_to_nearest_atom(target, fwd[float(h)]),
@@ -327,7 +327,7 @@ class TestWalks:
         cfg = toy.ToyRunConfig(n_paths=2000, n_steps=200)
         fwd = toy.run_forward(target, cfg, rng)
         rev = toy.run_reverse(target, cfg, rng)
-        h = float(cfg.times()[1])
+        h = float(cfg.plan.times[1])
         rev_mean = so3.rotation_angle(rev[0.0]).mean()
         fwd_mean = so3.rotation_angle(fwd[h]).mean()
         assert rev_mean < fwd_mean + 0.05
@@ -344,6 +344,23 @@ class TestReverseTimeCheck:
             toy.iter_reverse(target, cfg, rng)
         assert rng.bit_generator.state == state
         assert len(toy.run_forward(target, cfg, rng)) == 402
+
+
+class TestPlansBuilt:
+    @pytest.mark.parametrize("action,plans", [("forward", 1), ("reverse", 2)])
+    def test_command_builds_each_plan_once(self, tmp_path, monkeypatch, action, plans):
+        # The config's forward plan is also the grid's check; the reverse walk
+        # adds the one plan on the reversed grid.
+        built, post_init = [], process.WalkPlan.__post_init__
+
+        def counted(plan, *args):
+            built.append(plan.times[0])
+            post_init(plan, *args)
+
+        monkeypatch.setattr(process.WalkPlan, "__post_init__", counted)
+        out_dir = str(tmp_path / "run")
+        assert cli.main(["toy", action, "--paths", "5", "--steps", "4", "--out-dir", out_dir]) == 0
+        assert built == [0.0, 4.0][:plans]
 
 
 class TestKSStatistic:
