@@ -315,15 +315,13 @@ def _toy_compare(run_a: str, run_b: str) -> dict:
             with open(path) as fh:
                 config = json.load(fh)["config"]
             times, atoms = [float(t) for t in config["grid_times"]], config["atom_quaternions"]
-            path = os.path.join(d, "t_0000.csv")
-            with open(path) as fh:
-                n_cols = len(fh.readline().split(","))
+            n_cols = 5 + len(atoms)  # path_id, a, b, c, d, then one angle per atom
         except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"malformed run file {path}: {exc!r}") from exc
         return times, atoms, n_cols
 
-    times_a, atoms_a, cols_a = load_run(run_a)
-    times_b, atoms_b, cols_b = load_run(run_b)
+    times_a, atoms_a, n_cols = load_run(run_a)
+    times_b, atoms_b, _ = load_run(run_b)
     if atoms_a != atoms_b:
         raise UsageError("runs were recorded for different atoms")
     if times_a != times_b:  # each run records its grid as round-trip text
@@ -331,7 +329,7 @@ def _toy_compare(run_a: str, run_b: str) -> dict:
     if len(times_a) < 2:
         raise UsageError("runs need at least two recorded times")
 
-    def angles(d: str, n_cols: int, idx: int) -> np.ndarray:
+    def angles(d: str, idx: int) -> np.ndarray:
         path = os.path.join(d, f"t_{idx:04d}.csv")
         try:
             with warnings.catch_warnings():
@@ -342,8 +340,7 @@ def _toy_compare(run_a: str, run_b: str) -> dict:
             raise UsageError(f"malformed run file {path}: {exc!r}") from exc
 
     def ks_at(idx: int) -> float:
-        return toy.ks_2samp_statistic(angles(run_a, cols_a, idx),
-                                      angles(run_b, cols_b, idx))
+        return toy.ks_2samp_statistic(angles(run_a, idx), angles(run_b, idx))
 
     ks_list = list(_pmap(ks_at, range(len(times_a))))
     return {

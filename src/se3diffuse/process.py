@@ -75,8 +75,9 @@ class SimConfig:
 class WalkPlan:
     """What :func:`iter_walk` reads, built from ``times`` in walk order, the
     schedules and zeta: at each time g_r(t), g_x(t) = sqrt(beta(t)) and a row
-    of ``levels``, the floats of :func:`schedules.level`. A schedule left out
-    is the unit one (g = 1, sigma_r^2 = t, beta = 1); with neither, this is
+    of ``levels``, filled by one array call of :func:`schedules.level` and
+    equal bit for bit to ``level(t)`` at each time. A schedule left out is
+    the unit one (g = 1, sigma_r^2 = t, beta = 1); with neither, this is
     the unit plan. A plan with a schedule takes times in (0, 1] only."""
 
     times: np.ndarray
@@ -100,8 +101,7 @@ class WalkPlan:
             raise ValueError("zeta must be in [0, 1]")
         g_r = np.ones_like(times) if rs is None else schedules.g_r(times, rs)
         g_x = np.ones_like(times) if ts is None else np.sqrt(schedules.beta(times, ts))
-        levels = np.fromiter((schedules.level(t, ts, rs) for t in times),  # no Level is kept
-                             np.dtype((float, 3)), len(times))
+        levels = np.column_stack(schedules.level(times, ts, rs))
         for name, value in [("times", times), ("g_r", g_r), ("g_x", g_x), ("levels", levels)]:
             object.__setattr__(self, name, value)
 

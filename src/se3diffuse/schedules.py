@@ -60,18 +60,10 @@ class RotationSchedule:
             )
 
 
-@dataclass(frozen=True)
-class TransMarginal:
-    """Closed-form conditional marginal of the translation process."""
-
-    mean: np.ndarray
-    variance: float
-
-
 class Level(NamedTuple):
-    """The noise level at one time: the IGSO3 time sigma_r^2 of the rotations,
+    """The noise level at a time: the IGSO3 time sigma_r^2 of the rotations,
     and the mean scale e^{-G/2} and variance 1 - e^{-G} of the translations'
-    OU marginal."""
+    OU marginal. Floats at one time, arrays over a grid of times."""
 
     rot_var: float
     trans_scale: float
@@ -93,15 +85,6 @@ def ou_coefficients(g):
     """Mean scale e^{-G/2} and variance 1 - e^{-G} of the OU marginal after
     accumulated rate ``g`` (:func:`G_x`), elementwise."""
     return np.exp(-0.5 * g), 1.0 - np.exp(-g)
-
-
-def trans_marginal(
-    x0, s: float, ts: TranslationSchedule = TranslationSchedule()
-) -> TransMarginal:
-    """p_{s|0}: Gaussian with mean e^{-G/2} x0 and variance 1 - e^{-G}."""
-    lv = level(s, ts)
-    return TransMarginal(mean=lv.trans_scale * np.asarray(x0, dtype=float),
-                         variance=lv.trans_var)
 
 
 def denoised_from_trans_score(score, xt, lv: Level):
@@ -130,8 +113,11 @@ def sigma_r_prime(s, rs: RotationSchedule = RotationSchedule()):
 
 
 def rot_variance(s, rs: RotationSchedule = RotationSchedule()):
-    """Marginal rotation variance sigma_r(s)^2 (the IGSO3 time)."""
-    return sigma_r(s, rs) ** 2
+    """Marginal rotation variance sigma_r(s)^2 (the IGSO3 time), squared by
+    one correctly rounded product, so a time gives the same bits alone or
+    in an array (a float's ``** 2`` goes through libm ``pow``)."""
+    sigma = sigma_r(s, rs)
+    return sigma * sigma
 
 
 def g_r(s, rs: RotationSchedule = RotationSchedule()):
@@ -139,17 +125,13 @@ def g_r(s, rs: RotationSchedule = RotationSchedule()):
     return np.sqrt(2.0 * sigma_r(s, rs) * sigma_r_prime(s, rs))
 
 
-def level(s: float, ts: TranslationSchedule | None = None,
+def level(s, ts: TranslationSchedule | None = None,
           rs: RotationSchedule | None = None) -> Level:
-    """The :class:`Level` at time ``s``; a schedule left out is the unit one,
-    where sigma_r^2 = s and beta = 1.
-
-    Each value is one scalar call: a vectorized :func:`rot_variance` can
-    differ from it in the last bit, and sampled frames are pinned to this form.
-    """
-    s = float(s)
-    rot_var = s if rs is None else float(rot_variance(s, rs))
-    return Level(rot_var, *ou_coefficients(s if ts is None else float(G_x(s, ts))))
+    """The :class:`Level` at time ``s``, or a Level of arrays over an array
+    of times, each element bit for bit the level at its time alone; a
+    schedule left out is the unit one, where sigma_r^2 = s and beta = 1."""
+    rot_var = s if rs is None else rot_variance(s, rs)
+    return Level(rot_var, *ou_coefficients(s if ts is None else G_x(s, ts)))
 
 
 def dsm_weights(lv: Level) -> tuple[float, float]:

@@ -132,11 +132,11 @@ def test_c07_translation_vp_sde():
     details = []
     ok = True
     for cp, sample in checkpoints.items():
-        marg = schedules.trans_marginal(np.array([x0]), cp, TS)
-        se_mean = np.sqrt(marg.variance / n_paths)
-        se_var = marg.variance * np.sqrt(2.0 / (n_paths - 1))
-        dm = abs(sample.mean() - marg.mean[0])
-        dv = abs(sample.var() - marg.variance)
+        lv = schedules.level(cp, TS)
+        se_mean = np.sqrt(lv.trans_var / n_paths)
+        se_var = lv.trans_var * np.sqrt(2.0 / (n_paths - 1))
+        dm = abs(sample.mean() - lv.trans_scale * x0)
+        dv = abs(sample.var() - lv.trans_var)
         ok = ok and dm < 3 * se_mean and dv < 3 * se_var
         details.append(f"s={cp}: dmean={dm / se_mean:.2f}se, dvar={dv / se_var:.2f}se")
     report(7, "translation-vp-sde", ok, "; ".join(details))
@@ -195,8 +195,9 @@ def test_c10_centered_process_invariance():
     def forward_batch(fs, rng):
         rot = igso3.sample_igso3(np.broadcast_to(fs.rotations, (draws, n, 3, 3)),
                                  float(schedules.rot_variance(t, RS)), rng)
-        marg = schedules.trans_marginal(fs.translations, t, TS)
-        trans = marg.mean + np.sqrt(marg.variance) * rng.standard_normal((draws, n, 3))
+        lv = schedules.level(t, TS)
+        trans = (lv.trans_scale * fs.translations
+                 + np.sqrt(lv.trans_var) * rng.standard_normal((draws, n, 3)))
         trans = trans - trans.mean(axis=1, keepdims=True)
         return rot, trans
 

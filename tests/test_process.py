@@ -153,30 +153,35 @@ class TestWalkPlan:
         assert plan.g_r.tobytes() == schedules.g_r(times, rs).tobytes()
         assert plan.g_x.tobytes() == np.sqrt(schedules.beta(times, ts)).tobytes()
         assert plan.zeta == 0.3
-        # The levels are the scalar calls a score made at each step: a
-        # vectorized rot_variance differs from them in the last bit.
-        expected = [(float(schedules.rot_variance(float(t), rs)),
-                     *schedules.ou_coefficients(float(schedules.G_x(float(t), ts))))
-                    for t in times]
-        assert plan.levels.tobytes() == np.array(expected).tobytes()
+        expected = np.column_stack([schedules.rot_variance(times, rs),
+                                    *schedules.ou_coefficients(schedules.G_x(times, ts))])
+        assert plan.levels.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [500, 10**5])
+    @pytest.mark.parametrize("kind", ["logarithmic", "linear"])
+    def test_plan_rows_are_the_scalar_levels(self, kind, n):
+        # The plan's one array evaluation gives each time the bits of a
+        # scalar call at that time, because rot_variance squares by a
+        # product: a float's ** 2 goes through libm pow and can differ.
+        rs = schedules.RotationSchedule(kind=kind)
+        times = np.linspace(1.0, 0.01, n)
+        rot_var = [schedules.rot_variance(float(t), rs) for t in times]
+        assert np.array(rot_var).tobytes() == schedules.rot_variance(times, rs).tobytes()
+        rows = [schedules.level(float(t), TS, rs) for t in times]
+        assert np.array(rows).tobytes() == process.WalkPlan(times, TS, rs).levels.tobytes()
 
     def test_plan_holds_its_levels_as_floats(self):
         # g_r, g_x and the levels are 5 floats, 40 bytes, a time; a Level
-        # object per time would hold about 170. Traced, the rotation
-        # schedule's scalar sigma_r is slow, so the traced plan reads the
-        # translation schedule alone; the bits are checked on both.
+        # object per time would hold about 170.
         times = np.linspace(1.0, 0.01, 20_000)
         tracemalloc.start()
         try:
-            plan = process.WalkPlan(times, TS)
+            plan = process.WalkPlan(times, TS, RS)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert held <= 64 * len(times)
         assert plan.levels.shape == (len(times), 3)
-        plan = process.WalkPlan(times, TS, RS)
-        expected = [schedules.level(t, TS, RS) for t in times]
-        assert plan.levels.tobytes() == np.array(expected).tobytes()
 
     def test_unit_plan_reads_one(self):
         times = np.linspace(0.0, 4.0, 5)[::-1]
@@ -310,7 +315,7 @@ class TestForwardSample:
         assert abs(q99[0.02][0] - angle_pred) / angle_pred < 0.1
         # Translation quantile is inflated slightly by the centering of a
         # small frame set; bound it by the uncentered prediction.
-        shift_pred = np.sqrt(schedules.trans_marginal(np.zeros(3), 0.02, TS).variance)
+        shift_pred = np.sqrt(schedules.level(0.02, TS).trans_var)
         assert q99[0.02][1] < shift_pred * chi3_99 * 1.1
         assert q99[0.02][0] < q99[0.2][0] and q99[0.02][1] < q99[0.2][1]
 
@@ -324,7 +329,7 @@ class TestForwardSample:
         rot = np.stack([o.rotations for o in outs])
         # Per-coordinate variance shrinks to (n-1)/n under centering.
         var = trans.var(axis=(0, 1))
-        expected = (n - 1) / n * schedules.trans_marginal(np.zeros(3), 1.0, TS).variance
+        expected = (n - 1) / n * schedules.level(1.0, TS).trans_var
         se = expected * np.sqrt(2.0 / draws)
         assert np.abs(var - expected).max() < 3 * se
         # Rotation angles follow the IGSO3 law at variance 2.25.
@@ -550,8 +555,8 @@ class TestScoreFromDenoised:
         var = float(schedules.rot_variance(0.6, RS))
         direct = igso3.conditional_score(fs0.rotations, fs_t.rotations, var)
         assert np.array_equal(rot, direct)
-        marg = schedules.trans_marginal(fs0.translations, 0.6, TS)
-        direct_x = -(fs_t.translations - marg.mean) / marg.variance
+        lv = schedules.level(0.6, TS)
+        direct_x = -(fs_t.translations - lv.trans_scale * fs0.translations) / lv.trans_var
         assert np.abs(trans - direct_x).max() < 1e-12
 
     def test_fixed_target_score_is_score_from_denoised(self, rng):

@@ -50,14 +50,14 @@ class TestGx:
 class TestTransMarginal:
     def test_small_time_limits(self):
         x0 = np.array([1.0, -2.0, 0.5])
-        m = schedules.trans_marginal(x0, 1e-8, TS)
-        assert np.abs(m.mean - x0).max() < 1e-8
-        assert m.variance < 1e-8
+        lv = schedules.level(1e-8, TS)
+        assert np.abs(lv.trans_scale * x0 - x0).max() < 1e-8
+        assert lv.trans_var < 1e-8
 
     def test_terminal_variance(self):
-        m = schedules.trans_marginal(np.zeros(3), 1.0, TS)
-        assert np.isclose(m.variance, 1.0 - np.exp(-10.05))
-        assert m.variance > 0.99995
+        lv = schedules.level(1.0, TS)
+        assert np.isclose(lv.trans_var, 1.0 - np.exp(-10.05))
+        assert lv.trans_var > 0.99995
 
     def test_composition_in_distribution(self, rng):
         # Chaining the OU transition s1 -> s2 on top of the s1 marginal
@@ -65,33 +65,33 @@ class TestTransMarginal:
         x0 = np.array([0.8, -0.3, 1.1])
         s1, s2 = 0.3, 0.7
         n = 200_000
-        m1 = schedules.trans_marginal(x0, s1, TS)
-        stage1 = m1.mean + np.sqrt(m1.variance) * rng.standard_normal((n, 3))
+        lv1 = schedules.level(s1, TS)
+        stage1 = lv1.trans_scale * x0 + np.sqrt(lv1.trans_var) * rng.standard_normal((n, 3))
         dg = float(schedules.G_x(s2, TS) - schedules.G_x(s1, TS))
         stage2 = stage1 * np.exp(-dg / 2) + np.sqrt(1 - np.exp(-dg)) * (
             rng.standard_normal((n, 3))
         )
-        m2 = schedules.trans_marginal(x0, s2, TS)
-        se_mean = np.sqrt(m2.variance / n)
-        assert np.abs(stage2.mean(0) - m2.mean).max() < 3 * se_mean
-        se_var = m2.variance * np.sqrt(2.0 / (n - 1))
-        assert np.abs(stage2.var(0) - m2.variance).max() < 3 * se_var
+        lv2 = schedules.level(s2, TS)
+        se_mean = np.sqrt(lv2.trans_var / n)
+        assert np.abs(stage2.mean(0) - lv2.trans_scale * x0).max() < 3 * se_mean
+        se_var = lv2.trans_var * np.sqrt(2.0 / (n - 1))
+        assert np.abs(stage2.var(0) - lv2.trans_var).max() < 3 * se_var
 
 
 class TestTransScore:
     def test_zero_at_mean(self):
         x0 = np.array([1.0, 2.0, 3.0])
-        mean = schedules.trans_marginal(x0, 0.4, TS).mean
+        mean = schedules.level(0.4, TS).trans_scale * x0
         assert np.abs(trans_score(x0, mean, 0.4)).max() == 0.0
 
     def test_matches_fd_gradient_of_log_gaussian(self):
         x0 = np.array([0.5, -1.0, 2.0])
         xt = np.array([0.1, 0.3, -0.4])
         s = 0.6
-        m = schedules.trans_marginal(x0, s, TS)
+        lv = schedules.level(s, TS)
 
         def log_density(x):
-            return -0.5 * np.sum((x - m.mean) ** 2) / m.variance
+            return -0.5 * np.sum((x - lv.trans_scale * x0) ** 2) / lv.trans_var
 
         h = 1e-6
         fd = np.array(
